@@ -15,6 +15,12 @@
 # `make check` is the CI gate: custom analyzers, vet everything, then
 # run the determinism suite under the race detector (the worker-pool
 # synchronization and the 1/2/8-worker bitwise contract in one pass).
+#
+# `make fuzz FUZZTIME=30s` runs each fuzz target for FUZZTIME, starting
+# from its checked-in corpus under testdata/fuzz. A failing input is
+# written there too; commit it with the fix. Minimizing an input is
+# capped at 2s (Go's default is 60s per new input), so a short run
+# spends its time fuzzing.
 
 PR ?= 1
 BASELINE ?= BENCH_SEED.json
@@ -29,9 +35,10 @@ BENCHCOUNT ?= 3
 # different GOMAXPROCS unless forced (pass FORCE=1).
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
+FUZZTIME ?= 10s
 BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkVCycleF32Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkShardedServe|BenchmarkSingleHierarchyServe|BenchmarkServePrecisionF64|BenchmarkServePrecisionF32|BenchmarkCGNoGuard|BenchmarkCGHealthGuard'
 
-.PHONY: all build test race bench check lint
+.PHONY: all build test race bench check lint fuzz benchsmoke
 
 all: build test
 
@@ -51,6 +58,9 @@ lint:
 check: lint
 	go vet ./...
 	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestSharded|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+
+fuzz:
+	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
 
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \

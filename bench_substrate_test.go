@@ -158,9 +158,19 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 	for i := range keep {
 		keep[i] = i%3 != 0
 	}
+	rt := par.New(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.InducedSubgraph(keep)
+		g.InducedSubgraph(rt, keep)
+	}
+}
+
+func BenchmarkCoarseGraph(b *testing.B) {
+	// Level 0 of the multilevel Algorithm-3 coarsening of a 64^3 mesh.
+	g := gen.Laplace3D(64, 64, 64)
+	agg := coarsen.MIS2Aggregation(g, coarsen.Options{})
+	for b.Loop() {
+		coarsen.CoarseGraph(g, agg)
 	}
 }
 

@@ -21,6 +21,7 @@ package coarsen
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mis2go/internal/color"
 	"mis2go/internal/graph"
@@ -132,15 +133,15 @@ func MIS2Aggregation(g *graph.CSR, opt Options) Aggregation {
 	// 2 unaggregated neighbors (smaller aggregates would increase fill-in
 	// during smoothing).
 	keep := make([]bool, g.N)
-	anyLeft := false
-	for v := 0; v < g.N; v++ {
-		if labels[v] == unaggregated {
-			keep[v] = true
-			anyLeft = true
+	left := par.ReduceSum(rt, g.N, func(v int) int {
+		keep[v] = labels[v] == unaggregated
+		if keep[v] {
+			return 1
 		}
-	}
-	if anyLeft {
-		sub, _, toOrig := g.InducedSubgraph(keep)
+		return 0
+	})
+	if left > 0 {
+		sub, _, toOrig := g.InducedSubgraph(rt, keep)
 		m2 := mis.MIS2(sub, opt.MIS).InSet
 
 		qualified := make([]int, len(m2))
@@ -432,9 +433,11 @@ func D2C(g *graph.CSR, threads int, parallelColoring bool) Aggregation {
 	return agg
 }
 
-// Check verifies that the aggregation is total and well-formed: every
-// vertex assigned a label in range, every aggregate nonempty and (except
-// for singletons) connected through the graph.
+// Check verifies that the aggregation is total and well-formed: one
+// label per vertex, every label in range, and every aggregate nonempty.
+// It does not check that aggregates are connected: Check runs on every
+// AMG build and cluster-GS setup, so it stays O(N). Connectivity of the
+// schemes here is a tested property instead.
 func Check(g *graph.CSR, agg Aggregation) error {
 	if len(agg.Labels) != g.N {
 		return fmt.Errorf("coarsen: %d labels for %d vertices", len(agg.Labels), g.N)
@@ -513,20 +516,102 @@ func Quality(g *graph.CSR, agg Aggregation) QualityStats {
 
 // CoarseGraph collapses g according to the aggregation: coarse vertices
 // are aggregates; a coarse edge links aggregates joined by any fine edge.
+// g must pass Validate (in particular, be symmetric). A label outside
+// [0, NumAggregates) puts its vertex in no aggregate, and the vertex's
+// edges are dropped. The result is a canonical graph (sorted,
+// duplicate-free rows), identical for any worker count. It runs on
+// par.Default().
 func CoarseGraph(g *graph.CSR, agg Aggregation) *graph.CSR {
-	edges := make([]graph.Edge, 0, g.NumEdges()/2)
-	for v := int32(0); int(v) < g.N; v++ {
-		av := agg.Labels[v]
+	return coarseGraph(par.Default(), g, agg)
+}
+
+// coarseGraph is CoarseGraph on rt. It lists each aggregate's members by
+// counting sort, then makes two parallel passes over the aggregates:
+// count each row's distinct adjacent aggregates, scan the counts into
+// RowPtr, then fill and sort each row. Neither pass builds an edge list.
+func coarseGraph(rt *par.Runtime, g *graph.CSR, agg Aggregation) *graph.CSR {
+	na := agg.NumAggregates
+	labels := agg.Labels[:g.N]
+	ar := par.AcquireArena()
+	defer par.ReleaseArena(ar)
+
+	// Membership CSR: members[memPtr[a]:memPtr[a+1]] are the vertices of
+	// aggregate a, ascending.
+	memPtr := par.GetZeroed[int](ar, na+1)
+	for _, a := range labels {
+		if uint32(a) < uint32(na) {
+			memPtr[a+1]++
+		}
+	}
+	for a := 0; a < na; a++ {
+		memPtr[a+1] += memPtr[a]
+	}
+	members := par.Get[int32](ar, memPtr[na])
+	next := par.Get[int](ar, na)
+	copy(next, memPtr[:na])
+	for v, a := range labels {
+		if uint32(a) < uint32(na) {
+			members[next[a]] = int32(v)
+			next[a]++
+		}
+	}
+	par.Put(ar, next)
+
+	// Each participant dedupes with its own stamp array: stamp[b] == a
+	// marks aggregate b as already seen in row a.
+	setup := func(a *par.Arena) []int32 {
+		stamp := par.Get[int32](a, na)
+		for i := range stamp {
+			stamp[i] = unaggregated
+		}
+		return stamp
+	}
+	teardown := func(a *par.Arena, stamp []int32) { par.Put(a, stamp) }
+	row := func(a int, stamp, dst []int32) int {
+		return adjacentAggregates(g, labels, members[memPtr[a]:memPtr[a+1]], int32(a), stamp, dst)
+	}
+
+	rowPtr := make([]int, na+1)
+	par.ForWith(rt, na, setup, func(lo, hi int, stamp []int32) {
+		for a := lo; a < hi; a++ {
+			rowPtr[a] = row(a, stamp, nil)
+		}
+	}, teardown)
+	par.ScanExclusive(rt, rowPtr[:na], rowPtr)
+	col := make([]int32, rowPtr[na])
+	par.ForWith(rt, na, setup, func(lo, hi int, stamp []int32) {
+		for a := lo; a < hi; a++ {
+			adj := col[rowPtr[a]:rowPtr[a+1]]
+			row(a, stamp, adj)
+			slices.Sort(adj)
+		}
+	}, teardown)
+	par.Put(ar, memPtr)
+	par.Put(ar, members)
+	return &graph.CSR{N: na, RowPtr: rowPtr, Col: col}
+}
+
+// adjacentAggregates counts the aggregates other than a that hold a
+// neighbor of one of a's members, each once, skipping labels outside
+// [0, len(stamp)). When dst is non-nil it also writes them to dst in
+// discovery order. stamp[b] == a marks b as already counted.
+func adjacentAggregates(g *graph.CSR, labels, members []int32, a int32, stamp, dst []int32) int {
+	na := uint32(len(stamp))
+	stamp[a] = a
+	n := 0
+	for _, v := range members {
 		for _, w := range g.Neighbors(v) {
-			if w > v {
-				aw := agg.Labels[w]
-				if av != aw {
-					edges = append(edges, graph.Edge{U: av, V: aw})
+			b := labels[w]
+			if uint32(b) < na && stamp[b] != a {
+				stamp[b] = a
+				if dst != nil {
+					dst[n] = b
 				}
+				n++
 			}
 		}
 	}
-	return graph.FromEdges(agg.NumAggregates, edges)
+	return n
 }
 
 // Prolongator builds the tentative prolongation matrix P0 for smoothed

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mis2go/internal/gen"
 	"mis2go/internal/graph"
 	"mis2go/internal/mis"
 )
@@ -59,6 +60,18 @@ func TestAggregatesConnectedProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestAggregatesConnectedOnGrids(t *testing.T) {
+	// Check does not test connectivity (it stays O(N)), so the property
+	// is pinned here on meshes, where aggregates are large.
+	for _, g := range []*graph.CSR{grid2D(30, 30), grid2D(1, 50), gen.Laplace3D(12, 12, 12), gen.Grid3D27(8, 8, 8)} {
+		for _, s := range allSchemes() {
+			if !aggregateConnected(g, s.run(g)) {
+				t.Fatalf("%s: an aggregate of a %d-vertex grid is not connected", s.name, g.N)
+			}
+		}
 	}
 }
 

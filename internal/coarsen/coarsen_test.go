@@ -166,6 +166,9 @@ func TestCoarseGraph(t *testing.T) {
 	if cg.N != agg.NumAggregates {
 		t.Fatalf("coarse N = %d, want %d", cg.N, agg.NumAggregates)
 	}
+	if d := sameCSR(cg, referenceCoarseGraph(g, agg)); d != "" {
+		t.Fatal(d)
+	}
 	// Every coarse edge must be witnessed by a fine edge.
 	for a := int32(0); int(a) < cg.N; a++ {
 		for _, b := range cg.Neighbors(a) {

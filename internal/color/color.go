@@ -219,6 +219,7 @@ func Distance2ViaMIS2(g *graph.CSR, threads int) []int32 {
 	for i := range colors {
 		colors[i] = none
 	}
+	rt := par.New(threads)
 	sq := g.Square()
 	remaining := g.N
 	keep := make([]bool, g.N)
@@ -226,7 +227,7 @@ func Distance2ViaMIS2(g *graph.CSR, threads int) []int32 {
 		for v := 0; v < g.N; v++ {
 			keep[v] = colors[v] == none
 		}
-		sub, _, toOrig := sq.InducedSubgraph(keep)
+		sub, _, toOrig := sq.InducedSubgraph(rt, keep)
 		set := mis.LubyMIS1(sub, hash.XorStar, threads).InSet
 		for _, s := range set {
 			colors[toOrig[s]] = c

@@ -10,7 +10,10 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+
+	"mis2go/internal/par"
 )
 
 // CSR is an undirected graph in compressed sparse row format.
@@ -146,7 +149,7 @@ func (g *CSR) sortDedupe() {
 	for v := 0; v < g.N; v++ {
 		lo, hi := g.RowPtr[v], g.RowPtr[v+1]
 		adj := g.Col[lo:hi]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(adj)
 		start := out
 		for i, w := range adj {
 			if i > 0 && adj[i-1] == w {
@@ -198,8 +201,7 @@ func (g *CSR) Square() *CSR {
 				}
 			}
 		}
-		adj := col[rowPtr[v]:k]
-		sort.Slice(adj, func(i, j int) bool { return adj[i] < adj[j] })
+		slices.Sort(col[rowPtr[v]:k])
 	}
 	return &CSR{N: n, RowPtr: rowPtr, Col: col}
 }
@@ -227,45 +229,57 @@ func (g *CSR) countRadius2(v int32, stamp []int32) int {
 // InducedSubgraph returns the subgraph induced by the vertices for which
 // keep[v] is true, along with toSub (old id -> new id, -1 if dropped) and
 // toOrig (new id -> old id). Used by Algorithm 3 phase 2.
-func (g *CSR) InducedSubgraph(keep []bool) (sub *CSR, toSub []int32, toOrig []int32) {
+//
+// Every phase runs in parallel on rt: the id map is an exclusive scan
+// over keep, then each kept row is counted, RowPtr is scanned from the
+// counts, and each row is filled in place. Rows keep g's order, so the
+// result is identical for any worker count.
+func (g *CSR) InducedSubgraph(rt *par.Runtime, keep []bool) (sub *CSR, toSub []int32, toOrig []int32) {
 	toSub = make([]int32, g.N)
-	m := int32(0)
-	for v := 0; v < g.N; v++ {
-		if keep[v] {
-			toSub[v] = m
-			m++
-		} else {
-			toSub[v] = -1
+	rt.For(g.N, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			toSub[v] = 0
+			if keep[v] {
+				toSub[v] = 1
+			}
 		}
-	}
+	})
+	m := par.ScanExclusive(rt, toSub, toSub)
 	toOrig = make([]int32, m)
-	for v := 0; v < g.N; v++ {
-		if keep[v] {
-			toOrig[toSub[v]] = int32(v)
+	rt.For(g.N, func(lo, hi int) {
+		for v := lo; v < hi; v++ {
+			if keep[v] {
+				toOrig[toSub[v]] = int32(v)
+			} else {
+				toSub[v] = -1
+			}
 		}
-	}
+	})
 	rowPtr := make([]int, m+1)
-	for s := int32(0); s < m; s++ {
-		v := toOrig[s]
-		c := 0
-		for _, w := range g.Neighbors(v) {
-			if keep[w] {
-				c++
+	rt.For(int(m), func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			c := 0
+			for _, w := range g.Neighbors(toOrig[s]) {
+				if keep[w] {
+					c++
+				}
 			}
+			rowPtr[s] = c
 		}
-		rowPtr[s+1] = rowPtr[s] + c
-	}
+	})
+	par.ScanExclusive(rt, rowPtr[:m], rowPtr)
 	col := make([]int32, rowPtr[m])
-	for s := int32(0); s < m; s++ {
-		v := toOrig[s]
-		k := rowPtr[s]
-		for _, w := range g.Neighbors(v) {
-			if keep[w] {
-				col[k] = toSub[w]
-				k++
+	rt.For(int(m), func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			k := rowPtr[s]
+			for _, w := range g.Neighbors(toOrig[s]) {
+				if keep[w] {
+					col[k] = toSub[w]
+					k++
+				}
 			}
 		}
-	}
+	})
 	return &CSR{N: int(m), RowPtr: rowPtr, Col: col}, toSub, toOrig
 }
 

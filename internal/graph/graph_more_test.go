@@ -3,6 +3,8 @@ package graph
 import (
 	"testing"
 	"testing/quick"
+
+	"mis2go/internal/par"
 )
 
 func completeGraph(n int) *CSR {
@@ -63,7 +65,7 @@ func TestSquareIdempotentOnDiameter2(t *testing.T) {
 
 func TestInducedSubgraphNoneAndAll(t *testing.T) {
 	g := pathGraph(6)
-	sub, _, toOrig := g.InducedSubgraph(make([]bool, 6))
+	sub, _, toOrig := g.InducedSubgraph(par.New(2), make([]bool, 6))
 	if sub.N != 0 || len(toOrig) != 0 {
 		t.Fatal("empty induced subgraph wrong")
 	}
@@ -71,7 +73,7 @@ func TestInducedSubgraphNoneAndAll(t *testing.T) {
 	for i := range all {
 		all[i] = true
 	}
-	sub, _, _ = g.InducedSubgraph(all)
+	sub, _, _ = g.InducedSubgraph(par.New(2), all)
 	if sub.N != 6 || sub.NumEdges() != g.NumEdges() {
 		t.Fatal("full induced subgraph differs from original")
 	}

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mis2go/internal/par"
 )
 
 // randomGraph builds a deterministic random graph for property tests.
@@ -142,7 +144,7 @@ func TestSquareOfPath(t *testing.T) {
 func TestInducedSubgraph(t *testing.T) {
 	g := pathGraph(6)
 	keep := []bool{true, true, false, true, true, true}
-	sub, toSub, toOrig := g.InducedSubgraph(keep)
+	sub, toSub, toOrig := g.InducedSubgraph(par.New(2), keep)
 	if err := sub.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +176,7 @@ func TestInducedSubgraphProperty(t *testing.T) {
 		for i := range keep {
 			keep[i] = (uint64(seed)>>(uint(i)%48))&1 == 0
 		}
-		sub, toSub, toOrig := g.InducedSubgraph(keep)
+		sub, toSub, toOrig := g.InducedSubgraph(par.New(2), keep)
 		if sub.Validate() != nil {
 			return false
 		}

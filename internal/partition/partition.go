@@ -21,6 +21,7 @@ import (
 	"mis2go/internal/coarsen"
 	"mis2go/internal/graph"
 	"mis2go/internal/hash"
+	"mis2go/internal/par"
 )
 
 // WGraph is a vertex- and edge-weighted undirected graph in CSR form,
@@ -524,7 +525,7 @@ func kwayRecurse(g *graph.CSR, part []int32, base int32, k int, opt Options) err
 	if !any {
 		return nil
 	}
-	sub, _, toOrig := g.InducedSubgraph(keep)
+	sub, _, toOrig := g.InducedSubgraph(par.New(opt.Threads), keep)
 	if sub.N < 2 {
 		return nil // too small to split further; leave in the low half
 	}
