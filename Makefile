@@ -12,12 +12,15 @@
 # in internal/lint) and runs it over every package via `go vet
 # -vettool`. Any diagnostic makes the run exit non-zero.
 #
-# `make check` is the CI gate: custom analyzers, vet everything, then
-# run the determinism suite under the race detector (the worker-pool
-# synchronization and the 1/2/8-worker bitwise contract in one pass).
+# `make check` is the CI gate: custom analyzers, vet everything, vet
+# and test the nested cmd/amgbench module (its own go.mod, so the root
+# ./... patterns skip it), then run the determinism suite under the race
+# detector (the worker-pool synchronization and the 1/2/8-worker bitwise
+# contract in one pass).
 #
-# `make fuzz FUZZTIME=30s` runs each fuzz target for FUZZTIME, starting
-# from its checked-in corpus under testdata/fuzz. A failing input is
+# `make fuzz FUZZTIME=30s` runs each fuzz target (CoarseGraph against its
+# serial reference, the operator formats against CSR) for FUZZTIME,
+# starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
 # capped at 2s (Go's default is 60s per new input), so a short run
 # spends its time fuzzing.
@@ -57,10 +60,13 @@ lint:
 
 check: lint
 	go vet ./...
+	go -C cmd/amgbench vet ./...
+	go -C cmd/amgbench test ./...
 	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestSharded|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
+	go test -run '^$$' -fuzz '^FuzzOperatorFormats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \

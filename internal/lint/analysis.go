@@ -128,8 +128,20 @@ func funcName(fd *ast.FuncDecl) string {
 }
 
 // calleeObj resolves the object a call expression invokes, or nil.
+// Explicitly instantiated generic calls (f[T](...), pkg.F[T, U](...))
+// resolve to the generic function; an index into a slice or map of
+// funcs is not an instantiation and stays unresolved.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		if tv, ok := info.Types[ix.Index]; ok && tv.IsType() {
+			fun = ix.X
+		}
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		return info.Uses[fun]
 	case *ast.SelectorExpr:

@@ -23,8 +23,8 @@ import (
 //   - allocating string conversions (string <-> []byte/[]rune, string(rune))
 //   - calls into fmt (formatting allocates)
 //   - variadic calls that materialize an argument slice
-//   - arguments boxed into interface parameters (panic is exempt:
-//     unwinding is never the hot path)
+//   - arguments boxed into interface parameters, type-parameter values
+//     included (panic is exempt: unwinding is never the hot path)
 //
 // The annotation is matched on methods as well as free functions.
 var HotAlloc = &Analyzer{
@@ -147,15 +147,28 @@ func checkHotCall(pass *Pass, info *types.Info, call *ast.CallExpr, name string,
 				pt = sl.Elem()
 			}
 		}
-		if !types.IsInterface(pt) {
+		if !isInterfaceType(pt) {
 			continue
 		}
 		at := info.TypeOf(arg)
-		if at == nil || types.IsInterface(at) || isUntypedNil(info, arg) {
+		if at == nil || isInterfaceType(at) || isUntypedNil(info, arg) {
 			continue
 		}
 		pass.Reportf(arg.Pos(), "hotpath %s boxes %s into interface %s", name, at, pt)
 	}
+}
+
+// isInterfaceType reports whether values of t are interface values.
+// types.IsInterface is also true for a type parameter (its underlying
+// type is the constraint interface), but a type-parameter value is a
+// concrete value at run time: passing one to an interface parameter
+// boxes it, and passing one to a parameter of the same type parameter
+// does not.
+func isInterfaceType(t types.Type) bool {
+	if _, ok := t.(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }
 
 func allocatingConversion(info *types.Info, to types.Type, from ast.Expr) bool {

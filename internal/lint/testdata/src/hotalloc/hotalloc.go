@@ -87,6 +87,33 @@ func driver(rt *par.Runtime, n int, x, y []float64) {
 		nil)
 }
 
+// explicitDriver instantiates the par runtime explicitly: the
+// participant closures are exempt exactly as in the inferred form.
+//
+//amg:hotpath
+func explicitDriver(rt *par.Runtime, n int, y []float64) {
+	par.ForWith[[]float64](rt, n,
+		func() []float64 { return y },
+		func(lo, hi int, s []float64) {
+			for i := lo; i < hi; i++ {
+				s[i] = 0
+			}
+		},
+		nil)
+}
+
+// genericKernel boxes a type-parameter value into an interface
+// parameter: at run time V is a concrete float, so the call allocates.
+// Passing V on to a parameter of type V boxes nothing.
+//
+//amg:hotpath
+func genericKernel[V float32 | float64](x []V) V {
+	box(x[0]) // want `boxes V into interface any`
+	return same(x[1])
+}
+
+func same[V float32 | float64](v V) V { return v }
+
 // spills exercises the remaining classes: goroutines, defers, string
 // conversions, fmt, variadic calls, and interface boxing.
 //

@@ -9,8 +9,9 @@ type Runtime struct{}
 // For runs body over [0, n).
 func (r *Runtime) For(n int, body func(lo, hi int)) { body(0, n) }
 
-// ForWith mirrors the free-function form with setup/teardown closures.
-func ForWith(r *Runtime, n int, setup func() []float64, body func(lo, hi int, s []float64), teardown func([]float64)) {
+// ForWith mirrors the generic free-function form with setup/teardown
+// closures.
+func ForWith[S any](r *Runtime, n int, setup func() S, body func(lo, hi int, s S), teardown func(S)) {
 	s := setup()
 	body(0, n, s)
 	if teardown != nil {

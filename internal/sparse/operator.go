@@ -39,37 +39,40 @@ type Operator interface {
 	JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64)
 }
 
+// csr returns the CSR kernel view of a's fields (shared, not copied):
+// every *Matrix kernel is the csrOf[float64] instantiation of the one
+// CSR kernel body in csr.go.
+func (a *Matrix) csr() csrOf[float64] {
+	return csrOf[float64]{rows: a.Rows, cols: a.Cols, rowPtr: a.RowPtr, col: a.Col, val: a.Val}
+}
+
 // Dims returns the matrix shape, implementing Operator.
 func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
 
+// SpMV computes y = A*x in parallel over rows.
+func (a *Matrix) SpMV(rt *par.Runtime, x, y []float64) { a.csr().SpMV(rt, x, y) }
+
+// SpMVResidual computes r = b - A*x in one traversal of A. r must not
+// alias x.
+func (a *Matrix) SpMVResidual(rt *par.Runtime, b, x, r []float64) { a.csr().SpMVResidual(rt, b, x, r) }
+
+// SpMVAdd computes y += A*x in one traversal of A. y must not alias x.
+func (a *Matrix) SpMVAdd(rt *par.Runtime, x, y []float64) { a.csr().SpMVAdd(rt, x, y) }
+
+// SpMM computes the multi-RHS product Y = A*X for k right-hand sides in
+// the interleaved layout: the k values of row i are contiguous at
+// [i*k : (i+1)*k]. len(x) must be a.Cols*k and len(y) a.Rows*k.
+func (a *Matrix) SpMM(rt *par.Runtime, k int, x, y []float64) { a.csr().SpMM(rt, k, x, y) }
+
+// DiagonalInto fills d with the diagonal entries of A (zero where
+// absent) in parallel over rows.
+func (a *Matrix) DiagonalInto(rt *par.Runtime, d []float64) { a.csr().DiagonalInto(rt, d) }
+
 // JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
 // in one traversal of A — the fused damped-Jacobi sweep of the AMG
-// V-cycle. src and dst must not alias (the sweep needs the full old
-// iterate; the V-cycle ping-pongs two buffers).
+// V-cycle. src and dst must not alias.
 func (a *Matrix) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
-	if rt.Serial(a.Rows) {
-		a.jacobiSweepRange(b, dinv, omega, src, dst, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.jacobiSweepRange(b, dinv, omega, src, dst, lo, hi)
-	})
-}
-
-// jacobiSweepRange is the fused Jacobi kernel for rows [lo, hi), with the
-// same canonical left-to-right product accumulation as spmvRange.
-func (a *Matrix) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := a.Col[start:end]
-		vals := a.Val[start:end]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * src[c]
-		}
-		dst[i] = src[i] + omega*dinv[i]*(b[i]-s)
-	}
+	a.csr().JacobiSweep(rt, b, dinv, omega, src, dst)
 }
 
 // Format selects the storage layout of an Operator.
@@ -148,30 +151,49 @@ func ChooseFormat(a *Matrix) Format {
 	return FormatCSR
 }
 
-// NewOperator returns a's kernels in the requested format. sigma is the
-// SELL sort scope (0 selects the default; ignored for CSR). A malformed
-// sigma (see CheckSigma) is an error under every format — FormatAuto
-// must not silently turn a configuration typo into a CSR fallback.
-// FormatAuto applies ChooseFormat; a SELL conversion that fails for
-// capacity reasons (an operator too large for the 32-bit entry
-// schedule) falls back to CSR under FormatAuto and is an error under
-// FormatSELL.
+// NewOperator returns a's kernels in the requested format with float64
+// values; it is NewOperatorPrec at PrecisionF64. sigma is the SELL sort
+// scope (0 selects the default; ignored for CSR). A malformed sigma (see
+// CheckSigma) is an error under every format — FormatAuto must not
+// silently turn a configuration typo into a CSR fallback. FormatAuto
+// applies ChooseFormat; a SELL conversion that fails for capacity
+// reasons (an operator too large for the 32-bit entry schedule) falls
+// back to CSR under FormatAuto and is an error under FormatSELL.
 func NewOperator(a *Matrix, format Format, sigma int) (Operator, error) {
+	return newOperator[float64](a, format, sigma)
+}
+
+// newOperator builds a's operator in the requested format with values
+// stored as V. Under FormatAuto a failed SELL conversion falls back to
+// CSR; for float32 storage an out-of-range value fails both, so the CSR
+// constructor surfaces the range error rather than a capacity fallback.
+func newOperator[V scalar](a *Matrix, format Format, sigma int) (Operator, error) {
 	if err := CheckSigma(sigma); err != nil {
 		return nil, err
 	}
 	switch format {
 	case FormatCSR:
-		return a, nil
 	case FormatSELL:
-		return NewSELL(a, sigma)
+		s, err := newSELL[V](a, sigma)
+		if err != nil {
+			return nil, err
+		}
+		return s, nil
 	case FormatAuto:
 		if ChooseFormat(a) == FormatSELL {
-			if s, err := NewSELL(a, sigma); err == nil {
+			if s, err := newSELL[V](a, sigma); err == nil {
 				return s, nil
 			}
 		}
+	default:
+		return nil, fmt.Errorf("sparse: unknown operator format %d", int(format))
+	}
+	if precisionOf[V]() == PrecisionF64 {
 		return a, nil
 	}
-	return nil, fmt.Errorf("sparse: unknown operator format %d", int(format))
+	c, err := NewCSR32(a)
+	if err != nil {
+		return nil, err
+	}
+	return c, nil
 }

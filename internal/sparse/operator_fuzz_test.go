@@ -1,0 +1,171 @@
+package sparse
+
+import (
+	"encoding/binary"
+	"math"
+	"slices"
+	"testing"
+
+	"mis2go/internal/par"
+)
+
+// fuzzOperatorMatrix decodes a fuzz input into a valid CSR matrix and a
+// SELL sort scope. Layout: data[0] and data[1] give the rows and
+// columns of a block (1..40 each), data[2] a power-of-two value scale
+// (an int8 exponent), data[3] the block count (1..64, stacked
+// block-diagonally so larger inputs cross the parallel split
+// threshold), data[4] the sigma choice, then 4-byte entries (row, col,
+// int16 value code). A value is code/3 scaled — not float32-exact in
+// general, so the f32 formats really round — and the most negative code
+// stands for -0. A repeated (row, col) keeps its last value. Returns
+// nil for inputs shorter than the header.
+func fuzzOperatorMatrix(data []byte) (*Matrix, int) {
+	if len(data) < 5 {
+		return nil, 0
+	}
+	br, bc := 1+int(data[0])%40, 1+int(data[1])%40
+	exp := int(int8(data[2]))
+	tiles := 1 + int(data[3])%64
+	sigma := []int{0, SellC, 2 * SellC, 64}[data[4]%4]
+	val := make([]float64, br*bc)
+	set := make([]bool, br*bc)
+	for e := data[5:]; len(e) >= 4; e = e[4:] {
+		at := int(e[0])%br*bc + int(e[1])%bc
+		code := int16(binary.LittleEndian.Uint16(e[2:]))
+		val[at], set[at] = math.Ldexp(float64(code)/3, exp), true
+		if code == math.MinInt16 {
+			val[at] = math.Copysign(0, -1)
+		}
+	}
+	a := &Matrix{Rows: br * tiles, Cols: bc * tiles, RowPtr: make([]int, 1, br*tiles+1)}
+	for t := 0; t < tiles; t++ {
+		for r := 0; r < br; r++ {
+			for c := 0; c < bc; c++ {
+				if set[r*bc+c] {
+					a.Col = append(a.Col, int32(t*bc+c))
+					a.Val = append(a.Val, val[r*bc+c])
+				}
+			}
+			a.RowPtr = append(a.RowPtr, len(a.Col))
+		}
+	}
+	return a, sigma
+}
+
+// requireOperatorMatchesCSR checks every Operator kernel of op against
+// the CSR kernels of ref, bit for bit, at 1, 2 and 8 workers.
+func requireOperatorMatchesCSR(t *testing.T, name string, ref *Matrix, op Operator) {
+	t.Helper()
+	if r, c := op.Dims(); r != ref.Rows || c != ref.Cols || op.NNZ() != ref.NNZ() {
+		t.Fatalf("%s: %dx%d/%d entries, CSR %dx%d/%d", name, r, c, op.NNZ(), ref.Rows, ref.Cols, ref.NNZ())
+	}
+	n := max(ref.Rows, ref.Cols)
+	x := make([]float64, n) // also the Jacobi iterate, read by row and by column
+	for j := range x {
+		x[j] = float64(j%13-6) / 7
+	}
+	b := make([]float64, ref.Rows)
+	dinv := make([]float64, ref.Rows)
+	for i := range b {
+		b[i] = float64(i%11) - 5.5
+		dinv[i] = 1 / (2 + float64(i%5))
+	}
+	want := make([]float64, ref.Rows*8)
+	got := make([]float64, ref.Rows*8)
+	for _, workers := range []int{1, 2, 8} {
+		rt := par.New(workers)
+		check := func(kernel string, run func(a Operator, y []float64)) {
+			t.Helper()
+			run(ref, want)
+			run(op, got)
+			bitsEqual(t, name+"/"+kernel, got, want)
+		}
+		xc := x[:ref.Cols]
+		rows := func(y []float64) []float64 { return y[:ref.Rows] }
+		check("SpMV", func(a Operator, y []float64) { a.SpMV(rt, xc, rows(y)) })
+		check("SpMVResidual", func(a Operator, y []float64) { a.SpMVResidual(rt, b, xc, rows(y)) })
+		check("SpMVAdd", func(a Operator, y []float64) { copy(y, b); a.SpMVAdd(rt, xc, rows(y)) })
+		check("JacobiSweep", func(a Operator, y []float64) { a.JacobiSweep(rt, b, dinv, 0.7, x, rows(y)) })
+		check("Diagonal", func(a Operator, y []float64) { a.DiagonalInto(rt, rows(y)) })
+		for _, k := range []int{1, 2, 3, 4, 8} {
+			xk := make([]float64, ref.Cols*k)
+			for i := range xk {
+				xk[i] = float64(i%19-9) / 3
+			}
+			check("SpMM", func(a Operator, y []float64) { a.SpMM(rt, k, xk, y[:ref.Rows*k]) })
+		}
+	}
+}
+
+// FuzzOperatorFormats is the differential oracle of the operator
+// formats: on fuzzed valid matrices SELL must match CSR bit for bit,
+// and CSR32/SELL32 must match the CSR of the float32-rounded values, for
+// every kernel at 1, 2 and 8 workers. Values outside the float32 range
+// must be rejected by every f32 constructor, and a FillValues carrying
+// one must leave the stored values untouched.
+func FuzzOperatorFormats(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, sigma := fuzzOperatorMatrix(data)
+		if a == nil {
+			t.Skip("input shorter than the header")
+		}
+		if err := a.Validate(); err != nil {
+			t.Fatalf("decoded matrix is invalid: %v", err)
+		}
+		sell, err := NewSELL(a, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOperatorMatchesCSR(t, "sell", a, sell)
+
+		if CheckF32Range(a.Val) != nil {
+			if _, err := NewCSR32(a); err == nil {
+				t.Fatal("NewCSR32 accepted an out-of-range value")
+			}
+			if _, err := NewSELL32(a, sigma); err == nil {
+				t.Fatal("NewSELL32 accepted an out-of-range value")
+			}
+			for _, format := range []Format{FormatAuto, FormatCSR, FormatSELL} {
+				if _, err := NewOperatorPrec(a, format, sigma, PrecisionF32); err == nil {
+					t.Fatalf("NewOperatorPrec(%v, f32) accepted an out-of-range value", format)
+				}
+			}
+			return
+		}
+		a32 := a.Clone()
+		for p, v := range a32.Val {
+			a32.Val[p] = float64(float32(v))
+		}
+		c32, err := NewCSR32(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s32, err := NewSELL32(a, sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireOperatorMatchesCSR(t, "csr32", a32, c32)
+		requireOperatorMatchesCSR(t, "sell32", a32, s32)
+
+		if a.NNZ() == 0 {
+			return
+		}
+		poison := a.Clone()
+		poisons := []float64{math.MaxFloat32 * 2, -math.MaxFloat32 * 4, math.NaN(), math.Inf(1), math.Inf(-1)}
+		poison.Val[int(data[2])%len(poison.Val)] = poisons[len(data)%len(poisons)]
+		for name, fv := range map[string]struct {
+			fill   ValueFiller
+			stored []float32
+		}{"csr32": {c32, c32.val}, "sell32": {s32, s32.val}} {
+			before := slices.Clone(fv.stored)
+			if err := fv.fill.FillValues(poison); err == nil {
+				t.Fatalf("%s: FillValues accepted an out-of-range value", name)
+			}
+			for p := range before {
+				if math.Float32bits(fv.stored[p]) != math.Float32bits(before[p]) {
+					t.Fatalf("%s: rejected FillValues changed stored value %d", name, p)
+				}
+			}
+		}
+	})
+}

@@ -80,43 +80,21 @@ func CheckF32Range(vals []float64) error {
 }
 
 // NewOperatorPrec returns a's kernels in the requested format and value
-// precision. PrecisionF64 defers to NewOperator unchanged; PrecisionF32
-// builds the f32-valued variant (CSR32, SELL32, or ChooseFormat between
-// them under FormatAuto, with the same capacity fallback to CSR32 as
-// the f64 path). PrecisionAuto is a per-level hierarchy policy, not a
-// single-operator precision, and is rejected here — the caller resolves
-// it per level before constructing.
+// precision: the same construction as NewOperator, with values stored as
+// float64 (PrecisionF64: *Matrix or *SELL) or float32 (PrecisionF32:
+// *CSR32 or *SELL32). PrecisionAuto is a per-level hierarchy policy, not
+// a single-operator precision, and is rejected here — the caller
+// resolves it per level before constructing.
 func NewOperatorPrec(a *Matrix, format Format, sigma int, prec Precision) (Operator, error) {
 	switch prec {
 	case PrecisionF64:
-		return NewOperator(a, format, sigma)
+		return newOperator[float64](a, format, sigma)
+	case PrecisionF32:
+		return newOperator[float32](a, format, sigma)
 	case PrecisionAuto:
 		return nil, fmt.Errorf("sparse: PrecisionAuto must be resolved to f64 or f32 per level before constructing an operator")
-	case PrecisionF32:
-	default:
-		return nil, fmt.Errorf("sparse: unknown precision %d", int(prec))
 	}
-	if err := CheckSigma(sigma); err != nil {
-		return nil, err
-	}
-	switch format {
-	case FormatCSR:
-		return NewCSR32(a)
-	case FormatSELL:
-		return NewSELL32(a, sigma)
-	case FormatAuto:
-		if ChooseFormat(a) == FormatSELL {
-			if s, err := NewSELL32(a, sigma); err == nil {
-				return s, nil
-			} else if err := CheckF32Range(a.Val); err != nil {
-				// A range failure is not a capacity fallback: CSR32 would
-				// reject the same values, so surface the real problem.
-				return nil, err
-			}
-		}
-		return NewCSR32(a)
-	}
-	return nil, fmt.Errorf("sparse: unknown operator format %d", int(format))
+	return nil, fmt.Errorf("sparse: unknown precision %d", int(prec))
 }
 
 // OperatorPrecision reports the value-storage precision of an operator

@@ -293,3 +293,25 @@ func TestNewOperatorPrecDispatch(t *testing.T) {
 		}
 	}
 }
+
+// TestF32RejectedSELL32AllocatesLikeCSR32: NewSELL32 range-checks the
+// values before packing anything, so a rejected conversion allocates no
+// more than a rejected NewCSR32 — no float64 packing built and thrown
+// away.
+func TestF32RejectedSELL32AllocatesLikeCSR32(t *testing.T) {
+	a := f32TestMatrix(4000, 4000)
+	a.Val[len(a.Val)-1] = math.MaxFloat32 * 2
+	csr := testing.AllocsPerRun(5, func() {
+		if _, err := NewCSR32(a); err == nil {
+			t.Fatal("NewCSR32 accepted an out-of-range value")
+		}
+	})
+	sell := testing.AllocsPerRun(5, func() {
+		if _, err := NewSELL32(a, 0); err == nil {
+			t.Fatal("NewSELL32 accepted an out-of-range value")
+		}
+	})
+	if sell > csr {
+		t.Fatalf("rejected NewSELL32: %v allocs/op, rejected NewCSR32: %v", sell, csr)
+	}
+}

@@ -216,10 +216,20 @@ func TestSELLEmptyAndZero(t *testing.T) {
 	}
 }
 
-// TestSELLZeroAllocKernels: the SELL apply kernels are allocation-free.
+// TestSELLZeroAllocKernels: the apply kernels of every operator format
+// and precision — CSR, SELL, CSR32, SELL32 — are allocation-free at one
+// worker, kernel by kernel.
 func TestSELLZeroAllocKernels(t *testing.T) {
 	a := sellTestMatrix(2000, 2000)
 	s, err := NewSELL(a, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c32, err := NewCSR32(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s32, err := NewSELL32(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,16 +243,25 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 		b[i] = float64(i % 5)
 		dinv[i] = 0.5
 	}
-	kernels := map[string]func(){
-		"SpMV":         func() { s.SpMV(rt, x, y) },
-		"SpMVResidual": func() { s.SpMVResidual(rt, b, x, y) },
-		"SpMVAdd":      func() { s.SpMVAdd(rt, x, y) },
-		"JacobiSweep":  func() { s.JacobiSweep(rt, b, dinv, 0.7, x, y) },
-		"Diagonal":     func() { s.DiagonalInto(rt, y) },
+	xk := make([]float64, 2000*8)
+	yk := make([]float64, 2000*8)
+	for i := range xk {
+		xk[i] = float64(i%19) - 9
 	}
-	for name, fn := range kernels {
-		if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
-			t.Fatalf("%s: %v allocs/op, want 0", name, allocs)
+	for opName, op := range map[string]Operator{"csr": a, "sell": s, "csr32": c32, "sell32": s32} {
+		kernels := map[string]func(){
+			"SpMV":         func() { op.SpMV(rt, x, y) },
+			"SpMVResidual": func() { op.SpMVResidual(rt, b, x, y) },
+			"SpMVAdd":      func() { op.SpMVAdd(rt, x, y) },
+			"JacobiSweep":  func() { op.JacobiSweep(rt, b, dinv, 0.7, x, y) },
+			"Diagonal":     func() { op.DiagonalInto(rt, y) },
+			"SpMM4":        func() { op.SpMM(rt, 4, xk[:2000*4], yk[:2000*4]) },
+			"SpMM8":        func() { op.SpMM(rt, 8, xk, yk) },
+		}
+		for name, fn := range kernels {
+			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
+				t.Fatalf("%s/%s: %v allocs/op, want 0", opName, name, allocs)
+			}
 		}
 	}
 }

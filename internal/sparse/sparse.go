@@ -74,247 +74,11 @@ func (a *Matrix) Validate() error {
 	return nil
 }
 
-// SpMV computes y = A*x in parallel over rows.
-//
-//amg:hotpath
-func (a *Matrix) SpMV(rt *par.Runtime, x, y []float64) {
-	if rt.Serial(a.Rows) {
-		a.spmvRange(x, y, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.spmvRange(x, y, lo, hi)
-	})
-}
-
-// spmvRange is the SpMV kernel for rows [lo, hi): per-row slices for
-// bounds-check elimination and a strict left-to-right single-accumulator
-// inner loop. The summation order — term p added after term p-1, one
-// accumulator — is the canonical per-row order every operator format
-// (CSR here, SELL-C-sigma in sell.go) reproduces exactly, so switching
-// formats never changes a single bit of any result; independent rows
-// still give the out-of-order core plenty of ILP. The per-row order is a
-// function of the row alone, keeping results identical for every worker
-// count.
-//
-//amg:hotpath
-func (a *Matrix) spmvRange(x, y []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := a.Col[start:end]
-		vals := a.Val[start:end]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] = s
-	}
-}
-
-// SpMVResidual computes r = b - A*x in one traversal of A, fusing the
-// elementwise subtraction into the product pass (the V-cycle's residual
-// step without the second full-vector sweep). r must not alias x. The
-// serial fast path bypasses the closure API so the call is allocation-free.
-//
-//amg:hotpath
-func (a *Matrix) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
-	if rt.Serial(a.Rows) {
-		a.spmvResidualRange(b, x, r, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.spmvResidualRange(b, x, r, lo, hi)
-	})
-}
-
-//amg:hotpath
-func (a *Matrix) spmvResidualRange(b, x, r []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := a.Col[start:end]
-		vals := a.Val[start:end]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		r[i] = b[i] - s
-	}
-}
-
-// SpMVAdd computes y += A*x in one traversal of A, fusing the correction
-// add into the product pass (the V-cycle's prolongate-and-correct step
-// without a scratch vector or second sweep). y must not alias x.
-//
-//amg:hotpath
-func (a *Matrix) SpMVAdd(rt *par.Runtime, x, y []float64) {
-	if rt.Serial(a.Rows) {
-		a.spmvAddRange(x, y, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.spmvAddRange(x, y, lo, hi)
-	})
-}
-
-//amg:hotpath
-func (a *Matrix) spmvAddRange(x, y []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := a.Col[start:end]
-		vals := a.Val[start:end]
-		var s float64
-		for k, c := range cols {
-			s += vals[k] * x[c]
-		}
-		y[i] += s
-	}
-}
-
-// SpMM computes the multi-RHS product Y = A*X for k right-hand sides.
-// X and Y use the interleaved (column-blocked) layout: the k values of
-// row i are contiguous at [i*k : (i+1)*k], so one traversal of A serves
-// all k right-hand sides and every gather from X touches one contiguous
-// block. len(x) must be a.Cols*k and len(y) a.Rows*k. Specialized
-// register-accumulator kernels handle the 4- and 8-wide blocks the
-// batched solvers use; other widths accumulate directly into Y's row
-// block. Deterministic: per-row summation order is fixed.
-//
-//amg:hotpath
-func (a *Matrix) SpMM(rt *par.Runtime, k int, x, y []float64) {
-	if k == 1 {
-		a.SpMV(rt, x, y)
-		return
-	}
-	if rt.Serial(a.Rows) {
-		a.spmmDispatch(k, x, y, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.spmmDispatch(k, x, y, lo, hi)
-	})
-}
-
-// spmmDispatch selects the width-specialized kernel for rows [lo, hi).
-//
-//amg:hotpath
-func (a *Matrix) spmmDispatch(k int, x, y []float64, lo, hi int) {
-	switch k {
-	case 4:
-		a.spmm4Range(x, y, lo, hi)
-	case 8:
-		a.spmm8Range(x, y, lo, hi)
-	default:
-		a.spmmRange(k, x, y, lo, hi)
-	}
-}
-
-// spmm4Range is the 4-wide SpMM kernel: four independent accumulators
-// per row, one contiguous 4-block gather from X per stored entry.
-//
-//amg:hotpath
-func (a *Matrix) spmm4Range(x, y []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		var s0, s1, s2, s3 float64
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := a.Val[p]
-			xb := x[int(a.Col[p])*4:]
-			xb = xb[:4]
-			s0 += v * xb[0]
-			s1 += v * xb[1]
-			s2 += v * xb[2]
-			s3 += v * xb[3]
-		}
-		yb := y[i*4:]
-		yb = yb[:4]
-		yb[0], yb[1], yb[2], yb[3] = s0, s1, s2, s3
-	}
-}
-
-// spmm8Range is the 8-wide SpMM kernel.
-//
-//amg:hotpath
-func (a *Matrix) spmm8Range(x, y []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := a.Val[p]
-			xb := x[int(a.Col[p])*8:]
-			xb = xb[:8]
-			s0 += v * xb[0]
-			s1 += v * xb[1]
-			s2 += v * xb[2]
-			s3 += v * xb[3]
-			s4 += v * xb[4]
-			s5 += v * xb[5]
-			s6 += v * xb[6]
-			s7 += v * xb[7]
-		}
-		yb := y[i*8:]
-		yb = yb[:8]
-		yb[0], yb[1], yb[2], yb[3] = s0, s1, s2, s3
-		yb[4], yb[5], yb[6], yb[7] = s4, s5, s6, s7
-	}
-}
-
-// spmmRange is the generic-width SpMM kernel; it accumulates directly
-// into Y's row block (owned by this row), so no scratch is needed.
-//
-//amg:hotpath
-func (a *Matrix) spmmRange(k int, x, y []float64, lo, hi int) {
-	rp := a.RowPtr
-	for i := lo; i < hi; i++ {
-		yb := y[i*k : i*k+k]
-		for j := range yb {
-			yb[j] = 0
-		}
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := a.Val[p]
-			xb := x[int(a.Col[p])*k : int(a.Col[p])*k+k]
-			for j, xv := range xb {
-				yb[j] += v * xv
-			}
-		}
-	}
-}
-
 // Diagonal returns the diagonal entries of A (zero where absent).
 func (a *Matrix) Diagonal() []float64 {
 	d := make([]float64, a.Rows)
 	a.DiagonalInto(par.Default(), d)
 	return d
-}
-
-// DiagonalInto fills d with the diagonal entries of A (zero where
-// absent) in parallel over rows. The serial fast path bypasses the
-// closure API so re-setup loops stay allocation-free.
-//
-//amg:hotpath
-func (a *Matrix) DiagonalInto(rt *par.Runtime, d []float64) {
-	if rt.Serial(a.Rows) {
-		a.diagonalRange(d, 0, a.Rows)
-		return
-	}
-	rt.For(a.Rows, func(lo, hi int) {
-		a.diagonalRange(d, lo, hi)
-	})
-}
-
-//amg:hotpath
-func (a *Matrix) diagonalRange(d []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		d[i] = 0
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if int(a.Col[p]) == i {
-				d[i] = a.Val[p]
-				break
-			}
-		}
-	}
 }
 
 // Graph returns the adjacency structure of A with the diagonal removed,
