@@ -19,7 +19,8 @@
 # contract in one pass).
 #
 # `make fuzz FUZZTIME=30s` runs each fuzz target (CoarseGraph against its
-# serial reference, the operator formats against CSR) for FUZZTIME,
+# serial reference, the operator formats against CSR, SpGEMM plans
+# against Multiply) for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
 # capped at 2s (Go's default is 60s per new input), so a short run
@@ -67,6 +68,7 @@ check: lint
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
 	go test -run '^$$' -fuzz '^FuzzOperatorFormats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
+	go test -run '^$$' -fuzz '^FuzzProductPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \

@@ -34,26 +34,32 @@ func fingerprint(a *Matrix) uint64 {
 // ProductPlan is the cached symbolic phase of Multiply: the pattern of
 // C = A*B for fixed operand patterns. Create with PlanMultiply; replay
 // values with Numeric. The plan's pattern slices are shared with
-// matrices returned by NewMatrix and must not be mutated.
+// matrices returned by NewMatrix and must not be mutated. A value pass
+// may build the plan's gather schedule, so one plan must not run two
+// value passes concurrently.
 type ProductPlan struct {
 	aRows, aCols, bCols int
 	aFP, bFP            uint64
 	ptr                 []int
 	col                 []int32
+	// passes counts value passes, saturating at 2. The first pass runs
+	// the mark/acc kernel. The gather schedule is built just before the
+	// second (unless the product is over its bound), so a plan replayed
+	// only once — a cold AMG build — never pays for one.
+	passes uint8
 	// The gather schedule: output entry k is the sum of
 	// a.Val[aIdx[t]]*b.Val[bIdx[t]] for t in [entryPtr[k], entryPtr[k+1]),
 	// accumulated in stored order — exactly the order Gustavson's fused
 	// kernel touches those contributions, so a schedule replay is bitwise
 	// identical to it while running branch-free with no accumulator
-	// scratch. nil (falling back to the mark/acc replay) when an index
-	// would overflow int32.
+	// scratch. It holds 8 bytes per multiply-add. nil before the second
+	// value pass, and for good when the product is over its bound.
 	entryPtr   []int
 	aIdx, bIdx []int32
 }
 
-// PlanMultiply computes the pattern of C = A*B (Gustavson's mark phase:
-// count, scan, then collect-and-sort each output row) and returns the
-// reusable plan. Only the operand patterns are read, never the values.
+// PlanMultiply computes the pattern of C = A*B and returns the reusable
+// plan. Only the operand patterns are read, never the values.
 func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
@@ -62,46 +68,63 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 		aRows: a.Rows, aCols: a.Cols, bCols: b.Cols,
 		aFP: fingerprint(a), bFP: fingerprint(b),
 	}
-	pl.ptr = make([]int, a.Rows+1)
-	car := par.AcquireArena()
-	counts := par.Get[int](car, a.Rows)
-	countProductRows(rt, a, b, counts)
-	nnz := par.ScanExclusive(rt, counts, pl.ptr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
-	pl.col = make([]int32, nnz)
-
-	// Fill pass: collect each output row's pattern and sort it, so every
-	// numeric replay can gather through it without sorting.
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) []int32 {
-			mark := par.Get[int32](ar, b.Cols)
-			for i := range mark {
-				mark[i] = -1
-			}
-			return mark
-		},
-		func(lo, hi int, mark []int32) {
-			for i := lo; i < hi; i++ {
-				base := pl.ptr[i]
-				k := base
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
-						j := b.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							pl.col[k] = j
-							k++
-						}
-					}
-				}
-				sortRow(pl.col[base:k])
-			}
-		},
-		func(ar *par.Arena, mark []int32) { par.Put(ar, mark) })
-	pl.buildSchedule(rt, a, b)
+	pl.ptr, pl.col = collectPattern(rt, a, b.Cols, func(i int, mark, buf []int32) []int32 {
+		return appendProductCols(a, b, i, mark, buf)
+	})
 	return pl, nil
+}
+
+// collectPattern builds a row-sorted pattern with one walk of the flop
+// structure: row(i, mark, buf) appends the distinct columns of output
+// row i to buf, stamping mark[j] = i for each. Each row block of A
+// collects into its own buffer, a scan of the row counts places the
+// blocks, and every row is sorted where it lands. A row's column set is
+// fixed by the patterns, so the output is byte-identical at any worker
+// count.
+func collectPattern(rt *par.Runtime, a *Matrix, cols int, row func(i int, mark, buf []int32) []int32) ([]int, []int32) {
+	ptr := make([]int, a.Rows+1)
+	blocks := rt.Blocks(a.Rows)
+	bufs := make([][]int32, len(blocks)-1)
+	rt.ForBlocks(len(bufs), func(blk int) {
+		lo, hi := blocks[blk], blocks[blk+1]
+		ar := par.AcquireArena()
+		mark := par.Get[int32](ar, cols)
+		for i := range mark {
+			mark[i] = -1
+		}
+		buf := make([]int32, 0, a.RowPtr[hi]-a.RowPtr[lo])
+		for i := lo; i < hi; i++ {
+			n := len(buf)
+			buf = row(i, mark, buf)
+			ptr[i] = len(buf) - n
+		}
+		bufs[blk] = buf
+		par.Put(ar, mark)
+		par.ReleaseArena(ar)
+	})
+	col := make([]int32, par.ScanExclusive(rt, ptr[:a.Rows], ptr))
+	rt.ForBlocks(len(bufs), func(blk int) {
+		copy(col[ptr[blocks[blk]]:], bufs[blk])
+		for i := blocks[blk]; i < blocks[blk+1]; i++ {
+			sortRow(col[ptr[i]:ptr[i+1]])
+		}
+	})
+	return ptr, col
+}
+
+// appendProductCols appends to buf the columns of row i of A*B that are
+// not yet stamped with i, stamping each (Gustavson's mark phase).
+func appendProductCols(a, b *Matrix, i int, mark, buf []int32) []int32 {
+	for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+		row := a.Col[p]
+		for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
+			if j := b.Col[q]; mark[j] != int32(i) {
+				mark[j] = int32(i)
+				buf = append(buf, j)
+			}
+		}
+	}
+	return buf
 }
 
 // maxScheduleFlopsFactor bounds the gather schedule's memory: the
@@ -109,59 +132,66 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 // count exceeds this multiple of the combined operand/result sizes
 // (dense-ish rows, far outside the mesh/Galerkin regime the schedule
 // targets) would let the plan dwarf the matrices it serves. Such plans
-// fall back to the mark/acc replay, which is bitwise identical.
+// keep the mark/acc replay, which is bitwise identical.
 const maxScheduleFlopsFactor = 8
+
+// advance moves the plan's schedule lifecycle on by one value pass, just
+// before the pass runs: the pass that makes it two builds the schedule.
+// The build costs about what 3–6 schedule replays save over mark/acc,
+// and a pattern replayed twice is, on the measured workloads, replayed
+// far more often than that (DESIGN.md, "Why the second pass"). It is
+// the only caller of buildSchedule, and no //amg:hotpath function calls
+// it.
+func (pl *ProductPlan) advance(rt *par.Runtime, a, b *Matrix) {
+	if pl.passes < 2 {
+		pl.passes++
+		if pl.passes == 2 {
+			pl.buildSchedule(rt, a, b)
+		}
+	}
+}
 
 // buildSchedule records, for every output entry, its (aIdx, bIdx)
 // contribution pairs in the exact order the fused Gustavson kernel
 // accumulates them: per row, A entries in order, each expanded over its
-// B row. Rows own contiguous entry ranges, so both passes parallelize
-// over rows with disjoint writes (deterministic for any worker count,
-// and independent of the planning worker count). Skipped when any index
-// would overflow the int32 schedule storage or the flop count exceeds
-// the memory bound.
+// B row. The flop total comes first, from row lengths alone in
+// O(nnz(A)); a product over the int32 limit or the memory bound stops
+// there, before any schedule storage exists. Each row then owns the
+// contiguous pair range its flop offset gives, and one parallel pass
+// over rows counts the row's pairs per entry and writes them while the
+// row is still in cache (disjoint writes: deterministic for any worker
+// count, and independent of the planning worker count).
 func (pl *ProductPlan) buildSchedule(rt *par.Runtime, a, b *Matrix) {
 	nnz := len(pl.col)
 	if len(a.Val) > math.MaxInt32 || len(b.Val) > math.MaxInt32 {
 		return
 	}
-	pl.entryPtr = make([]int, nnz+1)
 	car := par.AcquireArena()
-	counts := par.Get[int](car, nnz)
-	// Pass 1: contributions per output entry. pos maps a column to its
-	// entry index within the current row (only the row's own columns are
-	// read back, so no clearing between rows is needed).
-	par.ForWith(rt, pl.aRows,
-		func(ar *par.Arena) []int32 {
-			return par.Get[int32](ar, pl.bCols)
-		},
-		func(lo, hi int, pos []int32) {
-			for i := lo; i < hi; i++ {
-				for k := pl.ptr[i]; k < pl.ptr[i+1]; k++ {
-					pos[pl.col[k]] = int32(k - pl.ptr[i])
-					counts[k] = 0
-				}
-				base := pl.ptr[i]
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
-						counts[base+int(pos[b.Col[q]])]++
-					}
-				}
+	defer par.ReleaseArena(car)
+	rowOff := par.Get[int](car, pl.aRows+1)
+	defer par.Put(car, rowOff)
+	rt.For(pl.aRows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			f := 0
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				row := a.Col[p]
+				f += b.RowPtr[row+1] - b.RowPtr[row]
 			}
-		},
-		func(ar *par.Arena, pos []int32) { par.Put(ar, pos) })
-	total := par.ScanExclusive(rt, counts, pl.entryPtr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
+			rowOff[i] = f
+		}
+	})
+	total := par.ScanExclusive(rt, rowOff[:pl.aRows], rowOff)
 	if total > math.MaxInt32 || total > maxScheduleFlopsFactor*(len(a.Col)+len(b.Col)+nnz) {
-		pl.entryPtr = nil
 		return
 	}
+	entryPtr := make([]int, nnz+1)
+	entryPtr[nnz] = total
 	pl.aIdx = make([]int32, total)
 	pl.bIdx = make([]int32, total)
-	// Pass 2: write the pairs through per-entry cursors (row-owned, so
-	// the cursor array needs no synchronization).
+	// cur first counts each entry's pairs, then serves as its write
+	// cursor; pos maps a column to its entry within the current row
+	// (only the row's own columns are read back, so no clearing between
+	// rows is needed).
 	par.ForWith(rt, pl.aRows,
 		func(ar *par.Arena) scheduleScratch {
 			return scheduleScratch{
@@ -172,18 +202,30 @@ func (pl *ProductPlan) buildSchedule(rt *par.Runtime, a, b *Matrix) {
 		func(lo, hi int, s scheduleScratch) {
 			for i := lo; i < hi; i++ {
 				base := pl.ptr[i]
-				for k := base; k < pl.ptr[i+1]; k++ {
-					s.pos[pl.col[k]] = int32(k - base)
-					s.cur[k-base] = pl.entryPtr[k]
+				cur := s.cur[:pl.ptr[i+1]-base]
+				for k := range cur {
+					s.pos[pl.col[base+k]] = int32(k)
+					cur[k] = 0
+				}
+				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+					row := a.Col[p]
+					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
+						cur[s.pos[b.Col[q]]]++
+					}
+				}
+				t := rowOff[i]
+				for k, n := range cur {
+					entryPtr[base+k] = t
+					cur[k] = t
+					t += n
 				}
 				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 					row := a.Col[p]
 					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
 						e := s.pos[b.Col[q]]
-						t := s.cur[e]
-						pl.aIdx[t] = int32(p)
-						pl.bIdx[t] = int32(q)
-						s.cur[e] = t + 1
+						pl.aIdx[cur[e]] = int32(p)
+						pl.bIdx[cur[e]] = int32(q)
+						cur[e]++
 					}
 				}
 			}
@@ -192,11 +234,12 @@ func (pl *ProductPlan) buildSchedule(rt *par.Runtime, a, b *Matrix) {
 			par.Put(ar, s.pos)
 			par.Put(ar, s.cur)
 		})
+	pl.entryPtr = entryPtr
 }
 
-// scheduleScratch is the per-participant state of the schedule fill
-// pass: the column→entry position map and the per-entry write cursors
-// of the current row.
+// scheduleScratch is the per-participant state of the schedule build:
+// the column→entry position map and the per-entry pair counts/write
+// cursors of the current row.
 type scheduleScratch struct {
 	pos []int32
 	cur []int
@@ -227,8 +270,10 @@ func (pl *ProductPlan) NewMatrix() *Matrix {
 // Numeric replays the plan for new operand values: c.Val is overwritten
 // with the values of A*B. A and B must have the planned patterns
 // (verified via fingerprint), and c must carry the plan's pattern —
-// normally a matrix from NewMatrix. Zero steady-state allocations;
-// bitwise identical to Multiply on the same operands.
+// normally a matrix from NewMatrix. The first pass runs the mark/acc
+// kernel; the second builds the gather schedule once (allocating it),
+// and it and every later pass replay through it with zero allocations.
+// Every pass is bitwise identical to Multiply on the same operands.
 func (pl *ProductPlan) Numeric(rt *par.Runtime, a, b, c *Matrix) error {
 	if err := pl.checkShapes(a, b, c); err != nil {
 		return err
@@ -239,6 +284,7 @@ func (pl *ProductPlan) Numeric(rt *par.Runtime, a, b, c *Matrix) error {
 	if fingerprint(b) != pl.bFP {
 		return fmt.Errorf("sparse: plan replay: pattern of B changed since PlanMultiply")
 	}
+	pl.advance(rt, a, b)
 	pl.numeric(rt, a, b, c)
 	return nil
 }
@@ -247,13 +293,12 @@ func (pl *ProductPlan) Numeric(rt *par.Runtime, a, b, c *Matrix) error {
 // callers that already guarantee the operand patterns match the plan —
 // e.g. an AMG hierarchy that fingerprint-checks its fine matrix once per
 // refresh and owns every other operand. Shapes and pattern sizes are
-// still checked.
-//
-//amg:hotpath
+// still checked. Like Numeric, the second pass builds the schedule.
 func (pl *ProductPlan) Replay(rt *par.Runtime, a, b, c *Matrix) error {
 	if err := pl.checkShapes(a, b, c); err != nil {
 		return err
 	}
+	pl.advance(rt, a, b)
 	pl.numeric(rt, a, b, c)
 	return nil
 }
@@ -271,11 +316,11 @@ func (pl *ProductPlan) checkShapes(a, b, c *Matrix) error {
 	return nil
 }
 
-// numeric is the unchecked replay, used internally where the operands
-// are plan-owned and the checks would be redundant per-call cost. With a
-// gather schedule the replay is a branch-free multiply-add stream over
-// the cached (aIdx, bIdx) pairs; otherwise it falls back to the mark/acc
-// accumulation. Both paths are bitwise identical to Multiply.
+// numeric is the unchecked value pass. With a gather schedule it is a
+// branch-free multiply-add stream over the cached (aIdx, bIdx) pairs;
+// before the schedule exists, or for a product over its bound, it runs
+// the mark/acc accumulation. Both paths are bitwise identical to
+// Multiply.
 //
 //amg:hotpath
 func (pl *ProductPlan) numeric(rt *par.Runtime, a, b, c *Matrix) {
@@ -386,12 +431,7 @@ type TransposePlan struct {
 func PlanTranspose(rt *par.Runtime, a *Matrix) *TransposePlan {
 	pl := &TransposePlan{rows: a.Rows, cols: a.Cols, fp: fingerprint(a)}
 	pl.perm = make([]int, len(a.Col))
-	ptr, col, _ := a.transposeBlocked(rt, a.Cols, false, pl.perm)
-	pl.ptr = make([]int, a.Cols+1)
-	copy(pl.ptr, ptr)
-	pl.col = make([]int32, len(a.Col))
-	copy(pl.col, col)
-	arenaRelease(ptr, col, nil)
+	pl.ptr, pl.col, _ = a.transposeBlocked(rt, a.Cols, false, pl.perm)
 	return pl
 }
 
@@ -475,70 +515,18 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 		aRows: a.Rows, aCols: a.Cols, p0Cols: p0.Cols,
 		aFP: fingerprint(a), p0FP: fingerprint(p0),
 	}
-	pl.ptr = make([]int, a.Rows+1)
-	car := par.AcquireArena()
-	counts := par.Get[int](car, a.Rows)
-	countSmoothedRows(rt, a, p0, counts)
-	nnz := par.ScanExclusive(rt, counts, pl.ptr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
-	pl.col = make([]int32, nnz)
-
-	// Fill pass: per row, collect and sort the product pattern, then
-	// merge it with the (sorted) P0 row — the same merge order as the
-	// one-shot kernel, writing columns only.
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) smoothScratch {
-			s := smoothScratch{
-				mark: par.Get[int32](ar, p0.Cols),
-				cols: par.Get[int32](ar, p0.Cols),
+	// The union of the product row and the P0 row, sorted, is exactly
+	// the one-shot kernel's merge of the two sorted rows.
+	pl.ptr, pl.col = collectPattern(rt, a, p0.Cols, func(i int, mark, buf []int32) []int32 {
+		buf = appendProductCols(a, p0, i, mark, buf)
+		for q := p0.RowPtr[i]; q < p0.RowPtr[i+1]; q++ {
+			if j := p0.Col[q]; mark[j] != int32(i) {
+				mark[j] = int32(i)
+				buf = append(buf, j)
 			}
-			for i := range s.mark {
-				s.mark[i] = -1
-			}
-			return s
-		},
-		func(lo, hi int, s smoothScratch) {
-			mark := s.mark
-			for i := lo; i < hi; i++ {
-				nc := 0
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := p0.RowPtr[row]; q < p0.RowPtr[row+1]; q++ {
-						j := p0.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							s.cols[nc] = j
-							nc++
-						}
-					}
-				}
-				prod := s.cols[:nc]
-				sortRow(prod)
-				k := pl.ptr[i]
-				pp, pq := 0, p0.RowPtr[i]
-				eq := p0.RowPtr[i+1]
-				for pp < nc || pq < eq {
-					switch {
-					case pq >= eq || (pp < nc && prod[pp] < p0.Col[pq]):
-						pl.col[k] = prod[pp]
-						pp++
-					case pp >= nc || p0.Col[pq] < prod[pp]:
-						pl.col[k] = p0.Col[pq]
-						pq++
-					default:
-						pl.col[k] = prod[pp]
-						pp++
-						pq++
-					}
-					k++
-				}
-			}
-		},
-		func(ar *par.Arena, s smoothScratch) {
-			par.Put(ar, s.mark)
-			par.Put(ar, s.cols)
-		})
+		}
+		return buf
+	})
 	return pl, nil
 }
 
@@ -701,7 +689,9 @@ func (pl *RAPPlan) NewMatrix() *Matrix { return pl.rapPlan.NewMatrix() }
 
 // Numeric replays the triple product for new values: out.Val is
 // overwritten with R*A*P, staging A*P in the plan-owned intermediate.
-// Bitwise identical to RAP and allocation-free in steady state.
+// Bitwise identical to RAP. Both products build their gather schedules
+// on the second pass (see ProductPlan.Numeric); later passes allocate
+// nothing.
 func (pl *RAPPlan) Numeric(rt *par.Runtime, r, a, p, out *Matrix) error {
 	if err := pl.apPlan.Numeric(rt, a, p, pl.ap); err != nil {
 		return err
@@ -712,8 +702,6 @@ func (pl *RAPPlan) Numeric(rt *par.Runtime, r, a, p, out *Matrix) error {
 // Replay is Numeric without the fingerprint verification (see
 // ProductPlan.Replay for the contract). The intermediate A*P is
 // plan-owned, so only the caller-supplied operands' shapes are checked.
-//
-//amg:hotpath
 func (pl *RAPPlan) Replay(rt *par.Runtime, r, a, p, out *Matrix) error {
 	if err := pl.apPlan.Replay(rt, a, p, pl.ap); err != nil {
 		return err

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"mis2go/internal/par"
@@ -24,7 +26,7 @@ func matricesEqual(t *testing.T, label string, got, want *Matrix) {
 		if got.Col[p] != want.Col[p] {
 			t.Fatalf("%s: Col[%d]=%d, want %d", label, p, got.Col[p], want.Col[p])
 		}
-		if got.Val[p] != want.Val[p] {
+		if math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
 			t.Fatalf("%s: Val[%d]=%v, want %v (not bitwise identical)", label, p, got.Val[p], want.Val[p])
 		}
 	}
@@ -146,22 +148,35 @@ func TestSmoothPlanMatchesSmoothProlongator(t *testing.T) {
 		dinv[i] = 1 / (1 + float64(i%9))
 	}
 	const omega = 0.61
-	for _, w := range planWorkerCounts {
-		rt := par.New(w)
-		pl, err := PlanSmoothProlongator(rt, a, p0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := pl.NewMatrix()
-		for _, av := range []*Matrix{a, perturb(a, 2)} {
-			if err := pl.Numeric(rt, av, p0, dinv, omega, out); err != nil {
-				t.Fatal(err)
-			}
-			want, err := SmoothProlongator(rt, av, p0, dinv, omega)
+	// The second operand set is large enough that the plan's row loop
+	// splits at 2 and 8 workers.
+	big := randomMatrix(2400, 2400, 0.0025, 41)
+	bigP0 := aggregateP0(2400, 1100)
+	bigDinv := make([]float64, big.Rows)
+	for i := range bigDinv {
+		bigDinv[i] = 1 / (2 + float64(i%7))
+	}
+	for _, in := range []struct {
+		a, p0 *Matrix
+		dinv  []float64
+	}{{a, p0, dinv}, {big, bigP0, bigDinv}} {
+		for _, w := range planWorkerCounts {
+			rt := par.New(w)
+			pl, err := PlanSmoothProlongator(rt, in.a, in.p0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			matricesEqual(t, "smooth replay", out, want)
+			out := pl.NewMatrix()
+			for _, av := range []*Matrix{in.a, perturb(in.a, 2)} {
+				if err := pl.Numeric(rt, av, in.p0, in.dinv, omega, out); err != nil {
+					t.Fatal(err)
+				}
+				want, err := SmoothProlongator(rt, av, in.p0, in.dinv, omega)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matricesEqual(t, fmt.Sprintf("smooth replay %d rows@%d", in.a.Rows, w), out, want)
+			}
 		}
 	}
 	rt := par.New(1)
@@ -219,5 +234,55 @@ func TestPlanReplayDeterministicAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		matricesEqual(t, "cross-worker product replay", c, ref)
+	}
+}
+
+// hasSchedule reports whether a product plan holds a gather schedule.
+func (pl *ProductPlan) hasSchedule() bool { return pl.entryPtr != nil }
+
+// TestRAPPlanLazySchedule pins the plan lifecycle: PlanRAP computes
+// patterns only, the first replay runs on mark/acc and builds nothing,
+// the second builds both products' gather schedules, and every replay
+// is bitwise equal to the one-shot RAP — with plans built at one worker
+// count and replayed at others. The operands are large enough that the
+// fine and coarse row loops both split at 2 and 8 workers.
+func TestRAPPlanLazySchedule(t *testing.T) {
+	a := randomMatrix(2400, 2400, 0.0025, 40)
+	p := aggregateP0(2400, 1100)
+	r := p.TransposeWith(par.New(1))
+	values := []*Matrix{a, perturb(a, 6), perturb(a, 7)}
+	for _, tc := range []struct {
+		plan    int
+		replays []int
+	}{
+		{plan: 8, replays: []int{1, 2, 1}},
+		{plan: 8, replays: []int{2, 1, 2}},
+		{plan: 1, replays: []int{8, 2, 8}},
+		{plan: 2, replays: []int{8, 8, 1}},
+	} {
+		pl, err := PlanRAP(par.New(tc.plan), r, a, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pl.apPlan.hasSchedule() || pl.rapPlan.hasSchedule() {
+			t.Fatalf("plan@%d: PlanRAP built a gather schedule", tc.plan)
+		}
+		out := pl.NewMatrix()
+		for pass, w := range tc.replays {
+			rt := par.New(w)
+			if err := pl.Replay(rt, r, values[pass], p, out); err != nil {
+				t.Fatal(err)
+			}
+			want, err := RAP(rt, r, values[pass], p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, fmt.Sprintf("plan@%d replay %d@%d", tc.plan, pass+1, w), out, want)
+			scheduled := pass > 0
+			if pl.apPlan.hasSchedule() != scheduled || pl.rapPlan.hasSchedule() != scheduled {
+				t.Fatalf("plan@%d after replay %d: schedules A*P=%v R*AP=%v, want %v",
+					tc.plan, pass+1, pl.apPlan.hasSchedule(), pl.rapPlan.hasSchedule(), scheduled)
+			}
+		}
 	}
 }

@@ -127,8 +127,6 @@ func (a *Matrix) GraphWith(rt *par.Runtime) *graph.CSR {
 		}
 	})
 	par.Put(ar, counts)
-	par.Put(ar, tPtr)
-	par.Put(ar, tCol)
 	par.ReleaseArena(ar)
 	return g
 }
@@ -204,45 +202,26 @@ func (a *Matrix) Transpose() *Matrix { return a.TransposeWith(par.Default()) }
 // TransposeWith is Transpose with an explicit runtime.
 func (a *Matrix) TransposeWith(rt *par.Runtime) *Matrix {
 	t := &Matrix{Rows: a.Cols, Cols: a.Rows}
-	ptr, col, val := a.transposeBlocked(rt, a.Cols, true, nil)
-	// The arena-backed scratch becomes the result, so copy into exact
-	// garbage-collected storage (the matrix outlives the arena borrow).
-	t.RowPtr = make([]int, a.Cols+1)
-	copy(t.RowPtr, ptr)
-	t.Col = make([]int32, len(a.Col))
-	copy(t.Col, col)
-	t.Val = make([]float64, len(a.Val))
-	copy(t.Val, val)
-	arenaRelease(ptr, col, val)
+	t.RowPtr, t.Col, t.Val = a.transposeBlocked(rt, a.Cols, true, nil)
 	return t
 }
 
-// arenaRelease returns transposeBlocked scratch to the shared arenas.
-func arenaRelease(ptr []int, col []int32, val []float64) {
-	ar := par.AcquireArena()
-	par.Put(ar, ptr)
-	par.Put(ar, col)
-	if val != nil {
-		par.Put(ar, val)
-	}
-	par.ReleaseArena(ar)
-}
-
 // transposeBlocked computes the transpose of A with ncols output rows
-// into arena-backed buffers: per-block column counts, a serial scan, and
-// a deterministic parallel scatter (block b's entries for column j land
-// after all blocks b' < b, preserving the serial counting-sort order).
-// The returned buffers belong to the caller arena pool; callers must
-// par.Put them (or copy out) when done. val is nil when withVals is false.
+// with per-block column counts, a serial scan, and a deterministic
+// parallel scatter (block b's entries for column j land after all blocks
+// b' < b, preserving the serial counting-sort order). val is nil when
+// withVals is false. The results are ordinary slices, not arena
+// buffers: a caller would Put those into whichever pooled arena it holds
+// next, and the pooled arenas would pile up nnz-sized buffers until a
+// collection empties the pool (DESIGN.md, "Scratch arenas").
 // When perm is non-nil (length NNZ) the scatter also records the
 // destination of every input entry — perm[p] is the output position of
 // entry p — which is the values-only replay schedule TransposePlan caches.
 func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, perm []int) (ptr []int, col []int32, val []float64) {
-	ar := par.AcquireArena()
-	ptr = par.Get[int](ar, ncols+1)
-	col = par.Get[int32](ar, len(a.Col))
+	ptr = make([]int, ncols+1)
+	col = make([]int32, len(a.Col))
 	if withVals {
-		val = par.Get[float64](ar, len(a.Val))
+		val = make([]float64, len(a.Val))
 	}
 	blocks := rt.Blocks(a.Rows)
 	nb := len(blocks) - 1
@@ -264,6 +243,7 @@ func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, per
 	}
 	// starts[b*ncols + j] counts block b's entries in column j, then
 	// becomes block b's write cursor for column j.
+	ar := par.AcquireArena()
 	starts := par.Get[int](ar, nb*ncols)
 	clear(starts)
 	rt.ForBlocks(nb, func(b int) {
@@ -406,8 +386,7 @@ func Multiply(rt *par.Runtime, a, b *Matrix) (*Matrix, error) {
 }
 
 // countProductRows fills counts[i] with the nnz of row i of A*B — the
-// mark phase of Gustavson's algorithm, shared by the one-shot Multiply
-// and the cached-plan symbolic pass (PlanMultiply).
+// mark phase of Gustavson's algorithm, sizing Multiply's output.
 func countProductRows(rt *par.Runtime, a, b *Matrix, counts []int) {
 	par.ForWith(rt, a.Rows,
 		func(ar *par.Arena) []int32 {
@@ -557,7 +536,7 @@ func SmoothProlongator(rt *par.Runtime, a, p0 *Matrix, dinv []float64, omega flo
 
 // countSmoothedRows fills counts[i] with the nnz of row i of
 // (I - omega*D^{-1}*A)*P0 — the union of the product pattern and the P0
-// row pattern — shared by SmoothProlongator and PlanSmoothProlongator.
+// row pattern — sizing SmoothProlongator's output.
 func countSmoothedRows(rt *par.Runtime, a, p0 *Matrix, counts []int) {
 	par.ForWith(rt, a.Rows,
 		func(ar *par.Arena) []int32 {
