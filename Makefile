@@ -40,7 +40,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkVCycleF32Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkShardedServe|BenchmarkSingleHierarchyServe|BenchmarkServePrecisionF64|BenchmarkServePrecisionF32|BenchmarkCGNoGuard|BenchmarkCGHealthGuard'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkVCycleF32Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkServePrecisionF32|BenchmarkCGNoGuard|BenchmarkCGHealthGuard'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke
 
@@ -63,7 +63,7 @@ check: lint
 	go vet ./...
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
-	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestSharded|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
@@ -77,7 +77,6 @@ bench:
 			-ratio Resetup_vs_FullSetup=AMGBuild/AMGRefresh \
 			-ratio SELL_vs_CSR=SpMVHot/SpMVSELL \
 			-ratio Serve_vs_SequentialSolves=SequentialSolves/ServeThroughput \
-			-ratio Sharded_vs_Single=SingleHierarchyServe/ShardedServe \
 			-ratio VCycleF32_vs_F64=VCycleF64Apply/VCycleF32Apply \
 			-ratio ServeF32_vs_F64=ServePrecisionF64/ServePrecisionF32 \
 			-ratio HealthGuard_vs_Plain=CGNoGuard/CGHealthGuard \

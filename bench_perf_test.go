@@ -434,94 +434,6 @@ func BenchmarkSequentialSolves(b *testing.B) {
 	}
 }
 
-// shardedBenchStream is the request stream both sharded-serving
-// benchmarks replay: one large fixed-pattern operator stepped through 8
-// localized value updates (a time-stepping workload where each step
-// perturbs only the diagonal of one corner of the mesh). Every request
-// is a same-pattern value change, so the contest is refresh cost: the
-// sharded path re-runs numeric setup only for the subdomains whose rows
-// changed, the single-hierarchy path replays the whole multigrid
-// numeric setup each step. (The Schwarz-CG solve itself costs more per
-// iteration than AMG-CG at this size, so the ratio is not expected to
-// exceed 1 — it pins the refresh-locality advantage against the solver
-// overhead so regressions in either are visible.)
-func shardedBenchStream() []serveBenchRequest {
-	base := gen.Laplacian(gen.Laplace2D(96, 96), 0.05)
-	rhs := make([]float64, base.Rows)
-	for i := range rhs {
-		rhs[i] = 1 + float64(i%13)/13
-	}
-	var mix []serveBenchRequest
-	for v := 0; v < 8; v++ {
-		a := base.Clone()
-		// Bump the diagonal of the first 96 rows only: the update is
-		// confined to one corner of the mesh, touching one or two of
-		// the eight subdomains.
-		for r := 0; r < 96; r++ {
-			for p := a.RowPtr[r]; p < a.RowPtr[r+1]; p++ {
-				if a.Col[p] == int32(r) {
-					a.Val[p] += 0.5 * float64(v+1)
-				}
-			}
-		}
-		mix = append(mix, serveBenchRequest{a: a, b: rhs})
-	}
-	return mix
-}
-
-// BenchmarkShardedServe measures the domain-decomposed serving path on
-// the localized-update stream: requests route through ShardThreshold
-// into per-subdomain cache entries, and each value step refreshes only
-// the subdomains whose rows changed (SubReuses for the rest). One op =
-// the whole 8-step stream. Compare BenchmarkSingleHierarchyServe (the
-// ratio is Sharded_vs_Single in the bench JSON).
-func BenchmarkShardedServe(b *testing.B) {
-	mix := shardedBenchStream()
-	s := serve.New(serve.Config{
-		Tol: 1e-8, MaxIter: 400,
-		ShardThreshold: 100, ShardSubdomains: 8, CacheCapacity: 32,
-	})
-	ctx := context.Background()
-	for _, r := range mix {
-		if _, _, err := s.Solve(ctx, r.a, r.b); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range mix {
-			if _, _, err := s.Solve(ctx, r.a, r.b); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// BenchmarkSingleHierarchyServe is the whole-hierarchy baseline for the
-// same localized-update stream: sharding disabled, so every value step
-// pays a full AMG numeric re-setup before its solve. One op = the whole
-// 8-step stream.
-func BenchmarkSingleHierarchyServe(b *testing.B) {
-	mix := shardedBenchStream()
-	s := serve.New(serve.Config{Tol: 1e-8, MaxIter: 400, CacheCapacity: 32})
-	ctx := context.Background()
-	for _, r := range mix {
-		if _, _, err := s.Solve(ctx, r.a, r.b); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, r := range mix {
-			if _, _, err := s.Solve(ctx, r.a, r.b); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // precisionBenchSystem is the problem of the mixed-precision V-cycle
 // pair: a 27-point 88^3 grid (681k rows, 18M entries). The dense
 // stencil matters: per fine-level row the smoother streams 27 values +

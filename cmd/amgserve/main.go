@@ -74,10 +74,6 @@ type columnResult struct {
 type solveResponse struct {
 	Outcome string `json:"outcome"`
 	Batched int    `json:"batched"`
-	// Sharded/Subdomains report the domain-decomposed path (requests at
-	// or above -shard-threshold rows).
-	Sharded    bool `json:"sharded,omitempty"`
-	Subdomains int  `json:"subdomains,omitempty"`
 	// Precision is the operator value precision that served the solve
 	// ("f64", "f32", or "auto" for mixed per-level storage); the CG
 	// recurrence itself is always float64.
@@ -124,8 +120,6 @@ func main() {
 	maxIter := flag.Int("maxiter", 500, "CG iteration cap")
 	threads := flag.Int("threads", 0, "solver worker count, 0 = all cores")
 	precName := flag.String("precision", "f64", "operator value precision: f64, f32, auto (f32 below the finest level; CG recurrence stays f64)")
-	shardThreshold := flag.Int("shard-threshold", 0, "route requests with at least this many rows through domain-decomposed sharded solves, 0 disables (size -cache for the per-subdomain entries)")
-	shardSubdomains := flag.Int("shard-subdomains", 0, "subdomain count for sharded solves (rounded up to a power of two), 0 = rows/256")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request deadline covering admission, setup, and solve; expired requests return 504 (0 disables)")
 	maxEscalations := flag.Int("max-escalations", 0, "escalation-ladder rungs tried after a classified numerical failure, 0 = default 3, negative disables")
 	quarantineThreshold := flag.Int("quarantine-threshold", 0, "consecutive numerical failures before a pattern is quarantined (429), 0 = default 3, negative disables")
@@ -139,17 +133,15 @@ func main() {
 	}
 
 	svc := serve.New(serve.Config{
-		AMG:             amg.Options{Threads: *threads},
-		Precision:       prec,
-		Tol:             *tol,
-		MaxIter:         *maxIter,
-		CacheCapacity:   *cache,
-		BatchWindow:     *window,
-		MaxBatch:        *maxBatch,
-		MaxInFlight:     *inflight,
-		Threads:         *threads,
-		ShardThreshold:  *shardThreshold,
-		ShardSubdomains: *shardSubdomains,
+		AMG:           amg.Options{Threads: *threads},
+		Precision:     prec,
+		Tol:           *tol,
+		MaxIter:       *maxIter,
+		CacheCapacity: *cache,
+		BatchWindow:   *window,
+		MaxBatch:      *maxBatch,
+		MaxInFlight:   *inflight,
+		Threads:       *threads,
 
 		SolveTimeout:        *solveTimeout,
 		MaxEscalations:      *maxEscalations,
@@ -299,7 +291,6 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := solveResponse{Outcome: stats.Outcome.String(), Batched: stats.Batched,
-		Sharded: stats.Sharded, Subdomains: stats.Subdomains,
 		Precision: stats.Precision.String(),
 		Converged: stats.Converged, RelResidual: stats.RelResidual,
 		Escalations: stats.Escalations}
@@ -360,10 +351,6 @@ func (ap *app) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "amgserve_batch_solves_total %d\n", m.BatchSolves)
 	fmt.Fprintf(w, "amgserve_batched_rhs_total %d\n", m.BatchedRHS)
 	fmt.Fprintf(w, "amgserve_batched_rhs_ratio %.3f\n", m.BatchedRHSRatio())
-	fmt.Fprintf(w, "amgserve_sharded_requests_total %d\n", m.ShardedRequests)
-	fmt.Fprintf(w, "amgserve_shard_sub_builds_total %d\n", m.SubBuilds)
-	fmt.Fprintf(w, "amgserve_shard_sub_refreshes_total %d\n", m.SubRefreshes)
-	fmt.Fprintf(w, "amgserve_shard_sub_reuses_total %d\n", m.SubReuses)
 	fmt.Fprintf(w, "amgserve_numerical_failures_total %d\n", m.NumericalFailures)
 	fmt.Fprintf(w, "amgserve_escalations_total %d\n", m.Escalations)
 	fmt.Fprintf(w, "amgserve_escalation_recoveries_total %d\n", m.EscalationRecoveries)

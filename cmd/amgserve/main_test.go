@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -178,6 +179,41 @@ func TestMetricsEndpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
 		}
+	}
+
+	// The exposition is a contract: dashboards and cmd/amgbench's serve
+	// workload read these series by name, so adding or removing one must
+	// be a deliberate edit of this list.
+	want := []string{
+		"amgserve_batch_solves_total",
+		"amgserve_batched_rhs_ratio",
+		"amgserve_batched_rhs_total",
+		"amgserve_cache_builds_total",
+		"amgserve_cache_collisions_total",
+		"amgserve_cache_evictions_total",
+		"amgserve_cache_hits_total",
+		"amgserve_cache_refreshes_total",
+		"amgserve_canceled_total",
+		"amgserve_escalation_recoveries_total",
+		"amgserve_escalations_total",
+		"amgserve_numerical_failures_total",
+		"amgserve_panics_total",
+		"amgserve_probe_failures_total",
+		"amgserve_probe_successes_total",
+		"amgserve_probes_total",
+		"amgserve_quarantine_rejections_total",
+		"amgserve_quarantines_total",
+		"amgserve_rejected_total",
+		"amgserve_requests_total",
+	}
+	var got []string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		got = append(got, name)
+	}
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("metrics series = %q,\nwant %q", got, want)
 	}
 }
 

@@ -3,7 +3,7 @@
 // multilevel graph bisection, and compare against classic heavy-edge
 // matching coarsening on edge cut and balance. Then scale the same
 // machinery to a 512-way partition by recursive bisection and
-// fingerprint the result — the key a sharded solver cache shards under.
+// fingerprint the result, so two runs can be compared by one number.
 package main
 
 import (

@@ -578,10 +578,8 @@ func Check(wg *WGraph, part []int32, k int) error {
 // Fingerprint computes a deterministic 64-bit fingerprint of a k-way
 // partition: the part count, the vertex count, and every label in
 // vertex order, chained through the same mixing steps as
-// hash.PatternFingerprint. Sharded cache keys compose this with the
-// operator's pattern fingerprint, so "same pattern, same partition"
-// re-setup can key per-subdomain state without serializing the labels.
-// Allocation-free and O(vertices).
+// hash.PatternFingerprint, so two partitions compare by one number
+// without serializing the labels. Allocation-free and O(vertices).
 func Fingerprint(k int, part []int32) uint64 {
 	h := hash.Combine(hash.FingerprintSeed, uint64(k))
 	h = hash.Combine(h, uint64(len(part)))

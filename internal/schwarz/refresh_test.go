@@ -37,9 +37,6 @@ func TestStatsReportsEffectiveCounts(t *testing.T) {
 	if !p.HasCoarse() || st.CoarseSize == 0 {
 		t.Fatalf("coarse stats missing: %+v", st)
 	}
-	if p.PartitionFingerprint() == 0 {
-		t.Fatal("partition fingerprint is zero")
-	}
 	// Defaulting: zero Subdomains resolves to n/256 (min 2) before
 	// rounding.
 	pd, err := New(a, Options{})

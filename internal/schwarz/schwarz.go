@@ -9,14 +9,9 @@
 // aggregation, so both levels of the preconditioner are driven by the
 // paper's kernel.
 //
-// The preconditioner decomposes into independently buildable and
-// refreshable components — Layout (partition + overlapped row sets,
-// pattern-only), Subdomain (one local solver), Coarse (the second
-// level) — assembled into a Preconditioner that owns only per-instance
-// vector scratch. Components carry their own locks and serialize their
-// applies, so several assembled Preconditioners may share one component
-// set concurrently (the serve package's sharded mode does exactly
-// this); each assembled instance is itself single-caller.
+// Internally the preconditioner is built from a pattern-only layout
+// (partition + overlapped row sets), one local solver per subdomain,
+// and the coarse level.
 //
 // Setup follows the symbolic/numeric split of the amg package:
 // Refresh(a) replays numeric-only work (local value gathers and
@@ -27,7 +22,7 @@
 // reports false and Precondition panics) until a Refresh succeeds.
 //
 // Determinism: subdomain applies fan across the par worker pool with one
-// block per subdomain, each writing request-local scratch, and all
+// block per subdomain, each writing its own scratch, and all
 // global accumulation is serialized in subdomain order — results are
 // bitwise identical for every worker count, for a fixed partition.
 //
@@ -160,21 +155,16 @@ type Stats struct {
 	CoarseAMG  bool
 }
 
-// Layout is the pattern-only decomposition state: the k-way partition
+// layout is the pattern-only decomposition state: the k-way partition
 // of the operator's graph and the overlapped, sorted row set of each
-// nonempty part. A Layout depends only on the sparsity pattern, so it
-// is shared verbatim across numeric refreshes and keyed by pattern ×
-// partition fingerprints in caches.
-type Layout struct {
+// nonempty part. It depends only on the sparsity pattern, so it is
+// shared verbatim across numeric refreshes.
+type layout struct {
 	// N is the operator dimension.
 	N int
 	// Sets holds the ascending global rows of each overlapped
 	// subdomain, one per nonempty part.
 	Sets [][]int32
-	// PartitionFP is the deterministic partition fingerprint
-	// (partition.Fingerprint over the k-way labels), for composing
-	// sharded cache keys with hash.PatternFingerprint.
-	PartitionFP uint64
 	// MatrixFP is the pattern fingerprint of the operator the layout
 	// was derived from; Refresh checks new values against it.
 	MatrixFP uint64
@@ -185,8 +175,8 @@ type Layout struct {
 	g *graph.CSR // the operator's graph, kept for coarse-level setup
 }
 
-// NewLayout partitions a's graph into overlapped subdomain row sets.
-func NewLayout(a *sparse.Matrix, opt Options) (*Layout, error) {
+// newLayout partitions a's graph into overlapped subdomain row sets.
+func newLayout(a *sparse.Matrix, opt Options) (*layout, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("schwarz: matrix must be square")
 	}
@@ -206,11 +196,10 @@ func NewLayout(a *sparse.Matrix, opt Options) (*Layout, error) {
 		return nil, fmt.Errorf("schwarz: partitioning: %w", err)
 	}
 
-	lay := &Layout{
-		N:           n,
-		PartitionFP: kw.Fingerprint(),
-		MatrixFP:    hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col),
-		g:           g,
+	lay := &layout{
+		N:        n,
+		MatrixFP: hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col),
+		g:        g,
 	}
 	inSub := make([]int32, n)
 	for i := range inSub {
@@ -261,15 +250,12 @@ func NewLayout(a *sparse.Matrix, opt Options) (*Layout, error) {
 	return lay, nil
 }
 
-// Subdomain is one local solver: the overlapped row set, the local
+// subdomain is one local solver: the overlapped row set, the local
 // submatrix A(rows, rows) with a cached gather schedule back into the
 // global CSR, and either a dense LU factorization (small subdomains) or
 // a per-subdomain AMG hierarchy (large ones). A mutex serializes Solve
-// and Refresh, so one Subdomain may be shared by concurrent assembled
-// Preconditioners; Refresh additionally requires that no sharer is
-// mid-apply (callers coordinate that — the serve package drains
-// in-flight solves first).
-type Subdomain struct {
+// and Refresh.
+type subdomain struct {
 	mu     sync.Mutex
 	rows   []int32
 	gather []int32 // local entry -> global entry index in the source CSR
@@ -278,10 +264,10 @@ type Subdomain struct {
 	h      *amg.Hierarchy
 }
 
-// NewSubdomain builds the local solver for the overlapped row set rows
+// newSubdomain builds the local solver for the overlapped row set rows
 // of a (ascending global indices). The local values are copied out of
 // a; a is not retained.
-func NewSubdomain(a *sparse.Matrix, rows []int32, opt Options) (*Subdomain, error) {
+func newSubdomain(a *sparse.Matrix, rows []int32, opt Options) (*subdomain, error) {
 	m := len(rows)
 	pos := make(map[int32]int32, m)
 	for i, v := range rows {
@@ -299,7 +285,7 @@ func NewSubdomain(a *sparse.Matrix, rows []int32, opt Options) (*Subdomain, erro
 		}
 		local.RowPtr[i+1] = len(local.Col)
 	}
-	sd := &Subdomain{rows: rows, gather: gather, local: local}
+	sd := &subdomain{rows: rows, gather: gather, local: local}
 	if m > opt.localCutoff() {
 		// Per-subdomain AMG: symbolic once here, numeric replays on
 		// Refresh. Single-threaded by design — see Options.Threads.
@@ -340,8 +326,8 @@ func localAMGOptions() amg.Options { return amg.Options{Threads: 1} }
 // amg.Hierarchy.Refresh, minus the history-dependent sign check —
 // independent value sets may legally disagree on diagonal signs of the
 // overlap region) for AMG locals. The caller must guarantee a has the
-// pattern the subdomain was built from and that no sharer is mid-apply.
-func (sd *Subdomain) Refresh(a *sparse.Matrix) error {
+// pattern the subdomain was built from.
+func (sd *subdomain) Refresh(a *sparse.Matrix) error {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
 	for j, q := range sd.gather {
@@ -356,23 +342,10 @@ func (sd *Subdomain) Refresh(a *sparse.Matrix) error {
 	return sd.lu.Factorize()
 }
 
-// SameValues reports whether a's values restricted to this subdomain
-// are bitwise identical to the values the local solver currently holds
-// — the per-subdomain "pay nothing" test of sharded caches.
-func (sd *Subdomain) SameValues(a *sparse.Matrix) bool {
-	for j, q := range sd.gather {
-		if math.Float64bits(sd.local.Val[j]) != math.Float64bits(a.Val[q]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Solve applies the local solver, z = A_i⁻¹ r, in the subdomain's local
 // indexing (r and z are caller-owned, length NumRows). The internal
-// solver state is serialized by the subdomain's mutex, so concurrent
-// holders interleave applies safely.
-func (sd *Subdomain) Solve(r, z []float64) {
+// solver state is serialized by the subdomain's mutex.
+func (sd *subdomain) Solve(r, z []float64) {
 	sd.mu.Lock()
 	defer sd.mu.Unlock()
 	if sd.h != nil {
@@ -382,23 +355,16 @@ func (sd *Subdomain) Solve(r, z []float64) {
 	sd.lu.Solve(r, z)
 }
 
-// Rows returns the ascending global rows of the overlapped subdomain
-// (caller must not mutate).
-func (sd *Subdomain) Rows() []int32 { return sd.rows }
-
 // NumRows reports the overlapped subdomain size.
-func (sd *Subdomain) NumRows() int { return len(sd.rows) }
+func (sd *subdomain) NumRows() int { return len(sd.rows) }
 
-// UsesAMG reports whether the local solver is an AMG hierarchy.
-func (sd *Subdomain) UsesAMG() bool { return sd.h != nil }
-
-// Coarse is the second level: the MIS-2 aggregation coarse space with
+// coarseLevel is the second level: the MIS-2 aggregation coarse space with
 // its Galerkin operator Ac = P0ᵀ A P0, refreshed through a cached RAP
 // plan, and a direct or AMG solver for the coarse system. The tentative
 // prolongator's values depend only on aggregate sizes (the pattern), so
 // P0 and R0 = P0ᵀ are computed once and only the RAP replay is numeric
-// work. A mutex serializes Solve and Refresh, like Subdomain.
-type Coarse struct {
+// work. A mutex serializes Solve and Refresh, like subdomain.
+type coarseLevel struct {
 	mu     sync.Mutex
 	p0, r0 *sparse.Matrix
 	rap    *sparse.RAPPlan
@@ -408,8 +374,8 @@ type Coarse struct {
 	nc     int
 }
 
-// NewCoarse builds the coarse level for a using the layout's graph.
-func NewCoarse(rt *par.Runtime, a *sparse.Matrix, lay *Layout, opt Options) (*Coarse, error) {
+// newCoarseLevel builds the coarse level for a using the layout's graph.
+func newCoarseLevel(rt *par.Runtime, a *sparse.Matrix, lay *layout, opt Options) (*coarseLevel, error) {
 	agg := coarsen.MIS2Aggregation(lay.g, coarsen.Options{Threads: opt.Threads})
 	p0 := coarsen.Prolongator(agg)
 	tp := sparse.PlanTranspose(rt, p0)
@@ -425,7 +391,7 @@ func NewCoarse(rt *par.Runtime, a *sparse.Matrix, lay *Layout, opt Options) (*Co
 	if err := rap.Numeric(rt, r0, a, p0, ac); err != nil {
 		return nil, fmt.Errorf("schwarz: coarse Galerkin: %w", err)
 	}
-	c := &Coarse{p0: p0, r0: r0, rap: rap, ac: ac, nc: agg.NumAggregates}
+	c := &coarseLevel{p0: p0, r0: r0, rap: rap, ac: ac, nc: agg.NumAggregates}
 	cutoff := opt.localCutoff()
 	if cutoff > sparse.MaxDenseN {
 		cutoff = sparse.MaxDenseN
@@ -457,8 +423,8 @@ func NewCoarse(rt *par.Runtime, a *sparse.Matrix, lay *Layout, opt Options) (*Co
 
 // Refresh replays the numeric coarse setup against a's current values:
 // the RAP plan replay and the refactorization (or AMG numeric replay)
-// of the coarse system. Same caller contract as Subdomain.Refresh.
-func (c *Coarse) Refresh(rt *par.Runtime, a *sparse.Matrix) error {
+// of the coarse system. Same caller contract as subdomain.Refresh.
+func (c *coarseLevel) Refresh(rt *par.Runtime, a *sparse.Matrix) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.rap.Replay(rt, c.r0, a, c.p0, c.ac); err != nil {
@@ -473,9 +439,9 @@ func (c *Coarse) Refresh(rt *par.Runtime, a *sparse.Matrix) error {
 	return c.lu.Factorize()
 }
 
-// Solve solves the coarse system, cz = Ac⁻¹ cr (both length NumCoarse,
+// Solve solves the coarse system, cz = Ac⁻¹ cr (both length nc,
 // caller-owned), serialized by the coarse level's mutex.
-func (c *Coarse) Solve(cr, cz []float64) {
+func (c *coarseLevel) Solve(cr, cz []float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.h != nil {
@@ -485,15 +451,9 @@ func (c *Coarse) Solve(cr, cz []float64) {
 	c.lu.Solve(cr, cz)
 }
 
-// NumCoarse reports the coarse-space dimension.
-func (c *Coarse) NumCoarse() int { return c.nc }
-
-// UsesAMG reports whether the coarse solver is an AMG hierarchy.
-func (c *Coarse) UsesAMG() bool { return c.h != nil }
-
 // restrict computes cr = P0ᵀ r. P0 is immutable after construction, so
-// this needs no lock and may run concurrently with other restricts.
-func (c *Coarse) restrict(r, cr []float64) {
+// this needs no lock.
+func (c *coarseLevel) restrict(r, cr []float64) {
 	for i := range cr {
 		cr[i] = 0
 	}
@@ -506,7 +466,7 @@ func (c *Coarse) restrict(r, cr []float64) {
 }
 
 // prolongAdd computes z += P0 cz (lock-free like restrict).
-func (c *Coarse) prolongAdd(cz, z []float64) {
+func (c *coarseLevel) prolongAdd(cz, z []float64) {
 	p := c.p0
 	for v := 0; v < p.Rows; v++ {
 		for q := p.RowPtr[v]; q < p.RowPtr[v+1]; q++ {
@@ -515,32 +475,26 @@ func (c *Coarse) prolongAdd(cz, z []float64) {
 	}
 }
 
-// Preconditioner is an assembled additive Schwarz operator; it
-// implements krylov.Preconditioner. An instance is single-caller (it
-// owns per-apply vector scratch), but instances assembled over the same
-// components may be used concurrently: component state is serialized
-// internally.
+// Preconditioner is an additive Schwarz operator; it implements
+// krylov.Preconditioner. An instance is single-caller: it owns its
+// per-apply vector scratch.
 type Preconditioner struct {
 	n      int
 	rt     *par.Runtime
-	lay    *Layout
-	subs   []*Subdomain
-	coarse *Coarse
-	// Request-local apply scratch: per-subdomain gather/solution
-	// buffers and the coarse-space pair.
+	lay    *layout
+	subs   []*subdomain
+	coarse *coarseLevel
+	// Apply scratch: per-subdomain gather/solution buffers and the
+	// coarse-space pair.
 	rbuf, zbuf [][]float64
 	cr, cz     []float64
 	valid      bool
 	stats      Stats
 }
 
-// Assemble wires prebuilt components into an applyable Preconditioner
-// with fresh per-instance scratch. Components may be shared across
-// assembled instances; see the type comment.
-func Assemble(rt *par.Runtime, lay *Layout, subs []*Subdomain, coarse *Coarse) (*Preconditioner, error) {
-	if len(subs) != len(lay.Sets) {
-		return nil, fmt.Errorf("schwarz: %d subdomains for a layout with %d sets", len(subs), len(lay.Sets))
-	}
+// assemble wires built components into an applyable Preconditioner
+// with fresh apply scratch.
+func assemble(rt *par.Runtime, lay *layout, subs []*subdomain, coarse *coarseLevel) *Preconditioner {
 	p := &Preconditioner{
 		n: lay.N, rt: rt, lay: lay, subs: subs, coarse: coarse,
 		rbuf: make([][]float64, len(subs)),
@@ -550,7 +504,7 @@ func Assemble(rt *par.Runtime, lay *Layout, subs []*Subdomain, coarse *Coarse) (
 	for i, sd := range subs {
 		p.rbuf[i] = make([]float64, sd.NumRows())
 		p.zbuf[i] = make([]float64, sd.NumRows())
-		if sd.UsesAMG() {
+		if sd.h != nil {
 			st.AMGLocal++
 		} else {
 			st.DenseLocal++
@@ -564,7 +518,7 @@ func Assemble(rt *par.Runtime, lay *Layout, subs []*Subdomain, coarse *Coarse) (
 	}
 	p.stats = st
 	p.valid = true
-	return p, nil
+	return p
 }
 
 // New builds the preconditioner for the SPD operator a. Only CSR
@@ -582,30 +536,30 @@ func NewCtx(ctx context.Context, a sparse.Operator, opt Options) (*Preconditione
 	if err != nil {
 		return nil, err
 	}
-	lay, err := NewLayout(m, opt)
+	lay, err := newLayout(m, opt)
 	if err != nil {
 		return nil, err
 	}
 	rt := par.New(opt.Threads)
-	subs := make([]*Subdomain, len(lay.Sets))
+	subs := make([]*subdomain, len(lay.Sets))
 	for i, rows := range lay.Sets {
 		if err := ctxErr(ctx); err != nil {
 			return nil, cancelErr(ctx)
 		}
-		if subs[i], err = NewSubdomain(m, rows, opt); err != nil {
+		if subs[i], err = newSubdomain(m, rows, opt); err != nil {
 			return nil, fmt.Errorf("schwarz: subdomain %d: %w", i, err)
 		}
 	}
-	var coarse *Coarse
+	var coarse *coarseLevel
 	if !opt.NoCoarse {
 		if err := ctxErr(ctx); err != nil {
 			return nil, cancelErr(ctx)
 		}
-		if coarse, err = NewCoarse(rt, m, lay, opt); err != nil {
+		if coarse, err = newCoarseLevel(rt, m, lay, opt); err != nil {
 			return nil, err
 		}
 	}
-	return Assemble(rt, lay, subs, coarse)
+	return assemble(rt, lay, subs, coarse), nil
 }
 
 // Refresh replays the numeric-only setup for an operator with the same
@@ -614,9 +568,7 @@ func NewCtx(ctx context.Context, a sparse.Operator, opt Options) (*Preconditione
 // amg.Hierarchy two-zone rule: rejections before any mutation (pattern
 // mismatch, wrong shape, early cancellation) leave the previous state
 // fully usable; failures after mutation began invalidate the
-// preconditioner until a Refresh succeeds. Refresh is for
-// preconditioners that own their components (built by New); refreshing
-// shared components under a live sharer corrupts its applies.
+// preconditioner until a Refresh succeeds.
 func (p *Preconditioner) Refresh(a sparse.Operator) error {
 	return p.RefreshCtx(nil, a)
 }
@@ -680,10 +632,6 @@ func (p *Preconditioner) HasCoarse() bool { return p.coarse != nil }
 
 // Stats reports the effective configuration (see Stats).
 func (p *Preconditioner) Stats() Stats { return p.stats }
-
-// PartitionFingerprint returns the deterministic fingerprint of the
-// underlying k-way partition (see partition.Fingerprint).
-func (p *Preconditioner) PartitionFingerprint() uint64 { return p.lay.PartitionFP }
 
 // Precondition applies z = Σᵢ Rᵢᵀ Aᵢ⁻¹ Rᵢ r (+ coarse correction):
 // one-level restricted local solves plus the aggregation coarse space.

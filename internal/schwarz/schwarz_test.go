@@ -91,9 +91,18 @@ func TestOverlapImprovesConvergence(t *testing.T) {
 func TestDeterministicAcrossThreads(t *testing.T) {
 	// Bitwise determinism of the pooled subdomain fan at 1/2/8 workers,
 	// with the local AMG threshold forced low so large subdomains
-	// exercise the hierarchy path, not just dense LU.
+	// exercise the hierarchy path, not just dense LU. Three inputs: one
+	// apply, a full Schwarz-preconditioned CG solve, and a CG solve after
+	// a numeric Refresh on scaled values. Solutions compare bitwise
+	// (Float64bits, so -0 never matches +0) with equal iteration counts.
 	a, b := poisson(32, 32)
-	run := func(threads int) []float64 {
+	a2 := scaleValues(a, 1.5)
+	type output struct {
+		name  string
+		v     []float64
+		iters int
+	}
+	run := func(threads int) []output {
 		p, err := New(a, Options{Subdomains: 8, Threads: threads, LocalAMGThreshold: 64})
 		if err != nil {
 			t.Fatal(err)
@@ -101,16 +110,35 @@ func TestDeterministicAcrossThreads(t *testing.T) {
 		if st := p.Stats(); st.AMGLocal == 0 {
 			t.Fatalf("threshold 64 produced no AMG locals: %+v", st)
 		}
+		rt := par.New(threads)
 		z := make([]float64, a.Rows)
 		p.Precondition(b, z)
-		return z
+		solve := func(m *sparse.Matrix) ([]float64, int) {
+			x := make([]float64, m.Rows)
+			st, err := krylov.CG(rt, m, b, x, 1e-10, 500, p)
+			if err != nil || !st.Converged {
+				t.Fatalf("threads=%d: Schwarz-CG failed: %v %+v", threads, err, st)
+			}
+			return x, st.Iterations
+		}
+		x, it := solve(a)
+		if err := p.Refresh(a2); err != nil {
+			t.Fatal(err)
+		}
+		x2, it2 := solve(a2)
+		return []output{{"apply", z, 0}, {"CG solve", x, it}, {"CG solve after Refresh", x2, it2}}
 	}
-	z1 := run(1)
+	want := run(1)
 	for _, threads := range []int{2, 8} {
-		zt := run(threads)
-		for i := range z1 {
-			if z1[i] != zt[i] {
-				t.Fatalf("threads=%d nondeterministic at %d: %g vs %g", threads, i, z1[i], zt[i])
+		for k, got := range run(threads) {
+			w := want[k]
+			if got.iters != w.iters {
+				t.Fatalf("threads=%d %s: %d iterations, want %d", threads, w.name, got.iters, w.iters)
+			}
+			for i := range w.v {
+				if math.Float64bits(got.v[i]) != math.Float64bits(w.v[i]) {
+					t.Fatalf("threads=%d %s nondeterministic at %d: %g vs %g", threads, w.name, i, got.v[i], w.v[i])
+				}
 			}
 		}
 	}

@@ -20,11 +20,6 @@ type counters struct {
 	canceled    atomic.Int64
 	panics      atomic.Int64
 
-	shardedRequests atomic.Int64
-	subBuilds       atomic.Int64
-	subRefreshes    atomic.Int64
-	subReuses       atomic.Int64
-
 	numericalFailures    atomic.Int64
 	escalations          atomic.Int64
 	escalationRecoveries atomic.Int64
@@ -59,15 +54,6 @@ type Metrics struct {
 	// each one converted to an error and an entry retirement instead of
 	// a dead process or a deadlocked batch.
 	Panics int64
-	// ShardedRequests counts requests routed through the
-	// domain-decomposed path (Config.ShardThreshold). SubBuilds,
-	// SubRefreshes, and SubReuses partition per-subdomain cache
-	// outcomes the way Builds/Refreshes/ValueHits do for whole
-	// hierarchies: local construction, numeric-only replay, bitwise
-	// value hit. A request whose values touch only some subdomains
-	// shows up as SubRefreshes for those and SubReuses for the rest.
-	ShardedRequests                    int64
-	SubBuilds, SubRefreshes, SubReuses int64
 	// NumericalFailures counts requests that ultimately failed with a
 	// classified numerical error (after any escalation); Escalations
 	// counts ladder rungs attempted and EscalationRecoveries the
@@ -96,11 +82,6 @@ func (s *Service) Metrics() Metrics {
 		BatchedRHS:  s.m.batchedRHS.Load(),
 		Canceled:    s.m.canceled.Load(),
 		Panics:      s.m.panics.Load(),
-
-		ShardedRequests: s.m.shardedRequests.Load(),
-		SubBuilds:       s.m.subBuilds.Load(),
-		SubRefreshes:    s.m.subRefreshes.Load(),
-		SubReuses:       s.m.subReuses.Load(),
 
 		NumericalFailures:    s.m.numericalFailures.Load(),
 		Escalations:          s.m.escalations.Load(),

@@ -1,5 +1,5 @@
 // Package serve turns the solver stack into a concurrent solve service:
-// many goroutines (request handlers, simulation shards, API clients)
+// many goroutines (request handlers, simulation time steppers, API clients)
 // submit "matrix values + right-hand side(s)" requests and the service
 // amortizes the expensive parts across them.
 //
@@ -78,8 +78,9 @@ type Config struct {
 	Tol float64
 	// MaxIter caps CG iterations per solve (default 500).
 	MaxIter int
-	// CacheCapacity bounds the number of cached hierarchies; the least
-	// recently used pattern is evicted beyond it (default 8, minimum 1).
+	// CacheCapacity bounds the number of cached hierarchies, one slot per
+	// distinct sparsity pattern; the least recently used pattern is
+	// evicted beyond it (default 8, minimum 1).
 	CacheCapacity int
 	// BatchWindow is how long the first request against an operator
 	// waits for same-operator requests to coalesce with before solving
@@ -103,23 +104,8 @@ type Config struct {
 	// recurrence, dot products, and residual norms always stay float64,
 	// so convergence detection is unchanged in kind). Applied to the
 	// hierarchies unless AMG.Precision is set explicitly, mirroring
-	// Threads. The sharded (Schwarz) path keeps full precision locals
-	// and ignores this field. Default PrecisionF64.
+	// Threads. Default PrecisionF64.
 	Precision sparse.Precision
-	// ShardThreshold, when positive, routes requests with at least that
-	// many rows through the sharded solve path: the matrix graph is
-	// partitioned, each subdomain gets its own cache entry (keyed
-	// pattern × partition × subdomain) holding an independent local
-	// solver, and the solve is an outer Schwarz-preconditioned CG whose
-	// subdomain applies fan across the worker pool. Zero (the default)
-	// disables sharding. Note each subdomain occupies one cache slot:
-	// size CacheCapacity to at least ShardSubdomains + 2 per sharded
-	// pattern kept warm, or subdomains of one request evict each other.
-	ShardThreshold int
-	// ShardSubdomains is the subdomain count for sharded solves
-	// (rounded up to a power of two; 0 picks the schwarz default of
-	// rows/256).
-	ShardSubdomains int
 	// SolveTimeout, when positive, bounds each request end to end —
 	// admission wait, setup, coalescing, and the solve itself — by
 	// composing a deadline onto the caller's context. An expired
@@ -290,9 +276,7 @@ func isCancellation(err error) bool {
 
 // RequestStats reports what one request paid and how its solve went.
 type RequestStats struct {
-	// Outcome is the hierarchy-cache outcome. For a sharded request it
-	// describes the shard head (the partition layout + coarse level);
-	// per-subdomain outcomes are aggregated in the service Metrics.
+	// Outcome is the hierarchy-cache outcome.
 	Outcome Outcome
 	// Batched is the total number of right-hand-side columns in the
 	// CGBatch call that served this request (1 when the request ran
@@ -301,14 +285,8 @@ type RequestStats struct {
 	// Columns holds the solver stats of this request's right-hand
 	// sides, in request order.
 	Columns []krylov.Stats
-	// Sharded reports that the request took the domain-decomposed path
-	// (Config.ShardThreshold); Subdomains is the number of local
-	// solvers its preconditioner applied.
-	Sharded    bool
-	Subdomains int
 	// Precision is the hierarchy precision policy that served the solve
-	// (the resolved Config.Precision; PrecisionF64 on the sharded path,
-	// which keeps full-precision locals).
+	// (the resolved Config.Precision).
 	Precision sparse.Precision
 	// Converged reports that every requested column met the tolerance —
 	// the explicit signal that a result is an answer, not a best-effort
@@ -351,12 +329,10 @@ type Service struct {
 
 	// mu guards the cache index (entries + lru). It is never held
 	// across a build, refresh, or solve — those serialize on the
-	// per-entry lock — so cache lookups stay fast under load. The index
-	// holds three node kinds behind one LRU: single-hierarchy entries,
-	// shard heads, and per-subdomain shard entries.
+	// per-entry lock — so cache lookups stay fast under load.
 	mu      sync.Mutex
-	entries map[uint64]cacheNode
-	lru     *list.List // front = most recently used; values are cacheNode
+	entries map[uint64]*entry
+	lru     *list.List // front = most recently used; values are *entry
 
 	// rungs is the precomputed escalation ladder (see Config.
 	// MaxEscalations); br is the per-pattern circuit breaker (nil when
@@ -365,16 +341,6 @@ type Service struct {
 	br    *breaker
 
 	m counters
-}
-
-// cacheNode is what the cache index stores: any of the three entry
-// kinds, identified by key and threaded through the shared LRU list.
-// The key and the LRU element are guarded by Service.mu; everything
-// else about a node is its own business.
-type cacheNode interface {
-	cacheKey() uint64
-	lruElem() *list.Element
-	setLRUElem(*list.Element)
 }
 
 // entry is one cached pattern: the hierarchy, the service-owned fine
@@ -424,10 +390,6 @@ type entry struct {
 
 	elem *list.Element
 }
-
-func (e *entry) cacheKey() uint64            { return e.key }
-func (e *entry) lruElem() *list.Element      { return e.elem }
-func (e *entry) setLRUElem(el *list.Element) { e.elem = el }
 
 // batch is one coalesced CGBatch call: the columns of every joined
 // request, solved together, results fanned back out. The batch owns
@@ -501,7 +463,7 @@ func New(cfg Config) *Service {
 		cfg:     cfg,
 		rt:      par.New(cfg.Threads),
 		sem:     make(chan struct{}, cfg.MaxInFlight),
-		entries: make(map[uint64]cacheNode),
+		entries: make(map[uint64]*entry),
 		lru:     list.New(),
 	}
 	s.rungs = buildLadder(cfg)
@@ -612,19 +574,14 @@ func (s *Service) SolveBatch(ctx context.Context, a *sparse.Matrix, bs [][]float
 		}
 	}
 
+	st.Precision = s.cfg.AMG.Precision
 	var xs [][]float64
 	var rst RequestStats
 	var err error
-	if s.cfg.ShardThreshold > 0 && a.Rows >= s.cfg.ShardThreshold {
-		xs, rst, err = s.solveSharded(ctx, a, bs, &st, key)
+	if e, collision := s.lookup(key, a); collision {
+		xs, rst, err = s.solveUncached(ctx, a, bs, &st)
 	} else {
-		st.Precision = s.cfg.AMG.Precision
-		e, collision := s.lookup(key, a)
-		if collision {
-			xs, rst, err = s.solveUncached(ctx, a, bs, &st)
-		} else {
-			xs, rst, err = s.solveCached(ctx, e, a, bs, &st)
-		}
+		xs, rst, err = s.solveCached(ctx, e, a, bs, &st)
 	}
 	if err != nil && s.escalatable(err) {
 		xs, err = s.escalate(ctx, a, bs, &rst, xs, err)
@@ -665,15 +622,7 @@ func (s *Service) fault(p FaultPhase, ctx context.Context) error {
 func (s *Service) lookup(key uint64, a *sparse.Matrix) (e *entry, collision bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if node, ok := s.entries[key]; ok {
-		e, ok := node.(*entry)
-		if !ok {
-			// The pattern fingerprint collided with a shard node's
-			// salted key — astronomically unlikely, handled like any
-			// other collision: serve correctly, uncached.
-			s.m.collisions.Add(1)
-			return nil, true
-		}
+	if e, ok := s.entries[key]; ok {
 		// Shape pre-check on hit: two patterns hashing to one
 		// fingerprint must not share a hierarchy. This catches
 		// different-shape collisions without touching the entry lock;
@@ -693,45 +642,29 @@ func (s *Service) lookup(key uint64, a *sparse.Matrix) (e *entry, collision bool
 	return e, false
 }
 
-// index inserts a node at the LRU front and evicts past capacity.
-// Called with s.mu held. A node already cached under the key is
-// replaced (its LRU element removed); in-flight holders of the
-// replaced node keep working, like any dropped node.
-func (s *Service) index(n cacheNode) {
-	if old, ok := s.entries[n.cacheKey()]; ok {
-		s.lru.Remove(old.lruElem())
-	}
-	n.setLRUElem(s.lru.PushFront(n))
-	s.entries[n.cacheKey()] = n
+// index inserts an entry at the LRU front and evicts past capacity.
+// Called with s.mu held, for a key not currently indexed.
+func (s *Service) index(e *entry) {
+	e.elem = s.lru.PushFront(e)
+	s.entries[e.key] = e
 	for s.lru.Len() > s.cfg.CacheCapacity {
-		old := s.lru.Remove(s.lru.Back()).(cacheNode)
-		delete(s.entries, old.cacheKey())
+		old := s.lru.Remove(s.lru.Back()).(*entry)
+		delete(s.entries, old.key)
 		s.m.evictions.Add(1)
 	}
 }
 
-// touch moves a still-indexed node to the LRU front.
-func (s *Service) touch(n cacheNode) {
+// drop removes an entry from the cache if it is still indexed (an
+// entry whose build failed, or whose numeric state a deep Refresh
+// failure left unusable). In-flight holders of the entry keep working;
+// the next request for the pattern rebuilds fresh. Lock order: drop
+// takes the index lock (s.mu) and is called after releasing the entry
+// lock, never while holding s.mu.
+func (s *Service) drop(e *entry) {
 	s.mu.Lock()
-	if cur, ok := s.entries[n.cacheKey()]; ok && cur == n {
-		s.lru.MoveToFront(n.lruElem())
-	}
-	s.mu.Unlock()
-}
-
-// drop removes a node from the cache if it is still indexed (an entry
-// whose build failed, or whose numeric state a deep Refresh failure
-// left unusable; a shard head or subdomain retired the same way).
-// In-flight holders of the node keep working; the next request for the
-// pattern rebuilds fresh. Lock order: the index lock (s.mu) may be
-// taken while holding a per-node lock — the sharded path looks up
-// subdomain nodes under the head lock — but never the reverse, so drop
-// must not be reachable from code holding s.mu.
-func (s *Service) drop(n cacheNode) {
-	s.mu.Lock()
-	if cur, ok := s.entries[n.cacheKey()]; ok && cur == n {
-		delete(s.entries, n.cacheKey())
-		s.lru.Remove(n.lruElem())
+	if cur, ok := s.entries[e.key]; ok && cur == e {
+		delete(s.entries, e.key)
+		s.lru.Remove(e.elem)
 	}
 	s.mu.Unlock()
 }

@@ -497,7 +497,7 @@ func TestServeDeepRefreshFailureResetsEntry(t *testing.T) {
 	// Hold the live entry, as a concurrent same-pattern waiter would.
 	key := hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col)
 	s.mu.Lock()
-	e := s.entries[key].(*entry)
+	e := s.entries[key]
 	s.mu.Unlock()
 
 	// Positive finite diagonal, same signs — passes pre-validation —
@@ -632,7 +632,7 @@ func TestServeSELLOuterOperatorBitwise(t *testing.T) {
 	// White-box: the SELL conversion really is in place on the entry.
 	key := hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col)
 	sell.mu.Lock()
-	e, _ := sell.entries[key].(*entry)
+	e := sell.entries[key]
 	sell.mu.Unlock()
 	if e == nil || e.fill == nil {
 		t.Fatal("FormatSELL service did not install a SELL outer operator")

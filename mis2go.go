@@ -507,23 +507,6 @@ type Schwarz = schwarz.Preconditioner
 // entry arrays, which apply-only formats do not expose.
 func NewSchwarz(a Operator, opt SchwarzOptions) (*Schwarz, error) { return schwarz.New(a, opt) }
 
-// SolveSharded solves A x = b with the domain-decomposed solver a
-// sharded SolveService uses: a Schwarz-preconditioned CG over a
-// partition of a's graph. It is the sequential single-caller reference
-// for served sharded solves — a SolveService with ShardThreshold set
-// returns bitwise-identical solutions for the same system and options
-// (SchwarzOptions{Subdomains: cfg.ShardSubdomains, Threads:
-// cfg.Threads}), at any worker count and cache state.
-func SolveSharded(a *Matrix, b []float64, tol float64, maxIter int, opt SchwarzOptions) ([]float64, SolveStats, error) {
-	p, err := schwarz.New(a, opt)
-	if err != nil {
-		return nil, SolveStats{}, err
-	}
-	x := make([]float64, a.Rows)
-	st, err := krylov.CGWith(par.New(opt.Threads), a, b, x, tol, maxIter, p, nil)
-	return x, st, err
-}
-
 // AggregationQuality summarizes an aggregation: coarsening rate, size
 // spread, and the fraction of edges crossing aggregates.
 type AggregationQuality = coarsen.QualityStats
