@@ -50,14 +50,14 @@ func TestCGWorkspaceZeroAllocs(t *testing.T) {
 	ws := krylov.NewWorkspace(n)
 	// Warm-up solve (also verifies convergence so the error path with
 	// its fmt.Errorf allocation is never taken during measurement).
-	if _, err := krylov.CGWith(rt, a, b, x, 1e-8, 500, m, ws); err != nil {
+	if _, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := krylov.CGWith(rt, a, b, x, 1e-8, 500, m, ws); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -80,19 +80,19 @@ func TestFacadeSolveCGWithZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewSolverWorkspace(n)
-	if _, err := SolveCGWith(a, b, x, 1e-8, 500, m, 1, ws); err != nil {
+	if _, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := SolveCGWith(a, b, x, 1e-8, 500, m, 1, ws); err != nil {
+		if _, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("facade SolveCGWith: %v allocs/op, want 0", allocs)
+		t.Fatalf("facade SolveCG with a workspace: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -130,14 +130,14 @@ func TestCGBatchWorkspaceZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ws := NewSolverWorkspace(n)
-	if _, err := SolveCGBatchWith(a, b, x, k, 1e-8, 500, m, 1, ws); err != nil {
+	if _, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := SolveCGBatchWith(a, b, x, k, 1e-8, 500, m, 1, ws); err != nil {
+		if _, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
 			t.Fatal(err)
 		}
 	})

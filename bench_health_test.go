@@ -36,7 +36,7 @@ func benchCGGuard(b *testing.B, hg *krylov.Health) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := krylov.CGCtx(nil, rt, a, rhs, x, 1e-8, 400, m, ws, hg); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, rhs, x, krylov.Options{Tol: 1e-8, MaxIter: 400, M: m, Work: ws, Health: hg}); err != nil {
 			b.Fatal(err)
 		}
 	}

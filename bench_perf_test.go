@@ -79,7 +79,7 @@ func BenchmarkCGJacobi(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := krylov.CG(rt, a, rhs, x, 1e-8, 400, m); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, rhs, x, krylov.Options{Tol: 1e-8, MaxIter: 400, M: m}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -108,7 +108,7 @@ func BenchmarkCGJacobiWorkspace(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := krylov.CGWith(rt, a, rhs, x, 1e-8, 400, m, ws); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, rhs, x, krylov.Options{Tol: 1e-8, MaxIter: 400, M: m, Work: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -232,7 +232,7 @@ func BenchmarkCGBatch8Jacobi(b *testing.B) {
 		for j := range x {
 			x[j] = 0
 		}
-		if _, err := krylov.CGBatchWith(rt, a, rhs, x, k, 1e-8, 400, m, ws); err != nil {
+		if _, err := krylov.CGBatchCtx(nil, rt, a, rhs, x, k, krylov.Options{Tol: 1e-8, MaxIter: 400, M: m, Work: ws}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,7 +427,7 @@ func BenchmarkSequentialSolves(b *testing.B) {
 			}
 			x := make([]float64, r.a.Rows)
 			bb := append([]float64(nil), r.b...)
-			if _, err := krylov.CGBatchWith(rt, r.a, bb, x, 1, 1e-8, 400, h, nil); err != nil {
+			if _, err := krylov.CGBatchCtx(nil, rt, r.a, bb, x, 1, krylov.Options{Tol: 1e-8, MaxIter: 400, M: h}); err != nil {
 				b.Fatal(err)
 			}
 		}

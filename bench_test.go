@@ -182,7 +182,7 @@ func BenchmarkTable5AMG(b *testing.B) {
 					b.Fatal(err)
 				}
 				x := make([]float64, n)
-				st, err := krylov.CG(rt, a, rhs, x, 1e-12, 500, h)
+				st, err := krylov.CGCtx(nil, rt, a, rhs, x, krylov.Options{Tol: 1e-12, MaxIter: 500, M: h})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -234,7 +234,7 @@ func BenchmarkTable6ClusterGS(b *testing.B) {
 			var iters int
 			for i := 0; i < b.N; i++ {
 				x := make([]float64, n)
-				st, err := krylov.GMRES(rt, a, rhs, x, 1e-8, 800, 50, m)
+				st, err := krylov.GMRESCtx(nil, rt, a, rhs, x, 50, krylov.Options{Tol: 1e-8, MaxIter: 800, M: m})
 				if err != nil {
 					b.Fatal(err)
 				}

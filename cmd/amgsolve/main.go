@@ -169,7 +169,7 @@ func main() {
 		hg = krylov.DefaultHealth()
 	}
 	start := time.Now()
-	st, err := krylov.CGCtx(nil, par.New(*threads), aop, b, x, *tol, 1000, precond, nil, hg)
+	st, err := krylov.CGCtx(nil, par.New(*threads), aop, b, x, krylov.Options{Tol: *tol, MaxIter: 1000, M: precond, Health: hg})
 	solve := time.Since(start)
 	if err != nil {
 		// Name the failure class: a guard trip is actionable (wrong

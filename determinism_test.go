@@ -119,7 +119,7 @@ func TestSolveCGBatchDeterministicAcrossWorkers(t *testing.T) {
 	var refStats []SolveStats
 	for idx, threads := range detWorkerCounts {
 		x := make([]float64, n*k)
-		stats, err := SolveCGBatch(a, b, x, k, 1e-10, 600, m, threads)
+		stats, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-10, MaxIter: 600, M: m}, threads)
 		if err != nil {
 			t.Fatalf("%d workers: %v", threads, err)
 		}
@@ -262,7 +262,7 @@ func TestRCMSELLSolveBitwiseMatchesCSR(t *testing.T) {
 			t.Fatalf("format %v: %v", format, err)
 		}
 		x := make([]float64, n)
-		if _, err := SolveCG(op, b, x, 1e-10, 400, h, threads); err != nil {
+		if _, err := SolveCG(op, b, x, SolveOptions{Tol: 1e-10, MaxIter: 400, M: h}, threads); err != nil {
 			t.Fatalf("format %v: %v", format, err)
 		}
 		// Inverse-permute the solution back to the original numbering.
@@ -320,7 +320,7 @@ func TestSolveCGDeterministicAcrossWorkers(t *testing.T) {
 	var refStats SolveStats
 	for k, threads := range detWorkerCounts {
 		x := make([]float64, n)
-		st, err := SolveCG(a, b, x, 1e-10, 600, m, threads)
+		st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-10, MaxIter: 600, M: m}, threads)
 		if err != nil {
 			t.Fatalf("%d workers: %v", threads, err)
 		}

@@ -66,7 +66,7 @@ func ExampleNewAMGSymbolic() {
 		for i := range x {
 			x[i] = 0
 		}
-		st, err := mis2go.SolveCGWith(a, b, x, 1e-10, 200, h, 0, ws)
+		st, err := mis2go.SolveCG(a, b, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 200, M: h, Work: ws}, 0)
 		if err != nil {
 			panic(err)
 		}
@@ -95,7 +95,7 @@ func ExampleNewAMG() {
 		b[i] = 1
 	}
 	x := make([]float64, a.Rows)
-	st, err := mis2go.SolveCG(a, b, x, 1e-10, 200, h, 0)
+	st, err := mis2go.SolveCG(a, b, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 200, M: h}, 0)
 	if err != nil {
 		panic(err)
 	}

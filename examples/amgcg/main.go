@@ -36,7 +36,7 @@ func main() {
 
 	x := make([]float64, n)
 	start = time.Now()
-	st, err := mis2go.SolveCG(a, b, x, 1e-10, 500, h, 0)
+	st, err := mis2go.SolveCG(a, b, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 500, M: h}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func main() {
 
 	y := make([]float64, n)
 	start = time.Now()
-	stPlain, err := mis2go.SolveCG(a, b, y, 1e-10, 5000, nil, 0)
+	stPlain, err := mis2go.SolveCG(a, b, y, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 5000}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

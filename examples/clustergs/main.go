@@ -34,7 +34,7 @@ func main() {
 		setup := time.Since(start)
 		x := make([]float64, n)
 		start = time.Now()
-		st, err := mis2go.SolveGMRES(a, b, x, 1e-8, 800, 50, m, 0)
+		st, err := mis2go.SolveGMRES(a, b, x, 50, mis2go.SolveOptions{Tol: 1e-8, MaxIter: 800, M: m}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

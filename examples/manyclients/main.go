@@ -107,7 +107,7 @@ func main() {
 				log.Fatal(err)
 			}
 			x := make([]float64, a.Rows)
-			if _, err := mis2go.SolveCG(a, rhs[p], x, 1e-8, 400, h, 0); err != nil {
+			if _, err := mis2go.SolveCG(a, rhs[p], x, mis2go.SolveOptions{Tol: 1e-8, MaxIter: 400, M: h}, 0); err != nil {
 				log.Fatal(err)
 			}
 		}

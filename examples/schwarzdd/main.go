@@ -31,7 +31,7 @@ func main() {
 	solve := func(name string, m mis2go.Preconditioner) {
 		x := make([]float64, n)
 		start := time.Now()
-		st, err := mis2go.SolveCG(a, b, x, 1e-10, 3000, m, 0)
+		st, err := mis2go.SolveCG(a, b, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 3000, M: m}, 0)
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}

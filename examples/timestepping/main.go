@@ -99,7 +99,7 @@ func main() {
 			x[i] = u[i] // warm start from the previous field
 		}
 		start = time.Now()
-		st, err := mis2go.SolveCGWith(a, rhs, x, 1e-10, 200, h, 0, ws)
+		st, err := mis2go.SolveCG(a, rhs, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 200, M: h, Work: ws}, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

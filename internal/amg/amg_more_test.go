@@ -24,7 +24,7 @@ func TestMaxLevelsRespected(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 200, h)
+	st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 200, M: h})
 	if err != nil || !st.Converged {
 		t.Fatalf("2-level AMG failed: %v %+v", err, st)
 	}
@@ -45,7 +45,7 @@ func TestVCycleIterationCountGridIndependentish(t *testing.T) {
 			b[i] = math.Sin(0.01 * float64(i))
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 500, h)
+		st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: h})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestElasticityProblem(t *testing.T) {
 		b[i] = float64(i%5) - 2
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 500, h)
+	st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: h})
 	if err != nil || !st.Converged {
 		t.Fatalf("elasticity AMG failed: %v %+v", err, st)
 	}
@@ -141,7 +141,7 @@ func TestSGSSmoothers(t *testing.T) {
 			t.Fatalf("smoother %d: %v", sm, err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(rt, a, b, x, 1e-10, 400, h)
+		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: h})
 		if err != nil || !st.Converged {
 			t.Fatalf("smoother %d failed: %v %+v", sm, err, st)
 		}
@@ -181,7 +181,7 @@ func TestJacobiDampingOption(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(par.New(0), a, b, x, 1e-8, 300, h)
+		st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-8, MaxIter: 300, M: h})
 		if err != nil || !st.Converged {
 			t.Fatalf("damping %.2f failed: %v %+v", damping, err, st)
 		}

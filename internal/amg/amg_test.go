@@ -73,7 +73,7 @@ func TestAMGPreconditionedCG(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(rt, a, b, x, 1e-12, 300, h)
+	st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-12, MaxIter: 300, M: h})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestAMGPreconditionedCG(t *testing.T) {
 	}
 	// AMG should beat unpreconditioned CG on iteration count.
 	y := make([]float64, a.Rows)
-	stPlain, err := krylov.CG(rt, a, b, y, 1e-12, 3000, nil)
+	stPlain, err := krylov.CGCtx(nil, rt, a, b, y, krylov.Options{Tol: 1e-12, MaxIter: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestAggregationSchemesAllWork(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(rt, a, b, x, 1e-10, 500, h)
+		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: h})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -129,11 +129,11 @@ func TestUnsmoothedVsSmoothedProlongator(t *testing.T) {
 	}
 	xs := make([]float64, a.Rows)
 	xu := make([]float64, a.Rows)
-	sts, err := krylov.CG(rt, a, b, xs, 1e-10, 1000, hs)
+	sts, err := krylov.CGCtx(nil, rt, a, b, xs, krylov.Options{Tol: 1e-10, MaxIter: 1000, M: hs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stu, err := krylov.CG(rt, a, b, xu, 1e-10, 1000, hu)
+	stu, err := krylov.CGCtx(nil, rt, a, b, xu, krylov.Options{Tol: 1e-10, MaxIter: 1000, M: hu})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChebyshevSmoother(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(rt, a, b, x, 1e-10, 400, hCheb)
+	st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: hCheb})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +239,7 @@ func TestChebyshevSmoother(t *testing.T) {
 		t.Fatal(err)
 	}
 	y := make([]float64, a.Rows)
-	stJ, err := krylov.CG(rt, a, b, y, 1e-10, 400, hJac)
+	stJ, err := krylov.CGCtx(nil, rt, a, b, y, krylov.Options{Tol: 1e-10, MaxIter: 400, M: hJac})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestChebyshevDegreeImprovesSmoothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(rt, a, b, x, 1e-10, 400, h)
+		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: h})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestWeightedProblem(t *testing.T) {
 		b[i] = float64(i % 3)
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 400, h)
+	st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: h})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func Table5(cfg Config) {
 				x[i] = 0
 			}
 			var err error
-			st, err = krylov.CG(rt, a, b, x, tol, 1000, h)
+			st, err = krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: tol, MaxIter: 1000, M: h})
 			if err != nil {
 				fmt.Fprintf(cfg.Out, "  (%s: %v)\n", s.Name, err)
 			}
@@ -226,7 +226,7 @@ func Table6(cfg Config) {
 				for i := range x {
 					x[i] = 0
 				}
-				st, _ = krylov.GMRES(rt, a, b, x, tol, maxIter, 50, m)
+				st, _ = krylov.GMRESCtx(nil, rt, a, b, x, 50, krylov.Options{Tol: tol, MaxIter: maxIter, M: m})
 			})
 			return st, d
 		}

@@ -55,7 +55,7 @@ func Smoothers(cfg Config) {
 			for i := range x {
 				x[i] = 0
 			}
-			st, _ = krylov.CG(rt, a, b, x, 1e-10, 500, h)
+			st, _ = krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: h})
 		})
 		fmt.Fprintf(cfg.Out, "%-14s %7d %10.4f %10.4f\n",
 			s.name, st.Iterations, dSetup.Seconds(), dSolve.Seconds())

@@ -153,12 +153,12 @@ func TestClusterReducesIterationsVsPoint(t *testing.T) {
 	}
 
 	xp := make([]float64, n)
-	stP, err := krylov.GMRES(rt, a, b, xp, 1e-8, 800, 50, point)
+	stP, err := krylov.GMRESCtx(nil, rt, a, b, xp, 50, krylov.Options{Tol: 1e-8, MaxIter: 800, M: point})
 	if err != nil {
 		t.Fatal(err)
 	}
 	xc := make([]float64, n)
-	stC, err := krylov.GMRES(rt, a, b, xc, 1e-8, 800, 50, cluster)
+	stC, err := krylov.GMRESCtx(nil, rt, a, b, xc, 50, krylov.Options{Tol: 1e-8, MaxIter: 800, M: cluster})
 	if err != nil {
 		t.Fatal(err)
 	}

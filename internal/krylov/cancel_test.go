@@ -1,8 +1,8 @@
-// Cancellation tests: the Ctx solver variants must observe a canceled
-// context from inside the iteration loop (not just at entry), report
-// partial progress in Stats, wrap ErrCanceled with the context cause,
-// and — with an uncanceled context — remain bitwise identical to the
-// context-free entry points.
+// Cancellation tests: the solvers must observe a canceled context from
+// inside the iteration loop (not just at entry), report partial
+// progress in Stats, wrap ErrCanceled with the context cause, and —
+// with an uncanceled context — remain bitwise identical to a solve with
+// a nil context.
 package krylov
 
 import (
@@ -44,7 +44,7 @@ func TestCGCtxCanceledMidSolve(t *testing.T) {
 	x := make([]float64, a.Rows)
 	const allow = 5
 	ctx := newCountdownCtx(allow)
-	st, err := CGCtx(ctx, rt, a, b, x, 1e-12, 2000, nil, nil, nil)
+	st, err := CGCtx(ctx, rt, a, b, x, Options{Tol: 1e-12, MaxIter: 2000})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -69,7 +69,7 @@ func TestCGCtxCanceledBeforeStart(t *testing.T) {
 	x := make([]float64, a.Rows)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	st, err := CGCtx(ctx, par.New(1), a, b, x, 1e-10, 100, nil, nil, nil)
+	st, err := CGCtx(ctx, par.New(1), a, b, x, Options{Tol: 1e-10, MaxIter: 100})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
@@ -88,7 +88,7 @@ func TestCGCtxDeadlineCause(t *testing.T) {
 	x := make([]float64, a.Rows)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	_, err := CGCtx(ctx, par.New(1), a, b, x, 1e-12, 1000, nil, nil, nil)
+	_, err := CGCtx(ctx, par.New(1), a, b, x, Options{Tol: 1e-12, MaxIter: 1000})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want ErrCanceled wrapping DeadlineExceeded, got %v", err)
 	}
@@ -99,8 +99,8 @@ func TestCGCtxBackgroundBitwiseIdentical(t *testing.T) {
 	rt := par.New(4)
 	x1 := make([]float64, a.Rows)
 	x2 := make([]float64, a.Rows)
-	st1, err1 := CGWith(rt, a, b, x1, 1e-10, 500, nil, nil)
-	st2, err2 := CGCtx(context.Background(), rt, a, b, x2, 1e-10, 500, nil, nil, nil)
+	st1, err1 := CGCtx(nil, rt, a, b, x1, Options{Tol: 1e-10, MaxIter: 500})
+	st2, err2 := CGCtx(context.Background(), rt, a, b, x2, Options{Tol: 1e-10, MaxIter: 500})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -128,7 +128,7 @@ func TestCGBatchCtxCanceledMidSolve(t *testing.T) {
 	x := make([]float64, n*k)
 	const allow = 4
 	ctx := newCountdownCtx(allow)
-	stats, err := CGBatchCtx(ctx, rt, a, bb, x, k, 1e-12, 2000, nil, nil, nil)
+	stats, err := CGBatchCtx(ctx, rt, a, bb, x, k, Options{Tol: 1e-12, MaxIter: 2000})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
@@ -154,7 +154,7 @@ func TestCGBatchCtxCanceledBeforeStart(t *testing.T) {
 	x := make([]float64, n)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stats, err := CGBatchCtx(ctx, par.New(1), a, b, x, 1, 1e-10, 100, nil, nil, nil)
+	stats, err := CGBatchCtx(ctx, par.New(1), a, b, x, 1, Options{Tol: 1e-10, MaxIter: 100})
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -181,8 +181,8 @@ func TestCGBatchCtxBackgroundBitwiseIdentical(t *testing.T) {
 	}
 	x1 := make([]float64, n*k)
 	x2 := make([]float64, n*k)
-	s1, err1 := CGBatchWith(rt, a, append([]float64(nil), bb...), x1, k, 1e-10, 500, nil, nil)
-	s2, err2 := CGBatchCtx(context.Background(), rt, a, bb, x2, k, 1e-10, 500, nil, nil, nil)
+	s1, err1 := CGBatchCtx(nil, rt, a, append([]float64(nil), bb...), x1, k, Options{Tol: 1e-10, MaxIter: 500})
+	s2, err2 := CGBatchCtx(context.Background(), rt, a, bb, x2, k, Options{Tol: 1e-10, MaxIter: 500})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
@@ -204,7 +204,7 @@ func TestGMRESCtxCanceledMidSolve(t *testing.T) {
 	x := make([]float64, a.Rows)
 	const allow = 6
 	ctx := newCountdownCtx(allow)
-	st, err := GMRESCtx(ctx, rt, a, b, x, 1e-12, 3000, 30, nil, nil, nil)
+	st, err := GMRESCtx(ctx, rt, a, b, x, 30, Options{Tol: 1e-12, MaxIter: 3000})
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
@@ -229,8 +229,8 @@ func TestGMRESCtxBackgroundBitwiseIdentical(t *testing.T) {
 	rt := par.New(2)
 	x1 := make([]float64, a.Rows)
 	x2 := make([]float64, a.Rows)
-	st1, err1 := GMRESWith(rt, a, b, x1, 1e-10, 2000, 40, nil, nil)
-	st2, err2 := GMRESCtx(context.Background(), rt, a, b, x2, 1e-10, 2000, 40, nil, nil, nil)
+	st1, err1 := GMRESCtx(nil, rt, a, b, x1, 40, Options{Tol: 1e-10, MaxIter: 2000})
+	st2, err2 := GMRESCtx(context.Background(), rt, a, b, x2, 40, Options{Tol: 1e-10, MaxIter: 2000})
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}

@@ -81,14 +81,14 @@ func TestHealthCGNaNRHS(t *testing.T) {
 	a, b, _ := spdProblem(10, 10)
 	b[3] = math.NaN()
 	x := make([]float64, a.Rows)
-	st, err := CGCtx(nil, par.New(2), a, b, x, 1e-10, 500, nil, nil, DefaultHealth())
+	st, err := CGCtx(nil, par.New(2), a, b, x, Options{Tol: 1e-10, MaxIter: 500, Health: DefaultHealth()})
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("want ErrNonFinite, got %v", err)
 	}
 	if st.Iterations != 0 {
 		t.Fatalf("guard should trip before the first iteration, ran %d", st.Iterations)
 	}
-	if _, err := CGCtx(nil, par.New(2), a, b, x, 1e-10, 500, nil, nil, nil); !errors.Is(err, ErrNotConverged) {
+	if _, err := CGCtx(nil, par.New(2), a, b, x, Options{Tol: 1e-10, MaxIter: 500}); !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("unguarded NaN solve: want ErrNotConverged, got %v", err)
 	}
 }
@@ -107,7 +107,7 @@ func TestHealthCGStagnationOnNearSingular(t *testing.T) {
 	}
 	x := make([]float64, n)
 	hg := &Health{StagnationWindow: 30}
-	st, err := CGCtx(nil, par.New(2), a, b, x, 1e-14, 5000, nil, nil, hg)
+	st, err := CGCtx(nil, par.New(2), a, b, x, Options{Tol: 1e-14, MaxIter: 5000, Health: hg})
 	if !errors.Is(err, ErrStagnated) {
 		t.Fatalf("want ErrStagnated, got %v (stats %+v)", err, st)
 	}
@@ -124,7 +124,7 @@ func TestHealthCGBreakdownClassified(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, 10)
-	if _, err := CG(par.New(1), a, b, x, 1e-8, 50, nil); !errors.Is(err, ErrBreakdown) {
+	if _, err := CGCtx(nil, par.New(1), a, b, x, Options{Tol: 1e-8, MaxIter: 50}); !errors.Is(err, ErrBreakdown) {
 		t.Fatalf("want ErrBreakdown, got %v", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestHealthGMRESNaNRHS(t *testing.T) {
 	a, b, _ := spdProblem(10, 10)
 	b[0] = math.NaN()
 	x := make([]float64, a.Rows)
-	if _, err := GMRESCtx(nil, par.New(2), a, b, x, 1e-10, 300, 30, nil, nil, DefaultHealth()); !errors.Is(err, ErrNonFinite) {
+	if _, err := GMRESCtx(nil, par.New(2), a, b, x, 30, Options{Tol: 1e-10, MaxIter: 300, Health: DefaultHealth()}); !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("want ErrNonFinite, got %v", err)
 	}
 }
@@ -153,7 +153,7 @@ func TestHealthCGBatchColumnClassified(t *testing.T) {
 	b[5*k+1] = math.NaN() // poison column 1 only
 	x := make([]float64, n*k)
 	ws := NewWorkspace(n)
-	_, err := CGBatchCtx(nil, par.New(2), a, b, x, k, 1e-10, 500, nil, ws, DefaultHealth())
+	_, err := CGBatchCtx(nil, par.New(2), a, b, x, k, Options{Tol: 1e-10, MaxIter: 500, Work: ws, Health: DefaultHealth()})
 	if !errors.Is(err, ErrNonFinite) {
 		t.Fatalf("want ErrNonFinite, got %v", err)
 	}
@@ -165,13 +165,13 @@ func TestHealthCGBatchColumnClassified(t *testing.T) {
 func TestHealthGuardBitwiseIdentical(t *testing.T) {
 	a, b, _ := spdProblem(20, 20)
 	ref := make([]float64, a.Rows)
-	stRef, err := CGCtx(nil, par.New(1), a, b, ref, 1e-10, 2000, nil, nil, nil)
+	stRef, err := CGCtx(nil, par.New(1), a, b, ref, Options{Tol: 1e-10, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 2, 8} {
 		x := make([]float64, a.Rows)
-		st, err := CGCtx(nil, par.New(threads), a, b, x, 1e-10, 2000, nil, nil, DefaultHealth())
+		st, err := CGCtx(nil, par.New(threads), a, b, x, Options{Tol: 1e-10, MaxIter: 2000, Health: DefaultHealth()})
 		if err != nil {
 			t.Fatalf("threads %d: %v", threads, err)
 		}
@@ -206,7 +206,7 @@ func TestHealthCGBatchFalseConvergenceClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, n)
-	stats, err := CGBatch(par.New(1), a, b, x, 1, 1e-8, 500, h)
+	stats, err := CGBatchCtx(nil, par.New(1), a, b, x, 1, Options{Tol: 1e-8, MaxIter: 500, M: h})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged (false convergence), got %v", err)
 	}

@@ -40,7 +40,7 @@ type Preconditioner interface {
 // BatchPreconditioner is implemented by preconditioners that can apply
 // M^{-1} to k residual columns stored in the interleaved multi-RHS
 // layout (the k values of row i contiguous at [i*k : (i+1)*k]) in one
-// pass. CGBatch uses it when available; other preconditioners are
+// pass. CGBatchCtx uses it when available; other preconditioners are
 // applied column by column through de-interleaving scratch.
 type BatchPreconditioner interface {
 	PreconditionBatch(r, z []float64, k int)
@@ -167,12 +167,13 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Workspace holds the scratch vectors of CG, CGBatch and GMRES so that
-// repeated solves allocate nothing. A zero Workspace is ready for use;
-// buffers grow on demand and are retained between solves. Every solve
-// re-slices all scratch to exactly the system size, so a workspace may
-// be reused freely across systems of different sizes: results are
-// bitwise identical to a fresh workspace. Not safe for concurrent use.
+// Workspace holds the scratch vectors of CGCtx, CGBatchCtx and GMRESCtx
+// so that repeated solves allocate nothing. A zero Workspace is ready
+// for use; buffers grow on demand and are retained between solves.
+// Every solve re-slices all scratch to exactly the system size, so a
+// workspace may be reused freely across systems of different sizes:
+// results are bitwise identical to a fresh workspace. Not safe for
+// concurrent use.
 type Workspace struct {
 	r, z, p, ap []float64
 	// GMRES state (allocated only when GMRES is used).
@@ -276,40 +277,52 @@ func (w *Workspace) ensureGuard(k int) {
 	}
 }
 
-// CG solves A x = b for SPD A with the preconditioned conjugate gradient
-// method. x holds the initial guess on entry and the solution on exit.
-// Iterations stop when the recurrence residual drops below tol*||b|| or
-// maxIter is reached; Stats reports the true final residual. a is any
-// operator format (CSR or SELL, in either value precision); formats
-// produce bit-identical kernels, so the solve trajectory is independent
-// of the format choice. The recurrence is always float64: an f32-valued
-// operator perturbs the matvec results (values were rounded once at
-// store time) but never the arithmetic of the iteration itself.
-func CG(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter int, m Preconditioner) (Stats, error) {
-	return CGWith(rt, a, b, x, tol, maxIter, m, nil)
+// Options configures one solve of CGCtx, GMRESCtx or CGBatchCtx. Every
+// field's zero value keeps its documented default, so callers set only
+// the fields they need.
+type Options struct {
+	// Tol is the relative residual tolerance: a solve stops once its
+	// residual drops below Tol*||b||.
+	Tol float64
+	// MaxIter bounds the iterations (matrix-vector products for CG,
+	// inner iterations for GMRES). MaxIter <= 0 reports the initial
+	// residual without touching x.
+	MaxIter int
+	// M is the preconditioner; nil means Identity().
+	M Preconditioner
+	// Work holds the solver's scratch vectors; repeated solves through
+	// one Workspace perform no allocations. nil allocates a temporary
+	// workspace.
+	Work *Workspace
+	// Health is the per-iteration health guard; nil means no guard.
+	Health *Health
 }
 
-// CGWith is CG with a caller-provided Workspace; repeated solves through
-// the same Workspace perform no allocations. ws may be nil, in which
-// case a temporary workspace is allocated.
-func CGWith(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, ws *Workspace) (Stats, error) {
-	return CGCtx(context.Background(), rt, a, b, x, tol, maxIter, m, ws, nil)
-}
-
-// CGCtx is CGWith with cooperative cancellation and an optional health
-// guard: the context is checked once before the setup products and at
-// the top of every iteration, so a canceled caller stops paying for
-// matrix traversals within one iteration. Cancellation returns an error
+// CGCtx solves A x = b for SPD A with the preconditioned conjugate
+// gradient method. x holds the initial guess on entry and the solution
+// on exit. Iterations stop when the recurrence residual drops below
+// o.Tol*||b|| or o.MaxIter is reached; Stats reports the true final
+// residual. a is any operator format (CSR or SELL, in either value
+// precision); formats produce bit-identical kernels, so the solve
+// trajectory is independent of the format choice. The recurrence is
+// always float64: an f32-valued operator perturbs the matvec results
+// (values were rounded once at store time) but never the arithmetic of
+// the iteration itself.
+//
+// The context is checked once before the setup products and at the top
+// of every iteration, so a canceled caller stops paying for matrix
+// traversals within one iteration. Cancellation returns an error
 // wrapping ErrCanceled (and the context's cause); x then holds the
-// partial iterate. A non-nil hg watches the per-iteration relative
+// partial iterate. A non-nil o.Health watches the per-iteration relative
 // recurrence residual (the value the convergence test already computed)
 // and aborts a non-finite, diverging, or stagnating solve with a
 // classified error (ErrNonFinite, ErrDiverged, ErrStagnated); x then
 // holds the iterate at abort. Neither check changes the arithmetic:
 // with an uncanceled context and a healthy solve the result is bitwise
-// identical to CGWith. ctx may be nil (treated as context.Background());
-// hg may be nil (no guard).
-func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, ws *Workspace, hg *Health) (Stats, error) {
+// identical to a solve with a nil context and no guard. ctx may be nil
+// (treated as context.Background()).
+func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, o Options) (Stats, error) {
+	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
 	n, _ := a.Dims()
 	if len(b) != n || len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: CG size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
@@ -421,33 +434,32 @@ func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float
 	return st, nil
 }
 
-// GMRES solves A x = b with left-preconditioned restarted GMRES(restart).
-// x holds the initial guess on entry and the solution on exit.
-func GMRES(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter, restart int, m Preconditioner) (Stats, error) {
-	return GMRESWith(rt, a, b, x, tol, maxIter, restart, m, nil)
+// CGWith is CGCtx with positional arguments and a background context.
+// It remains only because cmd/amgbench, which changes only together
+// with the benchmark, compiles against it; delete it with the next
+// benchmark change.
+func CGWith(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, ws *Workspace) (Stats, error) {
+	return CGCtx(context.Background(), rt, a, b, x, Options{Tol: tol, MaxIter: maxIter, M: m, Work: ws})
 }
 
-// GMRESWith is GMRES with a caller-provided Workspace; repeated solves
-// through the same Workspace perform no allocations. ws may be nil.
-func GMRESWith(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter, restart int, m Preconditioner, ws *Workspace) (Stats, error) {
-	return GMRESCtx(context.Background(), rt, a, b, x, tol, maxIter, restart, m, ws, nil)
-}
-
-// GMRESCtx is GMRESWith with cooperative cancellation, checked at the
-// top of every inner (Arnoldi) iteration, and an optional health guard
-// watching the per-iteration recurrence residual estimate |s[k+1]|/
-// ||M^{-1}b||. On cancellation x holds the iterate of the last
-// *completed* restart cycle — the in-progress cycle's correction is
-// discarded, not applied half-built — and the reported residual is the
-// recurrence estimate of that unfinished cycle; a guard abort behaves
-// the same way (the unfinished cycle is discarded). With an uncanceled
-// context and a healthy solve the result is bitwise identical to
-// GMRESWith. ctx may be nil (treated as context.Background()); hg may
-// be nil (no guard).
-func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, maxIter, restart int, m Preconditioner, ws *Workspace, hg *Health) (Stats, error) {
+// GMRESCtx solves A x = b with left-preconditioned restarted
+// GMRES(restart); restart <= 0 selects 50, and restart is clamped to
+// o.MaxIter. x holds the initial guess on entry and the solution on
+// exit. The context is checked at the top of every inner (Arnoldi)
+// iteration, and a non-nil o.Health watches the per-iteration
+// recurrence residual estimate |s[k+1]|/||M^{-1}b||. On cancellation x
+// holds the iterate of the last *completed* restart cycle — the
+// in-progress cycle's correction is discarded, not applied half-built —
+// and the reported residual is the recurrence estimate of that
+// unfinished cycle; a guard abort behaves the same way (the unfinished
+// cycle is discarded). With an uncanceled context and a healthy solve
+// the result is bitwise identical to a solve with a nil context and no
+// guard. ctx may be nil (treated as context.Background()).
+func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, restart int, o Options) (Stats, error) {
+	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
 	n, _ := a.Dims()
 	if len(b) != n || len(x) != n {
-		return Stats{}, fmt.Errorf("krylov: GMRES size mismatch")
+		return Stats{}, fmt.Errorf("krylov: GMRES size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
 	}
 	if m == nil {
 		m = Identity()
@@ -625,20 +637,6 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 	return st, nil
 }
 
-// CGBatch solves the k systems A x_j = b_j simultaneously with the
-// preconditioned conjugate gradient method, sharing one SpMM traversal
-// of A per iteration across all right-hand sides. b and x use the
-// interleaved multi-RHS layout of sparse.SpMM (the k values of row i
-// contiguous at [i*k : (i+1)*k]); x holds the initial guesses on entry
-// and the solutions on exit. Each column runs its own scalar recurrence;
-// a column that converges (or has a zero right-hand side, solved as
-// x_j = 0 in 0 iterations) is frozen — its alpha and beta are pinned to
-// zero so the shared vector updates become exact no-ops — while the
-// remaining columns iterate. Deterministic for every worker count.
-func CGBatch(rt *par.Runtime, a sparse.Operator, b, x []float64, k int, tol float64, maxIter int, m Preconditioner) ([]Stats, error) {
-	return CGBatchWith(rt, a, b, x, k, tol, maxIter, m, nil)
-}
-
 // preconditionBatch applies m to k interleaved columns, using the batch
 // fast path when m implements BatchPreconditioner and column-by-column
 // de-interleaving through rc/zc otherwise. In the de-interleave path a
@@ -666,29 +664,34 @@ func preconditionBatch(m Preconditioner, r, z []float64, n, k int, rc, zc []floa
 	}
 }
 
-// CGBatchWith is CGBatch with a caller-provided Workspace; repeated
-// batch solves through the same Workspace perform no allocations. The
+// CGBatchCtx solves the k systems A x_j = b_j simultaneously with the
+// preconditioned conjugate gradient method, sharing one SpMM traversal
+// of A per iteration across all right-hand sides. b and x use the
+// interleaved multi-RHS layout of sparse.SpMM (the k values of row i
+// contiguous at [i*k : (i+1)*k]); x holds the initial guesses on entry
+// and the solutions on exit. Each column runs its own scalar recurrence;
+// a column that converges (or has a zero right-hand side, solved as
+// x_j = 0 in 0 iterations) is frozen — its alpha and beta are pinned to
+// zero so the shared vector updates become exact no-ops — while the
+// remaining columns iterate. Deterministic for every worker count. The
 // returned Stats slice (one entry per column) is owned by the workspace
-// and overwritten by the next batch solve through it. ws may be nil.
-func CGBatchWith(rt *par.Runtime, a sparse.Operator, b, x []float64, k int, tol float64, maxIter int, m Preconditioner, ws *Workspace) ([]Stats, error) {
-	return CGBatchCtx(context.Background(), rt, a, b, x, k, tol, maxIter, m, ws, nil)
-}
-
-// CGBatchCtx is CGBatchWith with cooperative cancellation, checked once
-// before the setup products and at the top of every iteration, and an
-// optional per-column health guard. On cancellation every still-active
-// column reports its iteration count and recurrence residual (Converged
-// false), columns frozen earlier keep their recurrence result (like the
-// breakdown path), and the error wraps ErrCanceled plus the context's
-// cause. A non-nil hg watches each active column's relative recurrence
-// residual; a column turning non-finite, divergent, or stagnant aborts
-// the whole batch the way a breakdown does — all columns share the one
-// operator, so the failure is a property of the system, not the column —
-// with a classified error naming the first offending column. With an
-// uncanceled context and a healthy solve the result is bitwise identical
-// to CGBatchWith. ctx may be nil (treated as context.Background()); hg
-// may be nil (no guard).
-func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, k int, tol float64, maxIter int, m Preconditioner, ws *Workspace, hg *Health) ([]Stats, error) {
+// and overwritten by the next batch solve through it.
+//
+// The context is checked once before the setup products and at the top
+// of every iteration. On cancellation every still-active column reports
+// its iteration count and recurrence residual (Converged false), columns
+// frozen earlier keep their recurrence result (like the breakdown path),
+// and the error wraps ErrCanceled plus the context's cause. A non-nil
+// o.Health watches each active column's relative recurrence residual; a
+// column turning non-finite, divergent, or stagnant aborts the whole
+// batch the way a breakdown does — all columns share the one operator,
+// so the failure is a property of the system, not the column — with a
+// classified error naming the first offending column. With an
+// uncanceled context and a healthy solve the result is bitwise
+// identical to a solve with a nil context and no guard. ctx may be nil
+// (treated as context.Background()).
+func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, k int, o Options) ([]Stats, error) {
+	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
 	n, _ := a.Dims()
 	if k <= 0 {
 		return nil, fmt.Errorf("krylov: CGBatch needs k >= 1, got %d", k)

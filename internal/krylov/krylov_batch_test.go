@@ -1,7 +1,9 @@
 package krylov
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mis2go/internal/gen"
@@ -31,7 +33,7 @@ func TestCGBatchSolvesAllColumns(t *testing.T) {
 				b[i*k+j] = float64((i*13+j*7)%17) - 8
 			}
 		}
-		stats, err := CGBatch(rt, a, b, x, k, 1e-10, 500, m)
+		stats, err := CGBatchCtx(nil, rt, a, b, x, k, Options{Tol: 1e-10, MaxIter: 500, M: m})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -82,11 +84,11 @@ func TestCGBatchGenericPreconditionerPath(t *testing.T) {
 		b[i] = float64(i%11) - 5
 	}
 	xBatch := make([]float64, n*k)
-	if _, err := CGBatch(rt, a, b, xBatch, k, 1e-10, 500, m); err != nil {
+	if _, err := CGBatchCtx(nil, rt, a, b, xBatch, k, Options{Tol: 1e-10, MaxIter: 500, M: m}); err != nil {
 		t.Fatal(err)
 	}
 	xGeneric := make([]float64, n*k)
-	if _, err := CGBatch(rt, a, b, xGeneric, k, 1e-10, 500, noBatchPrec{m}); err != nil {
+	if _, err := CGBatchCtx(nil, rt, a, b, xGeneric, k, Options{Tol: 1e-10, MaxIter: 500, M: noBatchPrec{m}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xBatch {
@@ -112,7 +114,7 @@ func TestCGBatchWorkspaceReuse(t *testing.T) {
 		for i := range b {
 			b[i] = float64(i%9) - 4
 		}
-		if _, err := CGBatchWith(rt, a, b, x, k, 1e-10, 500, nil, ws); err != nil {
+		if _, err := CGBatchCtx(nil, rt, a, b, x, k, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 		return x
@@ -135,29 +137,33 @@ func TestCGBatchWorkspaceReuse(t *testing.T) {
 	for i := range b {
 		b[i] = float64(i%9) - 4
 	}
-	if _, err := CGBatchWith(rt, small, b, x, k, 1e-10, 500, nil, ws); err != nil {
+	if _, err := CGBatchCtx(nil, rt, small, b, x, k, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(5, func() {
 		for i := range x {
 			x[i] = 0
 		}
-		if _, err := CGBatchWith(rt, small, b, x, k, 1e-10, 500, nil, ws); err != nil {
+		if _, err := CGBatchCtx(nil, rt, small, b, x, k, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("CGBatchWith steady state: %v allocs/op, want 0", allocs)
+		t.Fatalf("CGBatchCtx steady state: %v allocs/op, want 0", allocs)
 	}
 }
 
 func TestCGBatchRejectsBadShapes(t *testing.T) {
 	a := gen.Laplacian(gen.Laplace2D(4, 4), 1e-2)
 	rt := par.New(1)
-	if _, err := CGBatch(rt, a, make([]float64, a.Rows), make([]float64, a.Rows), 0, 1e-10, 10, nil); err == nil {
+	if _, err := CGBatchCtx(nil, rt, a, make([]float64, a.Rows), make([]float64, a.Rows), 0, Options{Tol: 1e-10, MaxIter: 10}); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := CGBatch(rt, a, make([]float64, a.Rows), make([]float64, 2*a.Rows), 2, 1e-10, 10, nil); err == nil {
+	if _, err := CGBatchCtx(nil, rt, a, make([]float64, a.Rows), make([]float64, 2*a.Rows), 2, Options{Tol: 1e-10, MaxIter: 10}); err == nil {
 		t.Fatal("short b accepted")
+	}
+	_, err := GMRESCtx(nil, rt, a, make([]float64, a.Rows), make([]float64, 3), 5, Options{Tol: 1e-10, MaxIter: 10})
+	if want := fmt.Sprintf("(n=%d, len(b)=%d, len(x)=3)", a.Rows, a.Rows); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("GMRES short x: got %v, want an error naming %s", err, want)
 	}
 }

@@ -13,7 +13,7 @@ func TestCGWarmStart(t *testing.T) {
 	a, b, xTrue := spdProblem(15, 15)
 	// Starting from the exact solution converges immediately.
 	x := append([]float64(nil), xTrue...)
-	st, err := CG(par.New(2), a, b, x, 1e-10, 100, nil)
+	st, err := CGCtx(nil, par.New(2), a, b, x, Options{Tol: 1e-10, MaxIter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,12 +25,12 @@ func TestCGWarmStart(t *testing.T) {
 	for i := range near {
 		near[i] += 1e-6 * math.Sin(float64(i))
 	}
-	stNear, err := CG(par.New(2), a, b, near, 1e-10, 2000, nil)
+	stNear, err := CGCtx(nil, par.New(2), a, b, near, Options{Tol: 1e-10, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	zero := make([]float64, a.Rows)
-	stZero, err := CG(par.New(2), a, b, zero, 1e-10, 2000, nil)
+	stZero, err := CGCtx(nil, par.New(2), a, b, zero, Options{Tol: 1e-10, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCGWarmStart(t *testing.T) {
 func TestGMRESSmallRestartStillConverges(t *testing.T) {
 	a, b, xTrue := spdProblem(12, 12)
 	x := make([]float64, a.Rows)
-	st, err := GMRES(par.New(2), a, b, x, 1e-9, 20000, 5, nil)
+	st, err := GMRESCtx(nil, par.New(2), a, b, x, 5, Options{Tol: 1e-9, MaxIter: 20000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestGMRESRestartClampedToMaxIter(t *testing.T) {
 	a, b, _ := spdProblem(8, 8)
 	x := make([]float64, a.Rows)
 	// restart > maxIter must not panic or over-run.
-	st, _ := GMRES(par.New(1), a, b, x, 1e-12, 10, 500, nil)
+	st, _ := GMRESCtx(nil, par.New(1), a, b, x, 500, Options{Tol: 1e-12, MaxIter: 10})
 	if st.Iterations > 10 {
 		t.Fatalf("exceeded maxIter: %d", st.Iterations)
 	}
@@ -68,7 +68,7 @@ func TestGMRESRestartClampedToMaxIter(t *testing.T) {
 
 func TestGMRESSizeMismatch(t *testing.T) {
 	a, b, _ := spdProblem(4, 4)
-	if _, err := GMRES(par.New(1), a, b, make([]float64, 2), 1e-8, 10, 5, nil); err == nil {
+	if _, err := GMRESCtx(nil, par.New(1), a, b, make([]float64, 2), 5, Options{Tol: 1e-8, MaxIter: 10}); err == nil {
 		t.Fatal("size mismatch not reported")
 	}
 }
@@ -76,7 +76,7 @@ func TestGMRESSizeMismatch(t *testing.T) {
 func TestStatsRelResidualAccurate(t *testing.T) {
 	a, b, _ := spdProblem(10, 10)
 	x := make([]float64, a.Rows)
-	st, err := CG(par.New(1), a, b, x, 1e-10, 2000, nil)
+	st, err := CGCtx(nil, par.New(1), a, b, x, Options{Tol: 1e-10, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestCGOnIllConditionedReportsHonestResidual(t *testing.T) {
 		b[i] = math.Sin(0.37 * float64(i))
 	}
 	x := make([]float64, n)
-	st, _ := CG(par.New(1), a, b, x, 1e-14, 3000, nil)
+	st, _ := CGCtx(nil, par.New(1), a, b, x, Options{Tol: 1e-14, MaxIter: 3000})
 	r := make([]float64, n)
 	a.SpMV(par.New(1), x, r)
 	num, den := 0.0, 0.0
@@ -131,11 +131,11 @@ func TestGMRESWithSPDPreconditionerMatchesCG(t *testing.T) {
 	}
 	prec := jacobiPrec{dinv}
 	x1 := make([]float64, a.Rows)
-	if _, err := CG(par.New(1), a, b, x1, 1e-11, 3000, prec); err != nil {
+	if _, err := CGCtx(nil, par.New(1), a, b, x1, Options{Tol: 1e-11, MaxIter: 3000, M: prec}); err != nil {
 		t.Fatal(err)
 	}
 	x2 := make([]float64, a.Rows)
-	if _, err := GMRES(par.New(1), a, b, x2, 1e-11, 3000, 80, prec); err != nil {
+	if _, err := GMRESCtx(nil, par.New(1), a, b, x2, 80, Options{Tol: 1e-11, MaxIter: 3000, M: prec}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range xTrue {
@@ -147,7 +147,7 @@ func TestGMRESWithSPDPreconditionerMatchesCG(t *testing.T) {
 
 func TestZeroMatrixDimension(t *testing.T) {
 	a := &sparse.Matrix{Rows: 0, Cols: 0, RowPtr: []int{0}}
-	st, err := CG(par.New(1), a, nil, nil, 1e-8, 10, nil)
+	st, err := CGCtx(nil, par.New(1), a, nil, nil, Options{Tol: 1e-8, MaxIter: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,13 +36,13 @@ func TestWorkspaceReuseAcrossSizes(t *testing.T) {
 
 		ws := &Workspace{}
 		xb := make([]float64, big.Rows)
-		if _, err := GMRESWith(rt, big, bb, xb, 1e-10, 500, 5, nil, ws); err != nil {
+		if _, err := GMRESCtx(nil, rt, big, bb, xb, 5, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 		reused := make([]float64, 10)
-		stReused, errReused := GMRESWith(rt, small, bs, reused, 0, 20, 5, nil, ws)
+		stReused, errReused := GMRESCtx(nil, rt, small, bs, reused, 5, Options{Tol: 0, MaxIter: 20, Work: ws})
 		fresh := make([]float64, 10)
-		stFresh, errFresh := GMRESWith(rt, small, bs, fresh, 0, 20, 5, nil, &Workspace{})
+		stFresh, errFresh := GMRESCtx(nil, rt, small, bs, fresh, 5, Options{Tol: 0, MaxIter: 20, Work: &Workspace{}})
 
 		if (errReused == nil) != (errFresh == nil) {
 			t.Fatalf("error mismatch: reused %v, fresh %v", errReused, errFresh)
@@ -72,15 +72,15 @@ func TestWorkspaceReuseAcrossSizes(t *testing.T) {
 		}
 		ws := &Workspace{}
 		xb := make([]float64, big.Rows)
-		if _, err := CGWith(rt, big, bb, xb, 1e-10, 500, nil, ws); err != nil {
+		if _, err := CGCtx(nil, rt, big, bb, xb, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 		reused := make([]float64, small.Rows)
-		if _, err := CGWith(rt, small, bs, reused, 1e-10, 500, nil, ws); err != nil {
+		if _, err := CGCtx(nil, rt, small, bs, reused, Options{Tol: 1e-10, MaxIter: 500, Work: ws}); err != nil {
 			t.Fatal(err)
 		}
 		fresh := make([]float64, small.Rows)
-		if _, err := CGWith(rt, small, bs, fresh, 1e-10, 500, nil, &Workspace{}); err != nil {
+		if _, err := CGCtx(nil, rt, small, bs, fresh, Options{Tol: 1e-10, MaxIter: 500, Work: &Workspace{}}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range reused {
@@ -105,10 +105,10 @@ func TestZeroRHSReturnsZero(t *testing.T) {
 	type solve func(x []float64, tol float64) (Stats, error)
 	solvers := map[string]solve{
 		"cg": func(x []float64, tol float64) (Stats, error) {
-			return CG(rt, a, zero, x, tol, 100, nil)
+			return CGCtx(nil, rt, a, zero, x, Options{Tol: tol, MaxIter: 100})
 		},
 		"gmres": func(x []float64, tol float64) (Stats, error) {
-			return GMRES(rt, a, zero, x, tol, 100, 10, nil)
+			return GMRESCtx(nil, rt, a, zero, x, 10, Options{Tol: tol, MaxIter: 100})
 		},
 	}
 	for name, run := range solvers {
@@ -145,7 +145,7 @@ func TestZeroRHSReturnsZero(t *testing.T) {
 		}
 		x[i*k+2] = 1 // nonzero guess in the zero column
 	}
-	stats, err := CGBatch(rt, a, b, x, k, 1e-10, 300, nil)
+	stats, err := CGBatchCtx(nil, rt, a, b, x, k, Options{Tol: 1e-10, MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,17 +207,17 @@ func TestMaxIterZeroReportsInitialResidual(t *testing.T) {
 	}
 
 	x := append([]float64(nil), guess...)
-	st, err := CG(rt, a, b, x, 1e-10, 0, nil)
+	st, err := CGCtx(nil, rt, a, b, x, Options{Tol: 1e-10, MaxIter: 0})
 	check("cg", st, err, x)
 
 	x = append([]float64(nil), guess...)
-	st, err = GMRES(rt, a, b, x, 1e-10, 0, 10, nil)
+	st, err = GMRESCtx(nil, rt, a, b, x, 10, Options{Tol: 1e-10, MaxIter: 0})
 	check("gmres", st, err, x)
 
 	// Negative maxIter must behave like 0, not clamp the restart into a
 	// negative Arnoldi dimension (which used to panic in make).
 	x = append([]float64(nil), guess...)
-	st, err = GMRES(rt, a, b, x, 1e-10, -2, 10, nil)
+	st, err = GMRESCtx(nil, rt, a, b, x, 10, Options{Tol: 1e-10, MaxIter: -2})
 	check("gmres maxIter=-2", st, err, x)
 
 	const k = 3
@@ -229,7 +229,7 @@ func TestMaxIterZeroReportsInitialResidual(t *testing.T) {
 			bb[i*k+j] = b[i]
 		}
 	}
-	stats, err := CGBatch(rt, a, bb, xb, k, 1e-10, 0, nil)
+	stats, err := CGBatchCtx(nil, rt, a, bb, xb, k, Options{Tol: 1e-10, MaxIter: 0})
 	if err == nil {
 		t.Fatal("batch: expected ErrNotConverged for maxIter=0")
 	}

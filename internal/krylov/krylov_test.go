@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -26,7 +27,7 @@ func spdProblem(nx, ny int) (*sparse.Matrix, []float64, []float64) {
 func TestCGConvergesOnSPD(t *testing.T) {
 	a, b, xTrue := spdProblem(20, 20)
 	x := make([]float64, a.Rows)
-	st, err := CG(par.New(4), a, b, x, 1e-10, 2000, nil)
+	st, err := CGCtx(nil, par.New(4), a, b, x, Options{Tol: 1e-10, MaxIter: 2000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestCGConvergesOnSPD(t *testing.T) {
 func TestCGIterationLimit(t *testing.T) {
 	a, b, _ := spdProblem(30, 30)
 	x := make([]float64, a.Rows)
-	_, err := CG(par.New(2), a, b, x, 1e-14, 3, nil)
+	_, err := CGCtx(nil, par.New(2), a, b, x, Options{Tol: 1e-14, MaxIter: 3})
 	if !errors.Is(err, ErrNotConverged) {
 		t.Fatalf("want ErrNotConverged, got %v", err)
 	}
@@ -51,7 +52,7 @@ func TestCGIterationLimit(t *testing.T) {
 
 func TestCGSizeMismatch(t *testing.T) {
 	a, b, _ := spdProblem(5, 5)
-	if _, err := CG(par.New(1), a, b, make([]float64, 3), 1e-8, 10, nil); err == nil {
+	if _, err := CGCtx(nil, par.New(1), a, b, make([]float64, 3), Options{Tol: 1e-8, MaxIter: 10}); err == nil {
 		t.Fatal("size mismatch not reported")
 	}
 }
@@ -65,7 +66,7 @@ func TestCGDetectsIndefinite(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, 10)
-	if _, err := CG(par.New(1), a, b, x, 1e-8, 50, nil); err == nil {
+	if _, err := CGCtx(nil, par.New(1), a, b, x, Options{Tol: 1e-8, MaxIter: 50}); err == nil {
 		t.Fatal("indefinite matrix not detected")
 	}
 }
@@ -73,7 +74,7 @@ func TestCGDetectsIndefinite(t *testing.T) {
 func TestGMRESConvergesOnSPD(t *testing.T) {
 	a, b, xTrue := spdProblem(15, 15)
 	x := make([]float64, a.Rows)
-	st, err := GMRES(par.New(4), a, b, x, 1e-10, 3000, 60, nil)
+	st, err := GMRESCtx(nil, par.New(4), a, b, x, 60, Options{Tol: 1e-10, MaxIter: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestGMRESOnNonsymmetric(t *testing.T) {
 	b := make([]float64, n)
 	a.SpMV(par.New(1), xTrue, b)
 	x := make([]float64, n)
-	st, err := GMRES(par.New(2), a, b, x, 1e-10, 1000, 50, nil)
+	st, err := GMRESCtx(nil, par.New(2), a, b, x, 50, Options{Tol: 1e-10, MaxIter: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestPreconditioningReducesCGIterations(t *testing.T) {
 		b[i] = math.Sin(0.3*float64(i)) + 0.2*float64(i%11)
 	}
 	plain := make([]float64, n)
-	stPlain, err := CG(par.New(4), a, b, plain, 1e-8, 5000, nil)
+	stPlain, err := CGCtx(nil, par.New(4), a, b, plain, Options{Tol: 1e-8, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +156,7 @@ func TestPreconditioningReducesCGIterations(t *testing.T) {
 		dinv[i] = 1 / d[i]
 	}
 	pre := make([]float64, n)
-	stPre, err := CG(par.New(4), a, b, pre, 1e-8, 5000, jacobiPrec{dinv})
+	stPre, err := CGCtx(nil, par.New(4), a, b, pre, Options{Tol: 1e-8, MaxIter: 5000, M: jacobiPrec{dinv}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestGMRESZeroRHS(t *testing.T) {
 	a, _, _ := spdProblem(5, 5)
 	b := make([]float64, a.Rows)
 	x := make([]float64, a.Rows)
-	st, err := GMRES(par.New(1), a, b, x, 1e-10, 100, 20, nil)
+	st, err := GMRESCtx(nil, par.New(1), a, b, x, 20, Options{Tol: 1e-10, MaxIter: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +185,86 @@ func TestIdentityPreconditioner(t *testing.T) {
 	for i := range r {
 		if z[i] != r[i] {
 			t.Fatal("identity preconditioner must copy")
+		}
+	}
+}
+
+// TestOptionsDefaults pins the zero-value meanings of Options: nil ctx,
+// M, Work and Health give bitwise the same solve as
+// context.Background(), Identity(), a fresh Workspace and no guard, for
+// every solver at 1/2/8 workers. It also pins the CGWith shim to CGCtx.
+func TestOptionsDefaults(t *testing.T) {
+	a := gen.Laplacian(gen.Laplace3D(8, 8, 8), 1e-2)
+	n := a.Rows
+	const k = 3
+	b := make([]float64, n*k)
+	for i := range b {
+		b[i] = float64(i%11) - 5
+	}
+	type solve func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error)
+	solvers := []struct {
+		name string
+		run  solve
+	}{
+		{"CG", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+			x := make([]float64, n)
+			st, err := CGCtx(ctx, rt, a, b[:n], x, o)
+			return x, []Stats{st}, err
+		}},
+		{"GMRES", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+			x := make([]float64, n)
+			st, err := GMRESCtx(ctx, rt, a, b[:n], x, 20, o)
+			return x, []Stats{st}, err
+		}},
+		{"CGBatch", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+			x := make([]float64, n*k)
+			st, err := CGBatchCtx(ctx, rt, a, b, x, k, o)
+			return x, append([]Stats(nil), st...), err
+		}},
+		{"CGWith", func(_ context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+			x := make([]float64, n)
+			st, err := CGWith(rt, a, b[:n], x, o.Tol, o.MaxIter, o.M, o.Work)
+			return x, []Stats{st}, err
+		}},
+	}
+	same := func(t *testing.T, what string, x0, x1 []float64, st0, st1 []Stats) {
+		t.Helper()
+		if len(st0) != len(st1) {
+			t.Fatalf("%s: %d stats vs %d", what, len(st1), len(st0))
+		}
+		for j := range st0 {
+			if st0[j] != st1[j] {
+				t.Fatalf("%s: column %d stats %+v, want %+v", what, j, st1[j], st0[j])
+			}
+		}
+		for i := range x0 {
+			if math.Float64bits(x0[i]) != math.Float64bits(x1[i]) {
+				t.Fatalf("%s: x[%d] = %x, want %x", what, i, math.Float64bits(x1[i]), math.Float64bits(x0[i]))
+			}
+		}
+	}
+	base := Options{Tol: 1e-10, MaxIter: 200}
+	for _, s := range solvers {
+		for _, w := range []int{1, 2, 8} {
+			rt := par.New(w)
+			x0, st0, err := s.run(nil, rt, base)
+			if err != nil {
+				t.Fatalf("%s at %d workers, zero options: %v", s.name, w, err)
+			}
+			explicit := base
+			explicit.M, explicit.Work = Identity(), &Workspace{}
+			x1, st1, err := s.run(context.Background(), rt, explicit)
+			if err != nil {
+				t.Fatalf("%s at %d workers, explicit options: %v", s.name, w, err)
+			}
+			same(t, s.name+" explicit vs zero options", x0, x1, st0, st1)
+			if s.name == "CGWith" {
+				xc, stc, err := solvers[0].run(nil, rt, base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(t, "CGWith vs CGCtx", xc, x0, stc, st0)
+			}
 		}
 	}
 }

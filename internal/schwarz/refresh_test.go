@@ -77,7 +77,7 @@ func TestOverlapZeroDefaultVsExplicit(t *testing.T) {
 	}
 	for _, p := range []*Preconditioner{p0, p1} {
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 2000, p)
+		st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 2000, M: p})
 		if err != nil || !st.Converged {
 			t.Fatalf("overlap=%d solve failed: %v %+v", p.Stats().Overlap, err, st)
 		}

@@ -380,7 +380,7 @@ func newCoarseLevel(rt *par.Runtime, a *sparse.Matrix, lay *layout, opt Options)
 	p0 := coarsen.Prolongator(agg)
 	tp := sparse.PlanTranspose(rt, p0)
 	r0 := tp.NewMatrix()
-	if err := tp.Numeric(rt, p0, r0); err != nil {
+	if err := tp.Replay(rt, p0, r0); err != nil {
 		return nil, fmt.Errorf("schwarz: coarse restriction: %w", err)
 	}
 	rap, err := sparse.PlanRAP(rt, r0, a, p0)
@@ -388,7 +388,7 @@ func newCoarseLevel(rt *par.Runtime, a *sparse.Matrix, lay *layout, opt Options)
 		return nil, fmt.Errorf("schwarz: coarse Galerkin plan: %w", err)
 	}
 	ac := rap.NewMatrix()
-	if err := rap.Numeric(rt, r0, a, p0, ac); err != nil {
+	if err := rap.Replay(rt, r0, a, p0, ac); err != nil {
 		return nil, fmt.Errorf("schwarz: coarse Galerkin: %w", err)
 	}
 	c := &coarseLevel{p0: p0, r0: r0, rap: rap, ac: ac, nc: agg.NumAggregates}

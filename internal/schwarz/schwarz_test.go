@@ -30,13 +30,13 @@ func TestSchwarzPreconditionedCG(t *testing.T) {
 		t.Fatalf("unexpected structure: %d subdomains, coarse=%v", p.NumSubdomains(), p.HasCoarse())
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(par.New(0), a, b, x, 1e-10, 500, p)
+	st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: p})
 	if err != nil || !st.Converged {
 		t.Fatalf("Schwarz-CG failed: %v %+v", err, st)
 	}
 	// Must beat unpreconditioned CG.
 	y := make([]float64, a.Rows)
-	stPlain, err := krylov.CG(par.New(0), a, b, y, 1e-10, 5000, nil)
+	stPlain, err := krylov.CGCtx(nil, par.New(0), a, b, y, krylov.Options{Tol: 1e-10, MaxIter: 5000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestCoarseLevelHelps(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(rt, a, b, x, 1e-10, 1000, p)
+		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 1000, M: p})
 		if err != nil || !st.Converged {
 			t.Fatalf("noCoarse=%v: %v %+v", noCoarse, err, st)
 		}
@@ -77,7 +77,7 @@ func TestOverlapImprovesConvergence(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, a.Rows)
-		st, err := krylov.CG(rt, a, b, x, 1e-10, 2000, p)
+		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 2000, M: p})
 		if err != nil || !st.Converged {
 			t.Fatalf("overlap=%d: %v %+v", overlap, err, st)
 		}
@@ -115,7 +115,7 @@ func TestDeterministicAcrossThreads(t *testing.T) {
 		p.Precondition(b, z)
 		solve := func(m *sparse.Matrix) ([]float64, int) {
 			x := make([]float64, m.Rows)
-			st, err := krylov.CG(rt, m, b, x, 1e-10, 500, p)
+			st, err := krylov.CGCtx(nil, rt, m, b, x, krylov.Options{Tol: 1e-10, MaxIter: 500, M: p})
 			if err != nil || !st.Converged {
 				t.Fatalf("threads=%d: Schwarz-CG failed: %v %+v", threads, err, st)
 			}
@@ -221,7 +221,7 @@ func TestDefaultsReasonable(t *testing.T) {
 		t.Fatalf("defaults produced %d subdomains", p.NumSubdomains())
 	}
 	x := make([]float64, a.Rows)
-	st, err := krylov.CG(par.New(0), a, b, x, 1e-9, 1000, p)
+	st, err := krylov.CGCtx(nil, par.New(0), a, b, x, krylov.Options{Tol: 1e-9, MaxIter: 1000, M: p})
 	if err != nil || !st.Converged {
 		t.Fatalf("defaults failed: %v %+v", err, st)
 	}

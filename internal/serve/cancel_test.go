@@ -31,7 +31,7 @@ func cancelRefSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []f
 	}
 	want := make([]float64, a.Rows)
 	rt := par.New(cfg.Threads)
-	if _, err := krylov.CGBatchWith(rt, a, append([]float64(nil), b...), want, 1, cfg.Tol, cfg.MaxIter, h, nil); err != nil {
+	if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 		t.Fatal(err)
 	}
 	return want

@@ -26,7 +26,7 @@ const (
 	FaultRefresh
 	// FaultSolve fires inside the batch-leader critical section, after
 	// the coalescing window closed and with the entry lock held, just
-	// before the CGBatch call. The context is the leader's — followers
+	// before the CGBatchCtx call. The context is the leader's — followers
 	// coalesced into the batch share the outcome. A panic here is the
 	// "mid-batch panic" scenario: every follower must be woken with an
 	// error wrapping ErrPanic and the entry must be retired, never

@@ -38,7 +38,7 @@ func TestServeStressFaultInjection(t *testing.T) {
 	rt := par.New(cfg.withDefaults().Threads)
 
 	// Three structurally different patterns, three value sets each, with
-	// sequential single-caller references (fresh build, k=1 CGBatch).
+	// sequential single-caller references (fresh build, k=1 CGBatchCtx).
 	patterns := []*sparse.Matrix{
 		gen.Laplacian(gen.Laplace3D(7, 7, 7), 0.05),
 		gen.Laplacian(gen.Laplace2D(20, 20), 0.1),
@@ -60,7 +60,7 @@ func TestServeStressFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]float64, a.Rows)
-			if _, err := krylov.CGBatchWith(rt, a, append([]float64(nil), b...), want, 1, cfg.Tol, cfg.MaxIter, h, nil); err != nil {
+			if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 				t.Fatal(err)
 			}
 			systems[p][v] = stressSystem{a: a, b: b, want: want}

@@ -131,28 +131,19 @@ func (s *Service) solveRung(ctx context.Context, rg rung, a *sparse.Matrix, bs [
 	if err != nil {
 		return nil, nil, err
 	}
-	n, k := a.Rows, len(bs)
-	if rg.gmres {
-		ws := krylov.NewWorkspace(n)
-		for _, b := range bs {
-			x := make([]float64, n)
-			cst, serr := krylov.GMRESCtx(ctx, s.rt, a, b, x, s.cfg.Tol, s.cfg.MaxIter, 0, h, ws, s.cfg.Health)
-			cols = append(cols, cst)
-			xs = append(xs, x)
-			if serr != nil {
-				return xs, cols, serr
-			}
+	if !rg.gmres {
+		return s.solveFresh(ctx, a, h, bs)
+	}
+	o := s.solveOpt
+	o.M, o.Work = h, krylov.NewWorkspace(a.Rows)
+	for _, b := range bs {
+		x := make([]float64, a.Rows)
+		cst, serr := krylov.GMRESCtx(ctx, s.rt, a, b, x, 0, o)
+		cols = append(cols, cst)
+		xs = append(xs, x)
+		if serr != nil {
+			return xs, cols, serr
 		}
-		return xs, cols, nil
 	}
-	bb := make([]float64, n*k)
-	xb := make([]float64, n*k)
-	interleave(bb, bs, n, k)
-	stats, serr := krylov.CGBatchCtx(ctx, s.rt, a, bb, xb, k, s.cfg.Tol, s.cfg.MaxIter, h, nil, s.cfg.Health)
-	for j := 0; j < k; j++ {
-		xs = append(xs, make([]float64, n))
-	}
-	deinterleave(xs, xb, n, k)
-	cols = append(cols, stats...)
-	return xs, cols, serr
+	return xs, cols, nil
 }

@@ -109,7 +109,7 @@ func TestEscalationRecoversF32Stall(t *testing.T) {
 	}
 	want := make([]float64, a.Rows)
 	rt := par.New(rcfg.Threads)
-	if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, rcfg.Tol, rcfg.MaxIter, h, nil, rcfg.Health); err != nil {
+	if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {

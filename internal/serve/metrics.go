@@ -43,7 +43,7 @@ type Metrics struct {
 	// Collisions counts fingerprint collisions served uncached;
 	// Evictions counts hierarchies dropped by LRU capacity pressure.
 	Collisions, Evictions int64
-	// BatchSolves counts CGBatch calls; BatchedRHS counts the
+	// BatchSolves counts CGBatchCtx calls; BatchedRHS counts the
 	// right-hand-side columns they carried in total.
 	BatchSolves, BatchedRHS int64
 	// Canceled counts admitted requests that ended canceled (before,
@@ -94,7 +94,7 @@ func (s *Service) Metrics() Metrics {
 	}
 }
 
-// BatchedRHSRatio is the mean number of right-hand sides per CGBatch
+// BatchedRHSRatio is the mean number of right-hand sides per CGBatchCtx
 // call — 1.0 means no coalescing ever happened, higher means the
 // batching window is amortizing matrix traversals across users.
 func (m Metrics) BatchedRHSRatio() float64 {

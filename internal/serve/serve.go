@@ -14,7 +14,7 @@
 //     bitwise identical to the cached operator pays nothing.
 //   - Traffic repeats operators. Requests that arrive within a small
 //     batching window against the same operator (same pattern and
-//     values) are coalesced into one krylov.CGBatch call, so one SpMM
+//     values) are coalesced into one krylov.CGBatchCtx call, so one SpMM
 //     traversal of the matrix per iteration serves every coalesced
 //     right-hand side.
 //   - Solver state is mutable. Hierarchies, workspaces, and level
@@ -43,7 +43,7 @@
 //
 // Determinism carries over from the underlying stack: a served solution
 // is bitwise identical to the same system solved by a sequential single
-// caller (krylov.CGBatch with k = 1 on a freshly built hierarchy), for
+// caller (krylov.CGBatchCtx with k = 1 on a freshly built hierarchy), for
 // any worker count, any cache state, and any coalescing — columns of a
 // batched CG recurrence are exactly independent, and Hierarchy.Refresh
 // is bitwise identical to a fresh build.
@@ -86,7 +86,7 @@ type Config struct {
 	// waits for same-operator requests to coalesce with before solving
 	// (default 200µs; negative disables coalescing).
 	BatchWindow time.Duration
-	// MaxBatch caps the right-hand sides in one CGBatch call — both how
+	// MaxBatch caps the right-hand sides in one CGBatchCtx call — both how
 	// many requests coalesce and how many columns a single SolveBatch
 	// request may carry, which also bounds the per-entry solver scratch
 	// the cache retains (default 8; 1 disables coalescing).
@@ -279,7 +279,7 @@ type RequestStats struct {
 	// Outcome is the hierarchy-cache outcome.
 	Outcome Outcome
 	// Batched is the total number of right-hand-side columns in the
-	// CGBatch call that served this request (1 when the request ran
+	// CGBatchCtx call that served this request (1 when the request ran
 	// alone).
 	Batched int
 	// Columns holds the solver stats of this request's right-hand
@@ -324,6 +324,9 @@ func (st *RequestStats) finalize() {
 type Service struct {
 	cfg Config
 	rt  *par.Runtime
+	// solveOpt carries Config's Tol, MaxIter and Health; each solve
+	// adds its own preconditioner and workspace.
+	solveOpt krylov.Options
 	// sem is the admission semaphore bounding in-flight requests.
 	sem chan struct{}
 
@@ -391,7 +394,7 @@ type entry struct {
 	elem *list.Element
 }
 
-// batch is one coalesced CGBatch call: the columns of every joined
+// batch is one coalesced CGBatchCtx call: the columns of every joined
 // request, solved together, results fanned back out. The batch owns
 // copies of every joined column (made at join time, under the entry
 // lock): a follower whose context is canceled can then detach and
@@ -460,11 +463,12 @@ func (e *entry) reset() {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:     cfg,
-		rt:      par.New(cfg.Threads),
-		sem:     make(chan struct{}, cfg.MaxInFlight),
-		entries: make(map[uint64]*entry),
-		lru:     list.New(),
+		cfg:      cfg,
+		rt:       par.New(cfg.Threads),
+		solveOpt: krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, Health: cfg.Health},
+		sem:      make(chan struct{}, cfg.MaxInFlight),
+		entries:  make(map[uint64]*entry),
+		lru:      list.New(),
 	}
 	s.rungs = buildLadder(cfg)
 	if cfg.QuarantineThreshold > 0 {
@@ -498,7 +502,7 @@ func (s *Service) Solve(ctx context.Context, a *sparse.Matrix, b []float64) ([]f
 
 // SolveBatch is Solve for a request carrying several right-hand sides
 // against one matrix; the columns stay together through coalescing and
-// are solved in one CGBatch call. Stats carries one krylov.Stats per
+// are solved in one CGBatchCtx call. Stats carries one krylov.Stats per
 // column. When some columns fail to converge the error is non-nil but
 // every solution and per-column stat is still returned.
 func (s *Service) SolveBatch(ctx context.Context, a *sparse.Matrix, bs [][]float64) ([][]float64, RequestStats, error) {
@@ -947,7 +951,7 @@ func (s *Service) solveBatched(ctx context.Context, e *entry, bs [][]float64, st
 	return s.requestResult(bt, 0, m, st)
 }
 
-// runBatchSolve executes the batch's CGBatch call with panic isolation;
+// runBatchSolve executes the batch's CGBatchCtx call with panic isolation;
 // called with e.mu held. reqCtx is the leader's request context (the
 // fault hook reads injection plans from it); the solve itself is
 // governed by bt.solveCtx, which cancels only once every live
@@ -964,7 +968,9 @@ func (s *Service) runBatchSolve(reqCtx context.Context, e *entry, bt *batch) {
 	e.xbuf = grow(e.xbuf, n*k)
 	interleave(e.bbuf, bt.bs, n, k)
 	clear(e.xbuf[:n*k]) // zero initial guess for every column
-	stats, err := krylov.CGBatchCtx(bt.solveCtx, s.rt, e.op, e.bbuf, e.xbuf, k, s.cfg.Tol, s.cfg.MaxIter, e.h, e.ws, s.cfg.Health)
+	o := s.solveOpt
+	o.M, o.Work = e.h, e.ws
+	stats, err := krylov.CGBatchCtx(bt.solveCtx, s.rt, e.op, e.bbuf, e.xbuf, k, o)
 	bt.err = err
 	bt.stats = make([]krylov.Stats, len(stats))
 	copy(bt.stats, stats) // stats slice is workspace-owned; keep a copy
@@ -1014,7 +1020,7 @@ func (s *Service) requestResult(bt *batch, lo, m int, st *RequestStats) ([][]flo
 
 // solveUncached serves a fingerprint-collision request correctly but
 // without touching the cache: a fresh hierarchy and a one-shot solve
-// through the same CGBatch kernel, so even this path is bitwise
+// through the same CGBatchCtx kernel, so even this path is bitwise
 // identical to the cached one. The request context governs build and
 // solve directly (no coalescing to negotiate with), and panic isolation
 // applies here too — the state is request-local, but the process must
@@ -1031,19 +1037,27 @@ func (s *Service) solveUncached(ctx context.Context, a *sparse.Matrix, bs [][]fl
 	if err != nil {
 		return nil, *st, fmt.Errorf("serve: hierarchy build: %w", err)
 	}
-	n := a.Rows
-	k := len(bs)
+	xs, stats, serr := s.solveFresh(ctx, a, h, bs)
+	return s.requestResult(&batch{k: len(bs), xs: xs, stats: stats, err: serr}, 0, len(bs), st)
+}
+
+// solveFresh solves the columns bs on a request-local hierarchy h with
+// one batch CG from a zero initial guess, through the same CGBatchCtx
+// kernel (and hence bitwise the same results) as the cached path.
+func (s *Service) solveFresh(ctx context.Context, a *sparse.Matrix, h *amg.Hierarchy, bs [][]float64) ([][]float64, []krylov.Stats, error) {
+	n, k := a.Rows, len(bs)
 	bb := make([]float64, n*k)
 	xb := make([]float64, n*k)
 	interleave(bb, bs, n, k)
-	stats, serr := krylov.CGBatchCtx(ctx, s.rt, a, bb, xb, k, s.cfg.Tol, s.cfg.MaxIter, h, nil, s.cfg.Health)
-	bt := &batch{k: k, err: serr}
-	for j := 0; j < k; j++ {
-		bt.xs = append(bt.xs, make([]float64, n))
+	o := s.solveOpt
+	o.M = h
+	stats, err := krylov.CGBatchCtx(ctx, s.rt, a, bb, xb, k, o)
+	xs := make([][]float64, k)
+	for j := range xs {
+		xs[j] = make([]float64, n)
 	}
-	deinterleave(bt.xs, xb, n, k)
-	bt.stats = append(bt.stats, stats...)
-	return s.requestResult(bt, 0, k, st)
+	deinterleave(xs, xb, n, k)
+	return xs, stats, err
 }
 
 // interleave gathers k column vectors into the interleaved multi-RHS

@@ -42,7 +42,7 @@ func testProblem(nx int, shift float64) (*sparse.Matrix, []float64) {
 }
 
 // referenceSolve is the sequential single-caller baseline the service
-// must match bitwise: a fresh hierarchy and a k=1 CGBatch solve.
+// must match bitwise: a fresh hierarchy and a k=1 CGBatchCtx solve.
 func referenceSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []float64 {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -52,7 +52,7 @@ func referenceSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []f
 	}
 	x := make([]float64, a.Rows)
 	bb := append([]float64(nil), b...)
-	if _, err := krylov.CGBatchWith(par.New(cfg.Threads), a, bb, x, 1, cfg.Tol, cfg.MaxIter, h, nil); err != nil {
+	if _, err := krylov.CGBatchCtx(nil, par.New(cfg.Threads), a, bb, x, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 		t.Fatal(err)
 	}
 	return x
@@ -229,7 +229,7 @@ func TestServeSingleFlightBuild(t *testing.T) {
 }
 
 // TestServeCoalescedBitwiseMatchesSolo: a request served inside a
-// coalesced CGBatch must be bitwise identical to the same request
+// coalesced CGBatchCtx must be bitwise identical to the same request
 // served alone (and to the sequential reference).
 func TestServeCoalescedBitwiseMatchesSolo(t *testing.T) {
 	a, _ := testProblem(8, 0.05)

@@ -5,10 +5,15 @@
 // sweeps). The expensive part of Gustavson's SpGEMM — the mark/merge
 // symbolic phase that discovers each output row's pattern — depends only
 // on the operand patterns, so it can run once and be replayed. A *plan*
-// captures that symbolic result: the output RowPtr/Col (sorted rows) plus
-// a fingerprint of the operand patterns, and its Numeric method refills a
-// result matrix's values with zero steady-state allocations (accumulator
-// scratch comes from the worker arenas).
+// captures that symbolic result, the output RowPtr/Col (sorted rows),
+// and its Replay method refills a result matrix's values with zero
+// steady-state allocations (accumulator scratch comes from the worker
+// arenas). A plan trusts its caller to replay it on operands with the
+// planned patterns: Replay checks shapes and stored-entry counts, which
+// is O(1), but never the patterns themselves, which would be O(nnz).
+// Callers that accept matrices from outside check the pattern once at
+// that boundary (amg.Hierarchy's BuildNumeric and Refresh,
+// schwarz.Preconditioner.RefreshCtx).
 //
 // Every replay is bitwise identical to the corresponding one-shot kernel
 // (Multiply, Transpose, SmoothProlongator, RAP): the per-row accumulation
@@ -22,24 +27,17 @@ import (
 	"fmt"
 	"math"
 
-	"mis2go/internal/hash"
 	"mis2go/internal/par"
 )
 
-// fingerprint returns the pattern fingerprint of a matrix.
-func fingerprint(a *Matrix) uint64 {
-	return hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col)
-}
-
 // ProductPlan is the cached symbolic phase of Multiply: the pattern of
 // C = A*B for fixed operand patterns. Create with PlanMultiply; replay
-// values with Numeric. The plan's pattern slices are shared with
+// values with Replay. The plan's pattern slices are shared with
 // matrices returned by NewMatrix and must not be mutated. A value pass
 // may build the plan's gather schedule, so one plan must not run two
 // value passes concurrently.
 type ProductPlan struct {
 	aRows, aCols, bCols int
-	aFP, bFP            uint64
 	ptr                 []int
 	col                 []int32
 	// passes counts value passes, saturating at 2. The first pass runs
@@ -64,10 +62,7 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 	if a.Cols != b.Rows {
 		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	pl := &ProductPlan{
-		aRows: a.Rows, aCols: a.Cols, bCols: b.Cols,
-		aFP: fingerprint(a), bFP: fingerprint(b),
-	}
+	pl := &ProductPlan{aRows: a.Rows, aCols: a.Cols, bCols: b.Cols}
 	pl.ptr, pl.col = collectPattern(rt, a, b.Cols, func(i int, mark, buf []int32) []int32 {
 		return appendProductCols(a, b, i, mark, buf)
 	})
@@ -261,39 +256,20 @@ func maxRowNNZ(ptr []int, rows int) int {
 func (pl *ProductPlan) NNZ() int { return len(pl.col) }
 
 // NewMatrix returns a result matrix with the plan's pattern and zeroed
-// values, ready for Numeric. The RowPtr/Col slices are shared with the
+// values, ready for Replay. The RowPtr/Col slices are shared with the
 // plan (both treat the pattern as immutable).
 func (pl *ProductPlan) NewMatrix() *Matrix {
 	return &Matrix{Rows: pl.aRows, Cols: pl.bCols, RowPtr: pl.ptr, Col: pl.col, Val: make([]float64, len(pl.col))}
 }
 
-// Numeric replays the plan for new operand values: c.Val is overwritten
-// with the values of A*B. A and B must have the planned patterns
-// (verified via fingerprint), and c must carry the plan's pattern —
-// normally a matrix from NewMatrix. The first pass runs the mark/acc
-// kernel; the second builds the gather schedule once (allocating it),
-// and it and every later pass replay through it with zero allocations.
-// Every pass is bitwise identical to Multiply on the same operands.
-func (pl *ProductPlan) Numeric(rt *par.Runtime, a, b, c *Matrix) error {
-	if err := pl.checkShapes(a, b, c); err != nil {
-		return err
-	}
-	if fingerprint(a) != pl.aFP {
-		return fmt.Errorf("sparse: plan replay: pattern of A changed since PlanMultiply")
-	}
-	if fingerprint(b) != pl.bFP {
-		return fmt.Errorf("sparse: plan replay: pattern of B changed since PlanMultiply")
-	}
-	pl.advance(rt, a, b)
-	pl.numeric(rt, a, b, c)
-	return nil
-}
-
-// Replay is Numeric without the O(nnz) fingerprint verification, for
-// callers that already guarantee the operand patterns match the plan —
-// e.g. an AMG hierarchy that fingerprint-checks its fine matrix once per
-// refresh and owns every other operand. Shapes and pattern sizes are
-// still checked. Like Numeric, the second pass builds the schedule.
+// Replay replays the plan for new operand values: c.Val is overwritten
+// with the values of A*B. A and B must have the planned patterns, and c
+// must carry the plan's pattern — normally a matrix from NewMatrix; only
+// shapes and stored-entry counts are checked. The first pass runs the
+// mark/acc kernel; the second builds the gather schedule once
+// (allocating it), and it and every later pass replay through it with
+// zero allocations. Every pass is bitwise identical to Multiply on the
+// same operands.
 func (pl *ProductPlan) Replay(rt *par.Runtime, a, b, c *Matrix) error {
 	if err := pl.checkShapes(a, b, c); err != nil {
 		return err
@@ -420,7 +396,6 @@ func productNumericRange(a, b, c *Matrix, mark []int32, acc []float64, lo, hi in
 // permuted copy.
 type TransposePlan struct {
 	rows, cols int
-	fp         uint64
 	ptr        []int
 	col        []int32
 	// perm[p] is the output position of input entry p.
@@ -429,32 +404,21 @@ type TransposePlan struct {
 
 // PlanTranspose computes the pattern of A^T and the entry permutation.
 func PlanTranspose(rt *par.Runtime, a *Matrix) *TransposePlan {
-	pl := &TransposePlan{rows: a.Rows, cols: a.Cols, fp: fingerprint(a)}
+	pl := &TransposePlan{rows: a.Rows, cols: a.Cols}
 	pl.perm = make([]int, len(a.Col))
 	pl.ptr, pl.col, _ = a.transposeBlocked(rt, a.Cols, false, pl.perm)
 	return pl
 }
 
 // NewMatrix returns a transpose-shaped matrix with the plan's pattern and
-// zeroed values, ready for Numeric. RowPtr/Col are shared with the plan.
+// zeroed values, ready for Replay. RowPtr/Col are shared with the plan.
 func (pl *TransposePlan) NewMatrix() *Matrix {
 	return &Matrix{Rows: pl.cols, Cols: pl.rows, RowPtr: pl.ptr, Col: pl.col, Val: make([]float64, len(pl.col))}
 }
 
-// Numeric replays the transpose for new values: t.Val[perm[p]] = a.Val[p].
-// Bitwise identical to Transpose (an exact value copy) and allocation-free.
-func (pl *TransposePlan) Numeric(rt *par.Runtime, a, t *Matrix) error {
-	if err := pl.checkShapes(a, t); err != nil {
-		return err
-	}
-	if fingerprint(a) != pl.fp {
-		return fmt.Errorf("sparse: transpose replay: pattern of A changed since PlanTranspose")
-	}
-	pl.replay(rt, a, t)
-	return nil
-}
-
-// Replay is Numeric without the fingerprint verification (see
+// Replay replays the transpose for new values: t.Val[perm[p]] = a.Val[p].
+// Bitwise identical to Transpose (an exact value copy) and
+// allocation-free. A must have the planned pattern (see
 // ProductPlan.Replay for the contract).
 //
 //amg:hotpath
@@ -499,7 +463,6 @@ func (pl *TransposePlan) scatterRange(a, t *Matrix, lo, hi int) {
 // pattern of the product D^{-1}A*P0 and P0 itself, row-sorted.
 type SmoothPlan struct {
 	aRows, aCols, p0Cols int
-	aFP, p0FP            uint64
 	ptr                  []int
 	col                  []int32
 }
@@ -511,10 +474,7 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 	if a.Cols != p0.Rows {
 		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, p0.Rows, p0.Cols)
 	}
-	pl := &SmoothPlan{
-		aRows: a.Rows, aCols: a.Cols, p0Cols: p0.Cols,
-		aFP: fingerprint(a), p0FP: fingerprint(p0),
-	}
+	pl := &SmoothPlan{aRows: a.Rows, aCols: a.Cols, p0Cols: p0.Cols}
 	// The union of the product row and the P0 row, sorted, is exactly
 	// the one-shot kernel's merge of the two sorted rows.
 	pl.ptr, pl.col = collectPattern(rt, a, p0.Cols, func(i int, mark, buf []int32) []int32 {
@@ -536,25 +496,11 @@ func (pl *SmoothPlan) NewMatrix() *Matrix {
 	return &Matrix{Rows: pl.aRows, Cols: pl.p0Cols, RowPtr: pl.ptr, Col: pl.col, Val: make([]float64, len(pl.col))}
 }
 
-// Numeric replays the plan for new values of A (and a new dinv/omega):
+// Replay replays the plan for new values of A (and a new dinv/omega):
 // out.Val is overwritten with (I - omega*D^{-1}*A)*P0. Bitwise identical
-// to SmoothProlongator and allocation-free in steady state.
-func (pl *SmoothPlan) Numeric(rt *par.Runtime, a, p0 *Matrix, dinv []float64, omega float64, out *Matrix) error {
-	if err := pl.checkShapes(a, p0, dinv, out); err != nil {
-		return err
-	}
-	if fingerprint(a) != pl.aFP {
-		return fmt.Errorf("sparse: smooth replay: pattern of A changed since PlanSmoothProlongator")
-	}
-	if fingerprint(p0) != pl.p0FP {
-		return fmt.Errorf("sparse: smooth replay: pattern of P0 changed since PlanSmoothProlongator")
-	}
-	pl.replay(rt, a, p0, dinv, omega, out)
-	return nil
-}
-
-// Replay is Numeric without the fingerprint verification (see
-// ProductPlan.Replay for the contract).
+// to SmoothProlongator and allocation-free in steady state. A and P0
+// must have the planned patterns (see ProductPlan.Replay for the
+// contract).
 //
 //amg:hotpath
 func (pl *SmoothPlan) Replay(rt *par.Runtime, a, p0 *Matrix, dinv []float64, omega float64, out *Matrix) error {
@@ -684,24 +630,16 @@ func PlanRAP(rt *par.Runtime, r, a, p *Matrix) (*RAPPlan, error) {
 func (pl *RAPPlan) NNZ() int { return pl.rapPlan.NNZ() }
 
 // NewMatrix returns a coarse-operator matrix with the plan's pattern and
-// zeroed values, ready for Numeric.
+// zeroed values, ready for Replay.
 func (pl *RAPPlan) NewMatrix() *Matrix { return pl.rapPlan.NewMatrix() }
 
-// Numeric replays the triple product for new values: out.Val is
+// Replay replays the triple product for new values: out.Val is
 // overwritten with R*A*P, staging A*P in the plan-owned intermediate.
 // Bitwise identical to RAP. Both products build their gather schedules
-// on the second pass (see ProductPlan.Numeric); later passes allocate
-// nothing.
-func (pl *RAPPlan) Numeric(rt *par.Runtime, r, a, p, out *Matrix) error {
-	if err := pl.apPlan.Numeric(rt, a, p, pl.ap); err != nil {
-		return err
-	}
-	return pl.rapPlan.Numeric(rt, r, pl.ap, out)
-}
-
-// Replay is Numeric without the fingerprint verification (see
-// ProductPlan.Replay for the contract). The intermediate A*P is
-// plan-owned, so only the caller-supplied operands' shapes are checked.
+// on the second pass (see ProductPlan.Replay); later passes allocate
+// nothing. R, A and P must have the planned patterns; the intermediate
+// is plan-owned, so only the caller-supplied operands' shapes are
+// checked.
 func (pl *RAPPlan) Replay(rt *par.Runtime, r, a, p, out *Matrix) error {
 	if err := pl.apPlan.Replay(rt, a, p, pl.ap); err != nil {
 		return err

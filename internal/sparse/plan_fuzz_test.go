@@ -113,7 +113,7 @@ func FuzzProductPlan(f *testing.F) {
 			c := pl.NewMatrix()
 			for pass, ops := range passes {
 				rw := workers[(wi+pass)%len(workers)]
-				if err := pl.Numeric(par.New(rw), ops[0], ops[1], c); err != nil {
+				if err := pl.Replay(par.New(rw), ops[0], ops[1], c); err != nil {
 					t.Fatal(err)
 				}
 				matricesEqual(t, fmt.Sprintf("plan@%d pass %d@%d", w, pass+1, rw), c, want[pass])

@@ -301,16 +301,23 @@ func TestNewOperatorPrecDispatch(t *testing.T) {
 func TestF32RejectedSELL32AllocatesLikeCSR32(t *testing.T) {
 	a := f32TestMatrix(4000, 4000)
 	a.Val[len(a.Val)-1] = math.MaxFloat32 * 2
-	csr := testing.AllocsPerRun(5, func() {
+	rejectCSR := func() {
 		if _, err := NewCSR32(a); err == nil {
 			t.Fatal("NewCSR32 accepted an out-of-range value")
 		}
-	})
-	sell := testing.AllocsPerRun(5, func() {
+	}
+	rejectSELL := func() {
 		if _, err := NewSELL32(a, 0); err == nil {
 			t.Fatal("NewSELL32 accepted an out-of-range value")
 		}
-	})
+	}
+	if raceEnabled {
+		rejectCSR()
+		rejectSELL()
+		t.Skip("race detector bypasses sync.Pool arena recycling, charging spurious allocations")
+	}
+	csr := testing.AllocsPerRun(5, rejectCSR)
+	sell := testing.AllocsPerRun(5, rejectSELL)
 	if sell > csr {
 		t.Fatalf("rejected NewSELL32: %v allocs/op, rejected NewCSR32: %v", sell, csr)
 	}

@@ -23,7 +23,7 @@ import (
 // JacobiSweep, Diagonal, Graph, Transpose, Multiply/RAP) only reads the
 // matrix and writes caller-provided outputs, so any number of
 // goroutines may use one Matrix concurrently as long as none mutates
-// it — Scale, direct writes to Val, and plan Numeric/Replay calls
+// it — Scale, direct writes to Val, and plan Replay calls
 // targeting the matrix must be serialized against all readers.
 type Matrix struct {
 	Rows, Cols int

@@ -14,7 +14,7 @@
 //	agg := mis2go.Aggregate(g, 0)           // Algorithm 3
 //	a := mis2go.GraphLaplacian(g, 0.05)
 //	h, _ := mis2go.NewAMG(a, mis2go.AMGOptions{})
-//	stats, _ := mis2go.SolveCG(a, b, x, 1e-10, 500, h, 0)
+//	stats, _ := mis2go.SolveCG(a, b, x, mis2go.SolveOptions{Tol: 1e-10, MaxIter: 500, M: h}, 0)
 //
 // All algorithms are deterministic: results are identical for every
 // worker count and across runs.
@@ -269,17 +269,28 @@ type BatchPreconditioner = krylov.BatchPreconditioner
 // SolveStats reports iterations and the final relative residual.
 type SolveStats = krylov.Stats
 
+// SolveOptions configures SolveCG, SolveGMRES and SolveCGBatch:
+// tolerance, iteration budget, preconditioner (nil means none), a
+// caller-held SolverWorkspace (nil allocates a temporary one; reusing
+// one makes repeated solves allocation-free) and a health guard (nil
+// means none). A guard classifies divergence, stagnation and non-finite
+// residuals into the ErrSolve* sentinels; it reads only residual norms
+// the convergence test already computes, so guarded and unguarded
+// successful solves are bitwise identical.
+type SolveOptions = krylov.Options
+
 // SolveCG runs preconditioned conjugate gradient on the SPD system
-// A x = b (m may be nil). threads 0 means all cores. a is any operator
-// (a *Matrix, or a SELL conversion from NewOperator); every format
-// yields bit-identical solves.
-func SolveCG(a Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, threads int) (SolveStats, error) {
-	return krylov.CG(par.New(threads), a, b, x, tol, maxIter, m)
+// A x = b. threads 0 means all cores. a is any operator (a *Matrix, or
+// a SELL conversion from NewOperator); every format yields
+// bit-identical solves.
+func SolveCG(a Operator, b, x []float64, opt SolveOptions, threads int) (SolveStats, error) {
+	return krylov.CGCtx(nil, par.New(threads), a, b, x, opt)
 }
 
-// SolveGMRES runs preconditioned restarted GMRES on A x = b.
-func SolveGMRES(a Operator, b, x []float64, tol float64, maxIter, restart int, m Preconditioner, threads int) (SolveStats, error) {
-	return krylov.GMRES(par.New(threads), a, b, x, tol, maxIter, restart, m)
+// SolveGMRES runs preconditioned restarted GMRES(restart) on A x = b;
+// restart <= 0 selects 50.
+func SolveGMRES(a Operator, b, x []float64, restart int, opt SolveOptions, threads int) (SolveStats, error) {
+	return krylov.GMRESCtx(nil, par.New(threads), a, b, x, restart, opt)
 }
 
 // SpMM computes the batched multi-RHS product Y = A*X for k right-hand
@@ -295,18 +306,12 @@ func SpMM(a Operator, x, y []float64, k, threads int) {
 // SolveCGBatch solves the k SPD systems A x_j = b_j simultaneously with
 // conjugate gradient recurrences sharing one SpMM traversal of A per
 // iteration. b and x use the interleaved layout of SpMM; the returned
-// stats hold one entry per column. Columns converge (and freeze)
-// independently; a zero column returns x_j = 0 in 0 iterations.
-func SolveCGBatch(a Operator, b, x []float64, k int, tol float64, maxIter int, m Preconditioner, threads int) ([]SolveStats, error) {
-	return krylov.CGBatch(par.New(threads), a, b, x, k, tol, maxIter, m)
-}
-
-// SolveCGBatchWith is SolveCGBatch reusing a caller-held workspace:
-// repeated batch solves through the same workspace perform zero
-// allocations. The returned stats slice is owned by the workspace and
-// overwritten by its next batch solve.
-func SolveCGBatchWith(a Operator, b, x []float64, k int, tol float64, maxIter int, m Preconditioner, threads int, ws *SolverWorkspace) ([]SolveStats, error) {
-	return krylov.CGBatchWith(par.New(threads), a, b, x, k, tol, maxIter, m, ws)
+// stats hold one entry per column and, when opt.Work is set, are owned
+// by that workspace and overwritten by its next batch solve. Columns
+// converge (and freeze) independently; a zero column returns x_j = 0 in
+// 0 iterations.
+func SolveCGBatch(a Operator, b, x []float64, k int, opt SolveOptions, threads int) ([]SolveStats, error) {
+	return krylov.CGBatchCtx(nil, par.New(threads), a, b, x, k, opt)
 }
 
 // SolverWorkspace holds the scratch vectors of the Krylov solvers so
@@ -316,17 +321,6 @@ type SolverWorkspace = krylov.Workspace
 
 // NewSolverWorkspace returns a workspace pre-sized for n unknowns.
 func NewSolverWorkspace(n int) *SolverWorkspace { return krylov.NewWorkspace(n) }
-
-// SolveCGWith is SolveCG reusing a caller-held workspace: repeated
-// solves through the same workspace perform zero allocations.
-func SolveCGWith(a Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, threads int, ws *SolverWorkspace) (SolveStats, error) {
-	return krylov.CGWith(par.New(threads), a, b, x, tol, maxIter, m, ws)
-}
-
-// SolveGMRESWith is SolveGMRES reusing a caller-held workspace.
-func SolveGMRESWith(a Operator, b, x []float64, tol float64, maxIter, restart int, m Preconditioner, threads int, ws *SolverWorkspace) (SolveStats, error) {
-	return krylov.GMRESWith(par.New(threads), a, b, x, tol, maxIter, restart, m, ws)
-}
 
 // SolverHealth configures the per-iteration health guard of the Krylov
 // solvers: divergence (residual blow-up past a factor of the best seen),
@@ -367,16 +361,6 @@ var (
 // ServeQuarantinedError is the concrete quarantine rejection returned
 // by a SolveService; RetryAfter reports the remaining cooldown.
 type ServeQuarantinedError = serve.QuarantinedError
-
-// SolveCGHealth is SolveCG with a per-iteration health guard: hg (nil
-// means no guard, exactly SolveCG) classifies divergence, stagnation,
-// and non-finite residuals into the ErrSolve* sentinels above. The
-// guard reads only residual norms the convergence test already
-// computes, so guarded and unguarded successful solves are bitwise
-// identical.
-func SolveCGHealth(a Operator, b, x []float64, tol float64, maxIter int, m Preconditioner, threads int, hg *SolverHealth) (SolveStats, error) {
-	return krylov.CGCtx(nil, par.New(threads), a, b, x, tol, maxIter, m, nil, hg)
-}
 
 // SolveService is a concurrent solve service over the AMG+CG stack: an
 // LRU cache of hierarchies keyed by sparsity-pattern fingerprint (first

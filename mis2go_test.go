@@ -55,7 +55,7 @@ func TestPublicAPIAMGCG(t *testing.T) {
 		b[i] = math.Sin(float64(i))
 	}
 	x := make([]float64, n)
-	st, err := SolveCG(a, b, x, 1e-10, 300, h, 0)
+	st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-10, MaxIter: 300, M: h}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestPublicAPIClusterSGS(t *testing.T) {
 			t.Fatal(err)
 		}
 		x := make([]float64, n)
-		st, err := SolveGMRES(a, b, x, 1e-8, 800, 50, m, 0)
+		st, err := SolveGMRES(a, b, x, 50, SolveOptions{Tol: 1e-8, MaxIter: 800, M: m}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func TestPublicAPIChebyshevAMG(t *testing.T) {
 		b[i] = 1
 	}
 	x := make([]float64, a.Rows)
-	st, err := SolveCG(a, b, x, 1e-10, 200, h, 0)
+	st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-10, MaxIter: 200, M: h}, 0)
 	if err != nil || !st.Converged {
 		t.Fatalf("Chebyshev AMG failed: %v %+v", err, st)
 	}
@@ -221,7 +221,7 @@ func TestPublicAPIJacobiPreconditioner(t *testing.T) {
 		b[i] = float64(i%3) - 1
 	}
 	x := make([]float64, a.Rows)
-	st, err := SolveCG(a, b, x, 1e-10, 1000, m, 0)
+	st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-10, MaxIter: 1000, M: m}, 0)
 	if err != nil || !st.Converged {
 		t.Fatalf("Jacobi-CG failed: %v %+v", err, st)
 	}
@@ -240,7 +240,7 @@ func TestPublicAPIGSSmoothersInAMG(t *testing.T) {
 			b[i] = 1
 		}
 		x := make([]float64, a.Rows)
-		st, err := SolveCG(a, b, x, 1e-9, 300, h, 0)
+		st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-9, MaxIter: 300, M: h}, 0)
 		if err != nil || !st.Converged {
 			t.Fatalf("smoother %d failed: %v %+v", sm, err, st)
 		}
@@ -259,7 +259,7 @@ func TestPublicAPISchwarz(t *testing.T) {
 		b[i] = math.Sin(0.2 * float64(i))
 	}
 	x := make([]float64, a.Rows)
-	st, err := SolveCG(a, b, x, 1e-9, 500, p, 0)
+	st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-9, MaxIter: 500, M: p}, 0)
 	if err != nil || !st.Converged {
 		t.Fatalf("Schwarz-CG failed: %v %+v", err, st)
 	}

@@ -83,7 +83,7 @@ func TestF32SolveCGBitwiseAcrossWorkers(t *testing.T) {
 			t.Fatalf("%d workers: %v", threads, err)
 		}
 		x := make([]float64, n)
-		st, err := SolveCG(op, b, x, 1e-10, 400, h, threads)
+		st, err := SolveCG(op, b, x, SolveOptions{Tol: 1e-10, MaxIter: 400, M: h}, threads)
 		if err != nil {
 			t.Fatalf("%d workers: %v", threads, err)
 		}
@@ -135,7 +135,7 @@ func TestF32ConvergenceWithinTenPercent(t *testing.T) {
 				t.Fatalf("%s/%v: %v", name, prec, err)
 			}
 			x := make([]float64, n)
-			st, err := SolveCG(op, b, x, 1e-10, 600, h, 0)
+			st, err := SolveCG(op, b, x, SolveOptions{Tol: 1e-10, MaxIter: 600, M: h}, 0)
 			if err != nil {
 				t.Fatalf("%s/%v: %v", name, prec, err)
 			}
@@ -320,7 +320,7 @@ func TestF32ServeRecordsPrecision(t *testing.T) {
 	}
 	x := make([]float64, n)
 	bb := append([]float64(nil), b...)
-	if _, err := SolveCGBatch(op, bb, x, 1, 1e-8, 500, h, 1); err != nil {
+	if _, err := SolveCGBatch(op, bb, x, 1, SolveOptions{Tol: 1e-8, MaxIter: 500, M: h}, 1); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
