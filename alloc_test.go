@@ -168,14 +168,18 @@ func TestVCycleZeroAllocs(t *testing.T) {
 }
 
 // TestVCycleSELLZeroAllocs extends the V-cycle gate to the SELL path:
-// every level forced to SELL-C-sigma, the apply still performs zero
-// steady-state heap allocations.
+// a 14^3 grid is large and regular enough that the finest level runs
+// on SELL-C-sigma, and the apply still performs zero steady-state heap
+// allocations.
 func TestVCycleSELLZeroAllocs(t *testing.T) {
-	g := gen.Laplace3D(12, 12, 12)
+	g := gen.Laplace3D(14, 14, 14)
 	a := gen.Laplacian(g, 1e-2)
-	h, err := NewAMG(a, AMGOptions{Threads: 1, Format: FormatSELL})
+	h, err := NewAMG(a, AMGOptions{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f := h.Levels[0].Format(); f != FormatSELL {
+		t.Fatalf("finest level format %v, want SELL", f)
 	}
 	n := a.Rows
 	r := make([]float64, n)
@@ -222,17 +226,21 @@ func TestSELLSmootherSweepZeroAllocs(t *testing.T) {
 }
 
 // TestRefreshSELLZeroAllocs: the values-only numeric re-setup stays
-// zero-allocation with SELL-format levels (FillValues is a branch-free
-// gather through the cached entry schedule).
+// zero-allocation with a SELL-format finest level on a 14^3 grid
+// (FillValues is a branch-free gather through the cached entry
+// schedule).
 func TestRefreshSELLZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector bypasses sync.Pool arena recycling, charging spurious allocations")
 	}
-	g := gen.Laplace3D(12, 12, 12)
+	g := gen.Laplace3D(14, 14, 14)
 	a := gen.Laplacian(g, 1e-2)
-	h, err := NewAMG(a, AMGOptions{Threads: 1, Format: FormatSELL})
+	h, err := NewAMG(a, AMGOptions{Threads: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if f := h.Levels[0].Format(); f != FormatSELL {
+		t.Fatalf("finest level format %v, want SELL", f)
 	}
 	a2 := a.Clone()
 	for p := range a2.Val {

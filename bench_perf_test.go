@@ -518,7 +518,7 @@ func BenchmarkServePrecisionF64(b *testing.B) {
 }
 
 // BenchmarkServePrecisionF32 is the same stream through a service
-// configured with Config.Precision = f32: f32-valued hierarchy levels
+// configured with Config.AMG.Precision = f32: f32-valued hierarchy levels
 // and outer operator, f64 CG recurrence, bitwise-deterministic serving.
 func BenchmarkServePrecisionF32(b *testing.B) {
 	benchServePrecision(b, sparse.PrecisionF32)
@@ -526,7 +526,7 @@ func BenchmarkServePrecisionF32(b *testing.B) {
 
 func benchServePrecision(b *testing.B, prec sparse.Precision) {
 	mix := precisionServeStream()
-	s := serve.New(serve.Config{Tol: 1e-8, MaxIter: 400, Precision: prec, CacheCapacity: 4})
+	s := serve.New(serve.Config{AMG: amg.Options{Precision: prec}, Tol: 1e-8, MaxIter: 400, CacheCapacity: 4})
 	ctx := context.Background()
 	// Warm pass: the one cold hierarchy build happens here, so every
 	// measured op pays the same steady-state refresh+solve work.

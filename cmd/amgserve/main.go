@@ -133,15 +133,13 @@ func main() {
 	}
 
 	svc := serve.New(serve.Config{
-		AMG:           amg.Options{Threads: *threads},
-		Precision:     prec,
+		AMG:           amg.Options{Threads: *threads, Precision: prec},
 		Tol:           *tol,
 		MaxIter:       *maxIter,
 		CacheCapacity: *cache,
 		BatchWindow:   *window,
 		MaxBatch:      *maxBatch,
 		MaxInFlight:   *inflight,
-		Threads:       *threads,
 
 		SolveTimeout:        *solveTimeout,
 		MaxEscalations:      *maxEscalations,

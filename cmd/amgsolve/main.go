@@ -44,18 +44,12 @@ func main() {
 	tol := flag.Float64("tol", 1e-12, "CG relative tolerance")
 	threads := flag.Int("threads", 0, "worker count (0 = all cores)")
 	resetup := flag.Int("resetup", 0, "re-run the numeric setup N times on same-pattern perturbed values and report the re-setup ratio")
-	formatName := flag.String("format", "auto", "per-level operator format: auto, csr, sell")
 	precName := flag.String("precision", "f64", "operator value precision: f64, f32, auto (f32 below the finest level; CG recurrence stays f64)")
 	rcm := flag.Bool("rcm", false, "reorder the system with reverse Cuthill-McKee before solving (solution is inverse-permuted back)")
 	schwarzSubs := flag.Int("schwarz", 0, "precondition with K-subdomain two-level additive Schwarz instead of a single AMG hierarchy (rounded up to a power of two), 0 = off")
 	overlap := flag.Int("overlap", -1, "Schwarz BFS overlap depth; 0 = explicit block Jacobi, -1 = default (1)")
 	health := flag.Bool("health", true, "guard the CG iteration against divergence, stagnation, and non-finite residuals (classified errors instead of a burned iteration budget)")
 	flag.Parse()
-	format, err := sparse.ParseFormat(*formatName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	prec, err := sparse.ParsePrecision(*precName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -98,8 +92,12 @@ func main() {
 
 	// The solve runs against either preconditioner through the same
 	// krylov interface; refresh drives the matching numeric-only replay.
+	// aop is the outer CG operator: the hierarchy's own finest-level
+	// operator on the AMG path, an auto-format conversion of a on the
+	// Schwarz path.
 	var precond krylov.Preconditioner
 	var refresh func(sparse.Operator) error
+	var aop sparse.Operator
 	var setup time.Duration
 	if *schwarzSubs > 0 {
 		opt := schwarz.Options{Subdomains: *schwarzSubs, Threads: *threads}
@@ -118,9 +116,18 @@ func main() {
 			st.Subdomains, st.RequestedSubdomains, st.Parts, st.Overlap,
 			st.AMGLocal, st.DenseLocal, st.CoarseSize, st.CoarseAMG, setup.Seconds())
 		precond, refresh = p, p.Refresh
+		outerPrec := sparse.PrecisionF64
+		if prec == sparse.PrecisionF32 {
+			outerPrec = sparse.PrecisionF32
+		}
+		aop, err = sparse.NewOperatorPrec(a, sparse.FormatAuto, 0, outerPrec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
 	} else {
 		start := time.Now()
-		h, err := amg.Build(a, amg.Options{Aggregate: aggFn, Threads: *threads, Format: format, Precision: prec})
+		h, err := amg.Build(a, amg.Options{Aggregate: aggFn, Threads: *threads, Precision: prec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -133,7 +140,7 @@ func main() {
 			fmt.Printf(" %s/%s(%d)", l.Format(), l.Precision(), l.A.Rows)
 		}
 		fmt.Println()
-		precond = h
+		precond, aop = h, h.FineOperator()
 		refresh = func(a2 sparse.Operator) error { return h.Refresh(a2.(*sparse.Matrix)) }
 	}
 
@@ -148,20 +155,6 @@ func main() {
 			os.Exit(1)
 		}
 		b = pb
-	}
-	// The outer CG matvec runs through the same format policy as the
-	// hierarchy levels, so -format sell accelerates the fine-grid SpMV
-	// of every iteration too. The precision policy applies only under a
-	// full -precision f32: under auto the finest level stays f64, and the
-	// outer operator matches it.
-	outerPrec := sparse.PrecisionF64
-	if prec == sparse.PrecisionF32 {
-		outerPrec = sparse.PrecisionF32
-	}
-	aop, err := sparse.NewOperatorPrec(a, format, 0, outerPrec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
 	}
 	x := make([]float64, a.Rows)
 	var hg *krylov.Health

@@ -184,51 +184,15 @@ func TestVCycleDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSELLVCycleBitwiseMatchesCSR pins the operator-format equivalence
-// contract end to end: a V-cycle applied through SELL-C-sigma level
-// operators is bitwise identical to the CSR path, for every worker
-// count (1/2/8) — the formats share the canonical per-row left-to-right
-// accumulation order, so no kernel may differ by even one ULP.
-func TestSELLVCycleBitwiseMatchesCSR(t *testing.T) {
-	g := gen.Laplace3D(20, 20, 20)
-	a := GraphLaplacian(g, 1e-4)
-	n := a.Rows
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = float64(i%7) - 3
-	}
-	var ref []uint64
-	for _, format := range []OperatorFormat{FormatCSR, FormatSELL, FormatAuto} {
-		for _, threads := range detWorkerCounts {
-			h, err := NewAMG(a, AMGOptions{Threads: threads, Format: format})
-			if err != nil {
-				t.Fatalf("format %v, %d workers: %v", format, threads, err)
-			}
-			z := make([]float64, n)
-			h.Precondition(r, z)
-			bits := make([]uint64, n)
-			for i, v := range z {
-				bits[i] = math.Float64bits(v)
-			}
-			if ref == nil {
-				ref = bits
-				continue
-			}
-			for i := range bits {
-				if bits[i] != ref[i] {
-					t.Fatalf("format %v, %d workers: z[%d] differs bitwise from the CSR path", format, threads, i)
-				}
-			}
-		}
-	}
-}
-
 // TestRCMSELLSolveBitwiseMatchesCSR pins the reordered path: the system
-// is RCM-permuted, solved through SELL-format AMG-CG, and the solution
-// inverse-permuted back; the result must be bitwise identical (0 ULP)
-// to the CSR-format solve of the same reordered system, inverse-permuted
-// the same way, at every worker count — the permutation is pure data
-// movement and the formats are bit-compatible, so nothing may drift.
+// (16^3 = 4096 regular rows, so the finest level runs on SELL) is
+// RCM-permuted, solved by AMG-CG through the hierarchy's SELL
+// FineOperator, and the solution inverse-permuted back; the result must
+// be bitwise identical (0 ULP) to the sequential solve of the same
+// reordered system with the CSR matrix as outer operator, inverse-
+// permuted the same way, at every worker count — the permutation is
+// pure data movement and the formats are bit-compatible, so nothing may
+// drift.
 func TestRCMSELLSolveBitwiseMatchesCSR(t *testing.T) {
 	g := gen.Laplace3D(16, 16, 16)
 	a0 := GraphLaplacian(g, 1e-4)
@@ -250,25 +214,26 @@ func TestRCMSELLSolveBitwiseMatchesCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	solve := func(format OperatorFormat, threads int) []uint64 {
-		h, err := NewAMG(a, AMGOptions{Threads: threads, Format: format})
+	solve := func(csrOuter bool, threads int) []uint64 {
+		h, err := NewAMG(a, AMGOptions{Threads: threads})
 		if err != nil {
-			t.Fatalf("format %v: %v", format, err)
+			t.Fatalf("%d workers: %v", threads, err)
 		}
-		// The outer CG matvec runs through the format under test too, not
-		// just the hierarchy levels.
-		op, err := NewOperator(a, format)
-		if err != nil {
-			t.Fatalf("format %v: %v", format, err)
+		if f := h.Levels[0].Format(); f != FormatSELL {
+			t.Fatalf("%d workers: finest level format %v, want SELL", threads, f)
+		}
+		var op Operator = h.FineOperator()
+		if csrOuter {
+			op = a
 		}
 		x := make([]float64, n)
 		if _, err := SolveCG(op, b, x, SolveOptions{Tol: 1e-10, MaxIter: 400, M: h}, threads); err != nil {
-			t.Fatalf("format %v: %v", format, err)
+			t.Fatalf("%d workers: %v", threads, err)
 		}
 		// Inverse-permute the solution back to the original numbering.
 		back := make([]float64, n)
 		if err := InversePermuteVector(back, x, perm); err != nil {
-			t.Fatalf("format %v: %v", format, err)
+			t.Fatalf("%d workers: %v", threads, err)
 		}
 		bits := make([]uint64, n)
 		for i, v := range back {
@@ -276,14 +241,12 @@ func TestRCMSELLSolveBitwiseMatchesCSR(t *testing.T) {
 		}
 		return bits
 	}
-	ref := solve(FormatCSR, 1)
-	for _, format := range []OperatorFormat{FormatCSR, FormatSELL} {
-		for _, threads := range detWorkerCounts {
-			bits := solve(format, threads)
-			for i := range bits {
-				if bits[i] != ref[i] {
-					t.Fatalf("format %v, %d workers: x[%d] differs bitwise after inverse permutation", format, threads, i)
-				}
+	ref := solve(true, 1)
+	for _, threads := range detWorkerCounts {
+		bits := solve(false, threads)
+		for i := range bits {
+			if bits[i] != ref[i] {
+				t.Fatalf("SELL outer operator, %d workers: x[%d] differs bitwise from the CSR reference after inverse permutation", threads, i)
 			}
 		}
 	}

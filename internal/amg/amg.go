@@ -74,8 +74,21 @@ const (
 	SmootherClusterSGS
 )
 
+// Fixed smoother parameters: the Jacobi damping factor of Table V's
+// setup, and the Chebyshev polynomial degree and eigenvalue interval
+// ratio lambda_max / lambda_min (as in MueLu). PreSweeps/PostSweeps
+// count Chebyshev polynomial applications.
+const (
+	jacobiDamping   = 2.0 / 3.0
+	chebyshevDegree = 2
+	chebyshevRatio  = 20.0
+)
+
 // Options configures hierarchy construction. Zero values select the
-// defaults noted on each field.
+// defaults noted on each field. The storage format of each level's
+// apply-side operator is not an option: sparse.ChooseFormat picks
+// SELL-C-sigma for large regular levels and CSR otherwise, and the
+// formats are bit-compatible, so results never depend on the choice.
 type Options struct {
 	// Aggregate selects the aggregation scheme; default is Algorithm 3
 	// (coarsen.MIS2Aggregation).
@@ -85,41 +98,12 @@ type Options struct {
 	// MinCoarseSize stops coarsening once a level is this small
 	// (default 200); that level is solved directly.
 	MinCoarseSize int
-	// UnsmoothedProlongator disables prolongator smoothing (plain
-	// aggregation AMG instead of SA-AMG).
-	UnsmoothedProlongator bool
-	// JacobiDamping is the damping factor for the level smoother
-	// (default 2/3).
-	JacobiDamping float64
 	// PreSweeps and PostSweeps are the smoothing sweep counts per
 	// V-cycle (default 2 and 2: "2 sweeps of the Jacobi method" as in
 	// Table V's setup).
 	PreSweeps, PostSweeps int
 	// Smoother selects the relaxation method (default SmootherJacobi).
 	Smoother Smoother
-	// ChebyshevDegree is the polynomial degree when Smoother is
-	// SmootherChebyshev (default 2). PreSweeps/PostSweeps then count
-	// polynomial applications.
-	ChebyshevDegree int
-	// ChebyshevRatio is the eigenvalue interval ratio
-	// lambda_max / lambda_min targeted by the polynomial (default 20, as
-	// in MueLu).
-	ChebyshevRatio float64
-	// Format selects the storage layout of each level's operator for the
-	// apply-side kernels (V-cycle residuals, Jacobi/Chebyshev sweeps).
-	// The default FormatAuto converts large regular levels (fine mesh
-	// Laplacians) to SELL-C-sigma and keeps small or irregular levels
-	// (coarse Galerkin operators) on CSR; the setup-side SpGEMM plans
-	// always stay on CSR, as does the coarsest level (solved densely, its
-	// operator is never applied). Formats are bit-compatible: results
-	// never depend on the choice.
-	Format sparse.Format
-	// SellSigma is the SELL-C-sigma sort scope (0 = the sparse package
-	// default; any other value must be a positive multiple of the chunk
-	// size and is validated under every Format, so a configuration typo
-	// fails fast — see sparse.CheckSigma). The scope itself only takes
-	// effect when a level converts to SELL.
-	SellSigma int
 	// Precision selects the value storage width of the apply-side level
 	// operators (and the prolongator/restriction transfer kernels):
 	// PrecisionF64 (default) stores everything in float64; PrecisionF32
@@ -164,20 +148,11 @@ func (o Options) withDefaults() Options {
 	if o.MinCoarseSize <= 0 {
 		o.MinCoarseSize = 200
 	}
-	if o.JacobiDamping == 0 {
-		o.JacobiDamping = 2.0 / 3.0
-	}
 	if o.PreSweeps == 0 {
 		o.PreSweeps = 2
 	}
 	if o.PostSweeps == 0 {
 		o.PostSweeps = 2
-	}
-	if o.ChebyshevDegree <= 0 {
-		o.ChebyshevDegree = 2
-	}
-	if o.ChebyshevRatio <= 1 {
-		o.ChebyshevRatio = 20
 	}
 	return o
 }
@@ -189,10 +164,10 @@ type Level struct {
 	R    *sparse.Matrix // restriction (P^T)
 	Agg  coarsen.Aggregation
 	dinv []float64
-	// op is the apply-side view of A in the level's chosen format and
-	// precision (A itself for f64 CSR; a SELL/CSR32/SELL32 conversion
-	// otherwise). The setup side (plan replays, graph extraction) always
-	// works on the CSR A.
+	// op is the apply-side view of A in the format sparse.ChooseFormat
+	// picks and the level's precision (A itself for f64 CSR; a
+	// SELL/CSR32/SELL32 conversion otherwise). The setup side (plan
+	// replays, graph extraction) always works on the CSR A.
 	op sparse.Operator
 	// fill is non-nil when op caches values (SELL, CSR32, SELL32); the
 	// numeric phase refreshes them through the cached entry schedule.
@@ -211,6 +186,21 @@ type Level struct {
 	gsOp *gs.Multicolor
 	// Scratch vectors sized to this level.
 	x, b, r, d []float64
+}
+
+// setOperator converts the level's apply-side operator to the format
+// sparse.ChooseFormat picks, at precision prec. The conversion is
+// pattern-only in the symbolic phase (values land in BuildNumeric); the
+// SELL row sort and the value-replay entry schedule are part of the
+// symbolic state.
+func (l *Level) setOperator(prec sparse.Precision) error {
+	op, err := sparse.NewOperatorPrec(l.A, sparse.FormatAuto, 0, prec)
+	if err != nil {
+		return err
+	}
+	l.op = op
+	l.fill, _ = op.(sparse.ValueFiller)
+	return nil
 }
 
 // levelPlan holds the cached symbolic state of one level's setup: the
@@ -233,8 +223,8 @@ type levelPlan struct {
 // guess).
 //
 // Concurrency: a Hierarchy is single-caller mutable state — Precondition,
-// Solve, BuildNumeric, and Refresh all write the level scratch vectors
-// (and the latter two the level operators), so no two of them may run
+// BuildNumeric, and Refresh all write the level scratch vectors (and the
+// latter two the level operators), so no two of them may run
 // concurrently on one instance. Distinct hierarchies are independent and
 // may be used from any number of goroutines (they share only the
 // process-wide worker pool, which is concurrency-safe). A serving layer
@@ -259,15 +249,12 @@ type Hierarchy struct {
 	// valid is true when the numeric phase has completed successfully:
 	// a numeric error (zero diagonal surfacing on a coarse Galerkin
 	// level, degenerate spectral radius) aborts mid-replay and leaves
-	// the levels half-refreshed, so Precondition and Solve refuse to run
+	// the levels half-refreshed, so Precondition refuses to run
 	// until a later BuildNumeric or Refresh succeeds. Pre-mutation
 	// rejections (pattern mismatch, non-finite values, zero/missing/
 	// sign-flipped fine diagonal — see validateValues) leave validity
 	// untouched.
 	valid bool
-	// solveR is the fine-level residual scratch of Solve, preallocated
-	// so stationary iterations allocate nothing.
-	solveR []float64
 }
 
 // addInto computes x += d elementwise.
@@ -389,28 +376,18 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		// Choose the level's apply-side operator format and precision —
 		// only now that the level is known not to be the coarsest (the
 		// coarsest level is solved densely, its op never applied, so
-		// converting it would be pure waste). The conversions are
-		// pattern-only here (values land in BuildNumeric); the SELL row
-		// sort and the value-replay entry schedules are part of the
-		// symbolic state.
-		op, err := sparse.NewOperatorPrec(cur, opt.Format, opt.SellSigma, opt.levelPrecision(level))
-		if err != nil {
+		// converting it would be pure waste).
+		if err := l.setOperator(opt.levelPrecision(level)); err != nil {
 			return nil, fmt.Errorf("amg: level %d operator format: %w", level, err)
 		}
-		l.op = op
-		if f, ok := op.(sparse.ValueFiller); ok {
-			l.fill = f
-		}
 
-		p := coarsen.Prolongator(agg)
-		if !opt.UnsmoothedProlongator {
-			sp, err := sparse.PlanSmoothProlongator(rt, cur, p)
-			if err != nil {
-				return nil, fmt.Errorf("amg: level %d prolongator smoothing: %w", level, err)
-			}
-			lp.p0, lp.smooth = p, sp
-			p = sp.NewMatrix()
+		p0 := coarsen.Prolongator(agg)
+		sp, err := sparse.PlanSmoothProlongator(rt, cur, p0)
+		if err != nil {
+			return nil, fmt.Errorf("amg: level %d prolongator smoothing: %w", level, err)
 		}
+		lp.p0, lp.smooth = p0, sp
+		p := sp.NewMatrix()
 		lp.trans = sparse.PlanTranspose(rt, p)
 		r := lp.trans.NewMatrix()
 		rp, err := sparse.PlanRAP(rt, r, cur, p)
@@ -437,6 +414,14 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 			l.pFill, l.rFill = pop, rop
 		}
 		cur = rp.NewMatrix()
+	}
+
+	// A one-level hierarchy converts level 0 anyway: its op is also the
+	// outer Krylov matvec (FineOperator).
+	if len(h.Levels) == 1 {
+		if err := h.Levels[0].setOperator(opt.levelPrecision(0)); err != nil {
+			return nil, fmt.Errorf("amg: level 0 operator format: %w", err)
+		}
 	}
 
 	// Preallocate the dense coarse factorization (pattern-sized storage;
@@ -503,7 +488,7 @@ func (h *Hierarchy) BuildNumericCtx(ctx context.Context, a *sparse.Matrix) error
 // error during the numeric replay itself (a zero diagonal surfacing only
 // on a coarse Galerkin level, a degenerate spectral radius) still leaves
 // the levels half-refreshed: the hierarchy is invalidated (Valid reports
-// false) and Precondition/Solve panic until a subsequent Refresh or
+// false) and Precondition panics until a subsequent Refresh or
 // BuildNumeric succeeds.
 func (h *Hierarchy) Refresh(a *sparse.Matrix) error {
 	return h.RefreshCtx(nil, a)
@@ -643,21 +628,19 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 		if lp.rap == nil {
 			break // coarsest level
 		}
-		if lp.smooth != nil {
-			if l.rho <= 0 {
-				// The fused seed build falls back to the unsmoothed P0
-				// here, which would change the cached pattern; it can only
-				// occur for degenerate (all-cancelling) operators.
-				return fmt.Errorf("amg: level %d: non-positive spectral radius estimate; cannot replay the smoothed-prolongator pattern", level)
-			}
-			omega := (4.0 / 3.0) / l.rho
-			// Replay (not Numeric): the fine pattern was fingerprint-checked
-			// once in checkSamePattern and every other operand is
-			// hierarchy-owned, so the per-plan O(nnz) re-verification would
-			// only re-prove the same fact on every level.
-			if err := lp.smooth.Replay(rt, cur, lp.p0, l.dinv, omega, l.P); err != nil {
-				return fmt.Errorf("amg: level %d prolongator smoothing: %w", level, err)
-			}
+		if l.rho <= 0 {
+			// The fused seed build falls back to the unsmoothed P0 here,
+			// which would change the cached pattern; it can only occur for
+			// degenerate (all-cancelling) operators.
+			return fmt.Errorf("amg: level %d: non-positive spectral radius estimate; cannot replay the smoothed-prolongator pattern", level)
+		}
+		omega := (4.0 / 3.0) / l.rho
+		// Replay (not Numeric): the fine pattern was fingerprint-checked
+		// once in checkSamePattern and every other operand is
+		// hierarchy-owned, so the per-plan O(nnz) re-verification would
+		// only re-prove the same fact on every level.
+		if err := lp.smooth.Replay(rt, cur, lp.p0, l.dinv, omega, l.P); err != nil {
+			return fmt.Errorf("amg: level %d prolongator smoothing: %w", level, err)
 		}
 		if err := lp.trans.Replay(rt, l.P, l.R); err != nil {
 			return fmt.Errorf("amg: level %d restriction: %w", level, err)
@@ -739,7 +722,7 @@ func estimateSpectralRadius(rt *par.Runtime, a *sparse.Matrix, dinv []float64, i
 // Valid reports whether the hierarchy holds a usable numeric state:
 // true after a successful BuildNumeric or Refresh, false before the
 // first numeric pass and after a mid-replay numeric failure (in which
-// case Precondition and Solve panic until a numeric pass succeeds).
+// case Precondition panics until a numeric pass succeeds).
 // Pre-mutation rejections never change it.
 func (h *Hierarchy) Valid() bool { return h.valid }
 
@@ -756,9 +739,10 @@ func (l *Level) Format() sparse.Format {
 }
 
 // Precision reports the value storage precision of the level's
-// apply-side operator. The coarsest level reports f64 under every
-// policy: it is solved by the dense f64 factorization and its operator
-// is never applied.
+// apply-side operator. A coarsest level below level 0 reports f64 under
+// every policy: it is solved by the dense f64 factorization and its
+// operator is never applied. Level 0 follows the policy even when it is
+// the only level, because its operator is also FineOperator.
 func (l *Level) Precision() sparse.Precision {
 	return sparse.OperatorPrecision(l.op)
 }
@@ -766,6 +750,14 @@ func (l *Level) Precision() sparse.Precision {
 // Precision reports the hierarchy's precision policy (the Options value
 // it was built with; per-level resolution is Level.Precision).
 func (h *Hierarchy) Precision() sparse.Precision { return h.opt.Precision }
+
+// FineOperator returns level 0's apply-side operator: the fine matrix in
+// the format sparse.ChooseFormat picks and at the finest level's
+// precision (f32 only under PrecisionF32). It is the operator the outer
+// Krylov iteration multiplies by. Every successful BuildNumeric or
+// Refresh updates it in place, so callers hold no copy to refill. Like
+// the rest of the hierarchy it is single-caller state.
+func (h *Hierarchy) FineOperator() sparse.Operator { return h.Levels[0].op }
 
 // OperatorComplexity is the sum of nnz over all level operators divided by
 // nnz of the fine operator — the standard AMG grid quality metric.
@@ -788,34 +780,6 @@ func (h *Hierarchy) Precondition(r, z []float64) {
 	copy(h.Levels[0].b, r)
 	h.vcycle(0)
 	copy(z, h.Levels[0].x)
-}
-
-// Solve runs stationary V-cycle iterations until the residual drops below
-// tol*||b|| or maxIter cycles; mainly for tests and examples (use CG with
-// Precondition for production solves).
-func (h *Hierarchy) Solve(b, x []float64, tol float64, maxIter int) (int, float64) {
-	h.checkValid()
-	n := h.Levels[0].A.Rows
-	if cap(h.solveR) < n {
-		h.solveR = make([]float64, n)
-	}
-	r := h.solveR[:n]
-	bnorm := norm2(b)
-	if bnorm == 0 {
-		bnorm = 1
-	}
-	for it := 0; it < maxIter; it++ {
-		h.Levels[0].A.SpMVResidual(h.rt, b, x, r)
-		rel := norm2(r) / bnorm
-		if rel < tol {
-			return it, rel
-		}
-		copy(h.Levels[0].b, r)
-		h.vcycle(0)
-		addInto(h.rt, x, h.Levels[0].x)
-	}
-	h.Levels[0].A.SpMVResidual(h.rt, b, x, r)
-	return maxIter, norm2(r) / bnorm
 }
 
 // vcycle runs one V-cycle on level l using l.b as right-hand side,
@@ -868,7 +832,7 @@ func (h *Hierarchy) smooth(l *Level, sweeps int, xZero bool) {
 	}
 }
 
-// chebyshev applies one Chebyshev polynomial of the configured degree to
+// chebyshev applies one Chebyshev polynomial of degree chebyshevDegree to
 // l.A x = l.b, updating l.x in place. The polynomial targets the interval
 // [rho/ratio, 1.1*rho] of D^{-1}A eigenvalues, as in MueLu/Ifpack2.
 //
@@ -877,7 +841,7 @@ func (h *Hierarchy) chebyshev(l *Level) {
 	n := l.A.Rows
 	rt := h.rt
 	lmax := 1.1 * l.rho
-	lmin := l.rho / h.opt.ChebyshevRatio
+	lmin := l.rho / chebyshevRatio
 	theta := (lmax + lmin) / 2
 	delta := (lmax - lmin) / 2
 	sigma := theta / delta
@@ -890,7 +854,7 @@ func (h *Hierarchy) chebyshev(l *Level) {
 	} else {
 		rt.For(n, func(lo, hi int) { chebInitRange(l, theta, lo, hi) })
 	}
-	for k := 1; k < h.opt.ChebyshevDegree; k++ {
+	for k := 1; k < chebyshevDegree; k++ {
 		addInto(rt, l.x, l.d)
 		// Recompute the residual against the updated iterate (one extra
 		// SpMV per degree, robust against drift).
@@ -938,7 +902,7 @@ func chebStepRange(l *Level, coef1, coef2 float64, lo, hi int) {
 //amg:hotpath
 func (h *Hierarchy) jacobi(l *Level, sweeps int, xZero bool) {
 	n := l.A.Rows
-	omega := h.opt.JacobiDamping
+	omega := jacobiDamping
 	x, xn := l.x, l.d
 	for s := 0; s < sweeps; s++ {
 		// src/dst are loop-local copies: the closures below must not
@@ -971,13 +935,4 @@ func jacobiZeroRange(l *Level, omega float64, dst []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		dst[i] = omega * l.dinv[i] * l.b[i]
 	}
-}
-
-//amg:hotpath
-func norm2(a []float64) float64 {
-	s := 0.0
-	for _, v := range a {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }

@@ -22,6 +22,38 @@ func laplaceProblem(nx, ny, nz int) (*sparse.Matrix, []float64) {
 	return a, b
 }
 
+// stationary runs V-cycle iterations x += M(b - A x) through
+// Precondition until the residual drops below tol*||b|| or maxIter
+// cycles, returning the cycle count and the final relative residual.
+func stationary(h *Hierarchy, b, x []float64, tol float64, maxIter int) (int, float64) {
+	a := h.Levels[0].A
+	r := make([]float64, a.Rows)
+	z := make([]float64, a.Rows)
+	norm := func(v []float64) float64 {
+		s := 0.0
+		for _, e := range v {
+			s += e * e
+		}
+		return math.Sqrt(s)
+	}
+	bnorm := norm(b)
+	if bnorm == 0 {
+		bnorm = 1
+	}
+	for it := 0; it < maxIter; it++ {
+		a.SpMVResidual(h.rt, b, x, r)
+		if rel := norm(r) / bnorm; rel < tol {
+			return it, rel
+		}
+		h.Precondition(r, z)
+		for i := range x {
+			x[i] += z[i]
+		}
+	}
+	a.SpMVResidual(h.rt, b, x, r)
+	return maxIter, norm(r) / bnorm
+}
+
 func TestBuildHierarchyShape(t *testing.T) {
 	a, _ := laplaceProblem(12, 12, 12)
 	h, err := Build(a, Options{MinCoarseSize: 50})
@@ -56,7 +88,7 @@ func TestVCycleSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, a.Rows)
-	iters, rel := h.Solve(b, x, 1e-10, 200)
+	iters, rel := stationary(h, b, x, 1e-10, 200)
 	if rel >= 1e-10 {
 		t.Fatalf("V-cycle iteration stalled: rel=%.3e after %d cycles", rel, iters)
 	}
@@ -113,34 +145,6 @@ func TestAggregationSchemesAllWork(t *testing.T) {
 		if !st.Converged {
 			t.Fatalf("%s: not converged %+v", name, st)
 		}
-	}
-}
-
-func TestUnsmoothedVsSmoothedProlongator(t *testing.T) {
-	a, b := laplaceProblem(12, 12, 6)
-	rt := par.New(0)
-	hs, err := Build(a, Options{MinCoarseSize: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hu, err := Build(a, Options{MinCoarseSize: 60, UnsmoothedProlongator: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	xs := make([]float64, a.Rows)
-	xu := make([]float64, a.Rows)
-	sts, err := krylov.CGCtx(nil, rt, a, b, xs, krylov.Options{Tol: 1e-10, MaxIter: 1000, M: hs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stu, err := krylov.CGCtx(nil, rt, a, b, xu, krylov.Options{Tol: 1e-10, MaxIter: 1000, M: hu})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Smoothed aggregation should not be (much) worse than plain
-	// aggregation on a Poisson problem; typically it is clearly better.
-	if sts.Iterations > stu.Iterations+5 {
-		t.Fatalf("smoothed prolongator worse: %d vs %d iterations", sts.Iterations, stu.Iterations)
 	}
 }
 
@@ -220,7 +224,7 @@ func TestChebyshevSmoother(t *testing.T) {
 	a, b := laplaceProblem(12, 12, 12)
 	rt := par.New(0)
 	hCheb, err := Build(a, Options{MinCoarseSize: 60, Smoother: SmootherChebyshev,
-		ChebyshevDegree: 2, PreSweeps: 1, PostSweeps: 1})
+		PreSweeps: 1, PostSweeps: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,27 +249,6 @@ func TestChebyshevSmoother(t *testing.T) {
 	}
 	if st.Iterations > 2*stJ.Iterations {
 		t.Fatalf("Chebyshev iterations %d much worse than Jacobi %d", st.Iterations, stJ.Iterations)
-	}
-}
-
-func TestChebyshevDegreeImprovesSmoothing(t *testing.T) {
-	a, b := laplaceProblem(10, 10, 10)
-	rt := par.New(0)
-	iters := func(degree int) int {
-		h, err := Build(a, Options{MinCoarseSize: 60, Smoother: SmootherChebyshev,
-			ChebyshevDegree: degree, PreSweeps: 1, PostSweeps: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := make([]float64, a.Rows)
-		st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: h})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st.Iterations
-	}
-	if i4, i1 := iters(4), iters(1); i4 > i1 {
-		t.Fatalf("degree-4 Chebyshev (%d iters) worse than degree-1 (%d)", i4, i1)
 	}
 }
 

@@ -79,8 +79,8 @@ func TestBuildCtxBackgroundIdentical(t *testing.T) {
 	}
 	x1 := make([]float64, a.Rows)
 	x2 := make([]float64, a.Rows)
-	h1.Solve(b, x1, 1e-10, 100)
-	h2.Solve(b, x2, 1e-10, 100)
+	stationary(h1, b, x1, 1e-10, 100)
+	stationary(h2, b, x2, 1e-10, 100)
 	for i := range x1 {
 		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
 			t.Fatalf("bit mismatch at %d: %g vs %g", i, x1[i], x2[i])
@@ -95,7 +95,7 @@ func TestRefreshCtxPreMutationCancelLeavesValid(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, a.Rows)
-	h.Solve(b, want, 1e-10, 100)
+	stationary(h, b, want, 1e-10, 100)
 
 	a2 := a.Clone()
 	a2.Scale(2)
@@ -110,7 +110,7 @@ func TestRefreshCtxPreMutationCancelLeavesValid(t *testing.T) {
 	}
 	// The previous operator must still solve bitwise identically.
 	got := make([]float64, a.Rows)
-	h.Solve(b, got, 1e-10, 100)
+	stationary(h, b, got, 1e-10, 100)
 	for i := range got {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
 			t.Fatalf("previous state corrupted at %d: %g vs %g", i, got[i], want[i])

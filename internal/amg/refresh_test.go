@@ -154,7 +154,6 @@ func TestRefreshDeterministicSmootherVariants(t *testing.T) {
 		"chebyshev":  {MinCoarseSize: 60, Smoother: SmootherChebyshev},
 		"pointsgs":   {MinCoarseSize: 60, Smoother: SmootherPointSGS, PreSweeps: 1, PostSweeps: 1},
 		"clustersgs": {MinCoarseSize: 60, Smoother: SmootherClusterSGS, PreSweeps: 1, PostSweeps: 1},
-		"unsmoothed": {MinCoarseSize: 60, UnsmoothedProlongator: true},
 	} {
 		h, err := Build(a, opt)
 		if err != nil {

@@ -35,7 +35,7 @@ func TestServeStressFaultInjection(t *testing.T) {
 		FaultHook:     planHook,
 	}
 	s := New(cfg)
-	rt := par.New(cfg.withDefaults().Threads)
+	rt := par.New(cfg.withDefaults().AMG.Threads)
 
 	// Three structurally different patterns, three value sets each, with
 	// sequential single-caller references (fresh build, k=1 CGBatchCtx).

@@ -108,7 +108,7 @@ func TestEscalationRecoversF32Stall(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make([]float64, a.Rows)
-	rt := par.New(rcfg.Threads)
+	rt := par.New(rcfg.AMG.Threads)
 	if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
 		t.Fatal(err)
 	}

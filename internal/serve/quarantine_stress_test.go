@@ -44,7 +44,7 @@ func TestServeStressPoisonQuarantine(t *testing.T) {
 	}
 	s := New(cfg)
 	rcfg := cfg.withDefaults()
-	rt := par.New(rcfg.Threads)
+	rt := par.New(rcfg.AMG.Threads)
 
 	// Healthy traffic: two patterns, two value sets each, with
 	// sequential references through the same guarded batch kernel.
@@ -251,11 +251,10 @@ func TestServeHealthyBitwiseAcrossWorkerCounts(t *testing.T) {
 	var want []float64
 	for _, threads := range []int{1, 2, 8} {
 		cfg := Config{
-			AMG:         amg.Options{MinCoarseSize: 40},
+			AMG:         amg.Options{MinCoarseSize: 40, Threads: threads},
 			Tol:         1e-10,
 			MaxIter:     200,
 			BatchWindow: -1,
-			Threads:     threads,
 		}
 		s := New(cfg)
 		x, st, err := s.Solve(context.Background(), a, b)

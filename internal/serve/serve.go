@@ -43,10 +43,11 @@
 //
 // Determinism carries over from the underlying stack: a served solution
 // is bitwise identical to the same system solved by a sequential single
-// caller (krylov.CGBatchCtx with k = 1 on a freshly built hierarchy), for
-// any worker count, any cache state, and any coalescing — columns of a
-// batched CG recurrence are exactly independent, and Hierarchy.Refresh
-// is bitwise identical to a fresh build.
+// caller (krylov.CGBatchCtx with k = 1 on a freshly built hierarchy,
+// multiplying by its FineOperator), for any worker count, any cache
+// state, and any coalescing — columns of a batched CG recurrence are
+// exactly independent, and Hierarchy.Refresh is bitwise identical to a
+// fresh build.
 package serve
 
 import (
@@ -71,7 +72,13 @@ import (
 // Config configures a Service. Zero values select the defaults noted on
 // each field.
 type Config struct {
-	// AMG configures the hierarchies built for cached patterns.
+	// AMG configures the hierarchies built for cached patterns. Its
+	// Threads is also the worker count of the outer Krylov kernels (0 =
+	// GOMAXPROCS), and its Precision also sets the outer CG operator's,
+	// which is the hierarchy's own finest-level operator
+	// (Hierarchy.FineOperator): f32 only under PrecisionF32. The outer
+	// recurrence, dot products, and residual norms always stay float64.
+	// Results are deterministic for every worker count.
 	AMG amg.Options
 	// Tol is the relative-residual tolerance of served solves
 	// (default 1e-8).
@@ -94,18 +101,6 @@ type Config struct {
 	// MaxInFlight bounds admitted in-flight requests for backpressure
 	// (default 4×GOMAXPROCS).
 	MaxInFlight int
-	// Threads is the solver worker count (0 = GOMAXPROCS), applied to
-	// the Krylov kernels and — unless AMG.Threads is set explicitly —
-	// to hierarchy construction and the V-cycle preconditioner too.
-	// Results are deterministic for every choice.
-	Threads int
-	// Precision selects the value storage width of served hierarchies
-	// and, under PrecisionF32, of the outer CG operator too (the outer
-	// recurrence, dot products, and residual norms always stay float64,
-	// so convergence detection is unchanged in kind). Applied to the
-	// hierarchies unless AMG.Precision is set explicitly, mirroring
-	// Threads. Default PrecisionF64.
-	Precision sparse.Precision
 	// SolveTimeout, when positive, bounds each request end to end —
 	// admission wait, setup, coalescing, and the solve itself — by
 	// composing a deadline onto the caller's context. An expired
@@ -182,15 +177,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
 	}
-	if c.AMG.Threads == 0 {
-		// The V-cycle preconditioner does the bulk of per-iteration work;
-		// a Threads bound that only throttled the outer CG kernels would
-		// be a trap, so the hierarchy inherits it unless set explicitly.
-		c.AMG.Threads = c.Threads
-	}
-	if c.AMG.Precision == sparse.PrecisionF64 {
-		c.AMG.Precision = c.Precision
-	}
 	if c.Health == nil {
 		c.Health = krylov.DefaultHealth()
 	}
@@ -260,12 +246,6 @@ var ErrPanic = errors.New("serve: panic in solver critical section")
 // operator. Retrying the request rebuilds fresh and succeeds.
 var ErrInvalidated = errors.New("serve: cache entry invalidated while batch was coalescing")
 
-// errEntryDirty marks a refresh failure that struck after the entry's
-// value buffers were already swapped (outer-operator refill): the
-// hierarchy may still report valid, but the entry's operator view is
-// stale, so the caller must retire the entry like a deep failure.
-var errEntryDirty = errors.New("entry state diverged")
-
 // isCancellation reports whether err is any of the stack's cancellation
 // outcomes (solver-loop, setup, admission, or coalescing-window cancel
 // — all of them wrap the originating context error).
@@ -286,7 +266,7 @@ type RequestStats struct {
 	// sides, in request order.
 	Columns []krylov.Stats
 	// Precision is the hierarchy precision policy that served the solve
-	// (the resolved Config.Precision).
+	// (Config.AMG.Precision).
 	Precision sparse.Precision
 	// Converged reports that every requested column met the tolerance —
 	// the explicit signal that a result is an answer, not a best-effort
@@ -346,13 +326,13 @@ type Service struct {
 	m counters
 }
 
-// entry is one cached pattern: the hierarchy, the service-owned fine
-// matrix (current numeric values), solver scratch, and the coalescing
-// state. key/rows/cols/nnz are immutable; elem belongs to the index
-// (guarded by Service.mu, like the map and list it lives in); every
-// other field is guarded by mu. Holding mu across the solve is what
-// makes hierarchies and workspaces — single-caller by contract —
-// race-clean under concurrent requests.
+// entry is one cached pattern: the hierarchy (whose FineOperator is the
+// outer CG operator), the service-owned fine matrix (current numeric
+// values), solver scratch, and the coalescing state. key/rows/cols/nnz
+// are immutable; elem belongs to the index (guarded by Service.mu, like
+// the map and list it lives in); every other field is guarded by mu.
+// Holding mu across the solve is what makes hierarchies and workspaces
+// — single-caller by contract — race-clean under concurrent requests.
 type entry struct {
 	key             uint64
 	rows, cols, nnz int
@@ -365,15 +345,6 @@ type entry struct {
 	// rejected Refresh never clobbers fine (they share the immutable
 	// pattern arrays and differ only in Val).
 	fine, spare *sparse.Matrix
-	// op is the outer-solve view of fine in the configured operator
-	// format and precision (fine itself for f64 CSR; a value-caching
-	// conversion refreshed through fill.FillValues otherwise) — the same
-	// policy the hierarchy's finest level follows, so the per-iteration
-	// outer SpMM gets the chunked (and, under PrecisionF32, halved-
-	// bandwidth) kernels too. Formats are bit-compatible; a precision is
-	// bitwise deterministic within itself.
-	op   sparse.Operator
-	fill sparse.ValueFiller
 	// pending counts batches created but not yet solved; values may not
 	// change while any batch is in flight.
 	pending int
@@ -455,7 +426,7 @@ func (bt *batch) watch(ctx context.Context) (stop func() bool) {
 // next request to observe it — queued on the mutex or resuming from the
 // condition wait — rebuilds from its own matrix.
 func (e *entry) reset() {
-	e.h, e.fine, e.spare, e.op, e.fill = nil, nil, nil, nil, nil
+	e.h, e.fine, e.spare = nil, nil, nil
 }
 
 // New returns a Service with the given configuration (zero fields take
@@ -464,7 +435,7 @@ func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		cfg:      cfg,
-		rt:       par.New(cfg.Threads),
+		rt:       par.New(cfg.AMG.Threads),
 		solveOpt: krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, Health: cfg.Health},
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		entries:  make(map[uint64]*entry),
@@ -749,14 +720,13 @@ func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, b
 			if panicked {
 				s.m.panics.Add(1)
 			}
-			if panicked || !e.h.Valid() || errors.Is(err, errEntryDirty) {
-				// The numeric state (or the entry's operator view of it)
-				// is no longer trustworthy. Reset the entry while still
-				// holding its lock — same-pattern waiters queued on e.mu
-				// or e.cond must find the unbuilt state and rebuild,
-				// never an invalidated hierarchy (whose Precondition
-				// panics) — and retire it from the index so the next
-				// lookup starts fresh.
+			if panicked || !e.h.Valid() {
+				// The numeric state is no longer trustworthy. Reset the
+				// entry while still holding its lock — same-pattern
+				// waiters queued on e.mu or e.cond must find the unbuilt
+				// state and rebuild, never an invalidated hierarchy (whose
+				// Precondition panics) — and retire it from the index so
+				// the next lookup starts fresh.
 				e.reset()
 				e.cond.Broadcast()
 				e.mu.Unlock()
@@ -777,11 +747,11 @@ func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, b
 }
 
 // buildEntry runs the full-construction critical section with panic
-// isolation: hierarchy build, ping-pong value buffers, the outer
-// operator view, and solver scratch. Called with e.mu held. Every
-// entry field is assigned only after the last fallible step, so a
-// failure (or contained panic, reported as an error wrapping ErrPanic)
-// leaves the entry unbuilt and the caller drops it.
+// isolation: hierarchy build, ping-pong value buffers, and solver
+// scratch. Called with e.mu held. Every entry field is assigned only
+// after the last fallible step, so a failure (or contained panic,
+// reported as an error wrapping ErrPanic) leaves the entry unbuilt and
+// the caller drops it.
 func (s *Service) buildEntry(ctx context.Context, e *entry, a *sparse.Matrix) (err error) {
 	defer recoverTo(&err)
 	if err := s.fault(FaultBuild, ctx); err != nil {
@@ -792,28 +762,12 @@ func (s *Service) buildEntry(ctx context.Context, e *entry, a *sparse.Matrix) (e
 	if err != nil {
 		return err
 	}
-	// The outer CG matvec is the finest-level traversal: it follows the
-	// finest level's precision — f32 only under the full PrecisionF32
-	// policy (PrecisionAuto keeps the finest level, whose residual feeds
-	// convergence detection, at full precision).
-	outerPrec := sparse.PrecisionF64
-	if s.cfg.AMG.Precision == sparse.PrecisionF32 {
-		outerPrec = sparse.PrecisionF32
-	}
-	op, err := sparse.NewOperatorPrec(fine, s.cfg.AMG.Format, s.cfg.AMG.SellSigma, outerPrec)
-	if err != nil {
-		return fmt.Errorf("outer operator format: %w", err)
-	}
 	e.h = h
 	e.fine = fine
 	e.spare = &sparse.Matrix{
 		Rows: fine.Rows, Cols: fine.Cols,
 		RowPtr: fine.RowPtr, Col: fine.Col, // pattern arrays are immutable and shared
 		Val: make([]float64, len(fine.Val)),
-	}
-	e.op, e.fill = op, nil
-	if f, ok := op.(sparse.ValueFiller); ok {
-		e.fill = f
 	}
 	e.ws = krylov.NewWorkspace(fine.Rows)
 	return nil
@@ -823,8 +777,8 @@ func (s *Service) buildEntry(ctx context.Context, e *entry, a *sparse.Matrix) (e
 // isolation. Called with e.mu held and e.pending == 0. On return the
 // caller classifies the error: pre-mutation rejections (including a
 // cancellation caught before the replay) leave the entry usable;
-// ErrPanic, an invalidated hierarchy, or errEntryDirty mean the entry
-// must be reset and dropped.
+// ErrPanic or an invalidated hierarchy mean the entry must be reset and
+// dropped.
 func (s *Service) refreshEntry(ctx context.Context, e *entry, a *sparse.Matrix) (err error) {
 	defer recoverTo(&err)
 	if err := s.fault(FaultRefresh, ctx); err != nil {
@@ -841,21 +795,6 @@ func (s *Service) refreshEntry(ctx context.Context, e *entry, a *sparse.Matrix) 
 		return err
 	}
 	e.fine, e.spare = e.spare, e.fine
-	if e.fill != nil {
-		// The value-caching conversion gathers the new values through
-		// its cached entry schedule; plain f64 CSR outer operators just
-		// re-point. A failure is impossible by construction (the
-		// ping-pong matrices share the conversion's pattern, and an f32
-		// outer operator implies the hierarchy's f32 finest level already
-		// range-checked these values) — but the buffers are already
-		// swapped, so flag it for the deep-failure path so nothing stale
-		// is ever served.
-		if err := e.fill.FillValues(e.fine); err != nil {
-			return fmt.Errorf("outer operator refresh: %w: %w", errEntryDirty, err)
-		}
-	} else {
-		e.op = e.fine
-	}
 	return nil
 }
 
@@ -970,7 +909,7 @@ func (s *Service) runBatchSolve(reqCtx context.Context, e *entry, bt *batch) {
 	clear(e.xbuf[:n*k]) // zero initial guess for every column
 	o := s.solveOpt
 	o.M, o.Work = e.h, e.ws
-	stats, err := krylov.CGBatchCtx(bt.solveCtx, s.rt, e.op, e.bbuf, e.xbuf, k, o)
+	stats, err := krylov.CGBatchCtx(bt.solveCtx, s.rt, e.h.FineOperator(), e.bbuf, e.xbuf, k, o)
 	bt.err = err
 	bt.stats = make([]krylov.Stats, len(stats))
 	copy(bt.stats, stats) // stats slice is workspace-owned; keep a copy
@@ -1043,7 +982,8 @@ func (s *Service) solveUncached(ctx context.Context, a *sparse.Matrix, bs [][]fl
 
 // solveFresh solves the columns bs on a request-local hierarchy h with
 // one batch CG from a zero initial guess, through the same CGBatchCtx
-// kernel (and hence bitwise the same results) as the cached path.
+// kernel and the same outer operator (h.FineOperator) as the cached
+// path, and hence bitwise the same results.
 func (s *Service) solveFresh(ctx context.Context, a *sparse.Matrix, h *amg.Hierarchy, bs [][]float64) ([][]float64, []krylov.Stats, error) {
 	n, k := a.Rows, len(bs)
 	bb := make([]float64, n*k)
@@ -1051,7 +991,7 @@ func (s *Service) solveFresh(ctx context.Context, a *sparse.Matrix, h *amg.Hiera
 	interleave(bb, bs, n, k)
 	o := s.solveOpt
 	o.M = h
-	stats, err := krylov.CGBatchCtx(ctx, s.rt, a, bb, xb, k, o)
+	stats, err := krylov.CGBatchCtx(ctx, s.rt, h.FineOperator(), bb, xb, k, o)
 	xs := make([][]float64, k)
 	for j := range xs {
 		xs[j] = make([]float64, n)

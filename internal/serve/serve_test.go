@@ -52,7 +52,7 @@ func referenceSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []f
 	}
 	x := make([]float64, a.Rows)
 	bb := append([]float64(nil), b...)
-	if _, err := krylov.CGBatchCtx(nil, par.New(cfg.Threads), a, bb, x, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
+	if _, err := krylov.CGBatchCtx(nil, par.New(cfg.AMG.Threads), a, bb, x, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 		t.Fatal(err)
 	}
 	return x
@@ -600,27 +600,24 @@ func TestServeRejectsOversizedRequest(t *testing.T) {
 	}
 }
 
-// TestServeSELLOuterOperatorBitwise forces the SELL outer-operator path
-// (FormatSELL converts regardless of size): build, reuse, and refresh
-// through the entry-schedule FillValues must serve results bitwise
-// identical to the CSR-configured service and the sequential reference.
+// TestServeSELLOuterOperatorBitwise serves a pattern large and regular
+// enough (13^3 = 2197 rows) that sparse.ChooseFormat puts the finest
+// level — and hence the outer CG operator, the hierarchy's
+// FineOperator — on SELL. Build, reuse, and refresh (the hierarchy
+// refills the SELL values through its entry schedule) must serve
+// results bitwise identical to the sequential reference, whose outer
+// operator is the CSR matrix itself.
 func TestServeSELLOuterOperatorBitwise(t *testing.T) {
-	csrCfg := testConfig()
-	csrCfg.AMG.Format = sparse.FormatCSR
-	sellCfg := testConfig()
-	sellCfg.AMG.Format = sparse.FormatSELL
-	csr, sell := New(csrCfg), New(sellCfg)
+	cfg := testConfig()
+	s := New(cfg)
 	ctx := context.Background()
 
-	a, b := testProblem(8, 0.05)
+	a, b := testProblem(13, 0.05)
 	a2 := a.Clone()
 	a2.Scale(1.75)
 	for step, m := range []*sparse.Matrix{a, a, a2, a} {
-		want, _, err := csr.Solve(ctx, m, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, st, err := sell.Solve(ctx, m, b)
+		want := referenceSolve(t, cfg, m, b)
+		got, st, err := s.Solve(ctx, m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -629,15 +626,57 @@ func TestServeSELLOuterOperatorBitwise(t *testing.T) {
 			t.Fatalf("step %d rebuilt instead of reusing/refreshing", step)
 		}
 	}
-	// White-box: the SELL conversion really is in place on the entry.
+	// White-box: the entry's outer operator really is the hierarchy's
+	// SELL finest level.
 	key := hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col)
-	sell.mu.Lock()
-	e := sell.entries[key]
-	sell.mu.Unlock()
-	if e == nil || e.fill == nil {
-		t.Fatal("FormatSELL service did not install a SELL outer operator")
+	s.mu.Lock()
+	e := s.entries[key]
+	s.mu.Unlock()
+	if e == nil || e.h == nil {
+		t.Fatal("pattern not cached")
 	}
-	if _, ok := e.op.(*sparse.SELL); !ok {
-		t.Fatalf("FormatSELL outer operator is %T, want *sparse.SELL", e.op)
+	if f := e.h.Levels[0].Format(); f != sparse.FormatSELL {
+		t.Fatalf("finest level format %v, want SELL", f)
 	}
+	if _, ok := e.h.FineOperator().(*sparse.SELL); !ok {
+		t.Fatalf("outer operator is %T, want *sparse.SELL", e.h.FineOperator())
+	}
+}
+
+// TestServeOneLevelF32FineOperatorBitwise: a hierarchy whose finest
+// level is also its coarsest still gives the outer CG an f32 operator
+// under PrecisionF32, and the served result is bitwise the sequential
+// solve with a separately built NewOperatorPrec(a, FormatAuto, 0, F32)
+// outer operator.
+func TestServeOneLevelF32FineOperatorBitwise(t *testing.T) {
+	cfg := testConfig()
+	cfg.AMG = amg.Options{MinCoarseSize: 1000, Precision: sparse.PrecisionF32}
+	s := New(cfg)
+	a, b := testProblem(8, 0.05)
+	got, _, err := s.Solve(context.Background(), a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rcfg := cfg.withDefaults()
+	h, err := amg.Build(a, rcfg.AMG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.NumLevels() != 1 {
+		t.Fatalf("levels = %d, want 1", h.NumLevels())
+	}
+	if p := sparse.OperatorPrecision(h.FineOperator()); p != sparse.PrecisionF32 {
+		t.Fatalf("one-level f32 hierarchy's FineOperator stores %v, want f32", p)
+	}
+	op, err := sparse.NewOperatorPrec(a, sparse.FormatAuto, 0, sparse.PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, a.Rows)
+	o := krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h}
+	if _, err := krylov.CGBatchCtx(nil, par.New(rcfg.AMG.Threads), op, append([]float64(nil), b...), want, 1, o); err != nil {
+		t.Fatal(err)
+	}
+	bitwiseEqual(t, "one-level f32", got, want)
 }

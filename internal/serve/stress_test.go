@@ -38,7 +38,7 @@ func TestServeStressMixedTraffic(t *testing.T) {
 		MaxBatch:      4,
 	}
 	s := New(cfg)
-	rt := par.New(cfg.withDefaults().Threads)
+	rt := par.New(cfg.withDefaults().AMG.Threads)
 
 	// Three structurally different patterns, three value sets each.
 	patterns := []*sparse.Matrix{

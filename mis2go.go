@@ -121,8 +121,8 @@ type Matrix = sparse.Matrix
 // results: switching formats never changes any answer, only speed.
 type Operator = sparse.Operator
 
-// OperatorFormat selects an operator storage layout for NewOperator and
-// AMGOptions.Format.
+// OperatorFormat selects an operator storage layout for NewOperator.
+// AMG levels always use FormatAuto; see AMG.FineOperator.
 type OperatorFormat = sparse.Format
 
 // Operator formats: FormatAuto converts large regular matrices (fine
@@ -142,7 +142,7 @@ func NewOperator(a *Matrix, format OperatorFormat) (Operator, error) {
 }
 
 // OperatorPrecision selects the stored value precision of operators and
-// AMG hierarchy levels (AMGOptions.Precision, ServeConfig.Precision).
+// AMG hierarchy levels (AMGOptions.Precision, also via ServeConfig.AMG).
 // Only storage changes: every kernel takes float64 vectors and
 // accumulates each row in float64 in the same left-to-right order, so
 // f32 operators are bitwise deterministic at any worker count, and the
