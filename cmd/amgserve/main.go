@@ -17,10 +17,23 @@
 //     matrices pay nothing; concurrent requests against one operator
 //     are coalesced into batched CG solves (watch
 //     amgserve_batched_rhs_ratio).
+//     A body larger than -maxbody is answered 413, a malformed one
+//     400 "bad request body: …".
 //   - GET /metrics returns plaintext counters.
 //   - GET /healthz is liveness: 200 for as long as the process runs.
 //   - GET /readyz is readiness: 200 while accepting traffic, 503 once
 //     draining.
+//
+// Request grammar: a /solve body is one JSON object, read whole and
+// decoded in a single pass by a hand-written decoder that accepts and
+// rejects exactly what encoding/json does for the same struct. Keys
+// match field names under strings.EqualFold ("ROWS" is rows, "bſ" is
+// bs); unknown keys are skipped, but their values must still be valid
+// JSON nested at most 10000 deep. null leaves rows or cols unchanged
+// and sets an array field to nil; a repeated key replaces the earlier
+// value. rows, cols, rowptr and col take integers only (1.0 and 1e2 are
+// rejected), col within int32; a number beyond float64's range (1e400)
+// is rejected. Bytes after the object are ignored.
 //
 // Lifecycle: on SIGTERM or SIGINT the server flips /readyz to 503,
 // rejects new /solve requests with 503 + Retry-After, lets in-flight
@@ -51,7 +64,10 @@ import (
 )
 
 // solveRequest is the JSON shape of POST /solve: a CSR matrix (cols
-// defaults to rows) and one or more right-hand sides.
+// defaults to rows) and one or more right-hand sides. decodeSolveRequest
+// fills it; the json tags name the wire fields for the tests, which
+// build bodies with json.Marshal and check the decoder against
+// encoding/json.
 type solveRequest struct {
 	Rows   int         `json:"rows"`
 	Cols   int         `json:"cols,omitempty"`
@@ -241,9 +257,17 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req solveRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, ap.maxBody))
-	if err := dec.Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	body, err := readBody(w, r, ap.maxBody)
+	if err == nil {
+		err = decodeSolveRequest(body, &req)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "bad request body: "+err.Error(), status)
 		return
 	}
 	a, bs, err := req.system()

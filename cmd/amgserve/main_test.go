@@ -128,18 +128,25 @@ func TestSolveEndpointMultiRHS(t *testing.T) {
 func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 	ts := testServer(t)
 	for name, body := range map[string]string{
-		"garbage":    "{not json",
-		"no-rhs":     `{"rows":1,"rowptr":[0,1],"col":[0],"val":[2]}`,
-		"bad-matrix": `{"rows":2,"rowptr":[0,1],"col":[0],"val":[2],"b":[1,2]}`,
-		"short-b":    `{"rows":2,"rowptr":[0,1,2],"col":[0,1],"val":[2,2],"b":[1]}`,
+		"garbage":          "{not json",
+		"no-rhs":           `{"rows":1,"rowptr":[0,1],"col":[0],"val":[2]}`,
+		"bad-matrix":       `{"rows":2,"rowptr":[0,1],"col":[0],"val":[2],"b":[1,2]}`,
+		"short-b":          `{"rows":2,"rowptr":[0,1,2],"col":[0,1],"val":[2,2],"b":[1]}`,
+		"top-level-array":  `[{"rows":1,"rowptr":[0,1],"col":[0],"val":[2],"b":[1]}]`,
+		"fractional-rows":  `{"rows":1.5,"rowptr":[0,1],"col":[0],"val":[2],"b":[1]}`,
+		"col-past-int32":   `{"rows":1,"rowptr":[0,1],"col":[2147483648],"val":[2],"b":[1]}`,
+		"val-past-float64": `{"rows":1,"rowptr":[0,1],"col":[0],"val":[1e400],"b":[1]}`,
+		"trailing-comma":   `{"rows":1,"rowptr":[0,1],"col":[0],"val":[2],"b":[1],}`,
+		"truncated":        `{"rows":1,"rowptr":[0,1],"col":[0],"val":[2],"b":[1`,
 	} {
 		resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode == http.StatusOK {
-			t.Fatalf("%s: accepted", name)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400: %s", name, resp.StatusCode, msg)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/solve")
@@ -149,6 +156,24 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /solve status %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestSolveEndpointBodyTooLarge413: a body past the -maxbody cap is
+// refused as too large, not as malformed.
+func TestSolveEndpointBodyTooLarge413(t *testing.T) {
+	svc := serve.New(serve.Config{BatchWindow: -1})
+	ts := httptest.NewServer(newMux(svc, 1<<10))
+	t.Cleanup(ts.Close)
+	body := `{"pad":"` + strings.Repeat("x", 4<<10) + `"}`
+	resp, err := http.Post(ts.URL+"/solve", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("4 KB body over a 1 KB cap: status %d, want 413: %s", resp.StatusCode, msg)
 	}
 }
 
