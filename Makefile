@@ -18,6 +18,9 @@
 # detector (the worker-pool synchronization and the 1/2/8-worker bitwise
 # contract in one pass).
 #
+# `make examples` runs every program under examples/ with `go run` and
+# fails on the first non-zero exit (`go build ./...` only compiles them).
+#
 # `make fuzz FUZZTIME=30s` runs each of the four fuzz targets (CoarseGraph
 # against its serial reference, the operator formats against CSR, SpGEMM
 # plans against Multiply, amgserve's request decoder against
@@ -43,7 +46,7 @@ FORCE ?=
 FUZZTIME ?= 10s
 BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkVCycleF32Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkServePrecisionF32|BenchmarkCGNoGuard|BenchmarkCGHealthGuard'
 
-.PHONY: all build test race bench check lint fuzz benchsmoke
+.PHONY: all build test race bench check lint fuzz benchsmoke examples
 
 all: build test
 
@@ -65,6 +68,9 @@ check: lint
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
 	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestF32|TestParsePrecision|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+
+examples:
+	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d || exit 1; done
 
 fuzz:
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen

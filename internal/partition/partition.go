@@ -550,7 +550,7 @@ func kwayRecurse(g *graph.CSR, part []int32, base int32, k int, opt Options) err
 // part. A bisection is the k = 2 case. Errors are descriptive (which
 // vertex, which label) in the style of the order package's permutation
 // checks, so a bad labeling fails loudly at the boundary instead of
-// corrupting a downstream subdomain extraction.
+// corrupting whatever consumes it.
 func Check(wg *WGraph, part []int32, k int) error {
 	if k < 1 {
 		return fmt.Errorf("partition: part count %d, want at least 1", k)

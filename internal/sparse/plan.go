@@ -12,8 +12,8 @@
 // planned patterns: Replay checks shapes and stored-entry counts, which
 // is O(1), but never the patterns themselves, which would be O(nnz).
 // Callers that accept matrices from outside check the pattern once at
-// that boundary (amg.Hierarchy's BuildNumeric and Refresh,
-// schwarz.Preconditioner.RefreshCtx).
+// that boundary. The one such boundary is amg.Hierarchy's BuildNumeric
+// and Refresh (checkSamePattern).
 //
 // Every replay is bitwise identical to the corresponding one-shot kernel
 // (Multiply, Transpose, SmoothProlongator, RAP): the per-row accumulation

@@ -35,7 +35,6 @@ import (
 	"mis2go/internal/order"
 	"mis2go/internal/par"
 	"mis2go/internal/partition"
-	"mis2go/internal/schwarz"
 	"mis2go/internal/serve"
 	"mis2go/internal/sparse"
 )
@@ -464,32 +463,6 @@ type KWayResult = partition.KWayResult
 func PartitionKWay(g *Graph, k int, opt PartitionOptions) (KWayResult, error) {
 	return partition.KWay(g, k, opt)
 }
-
-// SchwarzOptions configures NewSchwarz. Note Subdomains is rounded up
-// to a power of two and Overlap 0 defaults to 1 unless OverlapSet marks
-// it explicit; the effective configuration is reported by
-// Schwarz.Stats.
-type SchwarzOptions = schwarz.Options
-
-// SchwarzStats reports the effective configuration of a Schwarz
-// preconditioner: requested vs rounded subdomain counts, overlap after
-// defaulting, and the local/coarse solver kinds.
-type SchwarzStats = schwarz.Stats
-
-// Schwarz is a two-level overlapping additive Schwarz preconditioner:
-// subdomains from MIS-2-coarsened multilevel partitioning, each solved
-// by dense LU or a local AMG hierarchy (SchwarzOptions.
-// LocalAMGThreshold), a coarse space from MIS-2 aggregation (the
-// domain-decomposition use case the paper's introduction cites).
-// Supports numeric-only Refresh for same-pattern value updates and
-// context-aware application; subdomain applies fan across the worker
-// pool deterministically.
-type Schwarz = schwarz.Preconditioner
-
-// NewSchwarz builds the additive Schwarz preconditioner for a. Only CSR
-// operators (*Matrix) are accepted: subdomain extraction needs the
-// entry arrays, which apply-only formats do not expose.
-func NewSchwarz(a Operator, opt SchwarzOptions) (*Schwarz, error) { return schwarz.New(a, opt) }
 
 // AggregationQuality summarizes an aggregation: coarsening rate, size
 // spread, and the fraction of edges crossing aggregates.

@@ -246,21 +246,3 @@ func TestPublicAPIGSSmoothersInAMG(t *testing.T) {
 		}
 	}
 }
-
-func TestPublicAPISchwarz(t *testing.T) {
-	g := Laplace2D(32, 32)
-	a := DirichletLaplacian(g, 4)
-	p, err := NewSchwarz(a, SchwarzOptions{Subdomains: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = math.Sin(0.2 * float64(i))
-	}
-	x := make([]float64, a.Rows)
-	st, err := SolveCG(a, b, x, SolveOptions{Tol: 1e-9, MaxIter: 500, M: p}, 0)
-	if err != nil || !st.Converged {
-		t.Fatalf("Schwarz-CG failed: %v %+v", err, st)
-	}
-}
