@@ -23,7 +23,8 @@
 #
 # `make fuzz FUZZTIME=30s` runs each of the four fuzz targets (CoarseGraph
 # against its serial reference, the operator formats against CSR, SpGEMM
-# plans against Multiply, amgserve's request decoder against
+# product and smooth plans against Multiply and SmoothProlongator,
+# amgserve's request decoder against
 # encoding/json) for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is

@@ -276,8 +276,8 @@ func TestRefreshZeroAllocs(t *testing.T) {
 	for p := range a2.Val {
 		a2.Val[p] *= 1.25
 	}
-	// Warm-up refreshes populate the arena scratch (SpGEMM mark/acc
-	// buffers) and the reused pivot array.
+	// Warm-up refreshes populate the arena scratch (the SpGEMM replay
+	// accumulators) and the reused pivot array.
 	for i := 0; i < 2; i++ {
 		if err := h.Refresh(a2); err != nil {
 			t.Fatal(err)

@@ -474,12 +474,12 @@ func (h *Hierarchy) BuildNumericCtx(ctx context.Context, a *sparse.Matrix) error
 // are reused. The pattern is checked via fingerprint and a mismatch is
 // a clean error — Refresh never silently rebuilds. The refreshed
 // hierarchy is bitwise identical to a fresh Build of the same matrix.
-// The first Refresh after a build also builds each Galerkin product's
-// gather schedule (the build's own numeric pass ran on mark/acc and
-// kept none) and allocates for it once. From then on, with the default
-// Jacobi (or Chebyshev) smoother a Refresh performs zero heap
-// allocations; the Gauss-Seidel smoothers rebuild their color-set
-// operators and allocate during that rebuild.
+// The plans hold only their patterns, so the first Refresh after a
+// build does the same work as every later one. With the default Jacobi
+// (or Chebyshev) smoother a Refresh performs zero heap allocations once
+// the worker arenas hold the replay accumulators; the Gauss-Seidel
+// smoothers rebuild their color-set operators and allocate during that
+// rebuild.
 //
 // All foreseeable rejections happen before any level state is touched —
 // pattern mismatch, non-finite values, and a zero, missing, or

@@ -9,20 +9,30 @@ import (
 	"mis2go/internal/par"
 )
 
-// fuzzProductOperands decodes a fuzz input into a conforming pair A, B.
+// fuzzOperands are the decoded operands of one FuzzProductPlan input:
+// the product A*B, and the smooth (I - omega*D^{-1}*S)*B with B as P0.
+type fuzzOperands struct {
+	a, b, s *Matrix
+	dinv    []float64
+	omega   float64
+}
+
+// decodeFuzzOperands decodes a fuzz input into conforming operands.
 // Layout: data[0], data[1] and data[2] give A's rows, the inner
 // dimension and B's columns of one tile (1..40 each); data[3] the tile
-// count (1..64, A and B stacked block-diagonally, so larger inputs cross
-// the parallel split threshold); data[4] and data[5] the densities of A
-// and B (0 stores nothing, 255 stores every entry); data[6] seeds the
+// count (1..64, every matrix stacked block-diagonally, so larger inputs
+// cross the parallel split threshold); data[4] and data[5] the densities
+// of A and B (0 stores nothing, 255 stores every entry; the square tile
+// S, inner dimension by inner dimension, shares A's); data[6] seeds the
 // position hash that picks the stored entries. The rest is a stream of
-// int16 value codes, taken in turn by the stored entries of A and then
-// B and reused from the start when it runs out: a value is code/3, the
-// most negative code stands for -0, and an empty stream makes every
-// value 1. Returns nil, nil for inputs shorter than the header.
-func fuzzProductOperands(data []byte) (*Matrix, *Matrix) {
+// int16 value codes, taken in turn by the stored entries of A, B and
+// S, then by dinv and omega, and reused from the start when it runs
+// out: a value is code/3, the most negative code stands for -0, and an
+// empty stream makes every value 1. Returns false for inputs shorter
+// than the header.
+func decodeFuzzOperands(data []byte) (fuzzOperands, bool) {
 	if len(data) < 7 {
-		return nil, nil
+		return fuzzOperands{}, false
 	}
 	m, k, n := 1+int(data[0])%40, 1+int(data[1])%40, 1+int(data[2])%40
 	tiles := 1 + int(data[3])%64
@@ -61,7 +71,13 @@ func fuzzProductOperands(data []byte) (*Matrix, *Matrix) {
 		}
 		return a
 	}
-	return build(m, k, data[4], 1), build(k, n, data[5], 2)
+	op := fuzzOperands{a: build(m, k, data[4], 1), b: build(k, n, data[5], 2), s: build(k, k, data[4], 3)}
+	op.dinv = make([]float64, op.s.Rows)
+	for i := range op.dinv {
+		op.dinv[i] = value()
+	}
+	op.omega = value()
+	return op, true
 }
 
 // scaledCopy returns a with every value multiplied by s.
@@ -71,60 +87,59 @@ func scaledCopy(a *Matrix, s float64) *Matrix {
 	return b
 }
 
-// FuzzProductPlan is the differential oracle of the SpGEMM plan
-// lifecycle: on fuzzed operands, a plan built at 1, 2 or 8 workers and
-// given three value passes (mark/acc, then the gather schedule build
-// and its replay) at rotating worker counts must match Multiply bit for
-// bit in pattern and values every time. A product within
-// maxScheduleFlopsFactor holds a schedule from the second pass on; one
-// over it never does.
+// FuzzProductPlan is the differential oracle of the SpGEMM plans: on
+// fuzzed operands, a product plan and a smooth plan built at 1, 2 or 8
+// workers and given three value passes at rotating worker counts must
+// match Multiply and SmoothProlongator bit for bit in pattern and values
+// every time.
 func FuzzProductPlan(f *testing.F) {
 	workers := []int{1, 2, 8}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		a, b := fuzzProductOperands(data)
-		if a == nil {
+		op, ok := decodeFuzzOperands(data)
+		if !ok {
 			t.Skip("input shorter than the header")
 		}
-		if err := a.Validate(); err != nil {
-			t.Fatalf("decoded A is invalid: %v", err)
+		for name, m := range map[string]*Matrix{"A": op.a, "B": op.b, "S": op.s} {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("decoded %s is invalid: %v", name, err)
+			}
 		}
-		if err := b.Validate(); err != nil {
-			t.Fatalf("decoded B is invalid: %v", err)
+		// Each pass gives A, B and S new values, but keeps their patterns.
+		passes := [3][3]*Matrix{
+			{op.a, op.b, op.s},
+			{scaledCopy(op.a, -0.5), op.b, scaledCopy(op.s, -0.5)},
+			{op.a, scaledCopy(op.b, -3), op.s},
 		}
-		passes := [3][2]*Matrix{{a, b}, {scaledCopy(a, -0.5), b}, {a, scaledCopy(b, -3)}}
-		var want [3]*Matrix
+		var wantC, wantP [3]*Matrix
 		for i, ops := range passes {
-			c, err := Multiply(par.New(1), ops[0], ops[1])
-			if err != nil {
+			var err error
+			if wantC[i], err = Multiply(par.New(1), ops[0], ops[1]); err != nil {
 				t.Fatal(err)
 			}
-			want[i] = c
+			if wantP[i], err = SmoothProlongator(par.New(1), ops[2], ops[1], op.dinv, op.omega); err != nil {
+				t.Fatal(err)
+			}
 		}
-		flops := 0
-		for _, row := range a.Col {
-			flops += b.RowPtr[row+1] - b.RowPtr[row]
-		}
-		scheduled := flops <= maxScheduleFlopsFactor*(a.NNZ()+b.NNZ()+want[0].NNZ())
 		for wi, w := range workers {
-			pl, err := PlanMultiply(par.New(w), a, b)
+			pp, err := PlanMultiply(par.New(w), op.a, op.b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := pl.NewMatrix()
+			sp, err := PlanSmoothProlongator(par.New(w), op.s, op.b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, out := pp.NewMatrix(), sp.NewMatrix()
 			for pass, ops := range passes {
 				rw := workers[(wi+pass)%len(workers)]
-				if err := pl.Replay(par.New(rw), ops[0], ops[1], c); err != nil {
+				if err := pp.Replay(par.New(rw), ops[0], ops[1], c); err != nil {
 					t.Fatal(err)
 				}
-				matricesEqual(t, fmt.Sprintf("plan@%d pass %d@%d", w, pass+1, rw), c, want[pass])
-				if got := pl.hasSchedule(); got != (scheduled && pass > 0) {
-					t.Fatalf("plan@%d after pass %d: schedule %v (%d flops, within bound %v)", w, pass+1, got, flops, scheduled)
+				matricesEqual(t, fmt.Sprintf("product plan@%d pass %d@%d", w, pass+1, rw), c, wantC[pass])
+				if err := sp.Replay(par.New(rw), ops[2], ops[1], op.dinv, op.omega, out); err != nil {
+					t.Fatal(err)
 				}
-				// The schedule decision is taken once, on the second
-				// pass: a third pass neither builds nor re-tries one.
-				if want := min(pass+1, 2); int(pl.passes) != want {
-					t.Fatalf("plan@%d after pass %d: plan records %d passes, want %d", w, pass+1, pl.passes, want)
-				}
+				matricesEqual(t, fmt.Sprintf("smooth plan@%d pass %d@%d", w, pass+1, rw), out, wantP[pass])
 			}
 		}
 	})

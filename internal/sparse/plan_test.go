@@ -8,28 +8,38 @@ import (
 	"mis2go/internal/par"
 )
 
-// matricesEqual reports bitwise equality of pattern and values.
+// matricesEqual fails the test unless got equals want bitwise in
+// pattern and values.
 func matricesEqual(t *testing.T, label string, got, want *Matrix) {
 	t.Helper()
+	if err := diffMatrices(got, want); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+}
+
+// diffMatrices describes the first difference between got and want in
+// shape, pattern or value bits, or returns nil when there is none.
+func diffMatrices(got, want *Matrix) error {
 	if got.Rows != want.Rows || got.Cols != want.Cols {
-		t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Rows, got.Cols, want.Rows, want.Cols)
+		return fmt.Errorf("shape %dx%d, want %dx%d", got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.RowPtr {
 		if got.RowPtr[i] != want.RowPtr[i] {
-			t.Fatalf("%s: RowPtr[%d]=%d, want %d", label, i, got.RowPtr[i], want.RowPtr[i])
+			return fmt.Errorf("RowPtr[%d]=%d, want %d", i, got.RowPtr[i], want.RowPtr[i])
 		}
 	}
 	if len(got.Col) != len(want.Col) {
-		t.Fatalf("%s: nnz %d, want %d", label, len(got.Col), len(want.Col))
+		return fmt.Errorf("nnz %d, want %d", len(got.Col), len(want.Col))
 	}
 	for p := range want.Col {
 		if got.Col[p] != want.Col[p] {
-			t.Fatalf("%s: Col[%d]=%d, want %d", label, p, got.Col[p], want.Col[p])
+			return fmt.Errorf("Col[%d]=%d, want %d", p, got.Col[p], want.Col[p])
 		}
 		if math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
-			t.Fatalf("%s: Val[%d]=%v, want %v (not bitwise identical)", label, p, got.Val[p], want.Val[p])
+			return fmt.Errorf("Val[%d]=%v, want %v (not bitwise identical)", p, got.Val[p], want.Val[p])
 		}
 	}
+	return nil
 }
 
 // perturb returns a copy of a with deterministically rescaled values —
@@ -229,16 +239,11 @@ func TestPlanReplayDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// hasSchedule reports whether a product plan holds a gather schedule.
-func (pl *ProductPlan) hasSchedule() bool { return pl.entryPtr != nil }
-
-// TestRAPPlanLazySchedule pins the plan lifecycle: PlanRAP computes
-// patterns only, the first replay runs on mark/acc and builds nothing,
-// the second builds both products' gather schedules, and every replay
-// is bitwise equal to the one-shot RAP — with plans built at one worker
-// count and replayed at others. The operands are large enough that the
-// fine and coarse row loops both split at 2 and 8 workers.
-func TestRAPPlanLazySchedule(t *testing.T) {
+// TestRAPPlanReplayAcrossWorkers replays RAP plans built at one worker
+// count at others, three value sets in turn, and checks every replay
+// bitwise against the one-shot RAP. The operands are large enough that
+// the fine and coarse row loops both split at 2 and 8 workers.
+func TestRAPPlanReplayAcrossWorkers(t *testing.T) {
 	a := randomMatrix(2400, 2400, 0.0025, 40)
 	p := aggregateP0(2400, 1100)
 	r := p.TransposeWith(par.New(1))
@@ -256,9 +261,6 @@ func TestRAPPlanLazySchedule(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pl.apPlan.hasSchedule() || pl.rapPlan.hasSchedule() {
-			t.Fatalf("plan@%d: PlanRAP built a gather schedule", tc.plan)
-		}
 		out := pl.NewMatrix()
 		for pass, w := range tc.replays {
 			rt := par.New(w)
@@ -270,10 +272,156 @@ func TestRAPPlanLazySchedule(t *testing.T) {
 				t.Fatal(err)
 			}
 			matricesEqual(t, fmt.Sprintf("plan@%d replay %d@%d", tc.plan, pass+1, w), out, want)
-			scheduled := pass > 0
-			if pl.apPlan.hasSchedule() != scheduled || pl.rapPlan.hasSchedule() != scheduled {
-				t.Fatalf("plan@%d after replay %d: schedules A*P=%v R*AP=%v, want %v",
-					tc.plan, pass+1, pl.apPlan.hasSchedule(), pl.rapPlan.hasSchedule(), scheduled)
+		}
+	}
+}
+
+// TestProductPlanConcurrentReplayBitwise replays one fresh product plan
+// and one fresh smooth plan from two goroutines at once, each into its
+// own result. Plans are immutable after planning, so every replay must
+// match the one-shot kernel bitwise, and the race detector (make check)
+// must see no write to shared plan state.
+func TestProductPlanConcurrentReplayBitwise(t *testing.T) {
+	a := randomMatrix(2400, 2400, 0.0025, 50)
+	p0 := aggregateP0(2400, 1100)
+	dinv := make([]float64, a.Rows)
+	for i := range dinv {
+		dinv[i] = 1 / (2 + float64(i%7))
+	}
+	const omega = 0.61
+	rt := par.New(2)
+	pp, err := PlanMultiply(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := PlanSmoothProlongator(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []*Matrix{a, perturb(a, 8), perturb(a, 9)}
+	wantC := make([]*Matrix, len(values))
+	wantP := make([]*Matrix, len(values))
+	for k, av := range values {
+		if wantC[k], err = Multiply(rt, av, p0); err != nil {
+			t.Fatal(err)
+		}
+		if wantP[k], err = SmoothProlongator(rt, av, p0, dinv, omega); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// start releases both goroutines at once, so their first replays,
+	// the ones a mutable plan would race on, overlap.
+	start, errs := make(chan struct{}), make(chan error, 2)
+	for g, w := range []int{2, 8} {
+		go func() {
+			rt := par.New(w)
+			c, out := pp.NewMatrix(), sp.NewMatrix()
+			<-start
+			for pass := range values {
+				k := (g + pass) % len(values)
+				if err := pp.Replay(rt, values[k], p0, c); err != nil {
+					errs <- err
+					return
+				}
+				if err := sp.Replay(rt, values[k], p0, dinv, omega, out); err != nil {
+					errs <- err
+					return
+				}
+				for _, d := range []error{diffMatrices(c, wantC[k]), diffMatrices(out, wantP[k])} {
+					if d != nil {
+						errs <- fmt.Errorf("goroutine %d pass %d@%d: %w", g, pass+1, w, d)
+						return
+					}
+				}
+			}
+			errs <- nil
+		}()
+	}
+	close(start)
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// dropLastEntry returns a copy of m without the last stored entry of its
+// last non-empty row: the same shape, one entry fewer.
+func dropLastEntry(m *Matrix) *Matrix {
+	c := m.Clone()
+	n := len(c.Col) - 1
+	c.Col, c.Val = c.Col[:n], c.Val[:n]
+	for i := range c.RowPtr {
+		c.RowPtr[i] = min(c.RowPtr[i], n)
+	}
+	return c
+}
+
+// addOneEntry returns a copy of m with one more stored entry: row 0 gains
+// the smallest column it does not store, its row kept sorted.
+func addOneEntry(m *Matrix) *Matrix {
+	row := m.Col[m.RowPtr[0]:m.RowPtr[1]]
+	j, at := int32(0), 0
+	for at < len(row) && row[at] == j {
+		j++
+		at++
+	}
+	c := &Matrix{Rows: m.Rows, Cols: m.Cols, RowPtr: make([]int, len(m.RowPtr))}
+	c.Col = append(append(append([]int32{}, m.Col[:at]...), j), m.Col[at:]...)
+	c.Val = append(append(append([]float64{}, m.Val[:at]...), 1), m.Val[at:]...)
+	for i := range c.RowPtr {
+		c.RowPtr[i] = m.RowPtr[i] + min(i, 1)
+	}
+	return c
+}
+
+// TestPlanReplayRejectsStoredEntryMismatch: a replay operand with the
+// planned shape but one stored entry fewer or one extra returns an
+// error, for A and B of a product plan, R, A and P of a RAP plan, and A
+// and P0 of a smooth plan.
+func TestPlanReplayRejectsStoredEntryMismatch(t *testing.T) {
+	rt := par.New(1)
+	a := randomMatrix(60, 60, 0.08, 12)
+	p0 := aggregateP0(60, 17)
+	r := p0.Transpose()
+	dinv := make([]float64, a.Rows)
+	for i := range dinv {
+		dinv[i] = 0.5
+	}
+	pp, err := PlanMultiply(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := PlanSmoothProlongator(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := PlanRAP(rt, r, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, out, coarse := pp.NewMatrix(), sp.NewMatrix(), rp.NewMatrix()
+	for _, edit := range []struct {
+		name string
+		f    func(*Matrix) *Matrix
+	}{{"one entry fewer", dropLastEntry}, {"one extra entry", addOneEntry}} {
+		a2, p2, r2 := edit.f(a), edit.f(p0), edit.f(r)
+		for _, m := range []*Matrix{a2, p2, r2} {
+			if err := m.Validate(); err != nil {
+				t.Fatalf("%s: edited operand invalid: %v", edit.name, err)
+			}
+		}
+		for label, err := range map[string]error{
+			"product A": pp.Replay(rt, a2, p0, c),
+			"product B": pp.Replay(rt, a, p2, c),
+			"smooth A":  sp.Replay(rt, a2, p0, dinv, 0.5, out),
+			"smooth P0": sp.Replay(rt, a, p2, dinv, 0.5, out),
+			"RAP R":     rp.Replay(rt, r2, a, p0, coarse),
+			"RAP A":     rp.Replay(rt, r, a2, p0, coarse),
+			"RAP P":     rp.Replay(rt, r, a, p2, coarse),
+		} {
+			if err == nil {
+				t.Errorf("%s: %s replay not rejected", edit.name, label)
 			}
 		}
 	}
