@@ -21,11 +21,12 @@
 # `make examples` runs every program under examples/ with `go run` and
 # fails on the first non-zero exit (`go build ./...` only compiles them).
 #
-# `make fuzz FUZZTIME=30s` runs each of the four fuzz targets (CoarseGraph
-# against its serial reference, the operator formats against CSR, SpGEMM
-# product and smooth plans against Multiply and SmoothProlongator,
-# amgserve's request decoder against
-# encoding/json) for FUZZTIME,
+# `make fuzz FUZZTIME=30s` runs each of the five fuzz targets (MIS-2
+# validity and its output at 1/2/8 workers with and without the unrolled
+# loops, CoarseGraph against its serial reference, the operator formats
+# against CSR, SpGEMM product and smooth plans against Multiply and
+# SmoothProlongator, amgserve's request decoder against encoding/json)
+# for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
 # capped at 2s (Go's default is 60s per new input), so a short run
@@ -74,6 +75,7 @@ examples:
 	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d || exit 1; done
 
 fuzz:
+	go test -run '^$$' -fuzz '^FuzzMIS2$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/mis
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
 	go test -run '^$$' -fuzz '^FuzzOperatorFormats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzProductPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse

@@ -93,7 +93,7 @@ type aggScheme struct {
 	// Deterministic reports the determinism of the original MueLu/ML
 	// implementation the row models (the paper's "Det." column). All
 	// reimplementations in this repository are deterministic by
-	// construction; see EXPERIMENTS.md.
+	// construction; see DESIGN.md, "Determinism contract".
 	Deterministic bool
 	Run           func(g *graph.CSR, threads int) coarsen.Aggregation
 }
@@ -239,8 +239,8 @@ func Table6(cfg Config) {
 }
 
 // QualitySummary prints aggregate-quality statistics for each coarsening
-// scheme on a mesh problem — an extension beyond the paper's tables used
-// by the ablation study in EXPERIMENTS.md.
+// scheme on a mesh problem — an extension beyond the paper's tables
+// (`experiments quality`).
 func QualitySummary(cfg Config) {
 	cfg = cfg.withDefaults()
 	side := int(60 * math.Cbrt(cfg.Scale*8))

@@ -1,6 +1,6 @@
 // BigScaling measures MIS-2 strong scaling at the paper's problem size
 // (Laplace3D 100³, one million vertices), the companion measurement to
-// Figures 4/5 recorded in EXPERIMENTS.md. Unlike the Figure 4/5 runners
+// Figures 4/5 (`experiments scaling`). Unlike the Figure 4/5 runners
 // it uses one large graph instead of the (scaled-down) suite, so the
 // parallel phases have enough work per worker.
 package bench

@@ -51,8 +51,9 @@ type Result struct {
 
 // MIS2 computes a distance-2 maximal independent set of g using
 // Algorithm 1 with all four optimizations (per-iteration xorshift*
-// priorities, dual worklists compacted by parallel prefix sums, packed
-// status tuples, and unrolled inner loops on high-degree graphs).
+// priorities, dual worklists compacted inside the passes that decide
+// their survivors, packed status tuples, and unrolled inner loops on
+// high-degree graphs).
 //
 // The result is deterministic: for a given graph and Options.Hash it is
 // identical for every thread count and across runs.
@@ -66,9 +67,14 @@ func MIS2(g *graph.CSR, opt Options) Result {
 // When simd is true the neighbor reductions use 4-way unrolled loops
 // (this repository's substitute for warp-level SIMD; see DESIGN.md).
 //
-// All O(n) state (status arrays and the four worklist buffers) comes
-// from a scratch arena, so repeated MIS-2 calls — AMG setup runs one per
-// level, cluster-GS one per operator — reuse the same backing memory.
+// The worklists are compacted in place (Algorithm 1, lines 33-34) by the
+// two passes that settle their predicates: Refresh Column drops the
+// vertices whose column status became OUT from wl2, Decide Set the
+// vertices it decided from wl1 (see joinSegments).
+//
+// All O(n) state (status arrays and both worklists) comes from a scratch
+// arena, so repeated MIS-2 calls — AMG setup runs one per level,
+// cluster-GS one per operator — reuse the same backing memory.
 func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.Runtime) Result {
 	n := g.N
 	if n == 0 {
@@ -81,11 +87,9 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 	m := par.Get[uint64](ar, n) // col status  M_v
 	wl1 := par.Get[int32](ar, n)
 	wl2 := par.Get[int32](ar, n)
-	buf1 := par.Get[int32](ar, n)
-	buf2 := par.Get[int32](ar, n)
-	// Remember the full-capacity backings: wl/buf pairs swap roles each
-	// round, and t/m are returned to the arena at the end.
-	tb, mb, w1a, w1b, w2a, w2b := t, m, wl1, buf1, wl2, buf2
+	// kept[b] counts block b's survivors; a pass has at most one block
+	// per worker.
+	kept := par.Get[int](ar, rt.Workers())
 	rt.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			wl1[i] = int32(i)
@@ -111,21 +115,29 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 
 		// Refresh Column: M_v = min T_w over the closed neighborhood of v;
 		// a minimum of IN means v is distance-1 from an IN vertex, which
-		// permanently forces M_v = OUT.
+		// permanently forces M_v = OUT and drops v from wl2.
+		blocks := rt.Blocks(len(wl2))
 		if simd {
-			rt.For(len(wl2), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			rt.ForBlocks(len(blocks)-1, func(b int) {
+				k := blocks[b]
+				for i := blocks[b]; i < blocks[b+1]; i++ {
 					v := wl2[i]
 					mv := minClosedUnrolled(g, t, v)
 					if mv == tupleIn {
 						mv = tupleOut
 					}
 					m[v] = mv
+					wl2[k] = v
+					if mv != tupleOut {
+						k++
+					}
 				}
+				kept[b] = k - blocks[b]
 			})
 		} else {
-			rt.For(len(wl2), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			rt.ForBlocks(len(blocks)-1, func(b int) {
+				k := blocks[b]
+				for i := blocks[b]; i < blocks[b+1]; i++ {
 					v := wl2[i]
 					mv := t[v]
 					for _, w := range g.Neighbors(v) {
@@ -137,24 +149,38 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 						mv = tupleOut
 					}
 					m[v] = mv
+					wl2[k] = v
+					if mv != tupleOut {
+						k++
+					}
 				}
+				kept[b] = k - blocks[b]
 			})
 		}
+		wl2 = joinSegments(wl2, blocks, kept)
 
 		// Decide Set: v is OUT if any closed neighbor's column status is
 		// OUT (an IN vertex within distance 2); v is IN if its own tuple
 		// is the minimum everywhere in its closed neighborhood, i.e. the
-		// minimum of its radius-2 ball.
+		// minimum of its radius-2 ball. Vertices still undecided stay in
+		// wl1.
+		blocks = rt.Blocks(len(wl1))
 		if simd {
-			rt.For(len(wl1), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			rt.ForBlocks(len(blocks)-1, func(b int) {
+				k := blocks[b]
+				for i := blocks[b]; i < blocks[b+1]; i++ {
 					v := wl1[i]
-					decideUnrolled(g, t, m, v)
+					wl1[k] = v
+					if decideUnrolled(g, t, m, v) {
+						k++
+					}
 				}
+				kept[b] = k - blocks[b]
 			})
 		} else {
-			rt.For(len(wl1), func(lo, hi int) {
-				for i := lo; i < hi; i++ {
+			rt.ForBlocks(len(blocks)-1, func(b int) {
+				k := blocks[b]
+				for i := blocks[b]; i < blocks[b+1]; i++ {
 					v := wl1[i]
 					tv := t[v]
 					anyOut := m[v] == tupleOut
@@ -171,34 +197,46 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 							}
 						}
 					}
+					wl1[k] = v
 					if anyOut {
 						t[v] = tupleOut
 					} else if allEq {
 						t[v] = tupleIn
+					} else {
+						k++
 					}
 				}
+				kept[b] = k - blocks[b]
 			})
 		}
-
-		// Compact worklists with order-preserving parallel filters
-		// (prefix-sum based, deterministic). The filtered slice aliases
-		// the spare buffer; the old worklist backing becomes the spare.
-		next1 := par.Filter(rt, wl1, buf1, func(v int32) bool { return isUndecided(t[v]) })
-		wl1, buf1 = next1, wl1[:n]
-		next2 := par.Filter(rt, wl2, buf2, func(v int32) bool { return m[v] != tupleOut })
-		wl2, buf2 = next2, wl2[:n]
+		wl1 = joinSegments(wl1, blocks, kept)
 		iter++
 	}
 
 	in := collectIn(rt, t, n)
-	par.Put(ar, tb)
-	par.Put(ar, mb)
-	par.Put(ar, w1a)
-	par.Put(ar, w1b)
-	par.Put(ar, w2a)
-	par.Put(ar, w2b)
+	par.Put(ar, t)
+	par.Put(ar, m)
+	par.Put(ar, wl1) // compaction shortens a worklist, never its capacity
+	par.Put(ar, wl2)
+	par.Put(ar, kept)
 	par.ReleaseArena(ar)
 	return Result{InSet: in, Iterations: iter, Worklist1: stats1, Worklist2: stats2}
+}
+
+// joinSegments finishes an in-place worklist compaction. The pass that
+// settled the predicate ran one ForBlocks block per range
+// [blocks[b], blocks[b+1]) of wl, and each block wrote its kept[b]
+// survivors, in order, to the front of its own range. joinSegments moves
+// the segments together in block order on the calling goroutine
+// (determinism rule 3) and returns the compacted worklist. Segment b
+// moves to an offset no larger than blocks[b], so the ascending copies
+// never overwrite a segment not yet moved.
+func joinSegments(wl []int32, blocks, kept []int) []int32 {
+	k := 0
+	for b := 0; b+1 < len(blocks); b++ {
+		k += copy(wl[k:], wl[blocks[b]:blocks[b]+kept[b]])
+	}
+	return wl[:k]
 }
 
 // collectIn gathers the vertices whose row status is IN, ascending, with
@@ -280,13 +318,14 @@ func minClosedUnrolled(g *graph.CSR, t []uint64, v int32) uint64 {
 }
 
 // decideUnrolled applies the Decide Set rules for v using 4-way unrolled
-// scans for the exists-OUT and forall-equal reductions.
-func decideUnrolled(g *graph.CSR, t, m []uint64, v int32) {
+// scans for the exists-OUT and forall-equal reductions, and reports
+// whether v is still undecided.
+func decideUnrolled(g *graph.CSR, t, m []uint64, v int32) bool {
 	tv := t[v]
 	mv := m[v]
 	if mv == tupleOut {
 		t[v] = tupleOut
-		return
+		return false
 	}
 	adj := g.Neighbors(v)
 	anyOut := false
@@ -316,7 +355,11 @@ func decideUnrolled(g *graph.CSR, t, m []uint64, v int32) {
 	}
 	if anyOut {
 		t[v] = tupleOut
-	} else if allEq {
-		t[v] = tupleIn
+		return false
 	}
+	if allEq {
+		t[v] = tupleIn
+		return false
+	}
+	return true
 }

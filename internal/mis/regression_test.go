@@ -1,6 +1,8 @@
 package mis
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"mis2go/internal/gen"
@@ -11,7 +13,7 @@ import (
 // outputs on fixed inputs are stable contracts. A change to any of these
 // numbers means the priority sequence, packing, or phase logic changed —
 // which silently invalidates every recorded experiment. Update them only
-// deliberately, together with EXPERIMENTS.md.
+// deliberately, and record the reason in CHANGES.md.
 
 func TestGoldenLaplace3D20(t *testing.T) {
 	g := gen.Laplace3D(20, 20, 20)
@@ -65,5 +67,50 @@ func TestGoldenECL(t *testing.T) {
 	r := ECLMIS1(g, 0)
 	if len(r.InSet) != 617 {
 		t.Fatalf("golden drift: size=%d (want 617)", len(r.InSet))
+	}
+}
+
+// misDigest is an FNV-64a digest of everything a MIS2 run reports: the
+// set, then the per-round worklist sizes (whose count is Iterations).
+func misDigest(r Result) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(x uint64) {
+		binary.LittleEndian.PutUint64(b[:], x)
+		h.Write(b[:])
+	}
+	put(uint64(len(r.InSet)))
+	for _, v := range r.InSet {
+		put(uint64(v))
+	}
+	put(uint64(len(r.Worklist1)))
+	for i := range r.Worklist1 {
+		put(uint64(r.Worklist1[i]))
+		put(uint64(r.Worklist2[i]))
+	}
+	return h.Sum64()
+}
+
+// TestGoldenDigestLaplace3D64 pins the exact output of MIS2 on the
+// mis2-coarsen workload's level-0 graph, not just its size: the set and
+// the worklist sizes of every round, at 1, 2 and 8 workers for each
+// priority scheme. The digests were computed with the compaction done
+// by separate par.Filter passes, before it moved into the Refresh
+// Column and Decide passes, so they prove that move bitwise neutral.
+func TestGoldenDigestLaplace3D64(t *testing.T) {
+	g := gen.Laplace3D(64, 64, 64)
+	want := map[hash.Kind]uint64{
+		hash.XorStar: 0xdb3414f2ce7578f4,
+		hash.Xor:     0xe6820d4a283c5c76,
+		hash.Fixed:   0x787b2395ae28ac11,
+	}
+	for _, k := range []hash.Kind{hash.XorStar, hash.Xor, hash.Fixed} {
+		for _, th := range []int{1, 2, 8} {
+			r := MIS2(g, Options{Hash: k, Threads: th, CollectStats: true})
+			if got := misDigest(r); got != want[k] {
+				t.Errorf("%v, %d workers: digest %#x, want %#x (size %d, %d iterations)",
+					k, th, got, want[k], len(r.InSet), r.Iterations)
+			}
+		}
 	}
 }

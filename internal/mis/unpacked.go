@@ -29,8 +29,7 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 		wl1[i] = int32(i)
 		wl2[i] = int32(i)
 	}
-	buf1 := make([]int32, n)
-	buf2 := make([]int32, n)
+	kept := make([]int, rt.Workers())
 
 	rt.For(n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
@@ -52,9 +51,11 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 		})
 
 		// Refresh Column: minimum tuple over closed neighborhood;
-		// IN minima freeze to OUT.
-		rt.For(len(wl2), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		// IN minima freeze to OUT and leave wl2.
+		blocks := rt.Blocks(len(wl2))
+		rt.ForBlocks(len(blocks)-1, func(b int) {
+			k := blocks[b]
+			for i := blocks[b]; i < blocks[b+1]; i++ {
 				v := wl2[i]
 				best := v
 				for _, w := range g.Neighbors(v) {
@@ -69,12 +70,20 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 				} else {
 					tupleAssign(m, v, t, best)
 				}
+				wl2[k] = v
+				if m.stat[v] != statOut {
+					k++
+				}
 			}
+			kept[b] = k - blocks[b]
 		})
+		wl2 = joinSegments(wl2, blocks, kept)
 
-		// Decide Set.
-		rt.For(len(wl1), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		// Decide Set; undecided vertices stay in wl1.
+		blocks = rt.Blocks(len(wl1))
+		rt.ForBlocks(len(blocks)-1, func(b int) {
+			k := blocks[b]
+			for i := blocks[b]; i < blocks[b+1]; i++ {
 				v := wl1[i]
 				anyOut := m.stat[v] == statOut
 				allEq := !anyOut && m.id[v] == v && m.rnd[v] == t.rnd[v] && m.stat[v] == statUnd
@@ -89,18 +98,18 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 						}
 					}
 				}
+				wl1[k] = v
 				if anyOut {
 					t.stat[v] = statOut
 				} else if allEq {
 					t.stat[v] = statIn
+				} else {
+					k++
 				}
 			}
+			kept[b] = k - blocks[b]
 		})
-
-		next1 := par.Filter(rt, wl1, buf1, func(v int32) bool { return t.stat[v] == statUnd })
-		wl1, buf1 = next1, wl1[:n]
-		next2 := par.Filter(rt, wl2, buf2, func(v int32) bool { return m.stat[v] != statOut })
-		wl2, buf2 = next2, wl2[:n]
+		wl1 = joinSegments(wl1, blocks, kept)
 		iter++
 	}
 

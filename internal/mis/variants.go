@@ -19,8 +19,9 @@ const (
 	VariantBaseline Variant = iota
 	// VariantRandomized adds per-iteration xorshift* priorities (§V-A).
 	VariantRandomized
-	// VariantWorklists adds the dual worklists with prefix-sum compaction
-	// and the k=2-specialized column minimum of Algorithm 1 (§V-B).
+	// VariantWorklists adds the dual worklists, compacted in place by the
+	// passes that decide their survivors, and the k=2-specialized column
+	// minimum of Algorithm 1 (§V-B).
 	VariantWorklists
 	// VariantPacked adds single-word packed status tuples (§V-C).
 	VariantPacked

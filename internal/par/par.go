@@ -318,9 +318,8 @@ func ScanExclusive[T Integer](r *Runtime, in, out []T) T {
 // preserving order, and returns the filled prefix of dst. dst must have
 // capacity >= len(src); src and dst must not alias.
 //
-// This is the worklist-compaction primitive of Algorithm 1 (lines 33-34):
-// a two-pass count + exclusive scan + scatter, deterministic for any worker
-// count.
+// It runs a count pass, a serial scan of the block counts and a scatter
+// pass, and is deterministic for any worker count.
 func Filter[T any](r *Runtime, src []T, dst []T, keep func(T) bool) []T {
 	n := len(src)
 	if n == 0 {
