@@ -1,7 +1,6 @@
 // Substrate and extension benchmarks: the kernels underneath the paper's
 // experiments (SpMV, SpGEMM, coloring, the aggregation schemes) and the
-// extension features (partitioning, MIS-based distance-2 coloring,
-// ECL-MIS).
+// extension features (partitioning, graph squaring, induced subgraphs).
 package mis2go
 
 import (
@@ -12,8 +11,6 @@ import (
 	"mis2go/internal/color"
 	"mis2go/internal/gen"
 	"mis2go/internal/graph"
-	"mis2go/internal/hash"
-	"mis2go/internal/mis"
 	"mis2go/internal/par"
 	"mis2go/internal/partition"
 	"mis2go/internal/sparse"
@@ -76,11 +73,6 @@ func BenchmarkColoring(b *testing.B) {
 			color.ParallelDistance2(g, 0)
 		}
 	})
-	b.Run("d2-via-mis", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			color.Distance2ViaMIS2(g, 0)
-		}
-	})
 }
 
 func BenchmarkAggregationSchemes(b *testing.B) {
@@ -121,24 +113,6 @@ func BenchmarkPartitionCoarsening(b *testing.B) {
 			b.ReportMetric(float64(cut), "edge-cut")
 		})
 	}
-}
-
-func BenchmarkECLvsLubyMIS1(b *testing.B) {
-	g := gen.RandomFEM(20, 20, 20, 18, 9)
-	b.Run("ecl", func(b *testing.B) {
-		var size int
-		for i := 0; i < b.N; i++ {
-			size = len(mis.ECLMIS1(g, 0).InSet)
-		}
-		b.ReportMetric(float64(size), "set-size")
-	})
-	b.Run("luby", func(b *testing.B) {
-		var size int
-		for i := 0; i < b.N; i++ {
-			size = len(mis.LubyMIS1(g, hash.XorStar, 0).InSet)
-		}
-		b.ReportMetric(float64(size), "set-size")
-	})
 }
 
 func BenchmarkGraphSquare(b *testing.B) {

@@ -34,7 +34,7 @@ func Smoothers(cfg Config) {
 		name string
 		sm   amg.Smoother
 	}{
-		{name: "Jacobi(2+2)", sm: amg.SmootherJacobi},
+		{name: "Jacobi", sm: amg.SmootherJacobi},
 		{name: "Chebyshev", sm: amg.SmootherChebyshev},
 		{name: "Point SGS", sm: amg.SmootherPointSGS},
 		{name: "Cluster SGS", sm: amg.SmootherClusterSGS},

@@ -19,7 +19,6 @@ import (
 
 	"mis2go/internal/graph"
 	"mis2go/internal/hash"
-	"mis2go/internal/mis"
 	"mis2go/internal/par"
 )
 
@@ -124,8 +123,8 @@ func parallelColor(g *graph.CSR, threads int, dist2 bool) []int32 {
 	for i := range wl {
 		wl[i] = int32(i)
 	}
-	buf := make([]int32, n)
-	next := make([]int32, n) // colors assigned this round, applied at the barrier
+	next := make([]int32, n)          // colors assigned this round, applied at the barrier
+	kept := make([]int, rt.Workers()) // still-uncolored vertices per block of a pass
 
 	// Pool of per-worker forbidden-color scratch, stamped by vertex id.
 	// Reuse across rounds is safe without resetting: a vertex stamps the
@@ -191,48 +190,24 @@ func parallelColor(g *graph.CSR, threads int, dist2 bool) []int32 {
 				next[v] = firstFree(forbidden, v)
 			}
 		})
-		// Apply this round's colors (barrier keeps reads/writes separate).
-		rt.For(len(wl), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		// Apply this round's colors (barrier keeps reads/writes separate)
+		// and compact wl in place: each block writes the vertices still
+		// uncolored, in order, to the front of its own range.
+		blocks := rt.Blocks(len(wl))
+		rt.ForBlocks(len(blocks)-1, func(b int) {
+			k := blocks[b]
+			for i := blocks[b]; i < blocks[b+1]; i++ {
 				v := wl[i]
+				wl[k] = v
 				if next[v] != none {
 					colors[v] = next[v]
+				} else {
+					k++
 				}
 			}
+			kept[b] = k - blocks[b]
 		})
-		remaining := par.Filter(rt, wl, buf, func(v int32) bool { return colors[v] == none })
-		wl, buf = remaining, wl[:n]
-	}
-	return colors
-}
-
-// Distance2ViaMIS2 colors g at distance 2 by iterated maximal independent
-// sets: every MIS-2 of g is a distance-2 independent set, i.e. one valid
-// color class. Later classes must remain distance-2 independent *in g*
-// even through already-colored vertices, so the iteration runs Luby MIS-1
-// on induced subgraphs of the explicit square G² (Lemma IV.2: on the full
-// graph the first round equals MIS-2(g)). This is the converse of the
-// Serial D2C aggregation baseline (which derives independent sets from a
-// coloring). Deterministic; parallel within each round.
-func Distance2ViaMIS2(g *graph.CSR, threads int) []int32 {
-	colors := make([]int32, g.N)
-	for i := range colors {
-		colors[i] = none
-	}
-	rt := par.New(threads)
-	sq := g.Square()
-	remaining := g.N
-	keep := make([]bool, g.N)
-	for c := int32(0); remaining > 0; c++ {
-		for v := 0; v < g.N; v++ {
-			keep[v] = colors[v] == none
-		}
-		sub, _, toOrig := sq.InducedSubgraph(rt, keep)
-		set := mis.LubyMIS1(sub, hash.XorStar, threads).InSet
-		for _, s := range set {
-			colors[toOrig[s]] = c
-		}
-		remaining -= len(set)
+		wl = par.JoinSegments(wl, blocks, kept)
 	}
 	return colors
 }

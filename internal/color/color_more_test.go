@@ -118,34 +118,3 @@ func TestNumColorsEmpty(t *testing.T) {
 		t.Fatal("Sets(nil) not empty")
 	}
 }
-
-func TestDistance2ViaMIS2Valid(t *testing.T) {
-	f := func(seed int64) bool {
-		n := 4 + int(uint64(seed)%70)
-		g := randomGraph(n, 3*n, seed)
-		return CheckDistance2(g, Distance2ViaMIS2(g, 0)) == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDistance2ViaMIS2PaletteCompetitive(t *testing.T) {
-	g := randomGraph(300, 1200, 33)
-	viaMIS := NumColors(Distance2ViaMIS2(g, 0))
-	greedy := NumColors(GreedyDistance2(g))
-	if viaMIS > 2*greedy+4 {
-		t.Fatalf("MIS-based D2 coloring uses %d colors vs greedy %d", viaMIS, greedy)
-	}
-}
-
-func TestDistance2ViaMIS2Deterministic(t *testing.T) {
-	g := randomGraph(200, 800, 44)
-	a := Distance2ViaMIS2(g, 1)
-	b := Distance2ViaMIS2(g, 8)
-	for v := range a {
-		if a[v] != b[v] {
-			t.Fatal("nondeterministic across thread counts")
-		}
-	}
-}

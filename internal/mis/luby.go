@@ -25,7 +25,7 @@ func LubyMIS1(g *graph.CSR, kind hash.Kind, threads int) Result {
 	for i := range wl {
 		wl[i] = int32(i)
 	}
-	buf := make([]int32, n)
+	kept := make([]int, rt.Workers()) // survivors per block of a pass
 
 	iter := 0
 	for len(wl) > 0 {
@@ -51,18 +51,26 @@ func LubyMIS1(g *graph.CSR, kind hash.Kind, threads int) Result {
 				m[v] = mv
 			}
 		})
-		rt.For(len(wl), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
+		// Settle v and compact wl in place: each block writes the vertices
+		// still undecided, in order, to the front of its own range.
+		blocks := rt.Blocks(len(wl))
+		rt.ForBlocks(len(blocks)-1, func(b int) {
+			k := blocks[b]
+			for i := blocks[b]; i < blocks[b+1]; i++ {
 				v := wl[i]
 				if m[v] == t[v] {
 					t[v] = tupleIn
 				} else if m[v] == tupleIn {
 					t[v] = tupleOut
 				}
+				wl[k] = v
+				if isUndecided(t[v]) {
+					k++
+				}
 			}
+			kept[b] = k - blocks[b]
 		})
-		next := par.Filter(rt, wl, buf, func(v int32) bool { return isUndecided(t[v]) })
-		wl, buf = next, wl[:n]
+		wl = par.JoinSegments(wl, blocks, kept)
 		iter++
 	}
 	return Result{InSet: collectIn(rt, t, n), Iterations: iter}

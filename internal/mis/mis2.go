@@ -70,7 +70,7 @@ func MIS2(g *graph.CSR, opt Options) Result {
 // The worklists are compacted in place (Algorithm 1, lines 33-34) by the
 // two passes that settle their predicates: Refresh Column drops the
 // vertices whose column status became OUT from wl2, Decide Set the
-// vertices it decided from wl1 (see joinSegments).
+// vertices it decided from wl1 (see par.JoinSegments).
 //
 // All O(n) state (status arrays and both worklists) comes from a scratch
 // arena, so repeated MIS-2 calls — AMG setup runs one per level,
@@ -157,7 +157,7 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 				kept[b] = k - blocks[b]
 			})
 		}
-		wl2 = joinSegments(wl2, blocks, kept)
+		wl2 = par.JoinSegments(wl2, blocks, kept)
 
 		// Decide Set: v is OUT if any closed neighbor's column status is
 		// OUT (an IN vertex within distance 2); v is IN if its own tuple
@@ -209,7 +209,7 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 				kept[b] = k - blocks[b]
 			})
 		}
-		wl1 = joinSegments(wl1, blocks, kept)
+		wl1 = par.JoinSegments(wl1, blocks, kept)
 		iter++
 	}
 
@@ -221,22 +221,6 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 	par.Put(ar, kept)
 	par.ReleaseArena(ar)
 	return Result{InSet: in, Iterations: iter, Worklist1: stats1, Worklist2: stats2}
-}
-
-// joinSegments finishes an in-place worklist compaction. The pass that
-// settled the predicate ran one ForBlocks block per range
-// [blocks[b], blocks[b+1]) of wl, and each block wrote its kept[b]
-// survivors, in order, to the front of its own range. joinSegments moves
-// the segments together in block order on the calling goroutine
-// (determinism rule 3) and returns the compacted worklist. Segment b
-// moves to an offset no larger than blocks[b], so the ascending copies
-// never overwrite a segment not yet moved.
-func joinSegments(wl []int32, blocks, kept []int) []int32 {
-	k := 0
-	for b := 0; b+1 < len(blocks); b++ {
-		k += copy(wl[k:], wl[blocks[b]:blocks[b]+kept[b]])
-	}
-	return wl[:k]
 }
 
 // collectIn gathers the vertices whose row status is IN, ascending, with

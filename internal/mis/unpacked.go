@@ -77,7 +77,7 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 			}
 			kept[b] = k - blocks[b]
 		})
-		wl2 = joinSegments(wl2, blocks, kept)
+		wl2 = par.JoinSegments(wl2, blocks, kept)
 
 		// Decide Set; undecided vertices stay in wl1.
 		blocks = rt.Blocks(len(wl1))
@@ -109,7 +109,7 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 			}
 			kept[b] = k - blocks[b]
 		})
-		wl1 = joinSegments(wl1, blocks, kept)
+		wl1 = par.JoinSegments(wl1, blocks, kept)
 		iter++
 	}
 

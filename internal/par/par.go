@@ -1,7 +1,7 @@
 // Package par provides a small deterministic parallel runtime built on a
 // persistent worker pool: blocked parallel-for, reductions, exclusive
-// prefix sums (scans), and order-preserving parallel filtering, plus
-// per-worker scratch arenas for allocation-free kernels.
+// prefix sums (scans), and the join step of in-place worklist
+// compaction, plus per-worker scratch arenas for allocation-free kernels.
 //
 // It plays the role Kokkos plays in the paper: every construct here is
 // deterministic with respect to the number of workers, because each worker
@@ -154,18 +154,10 @@ func ForWith[S any](r *Runtime, n int, setup func(*Arena) S, body func(lo, hi in
 	dispatch(n, nb, chunk, nil, wa)
 }
 
-// ForEach calls body(i) for each i in [0, n), possibly concurrently.
-func (r *Runtime) ForEach(n int, body func(i int)) {
-	r.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // Blocks returns the block boundaries For would use for n items:
-// a slice b with b[0]=0, b[len(b)-1]=n. Exposed so that two-pass
-// algorithms (count, then write) can share identical blocking.
+// a slice b with b[0]=0, b[len(b)-1]=n. There are at most Workers()
+// blocks. Exposed so that two-pass algorithms (count, then write) can
+// share identical blocking.
 func (r *Runtime) Blocks(n int) []int {
 	if n <= 0 {
 		return []int{0, 0}
@@ -223,33 +215,6 @@ func ReduceSum[T Integer](r *Runtime, n int, f func(i int) T) T {
 		total += p
 	}
 	return total
-}
-
-// ReduceMax returns the maximum of f(i) over [0, n), or zero if n <= 0.
-func ReduceMax[T Integer](r *Runtime, n int, f func(i int) T) T {
-	if n <= 0 {
-		var zero T
-		return zero
-	}
-	blocks := r.Blocks(n)
-	nb := len(blocks) - 1
-	partial := make([]T, nb)
-	r.ForBlocks(nb, func(b int) {
-		m := f(blocks[b])
-		for i := blocks[b] + 1; i < blocks[b+1]; i++ {
-			if v := f(i); v > m {
-				m = v
-			}
-		}
-		partial[b] = m
-	})
-	m := partial[0]
-	for _, p := range partial[1:] {
-		if p > m {
-			m = p
-		}
-	}
-	return m
 }
 
 // ScanExclusive computes the exclusive prefix sum of in into out and
@@ -314,57 +279,19 @@ func ScanExclusive[T Integer](r *Runtime, in, out []T) T {
 	return total
 }
 
-// Filter writes the elements of src for which keep returns true into dst,
-// preserving order, and returns the filled prefix of dst. dst must have
-// capacity >= len(src); src and dst must not alias.
-//
-// It runs a count pass, a serial scan of the block counts and a scatter
-// pass, and is deterministic for any worker count.
-func Filter[T any](r *Runtime, src []T, dst []T, keep func(T) bool) []T {
-	n := len(src)
-	if n == 0 {
-		return dst[:0]
+// JoinSegments finishes an in-place, order-preserving worklist
+// compaction (Algorithm 1, lines 33-34). The pass that settled the
+// predicate ran one ForBlocks block per range [blocks[b], blocks[b+1]) of
+// wl, and each block wrote its kept[b] survivors, in order, to the front
+// of its own range. JoinSegments moves the segments together in block
+// order on the calling goroutine (determinism rule 3) and returns the
+// compacted worklist, so the result is the same for any worker count. Segment b moves to an
+// offset no larger than blocks[b], so the ascending copies never
+// overwrite a segment not yet moved.
+func JoinSegments(wl []int32, blocks, kept []int) []int32 {
+	k := 0
+	for b := 0; b+1 < len(blocks); b++ {
+		k += copy(wl[k:], wl[blocks[b]:blocks[b]+kept[b]])
 	}
-	blocks := r.Blocks(n)
-	nb := len(blocks) - 1
-	if nb == 1 {
-		k := 0
-		for _, v := range src {
-			if keep(v) {
-				dst[k] = v
-				k++
-			}
-		}
-		return dst[:k]
-	}
-	a := AcquireArena()
-	counts := Get[int](a, nb)
-	offsets := Get[int](a, nb)
-	r.ForBlocks(nb, func(b int) {
-		c := 0
-		for i := blocks[b]; i < blocks[b+1]; i++ {
-			if keep(src[i]) {
-				c++
-			}
-		}
-		counts[b] = c
-	})
-	total := 0
-	for b := 0; b < nb; b++ {
-		offsets[b] = total
-		total += counts[b]
-	}
-	r.ForBlocks(nb, func(b int) {
-		k := offsets[b]
-		for i := blocks[b]; i < blocks[b+1]; i++ {
-			if keep(src[i]) {
-				dst[k] = src[i]
-				k++
-			}
-		}
-	})
-	Put(a, counts)
-	Put(a, offsets)
-	ReleaseArena(a)
-	return dst[:total]
+	return wl[:k]
 }

@@ -3,7 +3,6 @@ package par
 import (
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestForBlocksCoversAllBlocks(t *testing.T) {
@@ -60,22 +59,6 @@ func TestScanUnsigned(t *testing.T) {
 	}
 }
 
-func TestFilterStructElements(t *testing.T) {
-	type pair struct{ a, b int }
-	src := make([]pair, 1000)
-	for i := range src {
-		src[i] = pair{a: i, b: -i}
-	}
-	rt := New(8)
-	dst := make([]pair, len(src))
-	got := Filter(rt, src, dst, func(p pair) bool { return p.a%7 == 0 })
-	for i, p := range got {
-		if p.a != 7*i || p.b != -7*i {
-			t.Fatalf("element %d = %+v", i, p)
-		}
-	}
-}
-
 func TestReduceSumNegativeAndOverflowSafe(t *testing.T) {
 	rt := New(4)
 	n := 100000
@@ -86,28 +69,6 @@ func TestReduceSumNegativeAndOverflowSafe(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("sum %d, want %d", got, want)
-	}
-}
-
-func TestDeterminismOfFilterAcrossWorkerCountsProperty(t *testing.T) {
-	f := func(data []uint32) bool {
-		keep := func(v uint32) bool { return v&1 == 0 }
-		ref := Filter(New(1), data, make([]uint32, len(data)), keep)
-		for _, w := range []int{2, 5, 13} {
-			got := Filter(New(w), data, make([]uint32, len(data)), keep)
-			if len(got) != len(ref) {
-				return false
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
 	}
 }
 

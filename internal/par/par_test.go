@@ -1,6 +1,7 @@
 package par
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -23,18 +24,6 @@ func TestForCoversAllIndicesOnce(t *testing.T) {
 					t.Fatalf("workers=%d n=%d: index %d hit %d times", w, n, i, h)
 				}
 			}
-		}
-	}
-}
-
-func TestForEach(t *testing.T) {
-	rt := New(4)
-	n := 2000
-	hits := make([]int32, n)
-	rt.ForEach(n, func(i int) { atomic.AddInt32(&hits[i], 1) })
-	for i, h := range hits {
-		if h != 1 {
-			t.Fatalf("index %d hit %d times", i, h)
 		}
 	}
 }
@@ -85,27 +74,6 @@ func TestReduceSumMatchesSerial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestReduceMax(t *testing.T) {
-	rt := New(8)
-	data := make([]uint32, 5000)
-	for i := range data {
-		data[i] = uint32((i * 2654435761) % 100000)
-	}
-	want := uint32(0)
-	for _, v := range data {
-		if v > want {
-			want = v
-		}
-	}
-	got := ReduceMax[uint32](rt, len(data), func(i int) uint32 { return data[i] })
-	if got != want {
-		t.Fatalf("ReduceMax = %d, want %d", got, want)
-	}
-	if ReduceMax[uint32](rt, 0, func(i int) uint32 { return 1 }) != 0 {
-		t.Fatal("ReduceMax of empty range must be zero")
 	}
 }
 
@@ -192,66 +160,103 @@ func TestScanExclusiveEmpty(t *testing.T) {
 	}
 }
 
-func TestFilterMatchesSerial(t *testing.T) {
-	f := func(data []uint16) bool {
-		keep := func(v uint16) bool { return v%3 == 0 }
-		var want []uint16
-		for _, v := range data {
+// compact is the in-place compaction JoinSegments finishes, as the MIS
+// and coloring passes run it: one ForBlocks block per range of
+// rt.Blocks(len(wl)), each writing the elements keep accepts, in order,
+// to the front of its own range.
+func compact(rt *Runtime, wl []int32, keep func(int32) bool) []int32 {
+	blocks := rt.Blocks(len(wl))
+	kept := make([]int, len(blocks)-1)
+	rt.ForBlocks(len(blocks)-1, func(b int) {
+		k := blocks[b]
+		for i := blocks[b]; i < blocks[b+1]; i++ {
+			v := wl[i]
+			wl[k] = v
 			if keep(v) {
-				want = append(want, v)
+				k++
 			}
 		}
-		for _, w := range workerCounts() {
-			rt := New(w)
-			dst := make([]uint16, len(data))
-			got := Filter(rt, data, dst, keep)
-			if len(got) != len(want) {
-				return false
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					return false
+		kept[b] = k - blocks[b]
+	})
+	return JoinSegments(wl, blocks, kept)
+}
+
+func filterSerial(src []int32, keep func(int32) bool) []int32 {
+	out := []int32{}
+	for _, v := range src {
+		if keep(v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+func TestJoinSegmentsEmptyFullAndMixed(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		wl     []int32
+		blocks []int
+		kept   []int
+		want   []int32
+	}{
+		{"no items", []int32{}, []int{0, 0}, []int{0}, []int32{}},
+		{"single block", []int32{4, 7, 9, 9, 9}, []int{0, 5}, []int{2}, []int32{4, 7}},
+		{"single empty block", []int32{1, 2, 3}, []int{0, 3}, []int{0}, []int32{}},
+		{"all full", []int32{1, 2, 3, 4}, []int{0, 2, 4}, []int{2, 2}, []int32{1, 2, 3, 4}},
+		{
+			// Segments: empty, full, one kept, two kept.
+			"empty, full and mixed",
+			[]int32{90, 91, 92, 3, 4, 5, 6, 96, 97, 7, 8, 98},
+			[]int{0, 3, 6, 9, 12},
+			[]int{0, 3, 1, 2},
+			[]int32{3, 4, 5, 6, 7, 8},
+		},
+	} {
+		if got := JoinSegments(c.wl, c.blocks, c.kept); !slices.Equal(got, c.want) {
+			t.Errorf("%s: got %v, want %v", c.name, got, c.want)
+		}
+	}
+}
+
+func TestJoinSegmentsMatchesSerial(t *testing.T) {
+	keeps := []struct {
+		name string
+		keep func(v int32, n int) bool
+	}{
+		{"none", func(int32, int) bool { return false }},
+		{"all", func(int32, int) bool { return true }},
+		{"every 17th", func(v int32, _ int) bool { return v%17 == 0 }},
+		{"first third", func(v int32, n int) bool { return int(v) < n/3 }},
+		{"hashed", func(v int32, _ int) bool { return uint32(v)*2654435761>>31 == 0 }},
+	}
+	for _, n := range []int{0, 1, minGrain - 1, minGrain + 1, 5*minGrain + 17, 100000} {
+		src := make([]int32, n)
+		for i := range src {
+			src[i] = int32(i)
+		}
+		for _, k := range keeps {
+			keep := func(v int32) bool { return k.keep(v, n) }
+			want := filterSerial(src, keep)
+			for _, w := range []int{1, 2, 8} {
+				wl := append([]int32(nil), src...)
+				if got := compact(New(w), wl, keep); !slices.Equal(got, want) {
+					t.Fatalf("n=%d keep=%s workers=%d: kept %d, want %d", n, k.name, w, len(got), len(want))
 				}
+			}
+		}
+	}
+	// Arbitrary values, not only ascending ids.
+	f := func(data []int32) bool {
+		keep := func(v int32) bool { return v&1 == 0 }
+		want := filterSerial(data, keep)
+		for _, w := range workerCounts() {
+			if !slices.Equal(compact(New(w), append([]int32(nil), data...), keep), want) {
+				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFilterLargePreservesOrder(t *testing.T) {
-	n := 200000
-	src := make([]int32, n)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	rt := New(16)
-	dst := make([]int32, n)
-	got := Filter(rt, src, dst, func(v int32) bool { return v%17 == 0 })
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("order violated at %d: %d then %d", i, got[i-1], got[i])
-		}
-	}
-	if len(got) != (n+16)/17 {
-		t.Fatalf("kept %d, want %d", len(got), (n+16)/17)
-	}
-}
-
-func TestFilterEmptyAndAll(t *testing.T) {
-	rt := New(8)
-	src := []int32{1, 2, 3}
-	dst := make([]int32, 3)
-	if got := Filter(rt, src, dst, func(int32) bool { return false }); len(got) != 0 {
-		t.Fatalf("filter none: got %v", got)
-	}
-	got := Filter(rt, src, dst, func(int32) bool { return true })
-	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
-		t.Fatalf("filter all: got %v", got)
-	}
-	if got := Filter(rt, nil, dst, func(int32) bool { return true }); len(got) != 0 {
-		t.Fatalf("filter empty src: got %v", got)
 	}
 }
