@@ -1,8 +1,10 @@
 package par
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
+	"testing/quick"
 )
 
 func TestForBlocksCoversAllBlocks(t *testing.T) {
@@ -69,6 +71,26 @@ func TestReduceSumNegativeAndOverflowSafe(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("sum %d, want %d", got, want)
+	}
+}
+
+func TestDeterminismOfFilterAcrossWorkerCountsProperty(t *testing.T) {
+	f := func(data []uint32) bool {
+		src := make([]int32, len(data))
+		for i, v := range data {
+			src[i] = int32(v)
+		}
+		keep := func(v int32) bool { return v&1 == 0 }
+		ref := compact(New(1), append([]int32(nil), src...), keep)
+		for _, w := range []int{2, 5, 13} {
+			if !slices.Equal(compact(New(w), append([]int32(nil), src...), keep), ref) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -218,7 +218,11 @@ func TestJoinSegmentsEmptyFullAndMixed(t *testing.T) {
 	}
 }
 
-func TestJoinSegmentsMatchesSerial(t *testing.T) {
+// TestFilterMatchesSerial runs the in-place filter (compact, finished by
+// JoinSegments) from n=0 to n=100000, across several minGrain blocks, at
+// 1/2/8 workers under five predicates, and on arbitrary values at every
+// worker count, against a serial in-order filter.
+func TestFilterMatchesSerial(t *testing.T) {
 	keeps := []struct {
 		name string
 		keep func(v int32, n int) bool
@@ -246,17 +250,38 @@ func TestJoinSegmentsMatchesSerial(t *testing.T) {
 		}
 	}
 	// Arbitrary values, not only ascending ids.
-	f := func(data []int32) bool {
-		keep := func(v int32) bool { return v&1 == 0 }
-		want := filterSerial(data, keep)
+	f := func(data []uint16) bool {
+		src := make([]int32, len(data))
+		for i, v := range data {
+			src[i] = int32(v)
+		}
+		keep := func(v int32) bool { return v%3 == 0 }
+		want := filterSerial(src, keep)
 		for _, w := range workerCounts() {
-			if !slices.Equal(compact(New(w), append([]int32(nil), data...), keep), want) {
+			if !slices.Equal(compact(New(w), append([]int32(nil), src...), keep), want) {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestFilterLargePreservesOrder(t *testing.T) {
+	n := 200000
+	wl := make([]int32, n)
+	for i := range wl {
+		wl[i] = int32(i)
+	}
+	got := compact(New(16), wl, func(v int32) bool { return v%17 == 0 })
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("order violated at %d: %d then %d", i, got[i-1], got[i])
+		}
+	}
+	if len(got) != (n+16)/17 {
+		t.Fatalf("kept %d, want %d", len(got), (n+16)/17)
 	}
 }
