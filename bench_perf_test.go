@@ -434,40 +434,15 @@ func BenchmarkSequentialSolves(b *testing.B) {
 	}
 }
 
-// precisionBenchSystem is the problem of the mixed-precision V-cycle
-// pair: a 27-point 88^3 grid (681k rows, 18M entries). The dense
-// stencil matters: per fine-level row the smoother streams 27 values +
-// 27 column indices + a few vector words, so shrinking values from 8
-// to 4 bytes cuts (27*12+32)/(27*8+32) ≈ 1.44x of the traffic — on a
-// 7-point stencil the same arithmetic caps out near 1.3x. On top of
-// that byte ratio the size is chosen so the f64 hierarchy (~280 MB)
-// always spills this machine's shared L3 while the f32 one (~195 MB)
-// fits when the host is quiet. Column indices are streamed either way,
-// so a pure-bandwidth run can never exceed 12/8 = 1.5x; anything at or
-// above that line is cache capacity, not bandwidth.
-func precisionBenchSystem() *sparse.Matrix {
-	return gen.Laplacian(gen.Grid3D27(88, 88, 88), 1e-4)
-}
-
-// BenchmarkVCycleF64Apply is the f64 half of the mixed-precision
-// V-cycle pair: one V-cycle application through float64-valued level
-// operators on the large precision benchmark system. Compare
-// BenchmarkVCycleF32Apply; the ratio is recorded in BENCH_PR8.json as
-// VCycleF32_vs_F64.
+// BenchmarkVCycleF64Apply is one V-cycle application on a 27-point
+// 88^3 grid (681k rows, 18M entries): per fine-level row the smoother
+// streams 27 values and 27 column indices, and the ~280 MB hierarchy
+// spills a shared L3, so this tracks the memory-bound V-cycle at a
+// size the 7-point BenchmarkVCycleApply does not reach. The name is
+// kept so BENCH_*.json keys still join.
 func BenchmarkVCycleF64Apply(b *testing.B) {
-	benchVCyclePrecision(b, sparse.PrecisionF64)
-}
-
-// BenchmarkVCycleF32Apply is the f32 half: the same V-cycle through
-// float32-valued operators (f64 vectors, f64 accumulation — only the
-// stored bytes shrink).
-func BenchmarkVCycleF32Apply(b *testing.B) {
-	benchVCyclePrecision(b, sparse.PrecisionF32)
-}
-
-func benchVCyclePrecision(b *testing.B, prec sparse.Precision) {
-	a := precisionBenchSystem()
-	h, err := NewAMG(a, AMGOptions{Precision: prec})
+	a := gen.Laplacian(gen.Grid3D27(88, 88, 88), 1e-4)
+	h, err := NewAMG(a, AMGOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -485,16 +460,12 @@ func benchVCyclePrecision(b *testing.B, prec sparse.Precision) {
 	}
 }
 
-// precisionServeStream is the request stream of the mixed-precision
-// serving pair: a 27-point 56^3 system stepped through 3 same-pattern
-// value updates, each served once — a time-stepping workload where
-// every request pays a numeric refresh plus an AMG-CG solve. (Smaller
-// than the V-cycle pair's system on purpose: a full CG solve per step
-// multiplies the per-cycle cost ~15x, and at 88^3 the pair would
-// dominate the bench run's wall clock.) The refresh cost (f64 SpGEMM
-// replay) is identical across precisions; what the f32 service saves
-// is the V-cycle and outer matvec bandwidth of every CG iteration.
-func precisionServeStream() []serveBenchRequest {
+// BenchmarkServePrecisionF64 serves a time-stepping stream: a 27-point
+// 56^3 system stepped through 3 same-pattern value updates, each served
+// once, so every request pays a numeric refresh plus an AMG-CG solve.
+// One op = the whole 3-step stream. The name is kept so BENCH_*.json
+// keys still join.
+func BenchmarkServePrecisionF64(b *testing.B) {
 	base := gen.Laplacian(gen.Grid3D27(56, 56, 56), 1e-4)
 	rhs := make([]float64, base.Rows)
 	for i := range rhs {
@@ -506,27 +477,7 @@ func precisionServeStream() []serveBenchRequest {
 		a.Scale(1 + 0.25*float64(v))
 		mix = append(mix, serveBenchRequest{a: a, b: rhs})
 	}
-	return mix
-}
-
-// BenchmarkServePrecisionF64 serves the refresh+solve stream with the
-// default all-f64 policy. Compare BenchmarkServePrecisionF32; the ratio
-// is recorded in BENCH_PR8.json as ServeF32_vs_F64. One op = the whole
-// 3-step stream.
-func BenchmarkServePrecisionF64(b *testing.B) {
-	benchServePrecision(b, sparse.PrecisionF64)
-}
-
-// BenchmarkServePrecisionF32 is the same stream through a service
-// configured with Config.AMG.Precision = f32: f32-valued hierarchy levels
-// and outer operator, f64 CG recurrence, bitwise-deterministic serving.
-func BenchmarkServePrecisionF32(b *testing.B) {
-	benchServePrecision(b, sparse.PrecisionF32)
-}
-
-func benchServePrecision(b *testing.B, prec sparse.Precision) {
-	mix := precisionServeStream()
-	s := serve.New(serve.Config{AMG: amg.Options{Precision: prec}, Tol: 1e-8, MaxIter: 400, CacheCapacity: 4})
+	s := serve.New(serve.Config{Tol: 1e-8, MaxIter: 400, CacheCapacity: 4})
 	ctx := context.Background()
 	// Warm pass: the one cold hierarchy build happens here, so every
 	// measured op pays the same steady-state refresh+solve work.

@@ -204,7 +204,7 @@ func BenchmarkSolveRequestDecode(b *testing.B) {
 // struct or a different encoder must fail here first.
 const (
 	goldenRequest = `{"rows":4,"rowptr":[0,2,5,8,10],"col":[0,1,0,1,2,1,2,3,2,3],"val":[4,-1,-1,4,-1,-1,4,-1,-1,4],"b":[1,2,3,4]}`
-	goldenReply   = `{"outcome":"build","batched":1,"precision":"f64","columns":[{"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"iterations":1,"relres":8.357455313457785e-17,"converged":true}],"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"converged":true,"relres":8.357455313457785e-17}` + "\n"
+	goldenReply   = `{"outcome":"build","batched":1,"columns":[{"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"iterations":1,"relres":8.357455313457785e-17,"converged":true}],"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"converged":true,"relres":8.357455313457785e-17}` + "\n"
 )
 
 func TestSolveEndpointGoldenReply(t *testing.T) {

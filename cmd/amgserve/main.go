@@ -88,13 +88,9 @@ type columnResult struct {
 
 // solveResponse is the JSON shape of a solve that produced results.
 type solveResponse struct {
-	Outcome string `json:"outcome"`
-	Batched int    `json:"batched"`
-	// Precision is the operator value precision that served the solve
-	// ("f64", "f32", or "auto" for mixed per-level storage); the CG
-	// recurrence itself is always float64.
-	Precision string         `json:"precision"`
-	Columns   []columnResult `json:"columns"`
+	Outcome string         `json:"outcome"`
+	Batched int            `json:"batched"`
+	Columns []columnResult `json:"columns"`
 	// X mirrors Columns[0].X for single-RHS requests whose column
 	// converged, so the common case stays a one-field read; an
 	// unconverged iterate is never surfaced through the convenience
@@ -135,21 +131,14 @@ func main() {
 	tol := flag.Float64("tol", 1e-8, "relative residual tolerance")
 	maxIter := flag.Int("maxiter", 500, "CG iteration cap")
 	threads := flag.Int("threads", 0, "solver worker count, 0 = all cores")
-	precName := flag.String("precision", "f64", "operator value precision: f64, f32, auto (f32 below the finest level; CG recurrence stays f64)")
 	solveTimeout := flag.Duration("solve-timeout", 0, "per-request deadline covering admission, setup, and solve; expired requests return 504 (0 disables)")
-	maxEscalations := flag.Int("max-escalations", 0, "escalation-ladder rungs tried after a classified numerical failure, 0 = default 3, negative disables")
+	maxEscalations := flag.Int("max-escalations", 0, "escalation-ladder rungs tried after a classified numerical failure, 0 = default 2, negative disables")
 	quarantineThreshold := flag.Int("quarantine-threshold", 0, "consecutive numerical failures before a pattern is quarantined (429), 0 = default 3, negative disables")
 	quarantineCooldown := flag.Duration("quarantine-cooldown", 0, "base quarantine duration before a half-open probe, 0 = default 1s")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time to finish in-flight solves after SIGTERM before forcing exit")
 	flag.Parse()
-	prec, err := sparse.ParsePrecision(*precName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	svc := serve.New(serve.Config{
-		AMG:           amg.Options{Threads: *threads, Precision: prec},
+		AMG:           amg.Options{Threads: *threads},
 		Tol:           *tol,
 		MaxIter:       *maxIter,
 		CacheCapacity: *cache,
@@ -313,7 +302,6 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := solveResponse{Outcome: stats.Outcome.String(), Batched: stats.Batched,
-		Precision: stats.Precision.String(),
 		Converged: stats.Converged, RelResidual: stats.RelResidual,
 		Escalations: stats.Escalations}
 	for j, x := range xs {

@@ -27,7 +27,6 @@ import (
 	"mis2go/internal/krylov"
 	"mis2go/internal/order"
 	"mis2go/internal/par"
-	"mis2go/internal/sparse"
 )
 
 func main() {
@@ -44,7 +43,6 @@ func run(args []string, stdout io.Writer) int {
 	tol := fs.Float64("tol", 1e-12, "CG relative tolerance")
 	threads := fs.Int("threads", 0, "worker count (0 = all cores)")
 	resetup := fs.Int("resetup", 0, "re-run the numeric setup N times on same-pattern perturbed values and report the re-setup ratio")
-	precName := fs.String("precision", "f64", "operator value precision: f64, f32, auto (f32 below the finest level; CG recurrence stays f64)")
 	rcm := fs.Bool("rcm", false, "reorder the system with reverse Cuthill-McKee before solving (solution is inverse-permuted back)")
 	health := fs.Bool("health", true, "guard the CG iteration against divergence, stagnation, and non-finite residuals (classified errors instead of a burned iteration budget)")
 	if err := fs.Parse(args); err != nil {
@@ -57,12 +55,6 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "grid side -n %d, want at least 1\n", *n)
 		return 2
 	}
-	prec, err := sparse.ParsePrecision(*precName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		return 2
-	}
-
 	aggs := map[string]amg.AggregateFunc{
 		"mis2agg": func(g *graph.CSR) coarsen.Aggregation {
 			return coarsen.MIS2Aggregation(g, coarsen.Options{Threads: *threads})
@@ -89,16 +81,17 @@ func run(args []string, stdout io.Writer) int {
 	if *rcm {
 		bwBefore := order.Bandwidth(a)
 		perm = order.RCM(a.Graph())
-		a, err = order.PermuteMatrix(a, perm)
+		pa, err := order.PermuteMatrix(a, perm)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
+		a = pa
 		fmt.Fprintf(stdout, "rcm: bandwidth %d -> %d\n", bwBefore, order.Bandwidth(a))
 	}
 
 	start := time.Now()
-	h, err := amg.Build(a, amg.Options{Aggregate: aggFn, Threads: *threads, Precision: prec})
+	h, err := amg.Build(a, amg.Options{Aggregate: aggFn, Threads: *threads})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -108,7 +101,7 @@ func run(args []string, stdout io.Writer) int {
 		h.NumLevels(), h.OperatorComplexity(), setup.Seconds())
 	fmt.Fprint(stdout, "formats:")
 	for _, l := range h.Levels {
-		fmt.Fprintf(stdout, " %s/%s(%d)", l.Format(), l.Precision(), l.A.Rows)
+		fmt.Fprintf(stdout, " %s(%d)", l.Format(), l.A.Rows)
 	}
 	fmt.Fprintln(stdout)
 

@@ -33,12 +33,11 @@ import (
 var ErrCanceled = errors.New("amg: setup canceled")
 
 // ErrBadValues is wrapped by every pre-mutation value rejection of the
-// numeric phase — non-finite entries, values outside the float32 range
-// of an f32 finest level, a zero or missing diagonal, a diagonal sign
-// flip on Refresh. These are properties of the submitted values, not of
-// the solver: no retry or escalation can fix them, so callers (the
-// serve escalation ladder in particular) can classify them with
-// errors.Is and fail fast instead of re-solving.
+// numeric phase — non-finite entries, a zero or missing diagonal, a
+// diagonal sign flip on Refresh. These are properties of the submitted
+// values, not of the solver: no retry or escalation can fix them, so
+// callers (the serve escalation ladder in particular) can classify them
+// with errors.Is and fail fast instead of re-solving.
 var ErrBadValues = errors.New("amg: matrix values unusable")
 
 // ctxErr reports the context's cancellation state; nil contexts never
@@ -104,35 +103,8 @@ type Options struct {
 	PreSweeps, PostSweeps int
 	// Smoother selects the relaxation method (default SmootherJacobi).
 	Smoother Smoother
-	// Precision selects the value storage width of the apply-side level
-	// operators (and the prolongator/restriction transfer kernels):
-	// PrecisionF64 (default) stores everything in float64; PrecisionF32
-	// stores f32 values on every level; PrecisionAuto keeps the finest
-	// level f64 and stores f32 below it. The setup side — diagonals,
-	// spectral-radius estimates, SpGEMM plan replays, the dense coarsest
-	// solve — always computes in float64 from the CSR matrices, and every
-	// f32 kernel accumulates in float64, so each precision is bitwise
-	// deterministic across formats and worker counts. See DESIGN.md
-	// ("Mixed precision").
-	Precision sparse.Precision
 	// Threads is the worker count (0 = GOMAXPROCS).
 	Threads int
-}
-
-// levelPrecision resolves the Precision policy for one level's
-// apply-side operator: PrecisionAuto keeps the finest level (the one
-// whose residual feeds convergence detection) at full precision and
-// stores f32 below it.
-func (o Options) levelPrecision(level int) sparse.Precision {
-	switch o.Precision {
-	case sparse.PrecisionF32:
-		return sparse.PrecisionF32
-	case sparse.PrecisionAuto:
-		if level > 0 {
-			return sparse.PrecisionF32
-		}
-	}
-	return sparse.PrecisionF64
 }
 
 func (o Options) withDefaults() Options {
@@ -165,19 +137,10 @@ type Level struct {
 	Agg  coarsen.Aggregation
 	dinv []float64
 	// op is the apply-side view of A in the format sparse.ChooseFormat
-	// picks and the level's precision (A itself for f64 CSR; a
-	// SELL/CSR32/SELL32 conversion otherwise). The setup side (plan
-	// replays, graph extraction) always works on the CSR A.
+	// picks (A itself for CSR; a SELL conversion otherwise, whose cached
+	// values the numeric phase refreshes). The setup side (plan replays,
+	// graph extraction) always works on the CSR A.
 	op sparse.Operator
-	// fill is non-nil when op caches values (SELL, CSR32, SELL32); the
-	// numeric phase refreshes them through the cached entry schedule.
-	fill sparse.ValueFiller
-	// pop/rop are the apply-side views of P and R used by the V-cycle's
-	// transfer kernels (P and R themselves at full precision; CSR32
-	// conversions when the coarse side of the transfer is f32), with
-	// pFill/rFill their refresh surfaces.
-	pop, rop     sparse.Operator
-	pFill, rFill sparse.ValueFiller
 	// rho is the estimated spectral radius of D^{-1}A on this level,
 	// used by prolongator smoothing and the Chebyshev smoother.
 	rho float64
@@ -189,17 +152,15 @@ type Level struct {
 }
 
 // setOperator converts the level's apply-side operator to the format
-// sparse.ChooseFormat picks, at precision prec. The conversion is
-// pattern-only in the symbolic phase (values land in BuildNumeric); the
-// SELL row sort and the value-replay entry schedule are part of the
-// symbolic state.
-func (l *Level) setOperator(prec sparse.Precision) error {
-	op, err := sparse.NewOperatorPrec(l.A, sparse.FormatAuto, 0, prec)
+// sparse.ChooseFormat picks. The conversion is pattern-only in the
+// symbolic phase (values land in BuildNumeric); the SELL row sort and
+// the value-replay entry schedule are part of the symbolic state.
+func (l *Level) setOperator() error {
+	op, err := sparse.NewOperator(l.A, sparse.FormatAuto, 0)
 	if err != nil {
 		return err
 	}
 	l.op = op
-	l.fill, _ = op.(sparse.ValueFiller)
 	return nil
 }
 
@@ -373,11 +334,11 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		}
 		l.Agg = agg
 
-		// Choose the level's apply-side operator format and precision —
-		// only now that the level is known not to be the coarsest (the
-		// coarsest level is solved densely, its op never applied, so
-		// converting it would be pure waste).
-		if err := l.setOperator(opt.levelPrecision(level)); err != nil {
+		// Choose the level's apply-side operator format — only now that
+		// the level is known not to be the coarsest (the coarsest level is
+		// solved densely, its op never applied, so converting it would be
+		// pure waste).
+		if err := l.setOperator(); err != nil {
 			return nil, fmt.Errorf("amg: level %d operator format: %w", level, err)
 		}
 
@@ -396,30 +357,13 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		}
 		lp.rap = rp
 		l.P, l.R = p, r
-		// The transfer kernels (restriction SpMV, prolongation SpMVAdd)
-		// follow the precision of the coarse side they move data to and
-		// from: under PrecisionAuto the fine level's residual stays f64
-		// but the traffic into the f32 coarse hierarchy is f32.
-		l.pop, l.rop = p, r
-		if opt.levelPrecision(level+1) == sparse.PrecisionF32 {
-			pop, err := sparse.NewCSR32(p)
-			if err != nil {
-				return nil, fmt.Errorf("amg: level %d prolongator precision: %w", level, err)
-			}
-			rop, err := sparse.NewCSR32(r)
-			if err != nil {
-				return nil, fmt.Errorf("amg: level %d restriction precision: %w", level, err)
-			}
-			l.pop, l.rop = pop, rop
-			l.pFill, l.rFill = pop, rop
-		}
 		cur = rp.NewMatrix()
 	}
 
 	// A one-level hierarchy converts level 0 anyway: its op is also the
 	// outer Krylov matvec (FineOperator).
 	if len(h.Levels) == 1 {
-		if err := h.Levels[0].setOperator(opt.levelPrecision(0)); err != nil {
+		if err := h.Levels[0].setOperator(); err != nil {
 			return nil, fmt.Errorf("amg: level 0 operator format: %w", err)
 		}
 	}
@@ -540,17 +484,6 @@ func (h *Hierarchy) validateValues(a *sparse.Matrix, checkSign bool) error {
 			return fmt.Errorf("%w: non-finite value at entry %d", ErrBadValues, p)
 		}
 	}
-	// An f32 finest level additionally needs every fine value inside the
-	// float32 range; checking here (not mid-replay) keeps overflow a
-	// pre-mutation rejection with the previous operator still serving.
-	// Coarse-level or smoothed-prolongator values derived out of range
-	// can only surface during the replay and invalidate like any other
-	// mid-replay failure.
-	if h.opt.levelPrecision(0) == sparse.PrecisionF32 {
-		if err := sparse.CheckF32Range(a.Val); err != nil {
-			return fmt.Errorf("%w: %w", ErrBadValues, err)
-		}
-	}
 	prev := h.Levels[0].dinv // same sign as the previous diagonal (it is its inverse)
 	for i, p := range h.diagPos {
 		diag := 0.0
@@ -589,12 +522,11 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 			}
 		}
 		cur := l.A
-		// Refresh the level's apply-side operator: value-caching formats
-		// (SELL, CSR32, SELL32) gather the new values through their cached
-		// entry schedules; plain f64 CSR levels just re-point (the fine
-		// level's A was swapped above).
-		if l.fill != nil {
-			if err := l.fill.FillValues(cur); err != nil {
+		// Refresh the level's apply-side operator: a SELL level gathers
+		// the new values through its cached entry schedule; CSR levels
+		// just re-point (the fine level's A was swapped above).
+		if s, ok := l.op.(*sparse.SELL); ok {
+			if err := s.FillValues(cur); err != nil {
 				return fmt.Errorf("amg: level %d operator refresh: %w", level, err)
 			}
 		} else {
@@ -644,17 +576,6 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 		}
 		if err := lp.trans.Replay(rt, l.P, l.R); err != nil {
 			return fmt.Errorf("amg: level %d restriction: %w", level, err)
-		}
-		// Refresh the f32 transfer views now that P and R carry their
-		// final values for this numeric pass. Like any mid-replay failure,
-		// an out-of-range smoothed value invalidates the hierarchy.
-		if l.pFill != nil {
-			if err := l.pFill.FillValues(l.P); err != nil {
-				return fmt.Errorf("amg: level %d prolongator refresh: %w", level, err)
-			}
-			if err := l.rFill.FillValues(l.R); err != nil {
-				return fmt.Errorf("amg: level %d restriction refresh: %w", level, err)
-			}
 		}
 		if err := lp.rap.Replay(rt, l.R, cur, l.P, h.Levels[level+1].A); err != nil {
 			return fmt.Errorf("amg: level %d Galerkin product: %w", level, err)
@@ -732,28 +653,14 @@ func (h *Hierarchy) NumLevels() int { return len(h.Levels) }
 // Format reports the storage format of the level's apply-side operator.
 func (l *Level) Format() sparse.Format {
 	switch l.op.(type) {
-	case *sparse.SELL, *sparse.SELL32:
+	case *sparse.SELL:
 		return sparse.FormatSELL
 	}
 	return sparse.FormatCSR
 }
 
-// Precision reports the value storage precision of the level's
-// apply-side operator. A coarsest level below level 0 reports f64 under
-// every policy: it is solved by the dense f64 factorization and its
-// operator is never applied. Level 0 follows the policy even when it is
-// the only level, because its operator is also FineOperator.
-func (l *Level) Precision() sparse.Precision {
-	return sparse.OperatorPrecision(l.op)
-}
-
-// Precision reports the hierarchy's precision policy (the Options value
-// it was built with; per-level resolution is Level.Precision).
-func (h *Hierarchy) Precision() sparse.Precision { return h.opt.Precision }
-
 // FineOperator returns level 0's apply-side operator: the fine matrix in
-// the format sparse.ChooseFormat picks and at the finest level's
-// precision (f32 only under PrecisionF32). It is the operator the outer
+// the format sparse.ChooseFormat picks. It is the operator the outer
 // Krylov iteration multiplies by. Every successful BuildNumeric or
 // Refresh updates it in place, so callers hold no copy to refill. Like
 // the rest of the hierarchy it is single-caller state.
@@ -806,11 +713,11 @@ func (h *Hierarchy) vcycle(level int) {
 	// immediately.
 	l.op.SpMVResidual(h.rt, l.b, l.x, l.r)
 	next := h.Levels[level+1]
-	l.rop.SpMV(h.rt, l.r, next.b)
+	l.R.SpMV(h.rt, l.r, next.b)
 	h.vcycle(level + 1)
 	// Fused prolongation + correction: x += P e_c in one traversal,
 	// handing the corrected iterate straight to the post-smoother.
-	l.pop.SpMVAdd(h.rt, next.x, l.x)
+	l.P.SpMVAdd(h.rt, next.x, l.x)
 	h.smooth(l, h.opt.PostSweeps, false)
 }
 

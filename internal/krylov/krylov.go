@@ -2,15 +2,6 @@
 // solver experiments: preconditioned conjugate gradient (Table V) and
 // preconditioned restarted GMRES (Table VI).
 //
-// Precision: every solver in this package runs its recurrence entirely
-// in float64 — iterates, search directions, dot products, and residual
-// norms — regardless of the operator's stored value precision. A
-// float32-valued operator (sparse.PrecisionF32) changes only the bytes
-// the matvec streams; its kernels accept and produce float64 vectors
-// with float64 accumulation, so the float64 recurrence guards the
-// convergence of mixed-precision solves. Nothing in this package
-// branches on precision.
-//
 // Concurrency: the solver functions are stateless between the operator,
 // the vectors, and the workspace they are handed — concurrent solves
 // are safe exactly when those are not shared: operators are read-only
@@ -302,12 +293,9 @@ type Options struct {
 // gradient method. x holds the initial guess on entry and the solution
 // on exit. Iterations stop when the recurrence residual drops below
 // o.Tol*||b|| or o.MaxIter is reached; Stats reports the true final
-// residual. a is any operator format (CSR or SELL, in either value
-// precision); formats produce bit-identical kernels, so the solve
-// trajectory is independent of the format choice. The recurrence is
-// always float64: an f32-valued operator perturbs the matvec results
-// (values were rounded once at store time) but never the arithmetic of
-// the iteration itself.
+// residual. a is any operator format (CSR or SELL); formats produce
+// bit-identical kernels, so the solve trajectory is independent of the
+// format choice.
 //
 // The context is checked once before the setup products and at the top
 // of every iteration, so a canceled caller stops paying for matrix

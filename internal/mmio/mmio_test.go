@@ -134,43 +134,43 @@ func TestMalformedInputsRejected(t *testing.T) {
 		wantSub string // substring the error must contain
 	}{
 		"duplicate entry": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n1 1 2.5\n2 2 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 1.0\n1 1 2.5\n2 2 1.0\n",
 			wantSub: "duplicate coordinate entry (1,1)",
 		},
 		"duplicate after sort": {
-			in: "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 2 1.0\n1 1 1.0\n2 2 4.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n3 3 3\n2 2 1.0\n1 1 1.0\n2 2 4.0\n",
 			wantSub: "duplicate coordinate entry (2,2)",
 		},
 		"symmetric both triangles": {
-			in: "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n2 1 -1.0\n1 2 -1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n2 1 -1.0\n1 2 -1.0\n",
 			wantSub: "mirror is implied",
 		},
 		"truncated file": {
-			in: "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1.0\n2 2 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n3 3 4\n1 1 1.0\n2 2 1.0\n",
 			wantSub: "truncated",
 		},
 		"trailing entries": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n",
 			wantSub: "trailing",
 		},
 		"row index zero": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 1\n0 1 1.0\n",
 			wantSub: "out of bounds",
 		},
 		"row index past rows": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 1\n3 1 1.0\n",
 			wantSub: "out of bounds",
 		},
 		"col index past cols": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 5 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 5 1.0\n",
 			wantSub: "out of bounds",
 		},
 		"negative size": {
-			in: "%%MatrixMarket matrix coordinate real general\n-2 2 1\n1 1 1.0\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n-2 2 1\n1 1 1.0\n",
 			wantSub: "negative",
 		},
 		"truncated entry line": {
-			in: "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2\n",
+			in:      "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2\n",
 			wantSub: "short entry",
 		},
 	}

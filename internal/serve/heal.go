@@ -1,10 +1,9 @@
 // Self-healing solves: classification of numerical failures and the
 // escalation ladder. A classified failure (diverged, stagnated, broken
 // down, or MaxIter exhausted) is retried with a deterministic sequence
-// of progressively stronger request-local configurations — a full-f64
-// hierarchy rebuild when the service runs reduced precision, then a
-// point-SGS smoother, then a GMRES outer solve — each rung recorded in
-// RequestStats.Escalations. The ladder is deterministic by
+// of progressively stronger request-local configurations — a point-SGS
+// smoother (unless the service already runs one), then a GMRES outer
+// solve — each rung recorded in RequestStats.Escalations. The ladder is deterministic by
 // construction: the rung sequence is a pure function of the service
 // Config, each rung builds its hierarchy and runs its solve with the
 // same deterministic kernels as the primary path, and rungs run
@@ -25,7 +24,9 @@ import (
 )
 
 // rung is one step of the escalation ladder: a name for stats/logs, the
-// AMG options to rebuild with, and the outer solver choice.
+// AMG options to rebuild with, and the outer solver choice. The names
+// keep their "f64+" prefix because replies and RequestStats.Escalations
+// expose them.
 type rung struct {
 	name  string
 	amg   amg.Options
@@ -37,15 +38,10 @@ type rung struct {
 // would deterministically fail the same way). At most
 // cfg.MaxEscalations rungs are kept.
 func buildLadder(cfg Config) []rung {
-	f64 := cfg.AMG
-	f64.Precision = sparse.PrecisionF64
-	sgs := f64
+	sgs := cfg.AMG
 	sgs.Smoother = amg.SmootherPointSGS
 	var rungs []rung
-	if cfg.AMG.Precision != sparse.PrecisionF64 {
-		rungs = append(rungs, rung{name: "f64", amg: f64})
-	}
-	if cfg.AMG.Precision != sparse.PrecisionF64 || cfg.AMG.Smoother != amg.SmootherPointSGS {
+	if cfg.AMG.Smoother != amg.SmootherPointSGS {
 		rungs = append(rungs, rung{name: "f64+sgs", amg: sgs})
 	}
 	rungs = append(rungs, rung{name: "f64+gmres", amg: sgs, gmres: true})

@@ -17,23 +17,22 @@ import (
 	"mis2go/internal/sparse"
 )
 
-// nearSingularProblem is a system a reduced-precision (f32) hierarchy
-// cannot push to tol 1e-12 — the primary solve fails classified and the
-// full-f64 rung recovers it.
-func nearSingularProblem() (*sparse.Matrix, []float64) {
-	a := gen.Laplacian(gen.Laplace2D(24, 24), 1e-7)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = 1 + float64(i%7)
+// stallConfig is an f64 service whose MaxIter budget sits between the
+// iteration counts of its two smoothers on testProblem(12, 0.1) at tol
+// 1e-10: the primary Jacobi-smoothed solve needs 11 iterations and
+// exhausts the budget of 9 (a classified krylov.ErrNotConverged), while
+// the point-SGS hierarchy of the f64+sgs rung converges in 7.
+func stallConfig() Config {
+	return Config{
+		AMG:         amg.Options{MinCoarseSize: 40},
+		Tol:         1e-10,
+		MaxIter:     9,
+		BatchWindow: -1,
 	}
-	return a, b
 }
 
 func TestEscalationLadderConstruction(t *testing.T) {
 	base := Config{AMG: amg.Options{MinCoarseSize: 40}}.withDefaults()
-
-	f32 := base
-	f32.AMG.Precision = sparse.PrecisionF32
 	names := func(rungs []rung) []string {
 		var out []string
 		for _, r := range rungs {
@@ -41,68 +40,68 @@ func TestEscalationLadderConstruction(t *testing.T) {
 		}
 		return out
 	}
-	got := names(buildLadder(f32))
-	want := []string{"f64", "f64+sgs", "f64+gmres"}
-	if len(got) != len(want) {
-		t.Fatalf("f32 ladder = %v, want %v", got, want)
+	got := names(buildLadder(base))
+	if len(got) != 2 || got[0] != "f64+sgs" || got[1] != "f64+gmres" {
+		t.Fatalf("ladder = %v, want [f64+sgs f64+gmres]", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("f32 ladder = %v, want %v", got, want)
+	ladder := buildLadder(base)
+	for _, r := range ladder {
+		if r.amg.Smoother != amg.SmootherPointSGS {
+			t.Fatalf("rung %s smoother = %v, want point SGS", r.name, r.amg.Smoother)
 		}
 	}
+	if ladder[0].gmres || !ladder[1].gmres {
+		t.Fatalf("outer solvers: %s gmres=%v, %s gmres=%v", ladder[0].name, ladder[0].gmres, ladder[1].name, ladder[1].gmres)
+	}
 
-	// An f64 service skips the redundant precision rung.
-	got = names(buildLadder(base))
-	if len(got) != 2 || got[0] != "f64+sgs" || got[1] != "f64+gmres" {
-		t.Fatalf("f64 ladder = %v, want [f64+sgs f64+gmres]", got)
+	// A service already smoothing with point SGS skips the redundant
+	// smoother rung.
+	sgs := base
+	sgs.AMG.Smoother = amg.SmootherPointSGS
+	if got = names(buildLadder(sgs)); len(got) != 1 || got[0] != "f64+gmres" {
+		t.Fatalf("point-SGS ladder = %v, want [f64+gmres]", got)
 	}
 
 	// MaxEscalations truncates deterministically.
-	short := f32
+	short := base
 	short.MaxEscalations = 1
-	if got = names(buildLadder(short)); len(got) != 1 || got[0] != "f64" {
-		t.Fatalf("truncated ladder = %v, want [f64]", got)
+	if got = names(buildLadder(short)); len(got) != 1 || got[0] != "f64+sgs" {
+		t.Fatalf("truncated ladder = %v, want [f64+sgs]", got)
 	}
 }
 
-// TestEscalationRecoversF32Stall: the end-to-end recovery acceptance. A
-// service running a reduced-precision (f32) hierarchy stalls on the
-// near-singular problem at tol 1e-12; the ladder's f64 rebuild rung
-// recovers it, and the recovered solution is bitwise identical to a
-// sequential solve with the rung's own configuration.
-func TestEscalationRecoversF32Stall(t *testing.T) {
-	a, b := nearSingularProblem()
-	cfg := Config{
-		AMG:         amg.Options{MinCoarseSize: 40, Precision: sparse.PrecisionF32},
-		Tol:         1e-12,
-		MaxIter:     200,
-		BatchWindow: -1,
-	}
+// TestEscalationRecoversBySGSRung: the end-to-end recovery acceptance.
+// The primary solve of stallConfig exhausts its MaxIter budget; the
+// ladder's f64+sgs rung recovers it, and the recovered solution is
+// bitwise identical to a sequential solve with the rung's own
+// configuration.
+func TestEscalationRecoversBySGSRung(t *testing.T) {
+	a, b := testProblem(12, 0.1)
+	cfg := stallConfig()
 	s := New(cfg)
 	x, st, err := s.Solve(context.Background(), a, b)
 	if err != nil {
 		t.Fatalf("escalation did not recover: %v (rungs %v)", err, st.Escalations)
 	}
-	if len(st.Escalations) == 0 || st.Escalations[len(st.Escalations)-1] != "f64" {
-		t.Fatalf("want recovery by the f64 rung, got rungs %v", st.Escalations)
+	if len(st.Escalations) != 1 || st.Escalations[0] != "f64+sgs" {
+		t.Fatalf("want recovery by the f64+sgs rung, got rungs %v", st.Escalations)
 	}
 	if !st.Converged {
 		t.Fatalf("recovered request not marked converged: %+v", st)
 	}
 	m := s.Metrics()
-	if m.Escalations == 0 || m.EscalationRecoveries != 1 {
+	if m.Escalations != 1 || m.EscalationRecoveries != 1 {
 		t.Fatalf("escalation metrics not recorded: %+v", m)
 	}
 	if m.NumericalFailures != 0 {
 		t.Fatalf("a recovered request must not count as a numerical failure: %+v", m)
 	}
 
-	// Bitwise reference: the rung's exact configuration (f64 hierarchy,
-	// guarded batch CG on the request's own matrix).
+	// Bitwise reference: the rung's exact configuration (point-SGS
+	// hierarchy, guarded batch CG on the request's own matrix).
 	rcfg := cfg.withDefaults()
 	ropt := rcfg.AMG
-	ropt.Precision = sparse.PrecisionF64
+	ropt.Smoother = amg.SmootherPointSGS
 	h, err := amg.Build(a, ropt)
 	if err != nil {
 		t.Fatal(err)
@@ -122,15 +121,10 @@ func TestEscalationRecoversF32Stall(t *testing.T) {
 // TestEscalationDisabled: MaxEscalations < 0 turns the ladder off; the
 // classified primary failure surfaces unchanged.
 func TestEscalationDisabled(t *testing.T) {
-	a, b := nearSingularProblem()
-	cfg := Config{
-		AMG:                 amg.Options{MinCoarseSize: 40, Precision: sparse.PrecisionF32},
-		Tol:                 1e-12,
-		MaxIter:             200,
-		BatchWindow:         -1,
-		MaxEscalations:      -1,
-		QuarantineThreshold: -1,
-	}
+	a, b := testProblem(12, 0.1)
+	cfg := stallConfig()
+	cfg.MaxEscalations = -1
+	cfg.QuarantineThreshold = -1
 	s := New(cfg)
 	_, st, err := s.Solve(context.Background(), a, b)
 	if err == nil {

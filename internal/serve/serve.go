@@ -74,11 +74,9 @@ import (
 type Config struct {
 	// AMG configures the hierarchies built for cached patterns. Its
 	// Threads is also the worker count of the outer Krylov kernels (0 =
-	// GOMAXPROCS), and its Precision also sets the outer CG operator's,
-	// which is the hierarchy's own finest-level operator
-	// (Hierarchy.FineOperator): f32 only under PrecisionF32. The outer
-	// recurrence, dot products, and residual norms always stay float64.
-	// Results are deterministic for every worker count.
+	// GOMAXPROCS). The outer CG multiplies by the hierarchy's own
+	// finest-level operator (Hierarchy.FineOperator). Results are
+	// deterministic for every worker count.
 	AMG amg.Options
 	// Tol is the relative-residual tolerance of served solves
 	// (default 1e-8).
@@ -120,11 +118,10 @@ type Config struct {
 	// exhausted — not non-finite inputs, which no strategy fixes) the
 	// request is retried with up to this many progressively stronger
 	// request-local configurations, in a deterministic sequence: a
-	// full-f64 hierarchy rebuild (when the service runs reduced
-	// precision), then a point-SGS smoother, then a GMRES outer solve.
-	// Each rung attempted is recorded in RequestStats.Escalations.
-	// 0 selects the default of 3 (the full ladder); negative disables
-	// escalation.
+	// point-SGS smoother (skipped when the service already runs one),
+	// then a GMRES outer solve. Each rung attempted is recorded in
+	// RequestStats.Escalations. 0 selects the default of 2 (the full
+	// ladder); negative disables escalation.
 	MaxEscalations int
 	// QuarantineThreshold is the number of consecutive classified
 	// numerical failures on one pattern fingerprint after which the
@@ -181,7 +178,7 @@ func (c Config) withDefaults() Config {
 		c.Health = krylov.DefaultHealth()
 	}
 	if c.MaxEscalations == 0 {
-		c.MaxEscalations = 3
+		c.MaxEscalations = 2
 	} else if c.MaxEscalations < 0 {
 		c.MaxEscalations = 0
 	}
@@ -265,9 +262,6 @@ type RequestStats struct {
 	// Columns holds the solver stats of this request's right-hand
 	// sides, in request order.
 	Columns []krylov.Stats
-	// Precision is the hierarchy precision policy that served the solve
-	// (Config.AMG.Precision).
-	Precision sparse.Precision
 	// Converged reports that every requested column met the tolerance —
 	// the explicit signal that a result is an answer, not a best-effort
 	// iterate (an exhausted MaxIter additionally returns a classified
@@ -549,7 +543,6 @@ func (s *Service) SolveBatch(ctx context.Context, a *sparse.Matrix, bs [][]float
 		}
 	}
 
-	st.Precision = s.cfg.AMG.Precision
 	var xs [][]float64
 	var rst RequestStats
 	var err error

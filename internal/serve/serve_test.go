@@ -642,41 +642,3 @@ func TestServeSELLOuterOperatorBitwise(t *testing.T) {
 		t.Fatalf("outer operator is %T, want *sparse.SELL", e.h.FineOperator())
 	}
 }
-
-// TestServeOneLevelF32FineOperatorBitwise: a hierarchy whose finest
-// level is also its coarsest still gives the outer CG an f32 operator
-// under PrecisionF32, and the served result is bitwise the sequential
-// solve with a separately built NewOperatorPrec(a, FormatAuto, 0, F32)
-// outer operator.
-func TestServeOneLevelF32FineOperatorBitwise(t *testing.T) {
-	cfg := testConfig()
-	cfg.AMG = amg.Options{MinCoarseSize: 1000, Precision: sparse.PrecisionF32}
-	s := New(cfg)
-	a, b := testProblem(8, 0.05)
-	got, _, err := s.Solve(context.Background(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rcfg := cfg.withDefaults()
-	h, err := amg.Build(a, rcfg.AMG)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.NumLevels() != 1 {
-		t.Fatalf("levels = %d, want 1", h.NumLevels())
-	}
-	if p := sparse.OperatorPrecision(h.FineOperator()); p != sparse.PrecisionF32 {
-		t.Fatalf("one-level f32 hierarchy's FineOperator stores %v, want f32", p)
-	}
-	op, err := sparse.NewOperatorPrec(a, sparse.FormatAuto, 0, sparse.PrecisionF32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]float64, a.Rows)
-	o := krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h}
-	if _, err := krylov.CGBatchCtx(nil, par.New(rcfg.AMG.Threads), op, append([]float64(nil), b...), want, 1, o); err != nil {
-		t.Fatal(err)
-	}
-	bitwiseEqual(t, "one-level f32", got, want)
-}

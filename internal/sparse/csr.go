@@ -1,112 +1,30 @@
 package sparse
 
-import (
-	"fmt"
+import "mis2go/internal/par"
 
-	"mis2go/internal/par"
-)
-
-// scalar is the set of value-storage types an operator is instantiated
-// over. Only the stored matrix values take this type: every kernel reads
-// and writes float64 vectors and accumulates in float64, widening each
-// stored value before its multiply (a no-op for float64).
-type scalar interface {
-	float32 | float64
-}
-
-// precisionOf reports the Precision that storing values as V implements.
-func precisionOf[V scalar]() Precision {
-	var z V
-	if _, ok := any(z).(float32); ok {
-		return PrecisionF32
-	}
-	return PrecisionF64
-}
-
-// checkRange is CheckF32Range when V is float32 and a no-op for float64
-// storage, which holds every finite value.
-func checkRange[V scalar](vals []float64) error {
-	if precisionOf[V]() == PrecisionF32 {
-		return CheckF32Range(vals)
-	}
-	return nil
-}
-
-// csrOf is the CSR kernel set over V-valued storage — the one body of
-// every CSR kernel. *Matrix forwards its kernels to a csrOf[float64]
-// view of its own fields; CSR32 is the float32 instantiation. The kernels
-// take value receivers so that the *Matrix forwards build the view on
-// the stack and a participant closure captures a copy of it, never a
-// heap-escaping pointer.
-type csrOf[V scalar] struct {
+// csrOf is the CSR kernel set — the one body of every CSR kernel.
+// *Matrix forwards its kernels to a csrOf view of its own fields. The
+// kernels take value receivers so that the *Matrix forwards build the
+// view on the stack and a participant closure captures a copy of it,
+// never a heap-escaping pointer.
+type csrOf struct {
 	rows, cols int
 	rowPtr     []int   // shared with the source matrix
 	col        []int32 // shared with the source matrix
-	val        []V
-}
-
-// CSR32 is the float32-valued CSR operator: the row pointers and column
-// indices are shared with the source *Matrix (the pattern is identical
-// by construction and never mutated here), only the values are stored
-// down-converted. The kernels are the *Matrix kernels instantiated at
-// float32 storage, so results are bitwise deterministic for any worker
-// count; what changes versus *Matrix is only the bytes streamed per
-// stored value (4 instead of 8) and one rounding of each value at store
-// time.
-//
-// Concurrency: like *Matrix, all kernels are read-only on the operator
-// and safe for concurrent use; FillValues mutates the stored values and
-// must be serialized against every reader.
-type CSR32 = csrOf[float32]
-
-// NewCSR32 builds the f32-valued view of a, rejecting values outside
-// the float32 range (CheckF32Range) before allocating. The pattern
-// slices are shared with a, not copied: the AMG hierarchy owns both and
-// replays values only.
-func NewCSR32(a *Matrix) (*CSR32, error) {
-	if err := CheckF32Range(a.Val); err != nil {
-		return nil, err
-	}
-	c := &CSR32{rows: a.Rows, cols: a.Cols, rowPtr: a.RowPtr, col: a.Col}
-	c.val = make([]float32, len(a.Val))
-	for p, v := range a.Val {
-		c.val[p] = float32(v)
-	}
-	return c, nil
-}
-
-// FillValues refreshes the stored values from a same-pattern CSR matrix.
-// For float32 storage the range scan runs before any store, so a
-// rejected refresh leaves the previous values serving bitwise
-// unchanged; the conversion loop itself is branch-free (position p
-// converts entry p — the CSR entry schedule is the identity) and
-// allocates nothing. Only the shape and entry count are checked here;
-// pattern identity is the caller's contract.
-func (c csrOf[V]) FillValues(a *Matrix) error {
-	if a.Rows != c.rows || a.Cols != c.cols || len(a.Val) != len(c.val) {
-		return fmt.Errorf("sparse: %v CSR refresh from %dx%d/%d entries, converted from %dx%d/%d",
-			precisionOf[V](), a.Rows, a.Cols, len(a.Val), c.rows, c.cols, len(c.val))
-	}
-	if err := checkRange[V](a.Val); err != nil {
-		return err
-	}
-	for p, v := range a.Val {
-		c.val[p] = V(v)
-	}
-	return nil
+	val        []float64
 }
 
 // Dims returns the operator shape, implementing Operator.
-func (c csrOf[V]) Dims() (rows, cols int) { return c.rows, c.cols }
+func (c csrOf) Dims() (rows, cols int) { return c.rows, c.cols }
 
 // NNZ returns the number of stored entries.
-func (c csrOf[V]) NNZ() int { return len(c.col) }
+func (c csrOf) NNZ() int { return len(c.col) }
 
 // SpMV computes y = A*x in parallel over rows. The serial fast path
 // bypasses the closure API so single-worker calls allocate nothing.
 //
 //amg:hotpath
-func (c csrOf[V]) SpMV(rt *par.Runtime, x, y []float64) {
+func (c csrOf) SpMV(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(c.rows) {
 		c.spmvRange(x, y, 0, c.rows)
 		return
@@ -127,7 +45,7 @@ func (c csrOf[V]) SpMV(rt *par.Runtime, x, y []float64) {
 // count.
 //
 //amg:hotpath
-func (c csrOf[V]) spmvRange(x, y []float64, lo, hi int) {
+func (c csrOf) spmvRange(x, y []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		start, end := rp[i], rp[i+1]
@@ -135,7 +53,7 @@ func (c csrOf[V]) spmvRange(x, y []float64, lo, hi int) {
 		vals := c.val[start:end]
 		var s float64
 		for k, j := range cols {
-			s += float64(vals[k]) * x[j]
+			s += vals[k] * x[j]
 		}
 		y[i] = s
 	}
@@ -146,7 +64,7 @@ func (c csrOf[V]) spmvRange(x, y []float64, lo, hi int) {
 // step without the second full-vector sweep). r must not alias x.
 //
 //amg:hotpath
-func (c csrOf[V]) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
+func (c csrOf) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
 	if rt.Serial(c.rows) {
 		c.spmvResidualRange(b, x, r, 0, c.rows)
 		return
@@ -157,7 +75,7 @@ func (c csrOf[V]) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
 }
 
 //amg:hotpath
-func (c csrOf[V]) spmvResidualRange(b, x, r []float64, lo, hi int) {
+func (c csrOf) spmvResidualRange(b, x, r []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		start, end := rp[i], rp[i+1]
@@ -165,7 +83,7 @@ func (c csrOf[V]) spmvResidualRange(b, x, r []float64, lo, hi int) {
 		vals := c.val[start:end]
 		var s float64
 		for k, j := range cols {
-			s += float64(vals[k]) * x[j]
+			s += vals[k] * x[j]
 		}
 		r[i] = b[i] - s
 	}
@@ -176,7 +94,7 @@ func (c csrOf[V]) spmvResidualRange(b, x, r []float64, lo, hi int) {
 // without a scratch vector or second sweep). y must not alias x.
 //
 //amg:hotpath
-func (c csrOf[V]) SpMVAdd(rt *par.Runtime, x, y []float64) {
+func (c csrOf) SpMVAdd(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(c.rows) {
 		c.spmvAddRange(x, y, 0, c.rows)
 		return
@@ -187,7 +105,7 @@ func (c csrOf[V]) SpMVAdd(rt *par.Runtime, x, y []float64) {
 }
 
 //amg:hotpath
-func (c csrOf[V]) spmvAddRange(x, y []float64, lo, hi int) {
+func (c csrOf) spmvAddRange(x, y []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		start, end := rp[i], rp[i+1]
@@ -195,7 +113,7 @@ func (c csrOf[V]) spmvAddRange(x, y []float64, lo, hi int) {
 		vals := c.val[start:end]
 		var s float64
 		for k, j := range cols {
-			s += float64(vals[k]) * x[j]
+			s += vals[k] * x[j]
 		}
 		y[i] += s
 	}
@@ -203,12 +121,11 @@ func (c csrOf[V]) spmvAddRange(x, y []float64, lo, hi int) {
 
 // JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
 // in one traversal of A — the fused damped-Jacobi sweep of the AMG
-// V-cycle. The diagonal inverse stays float64 (it is smoother state, not
-// operator storage). src and dst must not alias (the sweep needs the
-// full old iterate; the V-cycle ping-pongs two buffers).
+// V-cycle. src and dst must not alias (the sweep needs the full old
+// iterate; the V-cycle ping-pongs two buffers).
 //
 //amg:hotpath
-func (c csrOf[V]) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
+func (c csrOf) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
 	if rt.Serial(c.rows) {
 		c.jacobiSweepRange(b, dinv, omega, src, dst, 0, c.rows)
 		return
@@ -222,7 +139,7 @@ func (c csrOf[V]) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64,
 // same canonical left-to-right product accumulation as spmvRange.
 //
 //amg:hotpath
-func (c csrOf[V]) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
+func (c csrOf) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		start, end := rp[i], rp[i+1]
@@ -230,7 +147,7 @@ func (c csrOf[V]) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []
 		vals := c.val[start:end]
 		var s float64
 		for k, j := range cols {
-			s += float64(vals[k]) * src[j]
+			s += vals[k] * src[j]
 		}
 		dst[i] = src[i] + omega*dinv[i]*(b[i]-s)
 	}
@@ -246,7 +163,7 @@ func (c csrOf[V]) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []
 // block. Deterministic: per-row summation order is fixed.
 //
 //amg:hotpath
-func (c csrOf[V]) SpMM(rt *par.Runtime, k int, x, y []float64) {
+func (c csrOf) SpMM(rt *par.Runtime, k int, x, y []float64) {
 	if k == 1 {
 		c.SpMV(rt, x, y)
 		return
@@ -263,7 +180,7 @@ func (c csrOf[V]) SpMM(rt *par.Runtime, k int, x, y []float64) {
 // spmmDispatch selects the width-specialized kernel for rows [lo, hi).
 //
 //amg:hotpath
-func (c csrOf[V]) spmmDispatch(k int, x, y []float64, lo, hi int) {
+func (c csrOf) spmmDispatch(k int, x, y []float64, lo, hi int) {
 	switch k {
 	case 4:
 		c.spmm4Range(x, y, lo, hi)
@@ -278,12 +195,12 @@ func (c csrOf[V]) spmmDispatch(k int, x, y []float64, lo, hi int) {
 // per row, one contiguous 4-block gather from X per stored entry.
 //
 //amg:hotpath
-func (c csrOf[V]) spmm4Range(x, y []float64, lo, hi int) {
+func (c csrOf) spmm4Range(x, y []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		var s0, s1, s2, s3 float64
 		for p := rp[i]; p < rp[i+1]; p++ {
-			v := float64(c.val[p])
+			v := c.val[p]
 			xb := x[int(c.col[p])*4:]
 			xb = xb[:4]
 			s0 += v * xb[0]
@@ -300,12 +217,12 @@ func (c csrOf[V]) spmm4Range(x, y []float64, lo, hi int) {
 // spmm8Range is the 8-wide SpMM kernel.
 //
 //amg:hotpath
-func (c csrOf[V]) spmm8Range(x, y []float64, lo, hi int) {
+func (c csrOf) spmm8Range(x, y []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for p := rp[i]; p < rp[i+1]; p++ {
-			v := float64(c.val[p])
+			v := c.val[p]
 			xb := x[int(c.col[p])*8:]
 			xb = xb[:8]
 			s0 += v * xb[0]
@@ -328,7 +245,7 @@ func (c csrOf[V]) spmm8Range(x, y []float64, lo, hi int) {
 // into Y's row block (owned by this row), so no scratch is needed.
 //
 //amg:hotpath
-func (c csrOf[V]) spmmRange(k int, x, y []float64, lo, hi int) {
+func (c csrOf) spmmRange(k int, x, y []float64, lo, hi int) {
 	rp := c.rowPtr
 	for i := lo; i < hi; i++ {
 		yb := y[i*k : i*k+k]
@@ -336,7 +253,7 @@ func (c csrOf[V]) spmmRange(k int, x, y []float64, lo, hi int) {
 			yb[j] = 0
 		}
 		for p := rp[i]; p < rp[i+1]; p++ {
-			v := float64(c.val[p])
+			v := c.val[p]
 			xb := x[int(c.col[p])*k : int(c.col[p])*k+k]
 			for j, xv := range xb {
 				yb[j] += v * xv
@@ -345,12 +262,12 @@ func (c csrOf[V]) spmmRange(k int, x, y []float64, lo, hi int) {
 	}
 }
 
-// DiagonalInto fills d with the diagonal entries (zero where absent),
-// widened to float64, in parallel over rows. The serial fast path
+// DiagonalInto fills d with the diagonal entries (zero where absent)
+// in parallel over rows. The serial fast path
 // bypasses the closure API so re-setup loops stay allocation-free.
 //
 //amg:hotpath
-func (c csrOf[V]) DiagonalInto(rt *par.Runtime, d []float64) {
+func (c csrOf) DiagonalInto(rt *par.Runtime, d []float64) {
 	if rt.Serial(c.rows) {
 		c.diagonalRange(d, 0, c.rows)
 		return
@@ -361,12 +278,12 @@ func (c csrOf[V]) DiagonalInto(rt *par.Runtime, d []float64) {
 }
 
 //amg:hotpath
-func (c csrOf[V]) diagonalRange(d []float64, lo, hi int) {
+func (c csrOf) diagonalRange(d []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		d[i] = 0
 		for p := c.rowPtr[i]; p < c.rowPtr[i+1]; p++ {
 			if int(c.col[p]) == i {
-				d[i] = float64(c.val[p])
+				d[i] = c.val[p]
 				break
 			}
 		}

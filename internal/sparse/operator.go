@@ -40,10 +40,9 @@ type Operator interface {
 }
 
 // csr returns the CSR kernel view of a's fields (shared, not copied):
-// every *Matrix kernel is the csrOf[float64] instantiation of the one
-// CSR kernel body in csr.go.
-func (a *Matrix) csr() csrOf[float64] {
-	return csrOf[float64]{rows: a.Rows, cols: a.Cols, rowPtr: a.RowPtr, col: a.Col, val: a.Val}
+// every *Matrix kernel forwards to the one CSR kernel body in csr.go.
+func (a *Matrix) csr() csrOf {
+	return csrOf{rows: a.Rows, cols: a.Cols, rowPtr: a.RowPtr, col: a.Col, val: a.Val}
 }
 
 // Dims returns the matrix shape, implementing Operator.
@@ -151,49 +150,52 @@ func ChooseFormat(a *Matrix) Format {
 	return FormatCSR
 }
 
-// NewOperator returns a's kernels in the requested format with float64
-// values; it is NewOperatorPrec at PrecisionF64. sigma is the SELL sort
-// scope (0 selects the default; ignored for CSR). A malformed sigma (see
-// CheckSigma) is an error under every format — FormatAuto must not
-// silently turn a configuration typo into a CSR fallback. FormatAuto
-// applies ChooseFormat; a SELL conversion that fails for capacity
-// reasons (an operator too large for the 32-bit entry schedule) falls
-// back to CSR under FormatAuto and is an error under FormatSELL.
+// NewOperator returns a's kernels in the requested format. sigma is the
+// SELL sort scope (0 selects the default; ignored for CSR). A malformed
+// sigma (see CheckSigma) is an error under every format — FormatAuto
+// must not silently turn a configuration typo into a CSR fallback.
+// FormatAuto applies ChooseFormat; a SELL conversion that fails for
+// capacity reasons (an operator too large for the 32-bit entry
+// schedule) falls back to CSR under FormatAuto and is an error under
+// FormatSELL.
 func NewOperator(a *Matrix, format Format, sigma int) (Operator, error) {
-	return newOperator[float64](a, format, sigma)
-}
-
-// newOperator builds a's operator in the requested format with values
-// stored as V. Under FormatAuto a failed SELL conversion falls back to
-// CSR; for float32 storage an out-of-range value fails both, so the CSR
-// constructor surfaces the range error rather than a capacity fallback.
-func newOperator[V scalar](a *Matrix, format Format, sigma int) (Operator, error) {
 	if err := CheckSigma(sigma); err != nil {
 		return nil, err
 	}
 	switch format {
 	case FormatCSR:
 	case FormatSELL:
-		s, err := newSELL[V](a, sigma)
+		s, err := NewSELL(a, sigma)
 		if err != nil {
 			return nil, err
 		}
 		return s, nil
 	case FormatAuto:
 		if ChooseFormat(a) == FormatSELL {
-			if s, err := newSELL[V](a, sigma); err == nil {
+			if s, err := NewSELL(a, sigma); err == nil {
 				return s, nil
 			}
 		}
 	default:
 		return nil, fmt.Errorf("sparse: unknown operator format %d", int(format))
 	}
-	if precisionOf[V]() == PrecisionF64 {
-		return a, nil
+	return a, nil
+}
+
+// Precision names an operator's value-storage width; float64 is the
+// only one.
+type Precision int
+
+// PrecisionF64 stores operator values as float64.
+const PrecisionF64 Precision = 0
+
+// NewOperatorPrec is NewOperator with a precision argument that must be
+// PrecisionF64. It remains only because cmd/amgbench, which changes only
+// together with the benchmark, compiles against it; delete it with the
+// next benchmark change.
+func NewOperatorPrec(a *Matrix, format Format, sigma int, prec Precision) (Operator, error) {
+	if prec != PrecisionF64 {
+		return nil, fmt.Errorf("sparse: unknown precision %d (only f64 operators exist)", int(prec))
 	}
-	c, err := NewCSR32(a)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
+	return NewOperator(a, format, sigma)
 }

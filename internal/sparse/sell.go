@@ -39,25 +39,10 @@ import (
 // (the AMG numeric/Refresh path) is then a branch-free gather —
 // FillValues — with zero allocations.
 //
-// The layout and the chunk kernels are written once over the value type
-// V (sellOf): SELL stores float64 values and SELL32 float32. Only the
-// packed values change width; every kernel widens each value to float64
-// before its multiply and keeps one float64 accumulator per lane, so a
-// SELL32 is bit-identical to the CSR32 of the same matrix exactly as a
-// SELL is to its *Matrix.
-//
 // Concurrency: like *Matrix, all kernels are read-only on the operator
 // and safe for concurrent use; FillValues mutates the packed values and
 // must be serialized against every reader.
-type SELL = sellOf[float64]
-
-// SELL32 is the float32-valued SELL-C-sigma operator: identical
-// packing, permutation, and traversal to *SELL, with the packed values
-// stored as float32.
-type SELL32 = sellOf[float32]
-
-// sellOf is the SELL-C-sigma operator over V-valued storage.
-type sellOf[V scalar] struct {
+type SELL struct {
 	rows, cols int
 	sigma      int
 	perm       []int32 // lane slot -> original row; length rows
@@ -67,7 +52,7 @@ type sellOf[V scalar] struct {
 	cntPtr     []int32 // length nchunks+1: first cnt index of chunk
 	cnt        []uint8 // per (chunk, position): active lane count
 	col        []int32 // packed column indices
-	val        []V
+	val        []float64
 	entry      []int32 // packed position -> CSR entry index (value replay)
 }
 
@@ -105,17 +90,7 @@ func CheckSigma(sigma int) error {
 // multiple of SellC, see CheckSigma). The conversion is deterministic:
 // the length sort is stable, so ties keep row order. Matrices whose
 // entry count overflows the 32-bit replay schedule are rejected.
-func NewSELL(a *Matrix, sigma int) (*SELL, error) { return newSELL[float64](a, sigma) }
-
-// NewSELL32 converts a CSR matrix to f32-valued SELL-C-sigma: the
-// packing of NewSELL, with values outside the float32 range
-// (CheckF32Range) rejected before anything is allocated.
-func NewSELL32(a *Matrix, sigma int) (*SELL32, error) { return newSELL[float32](a, sigma) }
-
-// newSELL is the one SELL packing: it validates sigma and capacity,
-// range-checks the values when V is float32, and packs a.Val straight
-// into []V.
-func newSELL[V scalar](a *Matrix, sigma int) (*sellOf[V], error) {
+func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 	if err := CheckSigma(sigma); err != nil {
 		return nil, err
 	}
@@ -123,14 +98,11 @@ func newSELL[V scalar](a *Matrix, sigma int) (*sellOf[V], error) {
 		return nil, fmt.Errorf("sparse: SELL conversion of %dx%d matrix with %d entries overflows the 32-bit entry schedule",
 			a.Rows, a.Cols, len(a.Col))
 	}
-	if err := checkRange[V](a.Val); err != nil {
-		return nil, err
-	}
 	if sigma == 0 {
 		sigma = DefaultSellSigma
 	}
 	n := a.Rows
-	s := &sellOf[V]{rows: n, cols: a.Cols, sigma: sigma}
+	s := &SELL{rows: n, cols: a.Cols, sigma: sigma}
 	s.perm = make([]int32, n)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
@@ -149,7 +121,7 @@ func newSELL[V scalar](a *Matrix, sigma int) (*sellOf[V], error) {
 	s.full = make([]int32, nchunks)
 	s.cntPtr = make([]int32, nchunks+1)
 	s.col = make([]int32, 0, len(a.Col))
-	s.val = make([]V, 0, len(a.Col))
+	s.val = make([]float64, 0, len(a.Col))
 	s.entry = make([]int32, 0, len(a.Col))
 	for c := 0; c < nchunks; c++ {
 		lanes := s.perm[c*SellC : min(c*SellC+SellC, n)]
@@ -173,7 +145,7 @@ func newSELL[V scalar](a *Matrix, sigma int) (*sellOf[V], error) {
 				}
 				p := a.RowPtr[r] + j
 				s.col = append(s.col, a.Col[p])
-				s.val = append(s.val, V(a.Val[p]))
+				s.val = append(s.val, a.Val[p])
 				s.entry = append(s.entry, int32(p))
 				m++
 			}
@@ -187,37 +159,32 @@ func newSELL[V scalar](a *Matrix, sigma int) (*sellOf[V], error) {
 
 // FillValues refreshes the packed values from a same-pattern CSR matrix
 // — a branch-free gather through the cached entry schedule, zero
-// allocations. For float32 storage the range scan runs before any
-// store, so a rejected refresh leaves the previous values serving
-// bitwise unchanged. Only the shape and entry count are checked here;
+// allocations. Only the shape and entry count are checked here;
 // pattern identity is the caller's contract (the AMG hierarchy
 // fingerprints it).
-func (s *sellOf[V]) FillValues(a *Matrix) error {
+func (s *SELL) FillValues(a *Matrix) error {
 	if a.Rows != s.rows || a.Cols != s.cols || len(a.Val) != len(s.val) {
-		return fmt.Errorf("sparse: %v SELL refresh from %dx%d/%d entries, converted from %dx%d/%d",
-			precisionOf[V](), a.Rows, a.Cols, len(a.Val), s.rows, s.cols, len(s.val))
-	}
-	if err := checkRange[V](a.Val); err != nil {
-		return err
+		return fmt.Errorf("sparse: SELL refresh from %dx%d/%d entries, converted from %dx%d/%d",
+			a.Rows, a.Cols, len(a.Val), s.rows, s.cols, len(s.val))
 	}
 	av := a.Val
 	for p, e := range s.entry {
-		s.val[p] = V(av[e])
+		s.val[p] = av[e]
 	}
 	return nil
 }
 
 // Dims returns the operator shape, implementing Operator.
-func (s *sellOf[V]) Dims() (rows, cols int) { return s.rows, s.cols }
+func (s *SELL) Dims() (rows, cols int) { return s.rows, s.cols }
 
 // NNZ returns the number of stored entries.
-func (s *sellOf[V]) NNZ() int { return len(s.col) }
+func (s *SELL) NNZ() int { return len(s.col) }
 
 // Sigma reports the sort scope the operator was converted with.
-func (s *sellOf[V]) Sigma() int { return s.sigma }
+func (s *SELL) Sigma() int { return s.sigma }
 
 // nchunks returns the chunk count.
-func (s *sellOf[V]) nchunks() int { return len(s.width) }
+func (s *SELL) nchunks() int { return len(s.width) }
 
 // chunkAccum computes the row products of chunk c: accumulator l holds
 // the dot product of lane l's row with x, each accumulated strictly left
@@ -227,42 +194,42 @@ func (s *sellOf[V]) nchunks() int { return len(s.width) }
 // per-position lane counts, which descend within the chunk.
 //
 //amg:hotpath
-func (s *sellOf[V]) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 float64) {
+func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 float64) {
 	col, val := s.col, s.val
 	p := int(s.chunkPtr[c])
 	f := int(s.full[c])
 	for j := 0; j+2 <= f; j += 2 {
 		cb := col[p : p+16 : p+16]
 		vb := val[p : p+16 : p+16]
-		a0 += float64(vb[0]) * x[cb[0]]
-		a0 += float64(vb[8]) * x[cb[8]]
-		a1 += float64(vb[1]) * x[cb[1]]
-		a1 += float64(vb[9]) * x[cb[9]]
-		a2 += float64(vb[2]) * x[cb[2]]
-		a2 += float64(vb[10]) * x[cb[10]]
-		a3 += float64(vb[3]) * x[cb[3]]
-		a3 += float64(vb[11]) * x[cb[11]]
-		a4 += float64(vb[4]) * x[cb[4]]
-		a4 += float64(vb[12]) * x[cb[12]]
-		a5 += float64(vb[5]) * x[cb[5]]
-		a5 += float64(vb[13]) * x[cb[13]]
-		a6 += float64(vb[6]) * x[cb[6]]
-		a6 += float64(vb[14]) * x[cb[14]]
-		a7 += float64(vb[7]) * x[cb[7]]
-		a7 += float64(vb[15]) * x[cb[15]]
+		a0 += vb[0] * x[cb[0]]
+		a0 += vb[8] * x[cb[8]]
+		a1 += vb[1] * x[cb[1]]
+		a1 += vb[9] * x[cb[9]]
+		a2 += vb[2] * x[cb[2]]
+		a2 += vb[10] * x[cb[10]]
+		a3 += vb[3] * x[cb[3]]
+		a3 += vb[11] * x[cb[11]]
+		a4 += vb[4] * x[cb[4]]
+		a4 += vb[12] * x[cb[12]]
+		a5 += vb[5] * x[cb[5]]
+		a5 += vb[13] * x[cb[13]]
+		a6 += vb[6] * x[cb[6]]
+		a6 += vb[14] * x[cb[14]]
+		a7 += vb[7] * x[cb[7]]
+		a7 += vb[15] * x[cb[15]]
 		p += 16
 	}
 	if f&1 == 1 {
 		cb := col[p : p+8 : p+8]
 		vb := val[p : p+8 : p+8]
-		a0 += float64(vb[0]) * x[cb[0]]
-		a1 += float64(vb[1]) * x[cb[1]]
-		a2 += float64(vb[2]) * x[cb[2]]
-		a3 += float64(vb[3]) * x[cb[3]]
-		a4 += float64(vb[4]) * x[cb[4]]
-		a5 += float64(vb[5]) * x[cb[5]]
-		a6 += float64(vb[6]) * x[cb[6]]
-		a7 += float64(vb[7]) * x[cb[7]]
+		a0 += vb[0] * x[cb[0]]
+		a1 += vb[1] * x[cb[1]]
+		a2 += vb[2] * x[cb[2]]
+		a3 += vb[3] * x[cb[3]]
+		a4 += vb[4] * x[cb[4]]
+		a5 += vb[5] * x[cb[5]]
+		a6 += vb[6] * x[cb[6]]
+		a7 += vb[7] * x[cb[7]]
 		p += 8
 	}
 	if w := int(s.width[c]); f < w {
@@ -272,30 +239,30 @@ func (s *sellOf[V]) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, 
 			// Active lanes are a prefix; past the full positions the count
 			// is at most SellC-1 (and at least 1, or the width would end).
 			m := cnt[base+j]
-			a0 += float64(val[p]) * x[col[p]]
+			a0 += val[p] * x[col[p]]
 			p++
 			if m > 1 {
-				a1 += float64(val[p]) * x[col[p]]
+				a1 += val[p] * x[col[p]]
 				p++
 			}
 			if m > 2 {
-				a2 += float64(val[p]) * x[col[p]]
+				a2 += val[p] * x[col[p]]
 				p++
 			}
 			if m > 3 {
-				a3 += float64(val[p]) * x[col[p]]
+				a3 += val[p] * x[col[p]]
 				p++
 			}
 			if m > 4 {
-				a4 += float64(val[p]) * x[col[p]]
+				a4 += val[p] * x[col[p]]
 				p++
 			}
 			if m > 5 {
-				a5 += float64(val[p]) * x[col[p]]
+				a5 += val[p] * x[col[p]]
 				p++
 			}
 			if m > 6 {
-				a6 += float64(val[p]) * x[col[p]]
+				a6 += val[p] * x[col[p]]
 				p++
 			}
 		}
@@ -321,7 +288,7 @@ func chunkRange(lo, hi int) (c0, c1 int) {
 // SpMV of the source matrix for every worker count.
 //
 //amg:hotpath
-func (s *sellOf[V]) SpMV(rt *par.Runtime, x, y []float64) {
+func (s *SELL) SpMV(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(s.rows) {
 		s.spmvChunks(x, y, 0, s.nchunks())
 		return
@@ -333,7 +300,7 @@ func (s *sellOf[V]) SpMV(rt *par.Runtime, x, y []float64) {
 }
 
 //amg:hotpath
-func (s *sellOf[V]) spmvChunks(x, y []float64, c0, c1 int) {
+func (s *SELL) spmvChunks(x, y []float64, c0, c1 int) {
 	for c := c0; c < c1; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
@@ -359,7 +326,7 @@ func (s *sellOf[V]) spmvChunks(x, y []float64, c0, c1 int) {
 // SpMVResidual computes r = b - A*x in one traversal. r must not alias x.
 //
 //amg:hotpath
-func (s *sellOf[V]) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
+func (s *SELL) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
 	if rt.Serial(s.rows) {
 		c0, c1 := 0, s.nchunks()
 		s.spmvResidualChunks(b, x, r, c0, c1)
@@ -372,7 +339,7 @@ func (s *sellOf[V]) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
 }
 
 //amg:hotpath
-func (s *sellOf[V]) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
+func (s *SELL) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
 	for c := c0; c < c1; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
@@ -398,7 +365,7 @@ func (s *sellOf[V]) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
 // SpMVAdd computes y += A*x in one traversal. y must not alias x.
 //
 //amg:hotpath
-func (s *sellOf[V]) SpMVAdd(rt *par.Runtime, x, y []float64) {
+func (s *SELL) SpMVAdd(rt *par.Runtime, x, y []float64) {
 	if rt.Serial(s.rows) {
 		c0, c1 := 0, s.nchunks()
 		s.spmvAddChunks(x, y, c0, c1)
@@ -411,7 +378,7 @@ func (s *sellOf[V]) SpMVAdd(rt *par.Runtime, x, y []float64) {
 }
 
 //amg:hotpath
-func (s *sellOf[V]) spmvAddChunks(x, y []float64, c0, c1 int) {
+func (s *SELL) spmvAddChunks(x, y []float64, c0, c1 int) {
 	for c := c0; c < c1; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
 		slot := c * SellC
@@ -439,7 +406,7 @@ func (s *sellOf[V]) spmvAddChunks(x, y []float64, c0, c1 int) {
 // Matrix.JacobiSweep. src and dst must not alias.
 //
 //amg:hotpath
-func (s *sellOf[V]) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
+func (s *SELL) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
 	if rt.Serial(s.rows) {
 		c0, c1 := 0, s.nchunks()
 		s.jacobiChunks(b, dinv, omega, src, dst, c0, c1)
@@ -452,7 +419,7 @@ func (s *sellOf[V]) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float6
 }
 
 //amg:hotpath
-func (s *sellOf[V]) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64, c0, c1 int) {
+func (s *SELL) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64, c0, c1 int) {
 	for c := c0; c < c1; c++ {
 		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(src, c)
 		slot := c * SellC
@@ -480,7 +447,7 @@ func (s *sellOf[V]) jacobiChunks(b, dinv []float64, omega float64, src, dst []fl
 // accumulated in stored-entry order, matching the CSR kernels bitwise.
 //
 //amg:hotpath
-func (s *sellOf[V]) SpMM(rt *par.Runtime, k int, x, y []float64) {
+func (s *SELL) SpMM(rt *par.Runtime, k int, x, y []float64) {
 	if k == 1 {
 		s.SpMV(rt, x, y)
 		return
@@ -496,7 +463,7 @@ func (s *sellOf[V]) SpMM(rt *par.Runtime, k int, x, y []float64) {
 }
 
 //amg:hotpath
-func (s *sellOf[V]) spmmChunks(k int, x, y []float64, c0, c1 int) {
+func (s *SELL) spmmChunks(k int, x, y []float64, c0, c1 int) {
 	col, val, cnt := s.col, s.val, s.cnt
 	for c := c0; c < c1; c++ {
 		slot := c * SellC
@@ -514,7 +481,7 @@ func (s *sellOf[V]) spmmChunks(k int, x, y []float64, c0, c1 int) {
 				m = int(cnt[base+j])
 			}
 			for _, row := range lanes[:m] {
-				v := float64(val[p])
+				v := val[p]
 				xb := x[int(col[p])*k : int(col[p])*k+k]
 				yb := y[int(row)*k : int(row)*k+k]
 				for q, xv := range xb {
@@ -530,7 +497,7 @@ func (s *sellOf[V]) spmmChunks(k int, x, y []float64, c0, c1 int) {
 // parallel over chunks.
 //
 //amg:hotpath
-func (s *sellOf[V]) DiagonalInto(rt *par.Runtime, d []float64) {
+func (s *SELL) DiagonalInto(rt *par.Runtime, d []float64) {
 	if rt.Serial(s.rows) {
 		c0, c1 := 0, s.nchunks()
 		s.diagonalChunks(d, c0, c1)
@@ -543,7 +510,7 @@ func (s *sellOf[V]) DiagonalInto(rt *par.Runtime, d []float64) {
 }
 
 //amg:hotpath
-func (s *sellOf[V]) diagonalChunks(d []float64, c0, c1 int) {
+func (s *SELL) diagonalChunks(d []float64, c0, c1 int) {
 	col, val, cnt := s.col, s.val, s.cnt
 	for c := c0; c < c1; c++ {
 		slot := c * SellC
@@ -562,7 +529,7 @@ func (s *sellOf[V]) diagonalChunks(d []float64, c0, c1 int) {
 			}
 			for _, row := range lanes[:m] {
 				if col[p] == row {
-					d[row] = float64(val[p])
+					d[row] = val[p]
 				}
 				p++
 			}

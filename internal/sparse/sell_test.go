@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -216,20 +217,11 @@ func TestSELLEmptyAndZero(t *testing.T) {
 	}
 }
 
-// TestSELLZeroAllocKernels: the apply kernels of every operator format
-// and precision — CSR, SELL, CSR32, SELL32 — are allocation-free at one
-// worker, kernel by kernel.
+// TestSELLZeroAllocKernels: the apply kernels of both operator formats
+// — CSR and SELL — are allocation-free at one worker, kernel by kernel.
 func TestSELLZeroAllocKernels(t *testing.T) {
 	a := sellTestMatrix(2000, 2000)
 	s, err := NewSELL(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c32, err := NewCSR32(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s32, err := NewSELL32(a, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +240,7 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 	for i := range xk {
 		xk[i] = float64(i%19) - 9
 	}
-	for opName, op := range map[string]Operator{"csr": a, "sell": s, "csr32": c32, "sell32": s32} {
+	for opName, op := range map[string]Operator{"csr": a, "sell": s} {
 		kernels := map[string]func(){
 			"SpMV":         func() { op.SpMV(rt, x, y) },
 			"SpMVResidual": func() { op.SpMVResidual(rt, b, x, y) },
@@ -330,6 +322,29 @@ func TestNewOperatorDispatch(t *testing.T) {
 		if _, err := ParseFormat(s); err != nil {
 			t.Fatalf("ParseFormat(%q): %v", s, err)
 		}
+	}
+}
+
+// TestNewOperatorPrecDispatch pins the f64-only shim: at PrecisionF64 it
+// builds what NewOperator builds for every format, and any other
+// precision value is an error.
+func TestNewOperatorPrecDispatch(t *testing.T) {
+	a := sellTestMatrix(100, 100)
+	for _, format := range []Format{FormatAuto, FormatCSR, FormatSELL} {
+		want, err := NewOperator(a, format, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := NewOperatorPrec(a, format, 0, PrecisionF64)
+		if err != nil {
+			t.Fatalf("%v: %v", format, err)
+		}
+		if fmt.Sprintf("%T", got) != fmt.Sprintf("%T", want) {
+			t.Fatalf("%v: NewOperatorPrec gave %T, NewOperator %T", format, got, want)
+		}
+	}
+	if _, err := NewOperatorPrec(a, FormatAuto, 0, PrecisionF64+1); err == nil {
+		t.Fatal("NewOperatorPrec accepted a precision other than f64")
 	}
 }
 

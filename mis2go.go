@@ -140,32 +140,6 @@ func NewOperator(a *Matrix, format OperatorFormat) (Operator, error) {
 	return sparse.NewOperator(a, format, 0)
 }
 
-// OperatorPrecision selects the stored value precision of operators and
-// AMG hierarchy levels (AMGOptions.Precision, also via ServeConfig.AMG).
-// Only storage changes: every kernel takes float64 vectors and
-// accumulates each row in float64 in the same left-to-right order, so
-// f32 operators are bitwise deterministic at any worker count, and the
-// outer CG/GMRES recurrences, dot products, and residual norms always
-// run in float64.
-type OperatorPrecision = sparse.Precision
-
-// Operator value precisions: PrecisionF64 (the default) stores float64
-// values, PrecisionF32 stores float32 everywhere, and PrecisionAuto
-// keeps the finest level f64 and stores coarser levels (and their
-// transfer operators) in f32.
-const (
-	PrecisionF64  = sparse.PrecisionF64
-	PrecisionF32  = sparse.PrecisionF32
-	PrecisionAuto = sparse.PrecisionAuto
-)
-
-// NewOperatorPrec is NewOperator with an explicit value precision.
-// PrecisionAuto is rejected here — it is a per-level hierarchy policy,
-// not a single-operator choice.
-func NewOperatorPrec(a *Matrix, format OperatorFormat, prec OperatorPrecision) (Operator, error) {
-	return sparse.NewOperatorPrec(a, format, 0, prec)
-}
-
 // SELLOperator converts a to SELL-C-sigma with an explicit sort scope
 // sigma (0 = default): rows are stably length-sorted within windows of
 // sigma rows so the chunked kernel pads nothing and streams linearly.
