@@ -196,8 +196,8 @@ func TestVCycleSELLZeroAllocs(t *testing.T) {
 }
 
 // TestSELLSmootherSweepZeroAllocs gates the SELL smoother kernels
-// directly: the fused Jacobi sweep and the SpMV the Chebyshev smoother
-// is built from allocate nothing in steady state.
+// directly: the fused Jacobi sweep and the SpMV the outer Krylov
+// iteration multiplies by allocate nothing in steady state.
 func TestSELLSmootherSweepZeroAllocs(t *testing.T) {
 	g := gen.Laplace3D(12, 12, 12)
 	a := gen.Laplacian(g, 1e-2)

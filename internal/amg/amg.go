@@ -59,29 +59,21 @@ type AggregateFunc func(g *graph.CSR) coarsen.Aggregation
 // Smoother selects the level relaxation method.
 type Smoother int
 
+// The two smoothers keep their historical numbers. Values 1 and 3 named
+// the Chebyshev and cluster-SGS smoothers, which were removed (DESIGN.md,
+// "Decision record: Chebyshev and cluster-SGS AMG smoothers removed");
+// they stay unassigned, so setup rejects them like any other unknown
+// value instead of silently running a different smoother.
 const (
 	// SmootherJacobi is damped Jacobi, the paper's Table V setup.
-	SmootherJacobi Smoother = iota
-	// SmootherChebyshev is a Chebyshev polynomial smoother (the common
-	// MueLu alternative; an extension beyond the paper's configuration).
-	SmootherChebyshev
+	SmootherJacobi Smoother = 0
 	// SmootherPointSGS relaxes with point multicolor symmetric
-	// Gauss-Seidel (§III-C), set up per level during Build.
-	SmootherPointSGS
-	// SmootherClusterSGS relaxes with cluster multicolor symmetric
-	// Gauss-Seidel (Algorithm 4), clusters from each level's aggregation.
-	SmootherClusterSGS
+	// Gauss-Seidel (§III-C), set up per level during the numeric phase.
+	SmootherPointSGS Smoother = 2
 )
 
-// Fixed smoother parameters: the Jacobi damping factor of Table V's
-// setup, and the Chebyshev polynomial degree and eigenvalue interval
-// ratio lambda_max / lambda_min (as in MueLu). PreSweeps/PostSweeps
-// count Chebyshev polynomial applications.
-const (
-	jacobiDamping   = 2.0 / 3.0
-	chebyshevDegree = 2
-	chebyshevRatio  = 20.0
-)
+// jacobiDamping is the Jacobi damping factor of Table V's setup.
+const jacobiDamping = 2.0 / 3.0
 
 // Options configures hierarchy construction. Zero values select the
 // defaults noted on each field. The storage format of each level's
@@ -101,7 +93,8 @@ type Options struct {
 	// V-cycle (default 2 and 2: "2 sweeps of the Jacobi method" as in
 	// Table V's setup).
 	PreSweeps, PostSweeps int
-	// Smoother selects the relaxation method (default SmootherJacobi).
+	// Smoother selects the relaxation method: SmootherJacobi (the
+	// default) or SmootherPointSGS. Any other value is a setup error.
 	Smoother Smoother
 	// Threads is the worker count (0 = GOMAXPROCS).
 	Threads int
@@ -142,10 +135,10 @@ type Level struct {
 	// graph extraction) always works on the CSR A.
 	op sparse.Operator
 	// rho is the estimated spectral radius of D^{-1}A on this level,
-	// used by prolongator smoothing and the Chebyshev smoother.
+	// used by prolongator smoothing.
 	rho float64
-	// gsOp is the multicolor Gauss-Seidel operator when an SGS smoother
-	// is selected (nil otherwise).
+	// gsOp is the point multicolor Gauss-Seidel operator when
+	// SmootherPointSGS is selected (nil otherwise).
 	gsOp *gs.Multicolor
 	// Scratch vectors sized to this level.
 	x, b, r, d []float64
@@ -166,17 +159,15 @@ func (l *Level) setOperator() error {
 
 // levelPlan holds the cached symbolic state of one level's setup: the
 // tentative prolongator (whose values depend only on aggregate sizes,
-// i.e. on the pattern), the SpGEMM plans for the smoothed prolongator,
-// its transpose, and the Galerkin product, and — for the cluster-SGS
-// smoother — the level's cluster aggregation. Everything here is a pure
-// function of the fine matrix's sparsity pattern, so BuildNumeric and
-// Refresh replay it for any same-pattern values.
+// i.e. on the pattern) and the SpGEMM plans for the smoothed
+// prolongator, its transpose, and the Galerkin product. Everything here
+// is a pure function of the fine matrix's sparsity pattern, so
+// BuildNumeric and Refresh replay it for any same-pattern values.
 type levelPlan struct {
 	p0     *sparse.Matrix
 	smooth *sparse.SmoothPlan
 	trans  *sparse.TransposePlan
 	rap    *sparse.RAPPlan
-	sgsAgg *coarsen.Aggregation
 }
 
 // Hierarchy is a built SA-AMG preconditioner. It implements
@@ -218,24 +209,6 @@ type Hierarchy struct {
 	valid bool
 }
 
-// addInto computes x += d elementwise.
-//
-//amg:hotpath
-func addInto(rt *par.Runtime, x, d []float64) {
-	n := len(x)
-	if rt.Serial(n) {
-		for i := 0; i < n; i++ {
-			x[i] += d[i]
-		}
-		return
-	}
-	rt.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			x[i] += d[i]
-		}
-	})
-}
-
 // Build constructs the hierarchy for SPD matrix a. It is the composition
 // of the symbolic and numeric phases: BuildSymbolic derives everything
 // that depends only on the sparsity pattern (graphs, MIS-2 aggregation,
@@ -266,9 +239,9 @@ func BuildCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hierarchy, e
 // a: level graphs, aggregation, the tentative prolongator P0 (whose
 // values are a function of aggregate sizes, i.e. of the pattern alone),
 // the SpGEMM plans for prolongator smoothing / transposition / the
-// Galerkin product, smoother cluster aggregations, and all level
-// storage. The returned hierarchy is not usable until BuildNumeric fills
-// in the values; a's values are read only by the initial Validate.
+// Galerkin product, and all level storage. The returned hierarchy is
+// not usable until BuildNumeric fills in the values; a's values are read
+// only by the initial Validate.
 func BuildSymbolic(a *sparse.Matrix, opt Options) (*Hierarchy, error) {
 	return BuildSymbolicCtx(nil, a, opt)
 }
@@ -278,6 +251,9 @@ func BuildSymbolic(a *sparse.Matrix, opt Options) (*Hierarchy, error) {
 // construction. ctx may be nil (never cancels).
 func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hierarchy, error) {
 	opt = opt.withDefaults()
+	if opt.Smoother != SmootherJacobi && opt.Smoother != SmootherPointSGS {
+		return nil, fmt.Errorf("amg: unknown smoother %d (want SmootherJacobi or SmootherPointSGS)", int(opt.Smoother))
+	}
 	if a.Rows != a.Cols {
 		return nil, errors.New("amg: matrix must be square")
 	}
@@ -313,10 +289,6 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		l.r = make([]float64, cur.Rows)
 		l.d = make([]float64, cur.Rows)
 		l.op = cur
-		if opt.Smoother == SmootherClusterSGS {
-			agg := coarsen.MIS2Aggregation(cur.GraphWith(rt), coarsen.Options{Threads: opt.Threads})
-			lp.sgsAgg = &agg
-		}
 		h.Levels = append(h.Levels, l)
 		h.plans = append(h.plans, lp)
 
@@ -420,10 +392,9 @@ func (h *Hierarchy) BuildNumericCtx(ctx context.Context, a *sparse.Matrix) error
 // hierarchy is bitwise identical to a fresh Build of the same matrix.
 // The plans hold only their patterns, so the first Refresh after a
 // build does the same work as every later one. With the default Jacobi
-// (or Chebyshev) smoother a Refresh performs zero heap allocations once
-// the worker arenas hold the replay accumulators; the Gauss-Seidel
-// smoothers rebuild their color-set operators and allocate during that
-// rebuild.
+// smoother a Refresh performs zero heap allocations once the worker
+// arenas hold the replay accumulators; the point Gauss-Seidel smoother
+// rebuilds its color-set operators and allocates during that rebuild.
 //
 // All foreseeable rejections happen before any level state is touched —
 // pattern mismatch, non-finite values, and a zero, missing, or
@@ -543,17 +514,10 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 		// overwritten before any solve reads it).
 		l.rho = estimateSpectralRadius(rt, cur, l.dinv, 15, l.x, l.r)
 		lp := h.plans[level]
-		switch h.opt.Smoother {
-		case SmootherPointSGS:
+		if h.opt.Smoother == SmootherPointSGS {
 			op, err := gs.NewPoint(cur, h.opt.Threads)
 			if err != nil {
 				return fmt.Errorf("amg: level %d point SGS setup: %w", level, err)
-			}
-			l.gsOp = op
-		case SmootherClusterSGS:
-			op, err := gs.NewCluster(cur, *lp.sgsAgg, h.opt.Threads)
-			if err != nil {
-				return fmt.Errorf("amg: level %d cluster SGS setup: %w", level, err)
 			}
 			l.gsOp = op
 		}
@@ -727,72 +691,11 @@ func (h *Hierarchy) vcycle(level int) {
 //
 //amg:hotpath
 func (h *Hierarchy) smooth(l *Level, sweeps int, xZero bool) {
-	switch h.opt.Smoother {
-	case SmootherChebyshev:
-		for s := 0; s < sweeps; s++ {
-			h.chebyshev(l)
-		}
-	case SmootherPointSGS, SmootherClusterSGS:
+	if h.opt.Smoother == SmootherPointSGS {
 		l.gsOp.Apply(l.b, l.x, sweeps, true)
-	default:
-		h.jacobi(l, sweeps, xZero)
+		return
 	}
-}
-
-// chebyshev applies one Chebyshev polynomial of degree chebyshevDegree to
-// l.A x = l.b, updating l.x in place. The polynomial targets the interval
-// [rho/ratio, 1.1*rho] of D^{-1}A eigenvalues, as in MueLu/Ifpack2.
-//
-//amg:hotpath
-func (h *Hierarchy) chebyshev(l *Level) {
-	n := l.A.Rows
-	rt := h.rt
-	lmax := 1.1 * l.rho
-	lmin := l.rho / chebyshevRatio
-	theta := (lmax + lmin) / 2
-	delta := (lmax - lmin) / 2
-	sigma := theta / delta
-	rhoOld := 1 / sigma
-
-	// r = b - A x ; d = Dinv r / theta
-	l.op.SpMV(rt, l.x, l.r)
-	if rt.Serial(n) {
-		chebInitRange(l, theta, 0, n)
-	} else {
-		rt.For(n, func(lo, hi int) { chebInitRange(l, theta, lo, hi) })
-	}
-	for k := 1; k < chebyshevDegree; k++ {
-		addInto(rt, l.x, l.d)
-		// Recompute the residual against the updated iterate (one extra
-		// SpMV per degree, robust against drift).
-		l.op.SpMV(rt, l.x, l.r)
-		rhoNew := 1 / (2*sigma - rhoOld)
-		coef1 := rhoNew * rhoOld
-		coef2 := 2 * rhoNew / delta
-		if rt.Serial(n) {
-			chebStepRange(l, coef1, coef2, 0, n)
-		} else {
-			rt.For(n, func(lo, hi int) { chebStepRange(l, coef1, coef2, lo, hi) })
-		}
-		rhoOld = rhoNew
-	}
-	addInto(rt, l.x, l.d)
-}
-
-//amg:hotpath
-func chebInitRange(l *Level, theta float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		l.r[i] = l.b[i] - l.r[i]
-		l.d[i] = l.dinv[i] * l.r[i] / theta
-	}
-}
-
-//amg:hotpath
-func chebStepRange(l *Level, coef1, coef2 float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		r := l.b[i] - l.r[i]
-		l.d[i] = coef1*l.d[i] + coef2*l.dinv[i]*r
-	}
+	h.jacobi(l, sweeps, xZero)
 }
 
 // jacobi runs damped Jacobi sweeps on l.A x = l.b, leaving the result in

@@ -2,6 +2,7 @@ package amg
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"mis2go/internal/gen"
@@ -135,7 +136,7 @@ func TestSGSSmoothers(t *testing.T) {
 	a, b := laplaceProblem(10, 10, 10)
 	rt := par.New(0)
 	itersJacobi := 0
-	for _, sm := range []Smoother{SmootherJacobi, SmootherPointSGS, SmootherClusterSGS} {
+	for _, sm := range []Smoother{SmootherJacobi, SmootherPointSGS} {
 		h, err := Build(a, Options{MinCoarseSize: 60, Smoother: sm, PreSweeps: 1, PostSweeps: 1})
 		if err != nil {
 			t.Fatalf("smoother %d: %v", sm, err)
@@ -157,7 +158,7 @@ func TestSGSSmoothers(t *testing.T) {
 func TestSGSSmootherDeterministic(t *testing.T) {
 	a, b := laplaceProblem(8, 8, 8)
 	run := func(threads int) []float64 {
-		h, err := Build(a, Options{MinCoarseSize: 50, Smoother: SmootherClusterSGS, Threads: threads})
+		h, err := Build(a, Options{MinCoarseSize: 50, Smoother: SmootherPointSGS, Threads: threads})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,10 +166,26 @@ func TestSGSSmootherDeterministic(t *testing.T) {
 		h.Precondition(b, z)
 		return z
 	}
-	z1, z8 := run(1), run(8)
-	for i := range z1 {
-		if z1[i] != z8[i] {
-			t.Fatalf("cluster SGS smoothing nondeterministic at %d", i)
+	z1 := run(1)
+	for _, w := range []int{2, 8} {
+		zw := run(w)
+		for i := range z1 {
+			if z1[i] != zw[i] {
+				t.Fatalf("point SGS smoothing at %d workers differs from 1 worker at %d", w, i)
+			}
+		}
+	}
+}
+
+// TestUnknownSmootherRejected: setup accepts exactly SmootherJacobi and
+// SmootherPointSGS; any other value (including the numbers the removed
+// Chebyshev and cluster-SGS smoothers had) is an error, never a silent
+// fallback to Jacobi.
+func TestUnknownSmootherRejected(t *testing.T) {
+	a, _ := laplaceProblem(6, 6, 6)
+	for _, sm := range []Smoother{-1, 1, SmootherPointSGS + 1, 99} {
+		if _, err := Build(a, Options{Smoother: sm}); err == nil || !strings.Contains(err.Error(), "unknown smoother") {
+			t.Errorf("Smoother(%d): err = %v, want an unknown-smoother error", sm, err)
 		}
 	}
 }

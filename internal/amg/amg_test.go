@@ -220,38 +220,6 @@ func TestDeterministicHierarchy(t *testing.T) {
 	}
 }
 
-func TestChebyshevSmoother(t *testing.T) {
-	a, b := laplaceProblem(12, 12, 12)
-	rt := par.New(0)
-	hCheb, err := Build(a, Options{MinCoarseSize: 60, Smoother: SmootherChebyshev,
-		PreSweeps: 1, PostSweeps: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := make([]float64, a.Rows)
-	st, err := krylov.CGCtx(nil, rt, a, b, x, krylov.Options{Tol: 1e-10, MaxIter: 400, M: hCheb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Converged {
-		t.Fatalf("Chebyshev-smoothed AMG did not converge: %+v", st)
-	}
-	// Degree-2 Chebyshev (1 sweep) should be competitive with 2 Jacobi
-	// sweeps in iteration count.
-	hJac, err := Build(a, Options{MinCoarseSize: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	y := make([]float64, a.Rows)
-	stJ, err := krylov.CGCtx(nil, rt, a, b, y, krylov.Options{Tol: 1e-10, MaxIter: 400, M: hJac})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Iterations > 2*stJ.Iterations {
-		t.Fatalf("Chebyshev iterations %d much worse than Jacobi %d", st.Iterations, stJ.Iterations)
-	}
-}
-
 func TestWeightedProblem(t *testing.T) {
 	g := gen.Laplace3D(9, 9, 9)
 	a := gen.WeightedLaplacian(g, 0.02, 99)

@@ -108,3 +108,38 @@ func TestHierarchyDigestBitwise(t *testing.T) {
 		}
 	}
 }
+
+// TestHierarchyDigestPointSGSBitwise pins the point multicolor SGS
+// smoother the same way: hierarchyDigest after Build and after one
+// Refresh onto perturbed values, at 1, 2 and 8 workers, on problems kept
+// small so the race-detector run stays short. The digests were computed
+// on the code that still carried the Chebyshev and cluster-SGS AMG
+// smoothers, so they prove that removal bitwise neutral for point SGS.
+func TestHierarchyDigestPointSGSBitwise(t *testing.T) {
+	cases := []struct {
+		name           string
+		a              *sparse.Matrix
+		build, refresh uint64
+	}{
+		{"laplace3d-24", gen.Laplacian(gen.Laplace3D(24, 24, 24), 1e-4), 0x8837c7705eadcbea, 0x912d60e9fbd2a753},
+		{"elasticity3d-10x3", gen.Laplacian(gen.Elasticity3D(10, 10, 10, 3), 1e-4), 0x69f491999cdc2456, 0x6b5cb28457e9ec26},
+	}
+	for _, tc := range cases {
+		a2 := perturbSymmetric(tc.a)
+		for _, w := range []int{1, 2, 8} {
+			h, err := Build(tc.a, Options{Threads: w, Smoother: SmootherPointSGS})
+			if err != nil {
+				t.Fatalf("%s/%d: %v", tc.name, w, err)
+			}
+			if got := hierarchyDigest(h); got != tc.build {
+				t.Errorf("%s, %d workers, Build: digest %#x, want %#x", tc.name, w, got, tc.build)
+			}
+			if err := h.Refresh(a2); err != nil {
+				t.Fatalf("%s/%d: refresh: %v", tc.name, w, err)
+			}
+			if got := hierarchyDigest(h); got != tc.refresh {
+				t.Errorf("%s, %d workers, Refresh: digest %#x, want %#x", tc.name, w, got, tc.refresh)
+			}
+		}
+	}
+}

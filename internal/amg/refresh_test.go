@@ -151,9 +151,7 @@ func TestRefreshDeterministicSmootherVariants(t *testing.T) {
 	a := gen.Laplacian(gen.Laplace3D(10, 10, 10), 0.05)
 	a2 := rescale(a, 1)
 	for name, opt := range map[string]Options{
-		"chebyshev":  {MinCoarseSize: 60, Smoother: SmootherChebyshev},
-		"pointsgs":   {MinCoarseSize: 60, Smoother: SmootherPointSGS, PreSweeps: 1, PostSweeps: 1},
-		"clustersgs": {MinCoarseSize: 60, Smoother: SmootherClusterSGS, PreSweeps: 1, PostSweeps: 1},
+		"pointsgs": {MinCoarseSize: 60, Smoother: SmootherPointSGS, PreSweeps: 1, PostSweeps: 1},
 	} {
 		h, err := Build(a, opt)
 		if err != nil {

@@ -1,7 +1,7 @@
 // Smoothers compares the V-cycle relaxation options (Jacobi as in the
-// paper's Table V, Chebyshev, point multicolor SGS, cluster multicolor
-// SGS) in an SA-AMG preconditioned CG solve — the smoother ablation
-// DESIGN.md lists beyond the paper's fixed Jacobi setup.
+// paper's Table V, point multicolor SGS) in an SA-AMG preconditioned CG
+// solve — the smoother ablation DESIGN.md lists beyond the paper's fixed
+// Jacobi setup.
 package bench
 
 import (
@@ -35,9 +35,7 @@ func Smoothers(cfg Config) {
 		sm   amg.Smoother
 	}{
 		{name: "Jacobi", sm: amg.SmootherJacobi},
-		{name: "Chebyshev", sm: amg.SmootherChebyshev},
 		{name: "Point SGS", sm: amg.SmootherPointSGS},
-		{name: "Cluster SGS", sm: amg.SmootherClusterSGS},
 	} {
 		var h *amg.Hierarchy
 		dSetup := timeMean(cfg.Trials, func() {

@@ -33,15 +33,12 @@ import (
 // diagonal, color sets, cluster rows) is read-only, so concurrent
 // Sweep/Apply/Precondition calls on one instance are safe provided each
 // caller passes its own b and x vectors — the sweeps write only into
-// the caller's x. SetOmega mutates the instance and must not run
-// concurrently with anything. Note that the AMG hierarchy passes its
-// level scratch as b/x, so two V-cycles through one hierarchy still
-// race (see amg.Hierarchy); the safety here is per distinct vectors.
+// the caller's x. Note that the AMG hierarchy passes its level scratch
+// as b/x, so two V-cycles through one hierarchy still race (see
+// amg.Hierarchy); the safety here is per distinct vectors.
 type Multicolor struct {
 	a    *sparse.Matrix
 	dinv []float64
-	// omega is the SOR over-relaxation factor (1 = plain Gauss-Seidel).
-	omega float64
 	// groups[c] lists the update units of color c: for the point method a
 	// unit is a single row; for the cluster method the unit indexes
 	// clusterRows.
@@ -109,18 +106,7 @@ func newCommon(a *sparse.Matrix, threads int) (*Multicolor, error) {
 		}
 		dinv[i] = 1 / v
 	}
-	return &Multicolor{a: a, dinv: dinv, omega: 1, rt: rt}, nil
-}
-
-// SetOmega sets the SOR over-relaxation factor; omega must lie in (0, 2)
-// for convergence on SPD systems. omega = 1 (the default) is plain
-// Gauss-Seidel.
-func (m *Multicolor) SetOmega(omega float64) error {
-	if omega <= 0 || omega >= 2 {
-		return fmt.Errorf("gs: omega %g outside (0, 2)", omega)
-	}
-	m.omega = omega
-	return nil
+	return &Multicolor{a: a, dinv: dinv, rt: rt}, nil
 }
 
 // relaxRow performs the Gauss-Seidel update of row i in place.
@@ -135,11 +121,7 @@ func (m *Multicolor) relaxRow(i int32, b, x []float64) {
 			s -= a.Val[q] * x[j]
 		}
 	}
-	if m.omega == 1 {
-		x[i] = s * m.dinv[i]
-	} else {
-		x[i] += m.omega * (s*m.dinv[i] - x[i])
-	}
+	x[i] = s * m.dinv[i]
 }
 
 // Sweep performs one multicolor sweep updating x in place. forward selects

@@ -183,49 +183,3 @@ func TestSequentialVsMulticolorConvergeToSameSolution(t *testing.T) {
 		}
 	}
 }
-
-func TestSOROmega(t *testing.T) {
-	a, b, _ := testProblem(14, 14)
-	m, err := NewPoint(a, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Invalid omegas rejected.
-	if m.SetOmega(0) == nil || m.SetOmega(2) == nil || m.SetOmega(-1) == nil {
-		t.Fatal("invalid omega accepted")
-	}
-	// SOR with a good omega converges at least as fast as plain GS in
-	// residual after a fixed sweep budget on this Poisson problem.
-	xGS := make([]float64, a.Rows)
-	m2, _ := NewPoint(a, 0)
-	m2.Apply(b, xGS, 30, false)
-	rGS := residual(a, b, xGS)
-
-	if err := m.SetOmega(1.5); err != nil {
-		t.Fatal(err)
-	}
-	xSOR := make([]float64, a.Rows)
-	m.Apply(b, xSOR, 30, false)
-	rSOR := residual(a, b, xSOR)
-	if rSOR > rGS {
-		t.Fatalf("SOR(1.5) residual %g worse than GS %g", rSOR, rGS)
-	}
-}
-
-func TestSOROmegaOneIsPlainGS(t *testing.T) {
-	a, b, _ := testProblem(8, 8)
-	m1, _ := NewPoint(a, 0)
-	m2, _ := NewPoint(a, 0)
-	if err := m2.SetOmega(1.0); err != nil {
-		t.Fatal(err)
-	}
-	x1 := make([]float64, a.Rows)
-	x2 := make([]float64, a.Rows)
-	m1.Apply(b, x1, 3, true)
-	m2.Apply(b, x2, 3, true)
-	for i := range x1 {
-		if x1[i] != x2[i] {
-			t.Fatal("omega=1 differs from default")
-		}
-	}
-}

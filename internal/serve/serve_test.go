@@ -7,6 +7,7 @@ package serve
 import (
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -417,6 +418,33 @@ func TestServeRejectsBadRequests(t *testing.T) {
 		t.Fatal(err)
 	} else if st.Outcome != OutcomeBuild {
 		t.Fatalf("outcome %v after failed build, want build", st.Outcome)
+	}
+}
+
+// TestServeUnknownSmootherFailsBuild: a service configured with a
+// smoother value amg does not know fails each request as a hierarchy
+// build error — not silently served with Jacobi, not escalated and not
+// counted as a numerical failure — and caches nothing.
+func TestServeUnknownSmootherFailsBuild(t *testing.T) {
+	cfg := testConfig()
+	cfg.AMG.Smoother = amg.Smoother(99)
+	s := New(cfg)
+	a, b := testProblem(6, 0.05)
+	for i := 0; i < 2; i++ {
+		x, _, err := s.Solve(context.Background(), a, b)
+		if err == nil {
+			t.Fatal("request served with an unknown smoother")
+		}
+		if x != nil {
+			t.Fatal("failed build returned a solution")
+		}
+		if msg := err.Error(); !strings.Contains(msg, "hierarchy build") || !strings.Contains(msg, "unknown smoother 99") {
+			t.Fatalf("error %q, want a hierarchy build error naming the smoother", msg)
+		}
+	}
+	m := s.Metrics()
+	if m.Builds != 0 || m.NumericalFailures != 0 || m.Escalations != 0 {
+		t.Fatalf("metrics %+v: want no builds, numerical failures or escalations", m)
 	}
 }
 

@@ -88,7 +88,7 @@ const (
 	FormatSELL
 )
 
-// String implements fmt.Stringer for diagnostics and CLI flags.
+// String implements fmt.Stringer for diagnostics (amgsolve's formats: line).
 func (f Format) String() string {
 	switch f {
 	case FormatAuto:
@@ -99,19 +99,6 @@ func (f Format) String() string {
 		return "sell"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
-}
-
-// ParseFormat converts a CLI-style name to a Format.
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "auto", "":
-		return FormatAuto, nil
-	case "csr":
-		return FormatCSR, nil
-	case "sell":
-		return FormatSELL, nil
-	}
-	return FormatAuto, fmt.Errorf("sparse: unknown operator format %q (want auto, csr, or sell)", s)
 }
 
 // sellMinRows is the smallest matrix FormatAuto converts: below it the

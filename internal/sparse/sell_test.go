@@ -315,14 +315,6 @@ func TestNewOperatorDispatch(t *testing.T) {
 	if op, err := NewOperator(a, FormatAuto, 0); err != nil || op != Operator(a) {
 		t.Fatalf("auto-small: op=%T err=%v", op, err)
 	}
-	if _, err := ParseFormat("bogus"); err == nil {
-		t.Fatal("ParseFormat accepted bogus")
-	}
-	for _, s := range []string{"auto", "csr", "sell", ""} {
-		if _, err := ParseFormat(s); err != nil {
-			t.Fatalf("ParseFormat(%q): %v", s, err)
-		}
-	}
 }
 
 // TestNewOperatorPrecDispatch pins the f64-only shim: at PrecisionF64 it

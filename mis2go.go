@@ -207,13 +207,12 @@ type AMG = amg.Hierarchy
 // AMGSmoother selects the level relaxation of the V-cycle.
 type AMGSmoother = amg.Smoother
 
-// Level smoothers: damped Jacobi (the paper's Table V setup) and
-// Chebyshev polynomials (the common MueLu alternative).
+// Level smoothers: damped Jacobi (the paper's Table V setup, the
+// default) and point multicolor symmetric Gauss-Seidel. NewAMG rejects
+// any other value.
 const (
-	SmootherJacobi     = amg.SmootherJacobi
-	SmootherChebyshev  = amg.SmootherChebyshev
-	SmootherPointSGS   = amg.SmootherPointSGS
-	SmootherClusterSGS = amg.SmootherClusterSGS
+	SmootherJacobi   = amg.SmootherJacobi
+	SmootherPointSGS = amg.SmootherPointSGS
 )
 
 // NewAMG builds an SA-AMG hierarchy for the SPD matrix a.
