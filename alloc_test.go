@@ -262,12 +262,26 @@ func TestRefreshSELLZeroAllocs(t *testing.T) {
 }
 
 func TestRefreshZeroAllocs(t *testing.T) {
+	checkRefreshZeroAllocs(t, AMGOptions{Threads: 1})
+}
+
+// TestRefreshPointSGSZeroAllocs: with the point Gauss-Seidel smoother a
+// Refresh keeps the symbolic phase's color sets and refills only each
+// smoother's inverse diagonal, so it allocates nothing either.
+func TestRefreshPointSGSZeroAllocs(t *testing.T) {
+	checkRefreshZeroAllocs(t, AMGOptions{Threads: 1, Smoother: SmootherPointSGS})
+}
+
+// checkRefreshZeroAllocs builds a hierarchy with opt on a 12^3 grid and
+// fails if a steady-state Refresh allocates.
+func checkRefreshZeroAllocs(t *testing.T, opt AMGOptions) {
+	t.Helper()
 	if raceEnabled {
 		t.Skip("race detector bypasses sync.Pool arena recycling, charging spurious allocations")
 	}
 	g := gen.Laplace3D(12, 12, 12)
 	a := gen.Laplacian(g, 1e-2)
-	h, err := NewAMG(a, AMGOptions{Threads: 1})
+	h, err := NewAMG(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +303,7 @@ func TestRefreshZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Hierarchy.Refresh: %v allocs/op, want 0", allocs)
+		t.Fatalf("Hierarchy.Refresh (smoother %d): %v allocs/op, want 0", opt.Smoother, allocs)
 	}
 }
 

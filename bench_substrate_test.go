@@ -140,11 +140,23 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 }
 
 func BenchmarkCoarseGraph(b *testing.B) {
-	// Level 0 of the multilevel Algorithm-3 coarsening of a 64^3 mesh.
+	// Each level of the multilevel Algorithm-3 coarsening of a 64^3 mesh
+	// down to 1000 vertices, as in amgbench's mis2-coarsen workload:
+	// level0 collapses the mesh itself, the later levels the denser
+	// coarse graphs.
 	g := gen.Laplace3D(64, 64, 64)
-	agg := coarsen.MIS2Aggregation(g, coarsen.Options{})
-	for b.Loop() {
-		coarsen.CoarseGraph(g, agg)
+	for level := 0; g.N > 1000; level++ {
+		agg := coarsen.MIS2Aggregation(g, coarsen.Options{})
+		if agg.NumAggregates >= g.N {
+			break
+		}
+		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				coarsen.CoarseGraph(g, agg)
+			}
+		})
+		g = coarsen.CoarseGraph(g, agg)
 	}
 }
 

@@ -138,7 +138,9 @@ type Level struct {
 	// used by prolongator smoothing.
 	rho float64
 	// gsOp is the point multicolor Gauss-Seidel operator when
-	// SmootherPointSGS is selected (nil otherwise).
+	// SmootherPointSGS is selected (nil otherwise, and on the coarsest
+	// level, which is solved densely). Its color sets come from the
+	// symbolic phase; the numeric phase refills its values.
 	gsOp *gs.Multicolor
 	// Scratch vectors sized to this level.
 	x, b, r, d []float64
@@ -239,7 +241,8 @@ func BuildCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hierarchy, e
 // a: level graphs, aggregation, the tentative prolongator P0 (whose
 // values are a function of aggregate sizes, i.e. of the pattern alone),
 // the SpGEMM plans for prolongator smoothing / transposition / the
-// Galerkin product, and all level storage. The returned hierarchy is
+// Galerkin product, the point-SGS color sets when that smoother is
+// selected, and all level storage. The returned hierarchy is
 // not usable until BuildNumeric fills in the values; a's values are read
 // only by the initial Validate.
 func BuildSymbolic(a *sparse.Matrix, opt Options) (*Hierarchy, error) {
@@ -313,6 +316,15 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		if err := l.setOperator(); err != nil {
 			return nil, fmt.Errorf("amg: level %d operator format: %w", level, err)
 		}
+		// The smoother's color sets depend on the pattern alone; the
+		// numeric phase only refills its values.
+		if opt.Smoother == SmootherPointSGS {
+			op, err := gs.NewPointPattern(cur, opt.Threads)
+			if err != nil {
+				return nil, fmt.Errorf("amg: level %d point SGS setup: %w", level, err)
+			}
+			l.gsOp = op
+		}
 
 		p0 := coarsen.Prolongator(agg)
 		sp, err := sparse.PlanSmoothProlongator(rt, cur, p0)
@@ -353,7 +365,7 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 }
 
 // BuildNumeric runs the values-only half of setup: level diagonals,
-// spectral-radius estimates, smoother operators, the plan replays for
+// spectral-radius estimates, smoother values, the plan replays for
 // the smoothed prolongator / restriction / Galerkin product chain, and
 // the dense coarse factorization. a must carry the exact sparsity
 // pattern BuildSymbolic saw (checked via fingerprint); its values may
@@ -391,10 +403,11 @@ func (h *Hierarchy) BuildNumericCtx(ctx context.Context, a *sparse.Matrix) error
 // a clean error — Refresh never silently rebuilds. The refreshed
 // hierarchy is bitwise identical to a fresh Build of the same matrix.
 // The plans hold only their patterns, so the first Refresh after a
-// build does the same work as every later one. With the default Jacobi
-// smoother a Refresh performs zero heap allocations once the worker
-// arenas hold the replay accumulators; the point Gauss-Seidel smoother
-// rebuilds its color-set operators and allocates during that rebuild.
+// build does the same work as every later one. With either smoother a
+// Refresh performs zero heap allocations once the worker arenas hold
+// the replay accumulators: the point Gauss-Seidel smoother keeps the
+// color sets of the symbolic phase and refills only its inverse
+// diagonal.
 //
 // All foreseeable rejections happen before any level state is touched —
 // pattern mismatch, non-finite values, and a zero, missing, or
@@ -514,12 +527,10 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 		// overwritten before any solve reads it).
 		l.rho = estimateSpectralRadius(rt, cur, l.dinv, 15, l.x, l.r)
 		lp := h.plans[level]
-		if h.opt.Smoother == SmootherPointSGS {
-			op, err := gs.NewPoint(cur, h.opt.Threads)
-			if err != nil {
+		if l.gsOp != nil {
+			if err := l.gsOp.Refill(cur); err != nil {
 				return fmt.Errorf("amg: level %d point SGS setup: %w", level, err)
 			}
-			l.gsOp = op
 		}
 		if lp.rap == nil {
 			break // coarsest level

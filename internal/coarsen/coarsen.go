@@ -526,9 +526,11 @@ func CoarseGraph(g *graph.CSR, agg Aggregation) *graph.CSR {
 }
 
 // coarseGraph is CoarseGraph on rt. It lists each aggregate's members by
-// counting sort, then makes two parallel passes over the aggregates:
-// count each row's distinct adjacent aggregates, scan the counts into
-// RowPtr, then fill and sort each row. Neither pass builds an edge list.
+// counting sort, then walks each aggregate's members once. Every block of
+// aggregates appends its rows' distinct adjacent aggregates to its own
+// staging buffer and records each row's length; a scan turns the lengths
+// into RowPtr, and one more pass copies each block's segment into Col
+// and sorts every row. No edge list is built.
 func coarseGraph(rt *par.Runtime, g *graph.CSR, agg Aggregation) *graph.CSR {
 	na := agg.NumAggregates
 	labels := agg.Labels[:g.N]
@@ -557,44 +559,50 @@ func coarseGraph(rt *par.Runtime, g *graph.CSR, agg Aggregation) *graph.CSR {
 	}
 	par.Put(ar, next)
 
-	// Each participant dedupes with its own stamp array: stamp[b] == a
-	// marks aggregate b as already seen in row a.
-	setup := func(a *par.Arena) []int32 {
-		stamp := par.Get[int32](a, na)
+	rowPtr := make([]int, na+1)
+	blocks := rt.Blocks(na)
+	staged := make([][]int32, len(blocks)-1)
+	rt.ForBlocks(len(staged), func(blk int) {
+		lo, hi := blocks[blk], blocks[blk+1]
+		blkMembers := members[memPtr[lo]:memPtr[hi]]
+		// A row lists at most one aggregate per member edge, so the
+		// members' degree sum bounds the block's staging.
+		bound := 0
+		for _, v := range blkMembers {
+			bound += g.RowPtr[v+1] - g.RowPtr[v]
+		}
+		buf := make([]int32, bound)
+		ba := par.AcquireArena()
+		// stamp[b] == a marks aggregate b as already seen in row a.
+		stamp := par.Get[int32](ba, na)
 		for i := range stamp {
 			stamp[i] = unaggregated
 		}
-		return stamp
-	}
-	teardown := func(a *par.Arena, stamp []int32) { par.Put(a, stamp) }
-	row := func(a int, stamp, dst []int32) int {
-		return adjacentAggregates(g, labels, members[memPtr[a]:memPtr[a+1]], int32(a), stamp, dst)
-	}
-
-	rowPtr := make([]int, na+1)
-	par.ForWith(rt, na, setup, func(lo, hi int, stamp []int32) {
+		n := 0
 		for a := lo; a < hi; a++ {
-			rowPtr[a] = row(a, stamp, nil)
+			rowPtr[a] = adjacentAggregates(g, labels, members[memPtr[a]:memPtr[a+1]], int32(a), stamp, buf[n:])
+			n += rowPtr[a]
 		}
-	}, teardown)
-	par.ScanExclusive(rt, rowPtr[:na], rowPtr)
-	col := make([]int32, rowPtr[na])
-	par.ForWith(rt, na, setup, func(lo, hi int, stamp []int32) {
-		for a := lo; a < hi; a++ {
-			adj := col[rowPtr[a]:rowPtr[a+1]]
-			row(a, stamp, adj)
-			slices.Sort(adj)
-		}
-	}, teardown)
+		staged[blk] = buf[:n]
+		par.Put(ba, stamp)
+		par.ReleaseArena(ba)
+	})
 	par.Put(ar, memPtr)
 	par.Put(ar, members)
+	col := make([]int32, par.ScanExclusive(rt, rowPtr[:na], rowPtr))
+	rt.ForBlocks(len(staged), func(blk int) {
+		copy(col[rowPtr[blocks[blk]]:], staged[blk])
+		for a := blocks[blk]; a < blocks[blk+1]; a++ {
+			slices.Sort(col[rowPtr[a]:rowPtr[a+1]])
+		}
+	})
 	return &graph.CSR{N: na, RowPtr: rowPtr, Col: col}
 }
 
-// adjacentAggregates counts the aggregates other than a that hold a
-// neighbor of one of a's members, each once, skipping labels outside
-// [0, len(stamp)). When dst is non-nil it also writes them to dst in
-// discovery order. stamp[b] == a marks b as already counted.
+// adjacentAggregates writes to dst, in discovery order, the aggregates
+// other than a that hold a neighbor of one of a's members, each once,
+// skipping labels outside [0, len(stamp)), and returns their count.
+// stamp[b] == a marks b as already written.
 func adjacentAggregates(g *graph.CSR, labels, members []int32, a int32, stamp, dst []int32) int {
 	na := uint32(len(stamp))
 	stamp[a] = a
@@ -604,9 +612,7 @@ func adjacentAggregates(g *graph.CSR, labels, members []int32, a int32, stamp, d
 			b := labels[w]
 			if uint32(b) < na && stamp[b] != a {
 				stamp[b] = a
-				if dst != nil {
-					dst[n] = b
-				}
+				dst[n] = b
 				n++
 			}
 		}

@@ -30,12 +30,13 @@ import (
 // cluster flavored).
 //
 // Concurrency: after setup the operator's own state (matrix, inverse
-// diagonal, color sets, cluster rows) is read-only, so concurrent
-// Sweep/Apply/Precondition calls on one instance are safe provided each
-// caller passes its own b and x vectors — the sweeps write only into
-// the caller's x. Note that the AMG hierarchy passes its level scratch
-// as b/x, so two V-cycles through one hierarchy still race (see
-// amg.Hierarchy); the safety here is per distinct vectors.
+// diagonal, color sets, cluster rows) is read-only until the next
+// Refill, so concurrent Sweep/Apply/Precondition calls on one instance
+// are safe provided each caller passes its own b and x vectors — the
+// sweeps write only into the caller's x. Note that the AMG hierarchy
+// passes its level scratch as b/x, so two V-cycles through one
+// hierarchy still race (see amg.Hierarchy); the safety here is per
+// distinct vectors.
 type Multicolor struct {
 	a    *sparse.Matrix
 	dinv []float64
@@ -55,12 +56,25 @@ type Multicolor struct {
 // is colored with the deterministic parallel coloring, and each color
 // class becomes a parallel update group.
 func NewPoint(a *sparse.Matrix, threads int) (*Multicolor, error) {
-	m, err := newCommon(a, threads)
+	m, err := NewPointPattern(a, threads)
 	if err != nil {
 		return nil, err
 	}
-	colors := color.Parallel(a.GraphWith(m.rt), threads)
-	m.groups = color.Sets(colors)
+	if err := m.Refill(a); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// NewPointPattern is the pattern-only half of NewPoint: it colors a's
+// matrix graph and reads none of a's values. The operator is not usable
+// until Refill supplies them.
+func NewPointPattern(a *sparse.Matrix, threads int) (*Multicolor, error) {
+	m, err := newPattern(a, threads)
+	if err != nil {
+		return nil, err
+	}
+	m.groups = color.Sets(color.Parallel(a.GraphWith(m.rt), threads))
 	m.NumColors = len(m.groups)
 	return m, nil
 }
@@ -69,8 +83,11 @@ func NewPoint(a *sparse.Matrix, threads int) (*Multicolor, error) {
 // aggregation of the matrix graph: the coarse (cluster) graph is colored;
 // same-colored clusters share no matrix entries and update concurrently.
 func NewCluster(a *sparse.Matrix, agg coarsen.Aggregation, threads int) (*Multicolor, error) {
-	m, err := newCommon(a, threads)
+	m, err := newPattern(a, threads)
 	if err != nil {
+		return nil, err
+	}
+	if err := m.Refill(a); err != nil {
 		return nil, err
 	}
 	g := a.GraphWith(m.rt)
@@ -93,20 +110,29 @@ func NewCluster(a *sparse.Matrix, agg coarsen.Aggregation, threads int) (*Multic
 	return m, nil
 }
 
-func newCommon(a *sparse.Matrix, threads int) (*Multicolor, error) {
+func newPattern(a *sparse.Matrix, threads int) (*Multicolor, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("gs: matrix must be square")
 	}
-	rt := par.New(threads)
-	dinv := make([]float64, a.Rows)
-	a.DiagonalInto(rt, dinv)
-	for i, v := range dinv {
-		if v == 0 {
-			return nil, fmt.Errorf("gs: zero diagonal at row %d", i)
-		}
-		dinv[i] = 1 / v
+	return &Multicolor{dinv: make([]float64, a.Rows), rt: par.New(threads)}, nil
+}
+
+// Refill points the operator at a and recomputes its inverse diagonal in
+// place, without allocating. a must have the pattern the operator was
+// set up with; only its order is checked.
+func (m *Multicolor) Refill(a *sparse.Matrix) error {
+	if a.Rows != len(m.dinv) || a.Cols != a.Rows {
+		return fmt.Errorf("gs: refill matrix is %dx%d, operator was set up for order %d", a.Rows, a.Cols, len(m.dinv))
 	}
-	return &Multicolor{a: a, dinv: dinv, rt: rt}, nil
+	a.DiagonalInto(m.rt, m.dinv)
+	for i, v := range m.dinv {
+		if v == 0 {
+			return fmt.Errorf("gs: zero diagonal at row %d", i)
+		}
+		m.dinv[i] = 1 / v
+	}
+	m.a = a
+	return nil
 }
 
 // relaxRow performs the Gauss-Seidel update of row i in place.

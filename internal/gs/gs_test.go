@@ -210,6 +210,50 @@ func TestErrorCases(t *testing.T) {
 	}
 }
 
+func TestPointPatternRefillMatchesNewPoint(t *testing.T) {
+	// Colored once from the pattern, then refilled with each value set,
+	// the operator sweeps bitwise like a fresh NewPoint on those values.
+	a, b, _ := testProblem(12, 12)
+	m, err := NewPointPattern(a, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, scale := range []float64{1, 1.5, 0.25} {
+		as := a.Clone()
+		for p := range as.Val {
+			as.Val[p] *= scale
+		}
+		if err := m.Refill(as); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := NewPoint(as, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y := make([]float64, a.Rows), make([]float64, a.Rows)
+		m.Apply(b, x, 2, true)
+		fresh.Apply(b, y, 2, true)
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				t.Fatalf("scale %g: x[%d] = %v after Refill, %v from NewPoint", scale, i, x[i], y[i])
+			}
+		}
+	}
+	small, _, _ := testProblem(3, 3)
+	if err := m.Refill(small); err == nil {
+		t.Fatal("Refill accepted a matrix of another order")
+	}
+	zd := a.Clone()
+	for p := zd.RowPtr[5]; p < zd.RowPtr[6]; p++ {
+		if zd.Col[p] == 5 {
+			zd.Val[p] = 0
+		}
+	}
+	if err := m.Refill(zd); err == nil {
+		t.Fatal("Refill accepted a zero diagonal")
+	}
+}
+
 func TestPreconditionInterface(t *testing.T) {
 	a, b, _ := testProblem(12, 12)
 	m, err := NewPoint(a, 0)
