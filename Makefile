@@ -47,7 +47,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke examples
 
@@ -71,7 +71,7 @@ check: lint
 	go vet ./...
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
-	go test -race -run 'Deterministic|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
 
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d || exit 1; done

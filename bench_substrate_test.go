@@ -11,6 +11,7 @@ import (
 	"mis2go/internal/color"
 	"mis2go/internal/gen"
 	"mis2go/internal/graph"
+	"mis2go/internal/mis"
 	"mis2go/internal/par"
 	"mis2go/internal/partition"
 	"mis2go/internal/sparse"
@@ -139,24 +140,50 @@ func BenchmarkInducedSubgraph(b *testing.B) {
 	}
 }
 
-func BenchmarkCoarseGraph(b *testing.B) {
-	// Each level of the multilevel Algorithm-3 coarsening of a 64^3 mesh
-	// down to 1000 vertices, as in amgbench's mis2-coarsen workload:
-	// level0 collapses the mesh itself, the later levels the denser
-	// coarse graphs.
+// coarseningLevels returns each level of the multilevel Algorithm-3
+// coarsening of a 64^3 mesh down to 1000 vertices, as in amgbench's
+// mis2-coarsen workload, with the aggregation that collapses it: level 0
+// is the mesh itself, the later levels the denser coarse graphs.
+func coarseningLevels() ([]*graph.CSR, []coarsen.Aggregation) {
+	var graphs []*graph.CSR
+	var aggs []coarsen.Aggregation
 	g := gen.Laplace3D(64, 64, 64)
-	for level := 0; g.N > 1000; level++ {
+	for g.N > 1000 {
 		agg := coarsen.MIS2Aggregation(g, coarsen.Options{})
 		if agg.NumAggregates >= g.N {
 			break
 		}
+		graphs = append(graphs, g)
+		aggs = append(aggs, agg)
+		g = coarsen.CoarseGraph(g, agg)
+	}
+	return graphs, aggs
+}
+
+func BenchmarkCoarseGraph(b *testing.B) {
+	graphs, aggs := coarseningLevels()
+	for level, g := range graphs {
 		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
-				coarsen.CoarseGraph(g, agg)
+				coarsen.CoarseGraph(g, aggs[level])
 			}
 		})
-		g = coarsen.CoarseGraph(g, agg)
+	}
+}
+
+// BenchmarkMIS2Levels runs the phase-1 MIS-2 of MIS2Aggregation (the
+// whole level graph, default options) on each level of the same
+// coarsening.
+func BenchmarkMIS2Levels(b *testing.B) {
+	graphs, _ := coarseningLevels()
+	for level, g := range graphs {
+		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				mis.MIS2(g, mis.Options{})
+			}
+		})
 	}
 }
 

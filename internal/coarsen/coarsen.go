@@ -436,8 +436,9 @@ func D2C(g *graph.CSR, threads int, parallelColoring bool) Aggregation {
 // Check verifies that the aggregation is total and well-formed: one
 // label per vertex, every label in range, and every aggregate nonempty.
 // It does not check that aggregates are connected: Check runs on every
-// AMG build and cluster-GS setup, so it stays O(N). Connectivity of the
-// schemes here is a tested property instead.
+// AMG build and every standalone cluster Gauss-Seidel setup
+// (gs.NewCluster), so it stays O(N). Connectivity of the schemes here is
+// a tested property instead.
 func Check(g *graph.CSR, agg Aggregation) error {
 	if len(agg.Labels) != g.N {
 		return fmt.Errorf("coarsen: %d labels for %d vertices", len(agg.Labels), g.N)

@@ -34,12 +34,19 @@ func fuzzMISGraph(seed uint64, size uint16, degree uint8, band uint16, span uint
 	return graph.FromEdges(n, edges)
 }
 
+// lubyOracleArcs bounds the graphs FuzzMIS2 also checks against
+// LubyMIS1 on the square: squaring costs up to a degree-squared factor.
+const lubyOracleArcs = 20000
+
 // FuzzMIS2 checks that MIS2 returns a valid distance-2 maximal
 // independent set and that the set, the round count and the per-round
 // worklist sizes are identical at 1, 2 and 8 workers with the unrolled
 // loops on and off. The priority scheme is seed%3. For the default
 // scheme it also checks the unpacked Worklists variant of the Figure 2
-// ablation against the same set. Its seed corpus is in
+// ablation against the same set. On graphs of at most lubyOracleArcs
+// arcs it checks the set and round count of every priority scheme
+// against LubyMIS1 on the square (Lemma IV.2), an oracle that keeps
+// Algorithm 1's three passes per round. Its seed corpus is in
 // testdata/fuzz/FuzzMIS2; run it with make fuzz.
 func FuzzMIS2(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint64, size uint16, degree uint8, band uint16, span uint8) {
@@ -66,6 +73,18 @@ func FuzzMIS2(f *testing.F) {
 					t.Fatalf("Worklists variant, %d workers: size %d, %d iterations; want %d, %d",
 						th, len(got.InSet), got.Iterations, len(ref.InSet), ref.Iterations)
 				}
+			}
+		}
+		if g.NumEdges() > lubyOracleArcs {
+			return
+		}
+		sq := g.Square()
+		for _, k := range []hash.Kind{hash.XorStar, hash.Xor, hash.Fixed} {
+			got := MIS2(g, Options{Hash: k, Threads: 2})
+			want := LubyMIS1(sq, k, 1)
+			if !slices.Equal(got.InSet, want.InSet) || got.Iterations != want.Iterations {
+				t.Fatalf("%v: MIS2 size %d, %d iterations; LubyMIS1 on the square size %d, %d iterations",
+					k, len(got.InSet), got.Iterations, len(want.InSet), want.Iterations)
 			}
 		}
 	})

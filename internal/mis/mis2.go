@@ -67,14 +67,23 @@ func MIS2(g *graph.CSR, opt Options) Result {
 // When simd is true the neighbor reductions use 4-way unrolled loops
 // (this repository's substitute for warp-level SIMD; see DESIGN.md).
 //
+// Each round is two parallel passes. Algorithm 1's Refresh Row is folded
+// into the pass before it: the worklist-init pass writes round 0's
+// tuples, and Decide Set writes the next round's tuple of every vertex it
+// leaves undecided. Decide Set reads t only at its own vertex, so that
+// write is invisible inside the pass, and the next Refresh Column reads
+// it after the barrier: the set, the round count and the worklists are
+// those of the three-pass rounds.
+//
 // The worklists are compacted in place (Algorithm 1, lines 33-34) by the
 // two passes that settle their predicates: Refresh Column drops the
 // vertices whose column status became OUT from wl2, Decide Set the
 // vertices it decided from wl1 (see par.JoinSegments).
 //
 // All O(n) state (status arrays and both worklists) comes from a scratch
-// arena, so repeated MIS-2 calls — AMG setup runs one per level,
-// cluster-GS one per operator — reuse the same backing memory.
+// arena, so repeated MIS-2 calls — coarsen.MIS2Aggregation runs up to
+// two per AMG level and per gs.NewCluster setup — reuse the same backing
+// memory.
 func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.Runtime) Result {
 	n := g.N
 	if n == 0 {
@@ -82,6 +91,7 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 	}
 	var stats1, stats2 []int
 	c := newCodec(n)
+	rowPtr, col := g.RowPtr, g.Col
 	ar := par.AcquireArena()
 	t := par.Get[uint64](ar, n) // row status  T_v
 	m := par.Get[uint64](ar, n) // col status  M_v
@@ -92,8 +102,10 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 	kept := par.Get[int](ar, rt.Workers())
 	rt.For(n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			wl1[i] = int32(i)
-			wl2[i] = int32(i)
+			v := int32(i)
+			wl1[i] = v
+			wl2[i] = v
+			t[i] = c.pack(kind.Priority(0, uint64(i)), v)
 		}
 	})
 
@@ -103,44 +115,45 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 			stats1 = append(stats1, len(wl1))
 			stats2 = append(stats2, len(wl2))
 		}
-		it64 := uint64(iter)
-
-		// Refresh Row: assign fresh priorities to undecided vertices.
-		rt.For(len(wl1), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := wl1[i]
-				t[v] = c.pack(kind.Priority(it64, uint64(v)), v)
-			}
-		})
+		// In round 0 no tuple is IN, so no column status is OUT and
+		// Decide Set only tests whether v's tuple is its closed
+		// neighborhood's minimum everywhere.
+		first := iter == 0
+		next := uint64(iter + 1)
 
 		// Refresh Column: M_v = min T_w over the closed neighborhood of v;
 		// a minimum of IN means v is distance-1 from an IN vertex, which
-		// permanently forces M_v = OUT and drops v from wl2.
+		// permanently forces M_v = OUT and drops v from wl2. Each block
+		// reads its bounds and worklist into locals once: blocks, wl1 and
+		// wl2 are reassigned every round, so the closures capture them by
+		// reference.
 		blocks := rt.Blocks(len(wl2))
 		if simd {
 			rt.ForBlocks(len(blocks)-1, func(b int) {
-				k := blocks[b]
-				for i := blocks[b]; i < blocks[b+1]; i++ {
-					v := wl2[i]
+				lo, hi, wl := blocks[b], blocks[b+1], wl2
+				k := lo
+				for i := lo; i < hi; i++ {
+					v := wl[i]
 					mv := minClosedUnrolled(g, t, v)
 					if mv == tupleIn {
 						mv = tupleOut
 					}
 					m[v] = mv
-					wl2[k] = v
+					wl[k] = v
 					if mv != tupleOut {
 						k++
 					}
 				}
-				kept[b] = k - blocks[b]
+				kept[b] = k - lo
 			})
 		} else {
 			rt.ForBlocks(len(blocks)-1, func(b int) {
-				k := blocks[b]
-				for i := blocks[b]; i < blocks[b+1]; i++ {
-					v := wl2[i]
+				lo, hi, wl := blocks[b], blocks[b+1], wl2
+				k := lo
+				for i := lo; i < hi; i++ {
+					v := wl[i]
 					mv := t[v]
-					for _, w := range g.Neighbors(v) {
+					for _, w := range col[rowPtr[v]:rowPtr[v+1]] {
 						if tw := t[w]; tw < mv {
 							mv = tw
 						}
@@ -149,12 +162,12 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 						mv = tupleOut
 					}
 					m[v] = mv
-					wl2[k] = v
+					wl[k] = v
 					if mv != tupleOut {
 						k++
 					}
 				}
-				kept[b] = k - blocks[b]
+				kept[b] = k - lo
 			})
 		}
 		wl2 = par.JoinSegments(wl2, blocks, kept)
@@ -163,30 +176,38 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 		// OUT (an IN vertex within distance 2); v is IN if its own tuple
 		// is the minimum everywhere in its closed neighborhood, i.e. the
 		// minimum of its radius-2 ball. Vertices still undecided stay in
-		// wl1.
+		// wl1 and get the next round's tuple.
 		blocks = rt.Blocks(len(wl1))
 		if simd {
 			rt.ForBlocks(len(blocks)-1, func(b int) {
-				k := blocks[b]
-				for i := blocks[b]; i < blocks[b+1]; i++ {
-					v := wl1[i]
-					wl1[k] = v
-					if decideUnrolled(g, t, m, v) {
+				lo, hi, wl := blocks[b], blocks[b+1], wl1
+				k := lo
+				for i := lo; i < hi; i++ {
+					v := wl[i]
+					wl[k] = v
+					if decideUnrolled(g, t, m, v, first) {
+						t[v] = c.pack(kind.Priority(next, uint64(v)), v)
 						k++
 					}
 				}
-				kept[b] = k - blocks[b]
+				kept[b] = k - lo
 			})
 		} else {
 			rt.ForBlocks(len(blocks)-1, func(b int) {
-				k := blocks[b]
-				for i := blocks[b]; i < blocks[b+1]; i++ {
-					v := wl1[i]
+				lo, hi, wl := blocks[b], blocks[b+1], wl1
+				k := lo
+				for i := lo; i < hi; i++ {
+					v := wl[i]
 					tv := t[v]
 					anyOut := m[v] == tupleOut
 					allEq := m[v] == tv
-					if !anyOut {
-						for _, w := range g.Neighbors(v) {
+					adj := col[rowPtr[v]:rowPtr[v+1]]
+					if first {
+						for j := 0; allEq && j < len(adj); j++ {
+							allEq = m[adj[j]] == tv
+						}
+					} else if !anyOut {
+						for _, w := range adj {
 							mw := m[w]
 							if mw == tupleOut {
 								anyOut = true
@@ -197,16 +218,17 @@ func mis2Packed(g *graph.CSR, kind hash.Kind, simd, collectStats bool, rt *par.R
 							}
 						}
 					}
-					wl1[k] = v
+					wl[k] = v
 					if anyOut {
 						t[v] = tupleOut
 					} else if allEq {
 						t[v] = tupleIn
 					} else {
+						t[v] = c.pack(kind.Priority(next, uint64(v)), v)
 						k++
 					}
 				}
-				kept[b] = k - blocks[b]
+				kept[b] = k - lo
 			})
 		}
 		wl1 = par.JoinSegments(wl1, blocks, kept)
@@ -302,16 +324,36 @@ func minClosedUnrolled(g *graph.CSR, t []uint64, v int32) uint64 {
 }
 
 // decideUnrolled applies the Decide Set rules for v using 4-way unrolled
-// scans for the exists-OUT and forall-equal reductions, and reports
-// whether v is still undecided.
-func decideUnrolled(g *graph.CSR, t, m []uint64, v int32) bool {
+// scans for the exists-OUT and forall-equal reductions, writes IN or OUT
+// to t[v] if it decides v, and reports whether v is still undecided. With
+// first set (round 0, when no column status can be OUT) it runs only the
+// forall-equal scan and stops at the first mismatch.
+func decideUnrolled(g *graph.CSR, t, m []uint64, v int32, first bool) bool {
 	tv := t[v]
 	mv := m[v]
+	adj := g.Neighbors(v)
+	if first {
+		if mv != tv {
+			return true
+		}
+		i := 0
+		for ; i+4 <= len(adj); i += 4 {
+			if m[adj[i]] != tv || m[adj[i+1]] != tv || m[adj[i+2]] != tv || m[adj[i+3]] != tv {
+				return true
+			}
+		}
+		for ; i < len(adj); i++ {
+			if m[adj[i]] != tv {
+				return true
+			}
+		}
+		t[v] = tupleIn
+		return false
+	}
 	if mv == tupleOut {
 		t[v] = tupleOut
 		return false
 	}
-	adj := g.Neighbors(v)
 	anyOut := false
 	allEq := mv == tv
 	i := 0

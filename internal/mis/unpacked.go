@@ -1,6 +1,7 @@
 // Unpacked-tuple variant of Algorithm 1: identical structure (worklists,
-// per-iteration priorities, k=2-specialized column minimum) but with the
-// baseline's 3-field tuple representation instead of packed integers.
+// per-iteration priorities, k=2-specialized column minimum, two passes
+// per round) but with the baseline's 3-field tuple representation
+// instead of packed integers.
 // This is the "+ Worklists" configuration of the Figure 2 ablation: it
 // isolates the benefit of packed status tuples, which is added next.
 package mis
@@ -31,24 +32,21 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 	}
 	kept := make([]int, rt.Workers())
 
+	// Rounds are two passes, as in mis2Packed: this pass writes round 0's
+	// priorities and Decide Set the next round's priority of every
+	// vertex it leaves undecided.
 	rt.For(n, func(lo, hi int) {
 		for v := lo; v < hi; v++ {
 			t.stat[v] = statUnd
 			t.id[v] = int32(v)
+			t.rnd[v] = kind.Priority(0, uint64(v)) & prioMask
 		}
 	})
 
 	iter := 0
 	for len(wl1) > 0 {
-		it64 := uint64(iter)
-
-		// Refresh Row.
-		rt.For(len(wl1), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				v := wl1[i]
-				t.rnd[v] = kind.Priority(it64, uint64(v)) & prioMask
-			}
-		})
+		first := iter == 0 // no column status can be OUT yet
+		next := uint64(iter + 1)
 
 		// Refresh Column: minimum tuple over closed neighborhood;
 		// IN minima freeze to OUT and leave wl2.
@@ -79,21 +77,29 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 		})
 		wl2 = par.JoinSegments(wl2, blocks, kept)
 
-		// Decide Set; undecided vertices stay in wl1.
+		// Decide Set; undecided vertices stay in wl1 with the next
+		// round's priority.
 		blocks = rt.Blocks(len(wl1))
 		rt.ForBlocks(len(blocks)-1, func(b int) {
 			k := blocks[b]
 			for i := blocks[b]; i < blocks[b+1]; i++ {
 				v := wl1[i]
+				rv := t.rnd[v]
 				anyOut := m.stat[v] == statOut
-				allEq := !anyOut && m.id[v] == v && m.rnd[v] == t.rnd[v] && m.stat[v] == statUnd
-				if !anyOut {
-					for _, w := range g.Neighbors(v) {
+				allEq := !anyOut && m.id[v] == v && m.rnd[v] == rv && m.stat[v] == statUnd
+				adj := g.Neighbors(v)
+				if first {
+					for j := 0; allEq && j < len(adj); j++ {
+						w := adj[j]
+						allEq = m.id[w] == v && m.rnd[w] == rv && m.stat[w] == statUnd
+					}
+				} else if !anyOut {
+					for _, w := range adj {
 						if m.stat[w] == statOut {
 							anyOut = true
 							break
 						}
-						if m.id[w] != v || m.rnd[w] != t.rnd[v] || m.stat[w] != statUnd {
+						if m.id[w] != v || m.rnd[w] != rv || m.stat[w] != statUnd {
 							allEq = false
 						}
 					}
@@ -104,6 +110,7 @@ func mis2Unpacked(g *graph.CSR, kind hash.Kind, rt *par.Runtime) Result {
 				} else if allEq {
 					t.stat[v] = statIn
 				} else {
+					t.rnd[v] = kind.Priority(next, uint64(v)) & prioMask
 					k++
 				}
 			}
