@@ -25,8 +25,8 @@
 # `make fuzz FUZZTIME=30s` runs each of the five fuzz targets (MIS-2
 # validity and its output at 1/2/8 workers with and without the unrolled
 # loops, CoarseGraph against its serial reference, the operator formats
-# against CSR, SpGEMM product and smooth plans against Multiply and
-# SmoothProlongator, amgserve's request decoder against encoding/json)
+# against CSR, SpGEMM product and smooth plans against their serial
+# reference, amgserve's request decoder against encoding/json)
 # for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
@@ -71,7 +71,7 @@ check: lint
 	go vet ./...
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
-	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint' ./...
+	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint|FuzzProductPlan|TestRAPPlanReplayAcrossWorkers' ./...
 
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d || exit 1; done

@@ -203,8 +203,13 @@ func TestProlongatorColumnsOrthonormal(t *testing.T) {
 	}
 	// P^T P = I for the tentative prolongator.
 	rt := par.New(2)
-	ptp, err := sparse.Multiply(rt, p.Transpose(), p)
+	pt := p.Transpose()
+	pl, err := sparse.PlanMultiply(rt, pt, p)
 	if err != nil {
+		t.Fatal(err)
+	}
+	ptp := pl.NewMatrix()
+	if err := pl.Replay(rt, pt, p, ptp); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < ptp.Rows; i++ {

@@ -12,8 +12,10 @@ import (
 func TestDiagonalMatrixSolvedInOneSweep(t *testing.T) {
 	// For a diagonal matrix, one GS sweep computes the exact solution.
 	n := 50
-	a := sparse.Identity(n)
+	a := &sparse.Matrix{Rows: n, Cols: n, RowPtr: make([]int, n+1), Col: make([]int32, n), Val: make([]float64, n)}
 	for i := range a.Val {
+		a.RowPtr[i+1] = i + 1
+		a.Col[i] = int32(i)
 		a.Val[i] = float64(i + 2)
 	}
 	b := make([]float64, n)

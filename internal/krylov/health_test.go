@@ -8,7 +8,6 @@ import (
 	"mis2go/internal/amg"
 	"mis2go/internal/gen"
 	"mis2go/internal/par"
-	"mis2go/internal/sparse"
 )
 
 // TestHealthCheckClassifiesDivergence drives the guard state machine
@@ -117,7 +116,7 @@ func TestHealthCGStagnationOnNearSingular(t *testing.T) {
 }
 
 func TestHealthCGBreakdownClassified(t *testing.T) {
-	a := sparse.Identity(10)
+	a := identityMatrix(10)
 	a.Scale(-1)
 	b := make([]float64, 10)
 	for i := range b {

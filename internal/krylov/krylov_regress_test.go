@@ -8,7 +8,6 @@ import (
 
 	"mis2go/internal/gen"
 	"mis2go/internal/par"
-	"mis2go/internal/sparse"
 )
 
 // TestWorkspaceReuseAcrossSizes solves a large system and then a
@@ -30,7 +29,7 @@ func TestWorkspaceReuseAcrossSizes(t *testing.T) {
 	}
 
 	t.Run("gmres-lucky-breakdown", func(t *testing.T) {
-		small := sparse.Identity(10)
+		small := identityMatrix(10)
 		bs := make([]float64, 10)
 		bs[0] = 2.0 // power of two: the Arnoldi normalization is exact
 

@@ -20,12 +20,20 @@
 // that boundary. The one such boundary is amg.Hierarchy's BuildNumeric
 // and Refresh (checkSamePattern).
 //
-// Every replay is bitwise identical to the corresponding one-shot kernel
-// (Multiply, Transpose, SmoothProlongator, RAP): the per-row accumulation
-// order is the same, and writing out through the pre-sorted pattern
-// visits entries in exactly the order the one-shot kernel writes them
-// after its row sort. Replays are deterministic for any worker count,
-// and a plan built at one worker count replays identically at any other.
+// The value order is a contract. A product replay computes each entry
+// of C = A*B as Gustavson's row-by-row product does: its first
+// contribution exactly, then every later one added in turn, walking A's
+// row in stored order and each A entry's B row in stored order. Every
+// row comes out with its columns ascending. A smooth replay scales each
+// entry of A's row i by dinv[i] before it multiplies, then writes
+// p0 + -omega*acc where P0 and the product both store the entry,
+// -omega*acc where only the product does, and P0's value where only P0
+// does. A RAP replay is the product R*(A*P), and a transpose replay is
+// an exact value copy. The serial reference in ref_test.go states the
+// contract in plain code; the plan tests and FuzzProductPlan hold every
+// replay to it bit for bit. Replays are deterministic for any worker
+// count, and a plan built at one worker count replays identically at
+// any other.
 package sparse
 
 import (
@@ -95,12 +103,12 @@ func (pt *pattern) replay(rt *par.Runtime, v valuePass, cols int) {
 // dinv[i] first) in Gustavson's order — A entries in stored order, each
 // over its B row — and writes the row out through the sorted pattern.
 //
-// The −0 seed makes the accumulation branch-free and still bitwise
-// identical to the one-shot kernels' first-touch accumulation: an
-// entry's first add stores exactly its first product, and every later
-// add is the one-shot kernel's. The sorted pattern visits entries in the
-// order the one-shot kernels write them after sortRow, and a smooth
-// pass writes the one-shot merge's expression for each entry.
+// The −0 seed makes the accumulation branch-free and keeps the order
+// contract (package comment): an entry's first add stores exactly its
+// first product (−0 + x == x), and every later product is added in
+// turn. The sorted pattern writes each row with its columns ascending,
+// and a smooth pass writes p0 + -omega*acc, -omega*acc or p0 per entry.
+// refMultiply and refSmooth (ref_test.go) are the serial witness.
 //
 //amg:hotpath
 func (pt *pattern) valueRows(v valuePass, acc []float64, lo, hi int) {
@@ -152,8 +160,8 @@ func (pt *pattern) valueRows(v valuePass, acc []float64, lo, hi int) {
 	}
 }
 
-// ProductPlan is the cached symbolic phase of Multiply: the pattern of
-// C = A*B for fixed operand patterns. Create with PlanMultiply; replay
+// ProductPlan is the cached symbolic phase of the SpGEMM C = A*B: its
+// row-sorted pattern for fixed operand patterns. Create with PlanMultiply; replay
 // values with Replay. A plan never changes after planning, so
 // goroutines may replay it at once into separate results.
 type ProductPlan struct {
@@ -237,8 +245,8 @@ func (pl *ProductPlan) NNZ() int { return len(pl.col) }
 func (pl *ProductPlan) NewMatrix() *Matrix { return pl.newMatrix(pl.aRows, pl.bCols) }
 
 // Replay replays the plan for new operand values: c.Val is overwritten
-// with the values of A*B, bitwise identical to Multiply on the same
-// operands, with zero allocations in steady state. A and B must have
+// with the values of A*B in the order the package comment states, with
+// zero allocations in steady state. A and B must have
 // the planned patterns, and c must carry the plan's pattern — normally
 // a matrix from NewMatrix; only shapes and stored-entry counts are
 // checked.
@@ -337,9 +345,9 @@ func (pl *TransposePlan) scatterRange(a, t *Matrix, lo, hi int) {
 	}
 }
 
-// SmoothPlan is the cached symbolic phase of SmoothProlongator: the union
-// pattern of the product D^{-1}A*P0 and P0 itself, row-sorted, with
-// its P0-only entries flagged.
+// SmoothPlan is the cached symbolic phase of the smoothed prolongator
+// (I - omega*D^{-1}*A)*P0: the union pattern of the product D^{-1}A*P0
+// and P0 itself, row-sorted, with its P0-only entries flagged.
 type SmoothPlan struct {
 	aRows, aCols, p0Cols int
 	aNNZ, p0NNZ          int
@@ -355,7 +363,7 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 	}
 	pl := &SmoothPlan{aRows: a.Rows, aCols: a.Cols, p0Cols: p0.Cols, aNNZ: a.NNZ(), p0NNZ: p0.NNZ()}
 	// The union of the product row and the P0 row, sorted, is exactly
-	// the one-shot kernel's merge of the two sorted rows.
+	// the pattern the smooth merge writes.
 	pl.ptr, pl.col = collectPattern(rt, a, p0.Cols, func(i int, mark, buf []int32) []int32 {
 		buf = appendProductCols(a, p0, i, mark, buf)
 		for q := p0.RowPtr[i]; q < p0.RowPtr[i+1]; q++ {
@@ -398,10 +406,9 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 func (pl *SmoothPlan) NewMatrix() *Matrix { return pl.newMatrix(pl.aRows, pl.p0Cols) }
 
 // Replay replays the plan for new values of A (and a new dinv/omega):
-// out.Val is overwritten with (I - omega*D^{-1}*A)*P0. Bitwise identical
-// to SmoothProlongator and allocation-free in steady state. A and P0
-// must have the planned patterns (see ProductPlan.Replay for the
-// contract).
+// out.Val is overwritten with (I - omega*D^{-1}*A)*P0, allocation-free
+// in steady state. A and P0 must have the planned patterns (see
+// ProductPlan.Replay for the contract).
 //
 //amg:hotpath
 func (pl *SmoothPlan) Replay(rt *par.Runtime, a, p0 *Matrix, dinv []float64, omega float64, out *Matrix) error {
@@ -462,11 +469,10 @@ func (pl *RAPPlan) NNZ() int { return pl.rapPlan.NNZ() }
 func (pl *RAPPlan) NewMatrix() *Matrix { return pl.rapPlan.NewMatrix() }
 
 // Replay replays the triple product for new values: out.Val is
-// overwritten with R*A*P, staging A*P in the plan-owned intermediate.
-// Bitwise identical to RAP and allocation-free in steady state. R, A
-// and P must have the planned patterns; the intermediate is plan-owned,
-// so only the caller-supplied operands' shapes and stored-entry counts
-// are checked. The intermediate also means one RAPPlan must not run two
+// overwritten with R*A*P, staging A*P in the plan-owned intermediate,
+// allocation-free in steady state. R, A and P must have the planned
+// patterns; the intermediate is plan-owned, so only the caller-supplied
+// operands' shapes and stored-entry counts are checked. The intermediate also means one RAPPlan must not run two
 // replays at once.
 //
 //amg:hotpath

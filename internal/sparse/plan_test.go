@@ -74,11 +74,7 @@ func TestProductPlanMatchesMultiply(t *testing.T) {
 			if err := pl.Replay(rt, av, bv, c); err != nil {
 				t.Fatal(err)
 			}
-			want, err := Multiply(rt, av, bv)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matricesEqual(t, "product replay", c, want)
+			matricesEqual(t, "product replay", c, refMultiply(av, bv))
 			if err := c.Validate(); err != nil {
 				t.Fatalf("replayed product invalid: %v", err)
 			}
@@ -103,6 +99,21 @@ func TestProductPlanRejectsBadShapes(t *testing.T) {
 	}
 	if _, err := PlanMultiply(rt, a, randomMatrix(31, 20, 0.1, 11)); err == nil {
 		t.Fatal("dimension mismatch not rejected")
+	}
+	s := randomMatrix(30, 30, 0.1, 12)
+	if _, err := PlanSmoothProlongator(rt, s, &Matrix{Rows: 3, Cols: 2, RowPtr: []int{0, 0, 0, 0}}); err == nil {
+		t.Fatal("smooth plan with a mismatched inner dimension not rejected")
+	}
+	sp, err := PlanSmoothProlongator(rt, s, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dinv := make([]float64, s.Rows)
+	if err := sp.Replay(rt, s, b, dinv[:10], 0.5, sp.NewMatrix()); err == nil {
+		t.Fatal("smooth replay with a short dinv not rejected")
+	}
+	if err := sp.Replay(rt, s, b, dinv, 0.5, pl.NewMatrix()); err == nil {
+		t.Fatal("smooth replay into a result without the plan pattern not rejected")
 	}
 }
 
@@ -176,22 +187,9 @@ func TestSmoothPlanMatchesSmoothProlongator(t *testing.T) {
 				if err := pl.Replay(rt, av, in.p0, in.dinv, omega, out); err != nil {
 					t.Fatal(err)
 				}
-				want, err := SmoothProlongator(rt, av, in.p0, in.dinv, omega)
-				if err != nil {
-					t.Fatal(err)
-				}
-				matricesEqual(t, fmt.Sprintf("smooth replay %d rows@%d", in.a.Rows, w), out, want)
+				matricesEqual(t, fmt.Sprintf("smooth replay %d rows@%d", in.a.Rows, w), out, refSmooth(av, in.p0, in.dinv, omega))
 			}
 		}
-	}
-	rt := par.New(1)
-	pl, err := PlanSmoothProlongator(rt, a, p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := pl.NewMatrix()
-	if err := pl.Replay(rt, a, p0, dinv[:10], omega, out); err == nil {
-		t.Fatal("short dinv not rejected")
 	}
 }
 
@@ -210,11 +208,7 @@ func TestRAPPlanMatchesRAP(t *testing.T) {
 			if err := pl.Replay(rt, r, av, p, out); err != nil {
 				t.Fatal(err)
 			}
-			want, err := RAP(rt, r, av, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matricesEqual(t, "RAP replay", out, want)
+			matricesEqual(t, "RAP replay", out, refRAP(r, av, p))
 		}
 	}
 }
@@ -241,7 +235,7 @@ func TestPlanReplayDeterministicAcrossWorkers(t *testing.T) {
 
 // TestRAPPlanReplayAcrossWorkers replays RAP plans built at one worker
 // count at others, three value sets in turn, and checks every replay
-// bitwise against the one-shot RAP. The operands are large enough that
+// bitwise against the serial reference. The operands are large enough that
 // the fine and coarse row loops both split at 2 and 8 workers.
 func TestRAPPlanReplayAcrossWorkers(t *testing.T) {
 	a := randomMatrix(2400, 2400, 0.0025, 40)
@@ -267,11 +261,7 @@ func TestRAPPlanReplayAcrossWorkers(t *testing.T) {
 			if err := pl.Replay(rt, r, values[pass], p, out); err != nil {
 				t.Fatal(err)
 			}
-			want, err := RAP(rt, r, values[pass], p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			matricesEqual(t, fmt.Sprintf("plan@%d replay %d@%d", tc.plan, pass+1, w), out, want)
+			matricesEqual(t, fmt.Sprintf("plan@%d replay %d@%d", tc.plan, pass+1, w), out, refRAP(r, values[pass], p))
 		}
 	}
 }
@@ -279,7 +269,7 @@ func TestRAPPlanReplayAcrossWorkers(t *testing.T) {
 // TestProductPlanConcurrentReplayBitwise replays one fresh product plan
 // and one fresh smooth plan from two goroutines at once, each into its
 // own result. Plans are immutable after planning, so every replay must
-// match the one-shot kernel bitwise, and the race detector (make check)
+// match the serial reference bitwise, and the race detector (make check)
 // must see no write to shared plan state.
 func TestProductPlanConcurrentReplayBitwise(t *testing.T) {
 	a := randomMatrix(2400, 2400, 0.0025, 50)
@@ -302,12 +292,8 @@ func TestProductPlanConcurrentReplayBitwise(t *testing.T) {
 	wantC := make([]*Matrix, len(values))
 	wantP := make([]*Matrix, len(values))
 	for k, av := range values {
-		if wantC[k], err = Multiply(rt, av, p0); err != nil {
-			t.Fatal(err)
-		}
-		if wantP[k], err = SmoothProlongator(rt, av, p0, dinv, omega); err != nil {
-			t.Fatal(err)
-		}
+		wantC[k] = refMultiply(av, p0)
+		wantP[k] = refSmooth(av, p0, dinv, omega)
 	}
 	// start releases both goroutines at once, so their first replays,
 	// the ones a mutable plan would race on, overlap.

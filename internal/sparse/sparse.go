@@ -1,7 +1,8 @@
 // Package sparse implements the CSR sparse matrix substrate: parallel
-// sparse matrix-vector products, sparse matrix-matrix products (SpGEMM,
-// Gustavson's algorithm), transposition, and the Galerkin triple product
-// R*A*P needed by smoothed-aggregation algebraic multigrid.
+// sparse matrix-vector products, transposition, and the planned sparse
+// matrix-matrix products (SpGEMM, Gustavson's algorithm) that form the
+// smoothed prolongator and the Galerkin triple product R*A*P of
+// smoothed-aggregation algebraic multigrid (plan.go).
 //
 //amg:deterministic
 package sparse
@@ -20,8 +21,9 @@ import (
 // sorted ascending for matrices that pass Validate.
 //
 // Concurrency: every kernel (SpMV and its fused variants, SpMM,
-// JacobiSweep, Diagonal, Graph, Transpose, Multiply/RAP) only reads the
-// matrix and writes caller-provided outputs, so any number of
+// JacobiSweep, Diagonal, Graph, Transpose, and plan replays reading it
+// as an operand) only reads the matrix and writes caller-provided
+// outputs, so any number of
 // goroutines may use one Matrix concurrently as long as none mutates
 // it — Scale, direct writes to Val, and plan Replay calls
 // targeting the matrix must be serialized against all readers.
@@ -307,269 +309,6 @@ func sortRow(cols []int32) {
 	slices.Sort(cols)
 }
 
-// spgemmScratch is the per-participant accumulator pair of Gustavson's
-// algorithm: mark stamps the rows already holding column j, acc holds
-// the running dot products. Stamps are global row ids, so reusing the
-// buffers across rows, blocks, and whole Multiply calls (via the arena)
-// needs only one clear per participant per pass.
-type spgemmScratch struct {
-	mark []int32
-	acc  []float64
-}
-
-// Multiply computes C = A*B with Gustavson's row-by-row SpGEMM,
-// parallelized over rows of A with per-worker dense accumulators drawn
-// from the participants' scratch arenas (reused across calls, e.g. the
-// two products of RAP). Deterministic: each output row is computed
-// independently and sorted.
-func Multiply(rt *par.Runtime, a, b *Matrix) (*Matrix, error) {
-	if a.Cols != b.Rows {
-		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
-	}
-	c := &Matrix{Rows: a.Rows, Cols: b.Cols}
-	c.RowPtr = make([]int, a.Rows+1)
-	car := par.AcquireArena()
-	counts := par.Get[int](car, a.Rows)
-
-	// Symbolic pass: count nnz per output row.
-	countProductRows(rt, a, b, counts)
-	nnz := par.ScanExclusive(rt, counts, c.RowPtr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
-	c.Col = make([]int32, nnz)
-	c.Val = make([]float64, nnz)
-
-	// Numeric pass.
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) spgemmScratch {
-			s := spgemmScratch{
-				mark: par.Get[int32](ar, b.Cols),
-				acc:  par.Get[float64](ar, b.Cols),
-			}
-			for i := range s.mark {
-				s.mark[i] = -1
-			}
-			return s
-		},
-		func(lo, hi int, s spgemmScratch) {
-			mark, acc := s.mark, s.acc
-			for i := lo; i < hi; i++ {
-				base := c.RowPtr[i]
-				k := base
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					ak := a.Val[p]
-					row := a.Col[p]
-					for q := b.RowPtr[row]; q < b.RowPtr[row+1]; q++ {
-						j := b.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							acc[j] = ak * b.Val[q]
-							c.Col[k] = j
-							k++
-						} else {
-							acc[j] += ak * b.Val[q]
-						}
-					}
-				}
-				cols := c.Col[base:k]
-				sortRow(cols)
-				for idx := base; idx < k; idx++ {
-					c.Val[idx] = acc[c.Col[idx]]
-				}
-			}
-		},
-		func(ar *par.Arena, s spgemmScratch) {
-			par.Put(ar, s.mark)
-			par.Put(ar, s.acc)
-		})
-	return c, nil
-}
-
-// countProductRows fills counts[i] with the nnz of row i of A*B — the
-// mark phase of Gustavson's algorithm, sizing Multiply's output.
-func countProductRows(rt *par.Runtime, a, b *Matrix, counts []int) {
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) []int32 {
-			mark := par.Get[int32](ar, b.Cols)
-			for i := range mark {
-				mark[i] = -1
-			}
-			return mark
-		},
-		func(lo, hi int, mark []int32) {
-			for i := lo; i < hi; i++ {
-				cnt := 0
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					k := a.Col[p]
-					for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-						j := b.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							cnt++
-						}
-					}
-				}
-				counts[i] = cnt
-			}
-		},
-		func(ar *par.Arena, mark []int32) { par.Put(ar, mark) })
-}
-
-// RAP computes the Galerkin coarse operator R*A*P.
-func RAP(rt *par.Runtime, r, a, p *Matrix) (*Matrix, error) {
-	ap, err := Multiply(rt, a, p)
-	if err != nil {
-		return nil, err
-	}
-	return Multiply(rt, r, ap)
-}
-
-// smoothScratch is the per-participant state of SmoothProlongator: the
-// Gustavson mark/acc pair for the product D^{-1}A*P0 plus a column
-// collector for the product pattern of the current row.
-type smoothScratch struct {
-	mark []int32
-	acc  []float64
-	cols []int32
-}
-
-// SmoothProlongator computes P = (I - omega*D^{-1}*A) * P0 in a single
-// blocked Gustavson pass per row: the product row of D^{-1}A*P0 is
-// accumulated with arena-backed mark/acc scratch, then merged with the
-// (sorted) row of P0 on write-out. This fuses the row scaling by dinv,
-// the SpGEMM, and the sparse Add of the seed's three-step setup into one
-// traversal with no intermediate matrices. The per-row accumulation and
-// merge order match the three-step composition exactly, so results are
-// bitwise identical to it — and independent of the worker count.
-func SmoothProlongator(rt *par.Runtime, a, p0 *Matrix, dinv []float64, omega float64) (*Matrix, error) {
-	if a.Cols != p0.Rows {
-		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, p0.Rows, p0.Cols)
-	}
-	if len(dinv) != a.Rows {
-		return nil, fmt.Errorf("sparse: dinv length %d, want %d", len(dinv), a.Rows)
-	}
-	c := &Matrix{Rows: a.Rows, Cols: p0.Cols}
-	c.RowPtr = make([]int, a.Rows+1)
-	car := par.AcquireArena()
-	counts := par.Get[int](car, a.Rows)
-
-	// Symbolic pass: per row, count the union of the product pattern and
-	// the P0 row pattern.
-	countSmoothedRows(rt, a, p0, counts)
-	nnz := par.ScanExclusive(rt, counts, c.RowPtr)
-	par.Put(car, counts)
-	par.ReleaseArena(car)
-	c.Col = make([]int32, nnz)
-	c.Val = make([]float64, nnz)
-
-	// Numeric pass: accumulate the product row, sort its pattern, then
-	// two-pointer merge with the P0 row writing p0 - omega*product.
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) smoothScratch {
-			s := smoothScratch{
-				mark: par.Get[int32](ar, p0.Cols),
-				acc:  par.Get[float64](ar, p0.Cols),
-				cols: par.Get[int32](ar, p0.Cols),
-			}
-			for i := range s.mark {
-				s.mark[i] = -1
-			}
-			return s
-		},
-		func(lo, hi int, s smoothScratch) {
-			mark, acc := s.mark, s.acc
-			for i := lo; i < hi; i++ {
-				di := dinv[i]
-				nc := 0
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					ak := di * a.Val[p]
-					row := a.Col[p]
-					for q := p0.RowPtr[row]; q < p0.RowPtr[row+1]; q++ {
-						j := p0.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							acc[j] = ak * p0.Val[q]
-							s.cols[nc] = j
-							nc++
-						} else {
-							acc[j] += ak * p0.Val[q]
-						}
-					}
-				}
-				prod := s.cols[:nc]
-				sortRow(prod)
-				// Merge the sorted product pattern with the sorted P0 row.
-				base := c.RowPtr[i]
-				k := base
-				pp, pq := 0, p0.RowPtr[i]
-				ep := nc
-				eq := p0.RowPtr[i+1]
-				for pp < ep || pq < eq {
-					switch {
-					case pq >= eq || (pp < ep && prod[pp] < p0.Col[pq]):
-						j := prod[pp]
-						c.Col[k] = j
-						c.Val[k] = -omega * acc[j]
-						pp++
-					case pp >= ep || p0.Col[pq] < prod[pp]:
-						c.Col[k] = p0.Col[pq]
-						c.Val[k] = p0.Val[pq]
-						pq++
-					default:
-						j := prod[pp]
-						c.Col[k] = j
-						c.Val[k] = p0.Val[pq] + -omega*acc[j]
-						pp++
-						pq++
-					}
-					k++
-				}
-			}
-		},
-		func(ar *par.Arena, s smoothScratch) {
-			par.Put(ar, s.mark)
-			par.Put(ar, s.acc)
-			par.Put(ar, s.cols)
-		})
-	return c, nil
-}
-
-// countSmoothedRows fills counts[i] with the nnz of row i of
-// (I - omega*D^{-1}*A)*P0 — the union of the product pattern and the P0
-// row pattern — sizing SmoothProlongator's output.
-func countSmoothedRows(rt *par.Runtime, a, p0 *Matrix, counts []int) {
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) []int32 {
-			mark := par.Get[int32](ar, p0.Cols)
-			for i := range mark {
-				mark[i] = -1
-			}
-			return mark
-		},
-		func(lo, hi int, mark []int32) {
-			for i := lo; i < hi; i++ {
-				cnt := 0
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					k := a.Col[p]
-					for q := p0.RowPtr[k]; q < p0.RowPtr[k+1]; q++ {
-						j := p0.Col[q]
-						if mark[j] != int32(i) {
-							mark[j] = int32(i)
-							cnt++
-						}
-					}
-				}
-				for q := p0.RowPtr[i]; q < p0.RowPtr[i+1]; q++ {
-					if mark[p0.Col[q]] != int32(i) {
-						cnt++
-					}
-				}
-				counts[i] = cnt
-			}
-		},
-		func(ar *par.Arena, mark []int32) { par.Put(ar, mark) })
-}
-
 // Scale multiplies all values by s in place.
 func (a *Matrix) Scale(s float64) {
 	for i := range a.Val {
@@ -584,116 +323,6 @@ func (a *Matrix) Clone() *Matrix {
 	b.Col = append([]int32(nil), a.Col...)
 	b.Val = append([]float64(nil), a.Val...)
 	return b
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := &Matrix{Rows: n, Cols: n}
-	m.RowPtr = make([]int, n+1)
-	m.Col = make([]int32, n)
-	m.Val = make([]float64, n)
-	for i := 0; i < n; i++ {
-		m.RowPtr[i+1] = i + 1
-		m.Col[i] = int32(i)
-		m.Val[i] = 1
-	}
-	return m
-}
-
-// Add computes A + s*B for matrices with identical dimensions. Every
-// output row is sorted and duplicate-free, so the result round-trips
-// Validate whenever the input values are finite: rows that are already
-// strictly sorted (the Validate invariant) take a linear two-pointer
-// merge; rows violating it — unsorted or with repeated columns — are
-// gathered, stably sorted, and duplicate-combined instead of silently
-// producing an out-of-order result as the seed implementation did.
-func Add(a, b *Matrix, s float64) (*Matrix, error) {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return nil, fmt.Errorf("sparse: add dimension mismatch")
-	}
-	c := &Matrix{Rows: a.Rows, Cols: a.Cols}
-	c.RowPtr = make([]int, a.Rows+1)
-	colBuf := make([]int32, 0, len(a.Col)+len(b.Col))
-	valBuf := make([]float64, 0, len(a.Col)+len(b.Col))
-	var scratch []addEntry
-	for i := 0; i < a.Rows; i++ {
-		pa, pb := a.RowPtr[i], b.RowPtr[i]
-		ea, eb := a.RowPtr[i+1], b.RowPtr[i+1]
-		if !rowStrictlySorted(a.Col[pa:ea]) || !rowStrictlySorted(b.Col[pb:eb]) {
-			scratch = scratch[:0]
-			for p := pa; p < ea; p++ {
-				scratch = append(scratch, addEntry{a.Col[p], a.Val[p]})
-			}
-			for p := pb; p < eb; p++ {
-				scratch = append(scratch, addEntry{b.Col[p], s * b.Val[p]})
-			}
-			colBuf, valBuf = mergeUnsortedRow(scratch, colBuf, valBuf)
-			c.RowPtr[i+1] = len(colBuf)
-			continue
-		}
-		for pa < ea || pb < eb {
-			switch {
-			case pb >= eb || (pa < ea && a.Col[pa] < b.Col[pb]):
-				colBuf = append(colBuf, a.Col[pa])
-				valBuf = append(valBuf, a.Val[pa])
-				pa++
-			case pa >= ea || b.Col[pb] < a.Col[pa]:
-				colBuf = append(colBuf, b.Col[pb])
-				valBuf = append(valBuf, s*b.Val[pb])
-				pb++
-			default:
-				colBuf = append(colBuf, a.Col[pa])
-				valBuf = append(valBuf, a.Val[pa]+s*b.Val[pb])
-				pa++
-				pb++
-			}
-		}
-		c.RowPtr[i+1] = len(colBuf)
-	}
-	c.Col = colBuf
-	c.Val = valBuf
-	return c, nil
-}
-
-// addEntry is one (column, value) contribution of Add's slow path.
-type addEntry struct {
-	col int32
-	val float64
-}
-
-// rowStrictlySorted reports whether cols is strictly ascending (sorted
-// and duplicate-free), the Validate row invariant.
-func rowStrictlySorted(cols []int32) bool {
-	for p := 1; p < len(cols); p++ {
-		if cols[p-1] >= cols[p] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeUnsortedRow stably insertion-sorts the row's contributions by
-// column (A entries keep preceding B entries on ties, matching the fast
-// path's A-then-B summation order) and appends the duplicate-combined
-// result to colBuf/valBuf.
-func mergeUnsortedRow(entries []addEntry, colBuf []int32, valBuf []float64) ([]int32, []float64) {
-	for i := 1; i < len(entries); i++ {
-		e := entries[i]
-		j := i - 1
-		for ; j >= 0 && entries[j].col > e.col; j-- {
-			entries[j+1] = entries[j]
-		}
-		entries[j+1] = e
-	}
-	for k := 0; k < len(entries); {
-		col, val := entries[k].col, entries[k].val
-		for k++; k < len(entries) && entries[k].col == col; k++ {
-			val += entries[k].val
-		}
-		colBuf = append(colBuf, col)
-		valBuf = append(valBuf, val)
-	}
-	return colBuf, valBuf
 }
 
 // Dense is a small dense matrix used for coarse-grid solves.
@@ -713,7 +342,7 @@ type Dense struct {
 // factorization stores N^2 float64s and runs O(N^3) flops, so a
 // misconfigured coarse size (e.g. an AMG MinCoarseSize in the hundreds
 // of thousands) would silently try to allocate gigabytes; above this
-// bound (128 MiB of storage) ToDense, NewDense, and Factorize return a
+// bound (128 MiB of storage) NewDense and Factorize return a
 // descriptive error instead.
 const MaxDenseN = 4096
 
@@ -757,22 +386,6 @@ func (d *Dense) FillFrom(a *Matrix) error {
 		}
 	}
 	return nil
-}
-
-// ToDense converts a square sparse matrix to dense form. Matrices larger
-// than MaxDenseN are rejected (see NewDense).
-func (a *Matrix) ToDense() (*Dense, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("sparse: ToDense requires square matrix")
-	}
-	d, err := NewDense(a.Rows)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.FillFrom(a); err != nil {
-		return nil, err
-	}
-	return d, nil
 }
 
 // Factorize computes an LU factorization with partial pivoting in place.

@@ -12,15 +12,9 @@ import (
 func TestMultiplyByIdentity(t *testing.T) {
 	rt := par.New(4)
 	a := randomMatrix(15, 15, 0.3, 21)
-	id := Identity(15)
-	left, err := Multiply(rt, id, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	right, err := Multiply(rt, a, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	id := identity(15)
+	left := planProduct(t, rt, id, a)
+	right := planProduct(t, rt, a, id)
 	da := toDenseSlice(a)
 	if !almostEqual(toDenseSlice(left), da, 1e-14) || !almostEqual(toDenseSlice(right), da, 1e-14) {
 		t.Fatal("identity multiplication changed the matrix")
@@ -53,37 +47,10 @@ func TestMultiplyAssociativity(t *testing.T) {
 	a := randomMatrix(8, 10, 0.4, 1)
 	b := randomMatrix(10, 6, 0.4, 2)
 	c := randomMatrix(6, 9, 0.4, 3)
-	ab, err := Multiply(rt, a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc1, err := Multiply(rt, ab, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := Multiply(rt, b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc2, err := Multiply(rt, a, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
+	abc1 := planProduct(t, rt, planProduct(t, rt, a, b), c)
+	abc2 := planProduct(t, rt, a, planProduct(t, rt, b, c))
 	if !almostEqual(toDenseSlice(abc1), toDenseSlice(abc2), 1e-10) {
 		t.Fatal("(AB)C != A(BC)")
-	}
-}
-
-func TestAddIdentityCancellation(t *testing.T) {
-	a := randomMatrix(12, 12, 0.3, 9)
-	zero, err := Add(a, a, -1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range zero.Val {
-		if v != 0 {
-			t.Fatal("A - A != 0")
-		}
 	}
 }
 
@@ -176,21 +143,9 @@ func TestDenseSolveProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 2 + int(uint64(seed)%20)
 		// Diagonally dominant random matrix: always nonsingular.
-		a := randomMatrix(n, n, 0.4, seed)
-		// Boost diagonal.
-		d := &Matrix{Rows: n, Cols: n}
-		d.RowPtr = make([]int, n+1)
-		for i := 0; i < n; i++ {
-			d.Col = append(d.Col, int32(i))
-			d.Val = append(d.Val, float64(n)+5)
-			d.RowPtr[i+1] = i + 1
-		}
-		sum, err := Add(a, d, 1)
-		if err != nil {
-			return false
-		}
-		dense, err := sum.ToDense()
-		if err != nil {
+		sum := shiftDiagonal(randomMatrix(n, n, 0.4, seed), float64(n)+5)
+		dense, err := NewDense(n)
+		if err != nil || dense.FillFrom(sum) != nil {
 			return false
 		}
 		if dense.Factorize() != nil {
@@ -237,10 +192,7 @@ func TestRAPShrinksDimensions(t *testing.T) {
 		p.Val = append(p.Val, 1)
 		p.RowPtr[i+1] = i + 1
 	}
-	c, err := RAP(rt, p.Transpose(), a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := planRAP(t, rt, p.Transpose(), a, p)
 	if c.Rows != 5 || c.Cols != 5 {
 		t.Fatalf("RAP shape %dx%d", c.Rows, c.Cols)
 	}

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -56,6 +57,35 @@ func denseMul(a, b []float64, n, k, m int) []float64 {
 	return c
 }
 
+// planProduct forms A*B the way a cold build does: plan, then replay
+// into the plan's result matrix.
+func planProduct(t *testing.T, rt *par.Runtime, a, b *Matrix) *Matrix {
+	t.Helper()
+	pl, err := PlanMultiply(rt, a, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pl.NewMatrix()
+	if err := pl.Replay(rt, a, b, c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// planRAP forms R*A*P through a RAP plan and one replay.
+func planRAP(t *testing.T, rt *par.Runtime, r, a, p *Matrix) *Matrix {
+	t.Helper()
+	pl, err := PlanRAP(rt, r, a, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := pl.NewMatrix()
+	if err := pl.Replay(rt, r, a, p, c); err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func almostEqual(a, b []float64, tol float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -94,6 +124,8 @@ func TestSpMVAgainstDense(t *testing.T) {
 	}
 }
 
+// TestMultiplyAgainstDense checks product plans against a dense A*B and
+// smooth plans against a dense (I - omega*D^{-1}*A)*P0, to a tolerance.
 func TestMultiplyAgainstDense(t *testing.T) {
 	rt := par.New(4)
 	f := func(seed int64) bool {
@@ -102,47 +134,65 @@ func TestMultiplyAgainstDense(t *testing.T) {
 		m := 1 + int(uint64(seed)%22)
 		a := randomMatrix(n, k, 0.3, seed)
 		b := randomMatrix(k, m, 0.3, seed+1)
-		c, err := Multiply(rt, a, b)
-		if err != nil || c.Validate() != nil {
+		c := planProduct(t, rt, a, b)
+		if c.Validate() != nil {
 			return false
 		}
 		want := denseMul(toDenseSlice(a), toDenseSlice(b), n, k, m)
-		return almostEqual(toDenseSlice(c), want, 1e-10)
+		if !almostEqual(toDenseSlice(c), want, 1e-10) {
+			return false
+		}
+
+		s := randomMatrix(k, k, 0.3, seed+2)
+		dinv := make([]float64, k)
+		for i := range dinv {
+			dinv[i] = 1 / (1 + float64(i%7))
+		}
+		const omega = 0.61
+		pl, err := PlanSmoothProlongator(rt, s, b)
+		if err != nil {
+			return false
+		}
+		out := pl.NewMatrix()
+		if pl.Replay(rt, s, b, dinv, omega, out) != nil || out.Validate() != nil {
+			return false
+		}
+		smooth := denseMul(toDenseSlice(s), toDenseSlice(b), k, k, m)
+		db := toDenseSlice(b)
+		for i := 0; i < k; i++ {
+			for j := 0; j < m; j++ {
+				smooth[i*m+j] = db[i*m+j] - omega*dinv[i]*smooth[i*m+j]
+			}
+		}
+		return almostEqual(toDenseSlice(out), smooth, 1e-10)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }
 
+// TestMultiplyDimensionMismatch: a RAP plan rejects operands whose
+// inner dimensions do not chain, in either of its two products.
 func TestMultiplyDimensionMismatch(t *testing.T) {
 	rt := par.New(2)
-	a := randomMatrix(3, 4, 0.5, 1)
-	b := randomMatrix(5, 3, 0.5, 2)
-	if _, err := Multiply(rt, a, b); err == nil {
-		t.Fatal("dimension mismatch not reported")
+	a := randomMatrix(6, 6, 0.5, 1)
+	p := randomMatrix(6, 3, 0.5, 2)
+	if _, err := PlanRAP(rt, p.Transpose(), a, randomMatrix(5, 3, 0.5, 3)); err == nil {
+		t.Fatal("A*P dimension mismatch not reported")
+	}
+	if _, err := PlanRAP(rt, randomMatrix(3, 5, 0.5, 4), a, p); err == nil {
+		t.Fatal("R*(AP) dimension mismatch not reported")
 	}
 }
 
+// TestMultiplyDeterministicAcrossThreads: a product planned and replayed
+// at 2 or 8 workers equals the 1-worker result in pattern and value bits.
 func TestMultiplyDeterministicAcrossThreads(t *testing.T) {
 	a := randomMatrix(80, 60, 0.1, 3)
 	b := randomMatrix(60, 70, 0.1, 4)
-	ref, err := Multiply(par.New(1), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := planProduct(t, par.New(1), a, b)
 	for _, w := range []int{2, 8} {
-		c, err := Multiply(par.New(w), a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(c.Col) != len(ref.Col) {
-			t.Fatalf("nnz differs: %d vs %d", len(c.Col), len(ref.Col))
-		}
-		for i := range ref.Col {
-			if c.Col[i] != ref.Col[i] || c.Val[i] != ref.Val[i] {
-				t.Fatalf("entry %d differs across thread counts", i)
-			}
-		}
+		matricesEqual(t, fmt.Sprintf("product@%d", w), planProduct(t, par.New(w), a, b), ref)
 	}
 }
 
@@ -171,34 +221,12 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestAdd(t *testing.T) {
-	a := randomMatrix(20, 20, 0.2, 5)
-	b := randomMatrix(20, 20, 0.2, 6)
-	c, err := Add(a, b, -2.5)
-	if err != nil || c.Validate() != nil {
-		t.Fatalf("Add failed: %v", err)
-	}
-	da, db, dc := toDenseSlice(a), toDenseSlice(b), toDenseSlice(c)
-	for i := range da {
-		want := da[i] - 2.5*db[i]
-		if math.Abs(dc[i]-want) > 1e-12 {
-			t.Fatalf("entry %d: got %g want %g", i, dc[i], want)
-		}
-	}
-	if _, err := Add(a, randomMatrix(5, 5, 0.5, 7), 1); err == nil {
-		t.Fatal("Add dimension mismatch not reported")
-	}
-}
-
 func TestRAPGalerkin(t *testing.T) {
 	rt := par.New(4)
 	a := randomMatrix(12, 12, 0.3, 8)
 	p := randomMatrix(12, 4, 0.4, 9)
 	r := p.Transpose()
-	c, err := RAP(rt, r, a, p)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := planRAP(t, rt, r, a, p)
 	da, dp := toDenseSlice(a), toDenseSlice(p)
 	ap := denseMul(da, dp, 12, 12, 4)
 	dr := toDenseSlice(r)
@@ -264,7 +292,7 @@ func TestValidateCatchesErrors(t *testing.T) {
 }
 
 func TestIdentityAndScaleClone(t *testing.T) {
-	id := Identity(4)
+	id := identity(4)
 	if id.Validate() != nil || id.NNZ() != 4 {
 		t.Fatal("identity malformed")
 	}
@@ -293,8 +321,11 @@ func TestDenseLUSolve(t *testing.T) {
 		}
 		a.RowPtr[i+1] = len(a.Col)
 	}
-	d, err := a.ToDense()
+	d, err := NewDense(n)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillFrom(a); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Factorize(); err != nil {
@@ -320,9 +351,13 @@ func TestDenseSingularDetected(t *testing.T) {
 	}
 }
 
-func TestToDenseRequiresSquare(t *testing.T) {
+func TestFillFromRequiresSquare(t *testing.T) {
 	a := randomMatrix(3, 4, 0.5, 11)
-	if _, err := a.ToDense(); err == nil {
-		t.Fatal("non-square ToDense not rejected")
+	d, err := NewDense(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillFrom(a); err == nil {
+		t.Fatal("non-square FillFrom not rejected")
 	}
 }

@@ -114,76 +114,6 @@ func TestSpMVResidualAndAddMatchUnfused(t *testing.T) {
 	}
 }
 
-// TestSmoothProlongatorMatchesComposition pins the fused one-pass
-// Gustavson kernel against the three-step composition it replaced
-// (row-scale copy, Multiply, Add): identical pattern and bitwise
-// identical values, for every worker count.
-func TestSmoothProlongatorMatchesComposition(t *testing.T) {
-	a := testMatrix(t, 200, 200)
-	// An aggregation-shaped P0: one entry per row, 40 coarse columns.
-	p0 := &Matrix{Rows: 200, Cols: 40}
-	p0.RowPtr = make([]int, 201)
-	for i := 0; i < 200; i++ {
-		p0.Col = append(p0.Col, int32((i/5)%40))
-		p0.Val = append(p0.Val, 1)
-		p0.RowPtr[i+1] = i + 1
-	}
-	dinv := make([]float64, a.Rows)
-	for i := range dinv {
-		dinv[i] = 1 / (1.5 + float64(i%9))
-	}
-	const omega = 0.61
-	rt := par.New(1)
-
-	// Reference: the seed's three-step composition.
-	s := a.Clone()
-	for i := 0; i < s.Rows; i++ {
-		for q := s.RowPtr[i]; q < s.RowPtr[i+1]; q++ {
-			s.Val[q] *= dinv[i]
-		}
-	}
-	sp, err := Multiply(rt, s, p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Add(p0, sp, -omega)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, workers := range []int{1, 2, 8} {
-		got, err := SmoothProlongator(par.New(workers), a, p0, dinv, omega)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Rows != want.Rows || got.Cols != want.Cols || got.NNZ() != want.NNZ() {
-			t.Fatalf("w=%d: shape %dx%d nnz %d, want %dx%d nnz %d",
-				workers, got.Rows, got.Cols, got.NNZ(), want.Rows, want.Cols, want.NNZ())
-		}
-		for i := 0; i <= got.Rows; i++ {
-			if got.RowPtr[i] != want.RowPtr[i] {
-				t.Fatalf("w=%d: RowPtr[%d]=%d, want %d", workers, i, got.RowPtr[i], want.RowPtr[i])
-			}
-		}
-		for p := range got.Col {
-			if got.Col[p] != want.Col[p] {
-				t.Fatalf("w=%d: Col[%d]=%d, want %d", workers, p, got.Col[p], want.Col[p])
-			}
-			if math.Float64bits(got.Val[p]) != math.Float64bits(want.Val[p]) {
-				t.Fatalf("w=%d: Val[%d]=%g, want %g (bitwise)", workers, p, got.Val[p], want.Val[p])
-			}
-		}
-	}
-
-	// Dimension mismatches are rejected.
-	if _, err := SmoothProlongator(rt, a, &Matrix{Rows: 3, Cols: 2, RowPtr: []int{0, 0, 0, 0}}, dinv, omega); err == nil {
-		t.Fatal("mismatched inner dimension accepted")
-	}
-	if _, err := SmoothProlongator(rt, a, p0, dinv[:10], omega); err == nil {
-		t.Fatal("short dinv accepted")
-	}
-}
-
 func TestSpMMZeroAllocsSerial(t *testing.T) {
 	a := testMatrix(t, 600, 600)
 	for _, k := range []int{4, 8, 5} {
