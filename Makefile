@@ -22,11 +22,12 @@
 # `make examples` runs every program under examples/ with `go run` and
 # fails on the first non-zero exit (`go build ./...` only compiles them).
 #
-# `make fuzz FUZZTIME=30s` runs each of the five fuzz targets (MIS-2
+# `make fuzz FUZZTIME=30s` runs each of the six fuzz targets (MIS-2
 # validity and its output at 1/2/8 workers with and without the unrolled
 # loops, CoarseGraph against its serial reference, the operator formats
 # against CSR, SpGEMM product and smooth plans against their serial
-# reference, amgserve's request decoder against encoding/json)
+# reference, Matrix.GraphWith on unsorted and duplicate rows against its
+# serial reference, amgserve's request decoder against encoding/json)
 # for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
@@ -47,7 +48,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke examples
 
@@ -71,7 +72,7 @@ check: lint
 	go vet ./...
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
-	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint|FuzzProductPlan|TestRAPPlanReplayAcrossWorkers' ./...
+	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint|FuzzProductPlan|FuzzGraphWith|TestRAPPlanReplayAcrossWorkers' ./...
 
 examples:
 	@for d in examples/*/; do echo "go run ./$$d"; go run ./$$d || exit 1; done
@@ -81,6 +82,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzCoarseGraph$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/coarsen
 	go test -run '^$$' -fuzz '^FuzzOperatorFormats$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzProductPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
+	go test -run '^$$' -fuzz '^FuzzGraphWith$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzSolveRequestDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./cmd/amgserve
 
 bench:

@@ -179,6 +179,28 @@ func BenchmarkCoarseGraph(b *testing.B) {
 	}
 }
 
+// BenchmarkGraphWith extracts the symmetrized, diagonal-free graph of
+// the level-0 operators of amgbench's mis2-coarsen (Laplace3D 64³) and
+// amg-cold (Elasticity3D 14³×3) workloads.
+func BenchmarkGraphWith(b *testing.B) {
+	for _, tc := range []struct {
+		name string
+		g    func() *graph.CSR
+	}{
+		{"laplace3d-64", func() *graph.CSR { return gen.Laplace3D(64, 64, 64) }},
+		{"elasticity3d-14x3", func() *graph.CSR { return gen.Elasticity3D(14, 14, 14, 3) }},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			a := gen.Laplacian(tc.g(), 1e-4)
+			rt := par.Default()
+			b.ReportAllocs()
+			for b.Loop() {
+				a.GraphWith(rt)
+			}
+		})
+	}
+}
+
 // BenchmarkMIS2Levels runs the phase-1 MIS-2 of MIS2Aggregation (the
 // whole level graph, default options) on each level of the same
 // coarsening.

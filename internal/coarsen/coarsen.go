@@ -21,7 +21,6 @@ package coarsen
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"mis2go/internal/color"
 	"mis2go/internal/graph"
@@ -527,11 +526,10 @@ func CoarseGraph(g *graph.CSR, agg Aggregation) *graph.CSR {
 }
 
 // coarseGraph is CoarseGraph on rt. It lists each aggregate's members by
-// counting sort, then walks each aggregate's members once. Every block of
-// aggregates appends its rows' distinct adjacent aggregates to its own
-// staging buffer and records each row's length; a scan turns the lengths
-// into RowPtr, and one more pass copies each block's segment into Col
-// and sorts every row. No edge list is built.
+// counting sort, then graph.Collect walks each aggregate's members once,
+// staging each block's rows in a buffer sized by the members' degree sum
+// (a row lists at most one aggregate per member arc, so it never
+// regrows). No edge list is built.
 func coarseGraph(rt *par.Runtime, g *graph.CSR, agg Aggregation) *graph.CSR {
 	na := agg.NumAggregates
 	labels := agg.Labels[:g.N]
@@ -560,65 +558,39 @@ func coarseGraph(rt *par.Runtime, g *graph.CSR, agg Aggregation) *graph.CSR {
 	}
 	par.Put(ar, next)
 
-	rowPtr := make([]int, na+1)
-	blocks := rt.Blocks(na)
-	staged := make([][]int32, len(blocks)-1)
-	rt.ForBlocks(len(staged), func(blk int) {
-		lo, hi := blocks[blk], blocks[blk+1]
-		blkMembers := members[memPtr[lo]:memPtr[hi]]
-		// A row lists at most one aggregate per member edge, so the
-		// members' degree sum bounds the block's staging.
-		bound := 0
-		for _, v := range blkMembers {
-			bound += g.RowPtr[v+1] - g.RowPtr[v]
-		}
-		buf := make([]int32, bound)
-		ba := par.AcquireArena()
-		// stamp[b] == a marks aggregate b as already seen in row a.
-		stamp := par.Get[int32](ba, na)
-		for i := range stamp {
-			stamp[i] = unaggregated
-		}
-		n := 0
-		for a := lo; a < hi; a++ {
-			rowPtr[a] = adjacentAggregates(g, labels, members[memPtr[a]:memPtr[a+1]], int32(a), stamp, buf[n:])
-			n += rowPtr[a]
-		}
-		staged[blk] = buf[:n]
-		par.Put(ba, stamp)
-		par.ReleaseArena(ba)
-	})
+	cg := graph.Collect(rt, na, na,
+		func(lo, hi int) int {
+			bound := 0
+			for _, v := range members[memPtr[lo]:memPtr[hi]] {
+				bound += g.Degree(v)
+			}
+			return bound
+		},
+		func(a int, mark, buf []int32) []int32 {
+			return adjacentAggregates(g, labels, members[memPtr[a]:memPtr[a+1]], int32(a), mark, buf)
+		})
 	par.Put(ar, memPtr)
 	par.Put(ar, members)
-	col := make([]int32, par.ScanExclusive(rt, rowPtr[:na], rowPtr))
-	rt.ForBlocks(len(staged), func(blk int) {
-		copy(col[rowPtr[blocks[blk]]:], staged[blk])
-		for a := blocks[blk]; a < blocks[blk+1]; a++ {
-			slices.Sort(col[rowPtr[a]:rowPtr[a+1]])
-		}
-	})
-	return &graph.CSR{N: na, RowPtr: rowPtr, Col: col}
+	return cg
 }
 
-// adjacentAggregates writes to dst, in discovery order, the aggregates
+// adjacentAggregates appends to buf, in discovery order, the aggregates
 // other than a that hold a neighbor of one of a's members, each once,
-// skipping labels outside [0, len(stamp)), and returns their count.
-// stamp[b] == a marks b as already written.
-func adjacentAggregates(g *graph.CSR, labels, members []int32, a int32, stamp, dst []int32) int {
+// skipping labels outside [0, len(stamp)). stamp[b] == a marks b as
+// already appended.
+func adjacentAggregates(g *graph.CSR, labels, members []int32, a int32, stamp, buf []int32) []int32 {
 	na := uint32(len(stamp))
 	stamp[a] = a
-	n := 0
 	for _, v := range members {
 		for _, w := range g.Neighbors(v) {
 			b := labels[w]
 			if uint32(b) < na && stamp[b] != a {
 				stamp[b] = a
-				dst[n] = b
-				n++
+				buf = append(buf, b)
 			}
 		}
 	}
-	return n
+	return buf
 }
 
 // Prolongator builds the tentative prolongation matrix P0 for smoothed

@@ -168,62 +168,28 @@ func (g *CSR) sortDedupe() {
 
 // Square returns the graph whose edges connect vertices at distance 1 or 2
 // in g (the boolean square of the adjacency matrix with self-loops,
-// diagonal dropped). Used to verify MIS-2(G) == MIS-1(G²) (Lemma IV.2).
+// diagonal dropped), built by Collect on par.Default(). Used to verify
+// MIS-2(G) == MIS-1(G²) (Lemma IV.2).
 func (g *CSR) Square() *CSR {
-	n := g.N
-	rowPtr := make([]int, n+1)
-	stamp := make([]int32, n)
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	// Pass 1: count distinct distance<=2 neighbors of each vertex.
-	for v := 0; v < n; v++ {
-		rowPtr[v+1] = rowPtr[v] + g.countRadius2(int32(v), stamp)
-	}
-	col := make([]int32, rowPtr[n])
-	for i := range stamp {
-		stamp[i] = -1
-	}
-	for v := int32(0); int(v) < n; v++ {
-		k := rowPtr[v]
-		stamp[v] = v
-		for _, w := range g.Neighbors(v) {
-			if stamp[w] != v {
-				stamp[w] = v
-				col[k] = w
-				k++
-			}
-			for _, x := range g.Neighbors(w) {
-				if x != v && stamp[x] != v {
-					stamp[x] = v
-					col[k] = x
-					k++
+	return Collect(par.Default(), g.N, g.N,
+		func(lo, hi int) int { return g.RowPtr[hi] - g.RowPtr[lo] },
+		func(i int, mark, buf []int32) []int32 {
+			v := int32(i)
+			mark[v] = v
+			for _, w := range g.Neighbors(v) {
+				if mark[w] != v {
+					mark[w] = v
+					buf = append(buf, w)
+				}
+				for _, x := range g.Neighbors(w) {
+					if mark[x] != v {
+						mark[x] = v
+						buf = append(buf, x)
+					}
 				}
 			}
-		}
-		slices.Sort(col[rowPtr[v]:k])
-	}
-	return &CSR{N: n, RowPtr: rowPtr, Col: col}
-}
-
-// countRadius2 counts distinct vertices at distance 1..2 from v, using
-// stamp as scratch (stamped with v's id).
-func (g *CSR) countRadius2(v int32, stamp []int32) int {
-	c := 0
-	stamp[v] = v
-	for _, w := range g.Neighbors(v) {
-		if stamp[w] != v {
-			stamp[w] = v
-			c++
-		}
-		for _, x := range g.Neighbors(w) {
-			if x != v && stamp[x] != v {
-				stamp[x] = v
-				c++
-			}
-		}
-	}
-	return c
+			return buf
+		})
 }
 
 // InducedSubgraph returns the subgraph induced by the vertices for which

@@ -2,11 +2,13 @@
 //
 // AMG setup solves long sequences of systems whose sparsity pattern is
 // fixed while the values change (time stepping, Newton, parameter
-// sweeps). The expensive part of Gustavson's SpGEMM — the mark/merge
-// symbolic phase that discovers each output row's pattern — depends only
-// on the operand patterns, so it can run once and be replayed. A *plan*
-// captures that symbolic result, the output RowPtr/Col (sorted rows),
-// and nothing else. Its Replay method refills a result matrix's values
+// sweeps). The expensive part of Gustavson's SpGEMM — the symbolic
+// phase that marks each output row's columns and sorts them — depends
+// only on the operand patterns, so it can run once and be replayed. The
+// symbolic phase is graph.Collect, the builder the fine and coarse
+// graphs share, with Gustavson's mark phase as its row walk. A *plan*
+// captures its result, the output RowPtr/Col (sorted rows), and nothing
+// else. Its Replay method refills a result matrix's values
 // with zero steady-state allocations (accumulator scratch comes from the
 // worker arenas). Product, transpose and smooth plans never change
 // after planning, so any number of goroutines may replay one at once
@@ -40,6 +42,7 @@ import (
 	"fmt"
 	"math"
 
+	"mis2go/internal/graph"
 	"mis2go/internal/par"
 )
 
@@ -177,48 +180,11 @@ func PlanMultiply(rt *par.Runtime, a, b *Matrix) (*ProductPlan, error) {
 		return nil, fmt.Errorf("sparse: dimension mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
 	pl := &ProductPlan{aRows: a.Rows, aCols: a.Cols, bCols: b.Cols, aNNZ: a.NNZ(), bNNZ: b.NNZ()}
-	pl.ptr, pl.col = collectPattern(rt, a, b.Cols, func(i int, mark, buf []int32) []int32 {
+	pat := graph.Collect(rt, a.Rows, b.Cols, a.nnzIn, func(i int, mark, buf []int32) []int32 {
 		return appendProductCols(a, b, i, mark, buf)
 	})
+	pl.ptr, pl.col = pat.RowPtr, pat.Col
 	return pl, nil
-}
-
-// collectPattern builds a row-sorted pattern with one walk of the flop
-// structure: row(i, mark, buf) appends the distinct columns of output
-// row i to buf, stamping mark[j] = i for each. Each row block of A
-// collects into its own buffer, a scan of the row counts places the
-// blocks, and every row is sorted where it lands. A row's column set is
-// fixed by the patterns, so the output is byte-identical at any worker
-// count.
-func collectPattern(rt *par.Runtime, a *Matrix, cols int, row func(i int, mark, buf []int32) []int32) ([]int, []int32) {
-	ptr := make([]int, a.Rows+1)
-	blocks := rt.Blocks(a.Rows)
-	bufs := make([][]int32, len(blocks)-1)
-	rt.ForBlocks(len(bufs), func(blk int) {
-		lo, hi := blocks[blk], blocks[blk+1]
-		ar := par.AcquireArena()
-		mark := par.Get[int32](ar, cols)
-		for i := range mark {
-			mark[i] = -1
-		}
-		buf := make([]int32, 0, a.RowPtr[hi]-a.RowPtr[lo])
-		for i := lo; i < hi; i++ {
-			n := len(buf)
-			buf = row(i, mark, buf)
-			ptr[i] = len(buf) - n
-		}
-		bufs[blk] = buf
-		par.Put(ar, mark)
-		par.ReleaseArena(ar)
-	})
-	col := make([]int32, par.ScanExclusive(rt, ptr[:a.Rows], ptr))
-	rt.ForBlocks(len(bufs), func(blk int) {
-		copy(col[ptr[blocks[blk]]:], bufs[blk])
-		for i := blocks[blk]; i < blocks[blk+1]; i++ {
-			sortRow(col[ptr[i]:ptr[i+1]])
-		}
-	})
-	return ptr, col
 }
 
 // appendProductCols appends to buf the columns of row i of A*B that are
@@ -231,6 +197,18 @@ func appendProductCols(a, b *Matrix, i int, mark, buf []int32) []int32 {
 				mark[j] = int32(i)
 				buf = append(buf, j)
 			}
+		}
+	}
+	return buf
+}
+
+// appendUnstamped appends to buf the columns in cols not yet stamped
+// with i, stamping each.
+func appendUnstamped(cols []int32, i int32, mark, buf []int32) []int32 {
+	for _, j := range cols {
+		if mark[j] != i {
+			mark[j] = i
+			buf = append(buf, j)
 		}
 	}
 	return buf
@@ -364,16 +342,11 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 	pl := &SmoothPlan{aRows: a.Rows, aCols: a.Cols, p0Cols: p0.Cols, aNNZ: a.NNZ(), p0NNZ: p0.NNZ()}
 	// The union of the product row and the P0 row, sorted, is exactly
 	// the pattern the smooth merge writes.
-	pl.ptr, pl.col = collectPattern(rt, a, p0.Cols, func(i int, mark, buf []int32) []int32 {
+	pat := graph.Collect(rt, a.Rows, p0.Cols, a.nnzIn, func(i int, mark, buf []int32) []int32 {
 		buf = appendProductCols(a, p0, i, mark, buf)
-		for q := p0.RowPtr[i]; q < p0.RowPtr[i+1]; q++ {
-			if j := p0.Col[q]; mark[j] != int32(i) {
-				mark[j] = int32(i)
-				buf = append(buf, j)
-			}
-		}
-		return buf
+		return appendUnstamped(p0.Col[p0.RowPtr[i]:p0.RowPtr[i+1]], int32(i), mark, buf)
 	})
+	pl.ptr, pl.col = pat.RowPtr, pat.Col
 	// An entry is P0-only when no column of its product row stamps it.
 	pl.p0Only = make([]bool, len(pl.col))
 	par.ForWith(rt, a.Rows,

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"mis2go/internal/graph"
 	"mis2go/internal/par"
@@ -87,113 +86,28 @@ func (a *Matrix) Diagonal() []float64 {
 // symmetrized. This is the graph coarsening and coloring operate on.
 func (a *Matrix) Graph() *graph.CSR { return a.GraphWith(par.Default()) }
 
-// GraphWith is Graph with an explicit runtime. For the common case of
-// sorted duplicate-free rows (the Validate invariant) the symmetrized
-// CSR is built directly with a count + scan + merge over rows of A and
-// its structural transpose — no intermediate edge list. Deterministic:
-// each output row is a merge of two sorted lists, independent of
-// blocking. Matrices with unsorted or duplicate row entries fall back
-// to the tolerant edge-list construction.
+// GraphWith is Graph with an explicit runtime. Row i of the graph is
+// the set of columns of A's row i and of its structural transpose's row
+// i, less i itself, built by graph.Collect: A's rows need not be sorted
+// or duplicate-free. The graph has max(Rows, Cols) vertices, and it is
+// byte-identical at any worker count.
 func (a *Matrix) GraphWith(rt *par.Runtime) *graph.CSR {
-	n := a.Rows
-	if a.Cols > n {
-		n = a.Cols
-	}
-	if !a.rowsSorted(rt) {
-		return a.graphFromEdges(n)
-	}
+	n := max(a.Rows, a.Cols)
 	tPtr, tCol, _ := a.transposeBlocked(rt, n, false, nil)
-
-	g := &graph.CSR{N: n}
-	g.RowPtr = make([]int, n+1)
-	ar := par.AcquireArena()
-	counts := par.Get[int](ar, n)
-	// rowOf returns the sorted column list of row i of A (empty past Rows).
-	rowOf := func(i int) []int32 {
-		if i >= a.Rows {
-			return nil
+	return graph.Collect(rt, n, n, a.nnzIn, func(i int, mark, buf []int32) []int32 {
+		mark[i] = int32(i)
+		if i < a.Rows {
+			buf = appendUnstamped(a.Col[a.RowPtr[i]:a.RowPtr[i+1]], int32(i), mark, buf)
 		}
-		return a.Col[a.RowPtr[i]:a.RowPtr[i+1]]
-	}
-	rt.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			counts[i] = mergeRow(rowOf(i), tCol[tPtr[i]:tPtr[i+1]], int32(i), nil)
-		}
+		return appendUnstamped(tCol[tPtr[i]:tPtr[i+1]], int32(i), mark, buf)
 	})
-	nnz := par.ScanExclusive(rt, counts, g.RowPtr)
-	g.RowPtr[n] = nnz
-	g.Col = make([]int32, nnz)
-	rt.For(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			mergeRow(rowOf(i), tCol[tPtr[i]:tPtr[i+1]], int32(i), g.Col[g.RowPtr[i]:g.RowPtr[i+1]])
-		}
-	})
-	par.Put(ar, counts)
-	par.ReleaseArena(ar)
-	return g
 }
 
-// rowsSorted reports whether every row's column indices are strictly
-// ascending (the Validate invariant the merge-based Graph build needs).
-func (a *Matrix) rowsSorted(rt *par.Runtime) bool {
-	bad := par.ReduceSum(rt, a.Rows, func(i int) int64 {
-		for p := a.RowPtr[i] + 1; p < a.RowPtr[i+1]; p++ {
-			if a.Col[p-1] >= a.Col[p] {
-				return 1
-			}
-		}
-		return 0
-	})
-	return bad == 0
-}
-
-// graphFromEdges is the seed's tolerant Graph construction: materialize
-// both triangles as an edge list and let FromEdges sort and dedupe.
-func (a *Matrix) graphFromEdges(n int) *graph.CSR {
-	edges := make([]graph.Edge, 0, len(a.Col))
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			j := a.Col[p]
-			if int(j) > i {
-				edges = append(edges, graph.Edge{U: int32(i), V: j})
-			} else if int(j) < i {
-				edges = append(edges, graph.Edge{U: j, V: int32(i)})
-			}
-		}
-	}
-	return graph.FromEdges(n, edges)
-}
-
-// mergeRow merges two sorted duplicate-free column lists, dropping the
-// diagonal entry diag, and either counts the union (dst == nil) or
-// writes it into dst. Returns the union size.
-//
-//amg:hotpath
-func mergeRow(x, y []int32, diag int32, dst []int32) int {
-	k, px, py := 0, 0, 0
-	for px < len(x) || py < len(y) {
-		var c int32
-		switch {
-		case py >= len(y) || (px < len(x) && x[px] < y[py]):
-			c = x[px]
-			px++
-		case px >= len(x) || y[py] < x[px]:
-			c = y[py]
-			py++
-		default:
-			c = x[px]
-			px++
-			py++
-		}
-		if c == diag {
-			continue
-		}
-		if dst != nil {
-			dst[k] = c
-		}
-		k++
-	}
-	return k
+// nnzIn returns the stored-entry count of rows [lo, hi) of A, counting
+// rows past the last as empty: the staging capacity graph.Collect gets
+// for a pattern gathered through A's rows.
+func (a *Matrix) nnzIn(lo, hi int) int {
+	return a.RowPtr[min(hi, a.Rows)] - a.RowPtr[min(lo, a.Rows)]
 }
 
 // Transpose returns A^T using a blocked counting sort over columns
@@ -283,30 +197,6 @@ func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, per
 	par.Put(ar, starts)
 	par.ReleaseArena(ar)
 	return ptr, col, val
-}
-
-// insertionSortThreshold is the output-row length at or below which the
-// numeric pass sorts column indices with a branchy insertion sort; above
-// it, slices.Sort (pdqsort, closure-free). Mesh and Galerkin rows are
-// almost always short, so insertion sort dominates in practice.
-const insertionSortThreshold = 32
-
-// sortRow sorts a short column slice in place.
-//
-//amg:hotpath
-func sortRow(cols []int32) {
-	if len(cols) <= insertionSortThreshold {
-		for i := 1; i < len(cols); i++ {
-			v := cols[i]
-			j := i - 1
-			for ; j >= 0 && cols[j] > v; j-- {
-				cols[j+1] = cols[j]
-			}
-			cols[j+1] = v
-		}
-		return
-	}
-	slices.Sort(cols)
 }
 
 // Scale multiplies all values by s in place.
