@@ -51,6 +51,7 @@ func BenchmarkSpGEMMGalerkin(b *testing.B) {
 		b.Fatal(err)
 	}
 	out := pl.NewMatrix()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := pl.Replay(rt, r, a, p, out); err != nil {

@@ -337,7 +337,7 @@ func BenchmarkAblationSIMD(b *testing.B) {
 	g := gen.Elasticity3D(10, 10, 10, 3) // avg degree ~70: SIMD engages
 	b.Run("scalar", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			mis.MIS2(g, mis.Options{NoSIMD: true})
+			mis.MIS2Variant(g, mis.VariantPacked, 0)
 		}
 	})
 	b.Run("unrolled", func(b *testing.B) {

@@ -16,9 +16,9 @@ import (
 //     composite literal (struct and array value literals are stack
 //     values and allowed)
 //   - closure (func literal) creation, except literals passed directly
-//     to the par runtime (For/ForWith participants are the repo's
-//     parallelism idiom; their handoff cost is what the workers==1
-//     inline fast path and the alloc gates measure)
+//     to the par runtime (For, ForBlocks and ReduceSum bodies are the
+//     repo's parallelism idiom; their handoff cost is what the
+//     workers==1 inline fast path and the alloc gates measure)
 //   - go and defer statements
 //   - allocating string conversions (string <-> []byte/[]rune, string(rune))
 //   - calls into fmt (formatting allocates)

@@ -69,8 +69,8 @@ func unannotated(n int) []float64 {
 	return append(make([]float64, 0, n), 1)
 }
 
-// driver shows the par exemption: participant closures are allowed,
-// but their bodies are still checked.
+// driver shows the par exemption: closures handed to the runtime are
+// allowed, but their bodies are still checked.
 //
 //amg:hotpath
 func driver(rt *par.Runtime, n int, x, y []float64) {
@@ -79,27 +79,17 @@ func driver(rt *par.Runtime, n int, x, y []float64) {
 			y[i] = 2 * x[i]
 		}
 	})
-	par.ForWith(rt, n,
-		func() []float64 { return y },
-		func(lo, hi int, s []float64) {
-			_ = make([]float64, 1) // want `calls make`
-		},
-		nil)
 }
 
-// explicitDriver instantiates the par runtime explicitly: the
-// participant closures are exempt exactly as in the inferred form.
+// explicitDriver instantiates the par runtime explicitly: the closure
+// is exempt exactly as in the inferred form, and its body is checked.
 //
 //amg:hotpath
-func explicitDriver(rt *par.Runtime, n int, y []float64) {
-	par.ForWith[[]float64](rt, n,
-		func() []float64 { return y },
-		func(lo, hi int, s []float64) {
-			for i := lo; i < hi; i++ {
-				s[i] = 0
-			}
-		},
-		nil)
+func explicitDriver(rt *par.Runtime, n int, y []float64) int {
+	return par.ReduceSum[int](rt, n, func(i int) int {
+		_ = make([]float64, 1) // want `calls make`
+		return int(y[i])
+	})
 }
 
 // genericKernel boxes a type-parameter value into an interface

@@ -6,6 +6,7 @@ import (
 
 	"mis2go/internal/graph"
 	"mis2go/internal/hash"
+	"mis2go/internal/par"
 )
 
 // fuzzMISGraph builds a graph of 1 to 6000 vertices with about
@@ -58,10 +59,15 @@ func FuzzMIS2(f *testing.F) {
 		}
 		for _, th := range []int{1, 2, 8} {
 			for _, noSIMD := range []bool{false, true} {
-				got := MIS2(g, Options{Hash: kind, Threads: th, NoSIMD: noSIMD, CollectStats: true})
+				var got Result
+				if noSIMD {
+					got = mis2Packed(g, kind, false, true, par.New(th))
+				} else {
+					got = MIS2(g, Options{Hash: kind, Threads: th, CollectStats: true})
+				}
 				if !slices.Equal(got.InSet, ref.InSet) || got.Iterations != ref.Iterations ||
 					!slices.Equal(got.Worklist1, ref.Worklist1) || !slices.Equal(got.Worklist2, ref.Worklist2) {
-					t.Fatalf("%d workers, NoSIMD=%v: got size %d, %d iterations, worklists %v/%v; "+
+					t.Fatalf("%d workers, noSIMD=%v: got size %d, %d iterations, worklists %v/%v; "+
 						"want size %d, %d iterations, worklists %v/%v",
 						th, noSIMD, len(got.InSet), got.Iterations, got.Worklist1, got.Worklist2,
 						len(ref.InSet), ref.Iterations, ref.Worklist1, ref.Worklist2)

@@ -27,8 +27,6 @@ type Options struct {
 	Hash hash.Kind
 	// Threads is the worker count; 0 means GOMAXPROCS.
 	Threads int
-	// NoSIMD disables the unrolled inner loops regardless of degree.
-	NoSIMD bool
 	// CollectStats records per-iteration worklist sizes in
 	// Result.Worklist1/Worklist2 (diagnostics for the §V-B worklist
 	// optimization; small overhead).
@@ -59,8 +57,7 @@ type Result struct {
 // identical for every thread count and across runs.
 func MIS2(g *graph.CSR, opt Options) Result {
 	rt := par.New(opt.Threads)
-	simd := !opt.NoSIMD && g.AvgDegree() >= MinSIMDDegree
-	return mis2Packed(g, opt.Hash, simd, opt.CollectStats, rt)
+	return mis2Packed(g, opt.Hash, g.AvgDegree() >= MinSIMDDegree, opt.CollectStats, rt)
 }
 
 // mis2Packed is Algorithm 1 with packed tuples and worklists.

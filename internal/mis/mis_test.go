@@ -7,6 +7,7 @@ import (
 
 	"mis2go/internal/graph"
 	"mis2go/internal/hash"
+	"mis2go/internal/par"
 )
 
 func randomGraph(n, m int, seed int64) *graph.CSR {
@@ -188,7 +189,7 @@ func TestLemmaIV2Equivalence(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 5 + int(uint64(seed)%120)
 		g := randomGraph(n, 2*n, seed)
-		mis2 := MIS2(g, Options{NoSIMD: true})
+		mis2 := mis2Packed(g, hash.XorStar, false, false, par.New(0))
 		luby := LubyMIS1(g.Square(), hash.XorStar, 0)
 		return setsEqual(mis2.InSet, luby.InSet) && mis2.Iterations == luby.Iterations
 	}
@@ -398,7 +399,7 @@ func TestNoSIMDMatchesSIMD(t *testing.T) {
 		t.Skip("graph not dense enough to engage SIMD path")
 	}
 	a := MIS2(g, Options{})
-	b := MIS2(g, Options{NoSIMD: true})
+	b := mis2Packed(g, hash.XorStar, false, false, par.New(0))
 	if !setsEqual(a.InSet, b.InSet) || a.Iterations != b.Iterations {
 		t.Fatal("SIMD and scalar paths disagree")
 	}

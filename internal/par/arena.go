@@ -1,17 +1,32 @@
 package par
 
-import "unsafe"
+import (
+	"sync"
+	"unsafe"
+)
 
-// Arena is a per-goroutine scratch allocator for the hot paths: a small
-// free list of word-granular buffers that Get carves typed slices from
-// and Put returns. Buffers are uninitialized on Get (callers stamp or
-// overwrite them), so steady-state parallel kernels allocate nothing.
+// Arena is a scratch allocator for the hot paths: a small free list of
+// word-granular buffers that Get carves typed slices from and Put
+// returns. Buffers are uninitialized on Get (callers stamp or overwrite
+// them), so steady-state parallel kernels allocate nothing.
 //
-// An Arena is not safe for concurrent use; each pool worker owns one,
-// and other goroutines borrow one via AcquireArena/ReleaseArena.
+// An Arena is not safe for concurrent use. A call, or one block of a
+// parallel construct, borrows one with AcquireArena, returns every
+// buffer it took with Put, and gives the arena back with ReleaseArena.
 type Arena struct {
 	free [][]uint64
 }
+
+// arenas recycles Arenas between borrowers.
+var arenas = sync.Pool{New: func() any { return new(Arena) }}
+
+// AcquireArena borrows a scratch arena from the process-wide pool.
+// Pair with ReleaseArena; buffers obtained with Get and returned with
+// Put are recycled across acquisitions.
+func AcquireArena() *Arena { return arenas.Get().(*Arena) }
+
+// ReleaseArena returns an arena obtained from AcquireArena to the pool.
+func ReleaseArena(a *Arena) { arenas.Put(a) }
 
 // maxArenaBuffers bounds the free list; returning a buffer to a full
 // list drops the smallest buffer instead.

@@ -2,6 +2,7 @@ package par
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -93,38 +94,33 @@ func TestArenaZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func TestForWithScratchAndTeardown(t *testing.T) {
+// TestForBlockScratch runs the one scratch idiom: every block of a For
+// borrows an arena, takes its scratch from it, and returns both before
+// it ends.
+func TestForBlockScratch(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		r := New(workers)
 		n := 10000
 		out := make([]int64, n)
-		var teardowns sync.Map
-		ForWith(r, n,
-			func(a *Arena) []int64 {
-				return GetZeroed[int64](a, 1)
-			},
-			func(lo, hi int, s []int64) {
-				for i := lo; i < hi; i++ {
-					out[i] = int64(i) * 2
-					s[0]++
-				}
-			},
-			func(a *Arena, s []int64) {
-				teardowns.Store(&s[0], s[0])
-				Put(a, s)
-			})
+		var visited atomic.Int64
+		r.For(n, func(lo, hi int) {
+			a := AcquireArena()
+			s := GetZeroed[int64](a, 1)
+			for i := lo; i < hi; i++ {
+				out[i] = int64(i) * 2
+				s[0]++
+			}
+			visited.Add(s[0])
+			Put(a, s)
+			ReleaseArena(a)
+		})
 		for i := range out {
 			if out[i] != int64(i)*2 {
 				t.Fatalf("workers=%d: out[%d] = %d", workers, i, out[i])
 			}
 		}
-		var visited int64
-		teardowns.Range(func(_, v any) bool {
-			visited += v.(int64)
-			return true
-		})
-		if visited != int64(n) {
-			t.Fatalf("workers=%d: teardown saw %d items, want %d", workers, visited, n)
+		if v := visited.Load(); v != int64(n) {
+			t.Fatalf("workers=%d: blocks saw %d items, want %d", workers, v, n)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package par provides a small deterministic parallel runtime built on a
 // persistent worker pool: blocked parallel-for, reductions, exclusive
 // prefix sums (scans), and the join step of in-place worklist
-// compaction, plus per-worker scratch arenas for allocation-free kernels.
+// compaction, plus pooled scratch arenas for allocation-free kernels.
 //
 // It plays the role Kokkos plays in the paper: every construct here is
 // deterministic with respect to the number of workers, because each worker
@@ -115,43 +115,7 @@ func (r *Runtime) For(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	dispatch(n, nb, chunk, body, nil)
-}
-
-// ForWith is For with per-participant scratch: setup runs once on each
-// goroutine that executes blocks (lazily, before its first block) with
-// that goroutine's arena; body receives the participant's scratch state;
-// teardown (optional) runs after a participant's last block, typically
-// returning buffers with Put. The scratch state must not influence
-// results across blocks for the construct to stay deterministic
-// (stamp-guarded accumulators satisfy this).
-func ForWith[S any](r *Runtime, n int, setup func(*Arena) S, body func(lo, hi int, s S), teardown func(*Arena, S)) {
-	if n <= 0 {
-		return
-	}
-	nb, chunk := r.split(n)
-	if nb == 1 {
-		// Effective workers == 1: run the single participant inline on
-		// the caller, skipping the pool handoff and the participant
-		// closure wrappers (which would heap-allocate per call).
-		a := callerArena()
-		s := setup(a)
-		body(0, n, s)
-		if teardown != nil {
-			teardown(a, s)
-		}
-		releaseCallerArena(a)
-		return
-	}
-	wa := func(a *Arena) participant {
-		s := setup(a)
-		p := participant{run: func(lo, hi int) { body(lo, hi, s) }}
-		if teardown != nil {
-			p.done = func() { teardown(a, s) }
-		}
-		return p
-	}
-	dispatch(n, nb, chunk, nil, wa)
+	dispatch(n, nb, chunk, body)
 }
 
 // Blocks returns the block boundaries For would use for n items:
@@ -188,7 +152,7 @@ func (r *Runtime) ForBlocks(nb int, body func(b int)) {
 		for b := lo; b < hi; b++ {
 			body(b)
 		}
-	}, nil)
+	})
 }
 
 // Integer is the constraint for scan/reduce element types.
@@ -285,9 +249,9 @@ func ScanExclusive[T Integer](r *Runtime, in, out []T) T {
 // wl, and each block wrote its kept[b] survivors, in order, to the front
 // of its own range. JoinSegments moves the segments together in block
 // order on the calling goroutine (determinism rule 3) and returns the
-// compacted worklist, so the result is the same for any worker count. Segment b moves to an
-// offset no larger than blocks[b], so the ascending copies never
-// overwrite a segment not yet moved.
+// compacted worklist, so the result is the same for any worker count.
+// Segment b moves to an offset no larger than blocks[b], so the
+// ascending copies never overwrite a segment not yet moved.
 func JoinSegments(wl []int32, blocks, kept []int) []int32 {
 	k := 0
 	for b := 0; b+1 < len(blocks); b++ {

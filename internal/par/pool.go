@@ -6,11 +6,11 @@ import (
 )
 
 // The persistent worker pool. Instead of spawning fresh goroutines on
-// every For/Scan/Filter call (the Go analogue of relaunching a Kokkos
-// kernel with cold scratch memory), all Runtimes share one process-wide
-// set of long-lived workers. A parallel construct packages its blocks
-// into a task; the submitting goroutine and any idle workers claim
-// blocks from an atomic counter until none remain.
+// every For/ForBlocks call (the Go analogue of relaunching a Kokkos
+// kernel), all Runtimes share one process-wide set of long-lived
+// workers. A parallel construct packages its blocks into a task; the
+// submitting goroutine and any idle workers claim blocks from an atomic
+// counter until none remain.
 //
 // Determinism is unaffected by which goroutine runs which block: block
 // boundaries are a fixed function of (n, Runtime.workers) — see Blocks —
@@ -19,32 +19,20 @@ import (
 // results in block order. Work stealing changes the schedule, never the
 // result.
 //
-// Each worker owns a scratch Arena that lives as long as the worker, so
-// per-participant scratch (SpGEMM accumulators, stamp arrays) is
-// allocated once per worker per buffer size, not once per call.
-
-// participant is one goroutine's execution state for a task: run
-// executes a block; done (optional) runs after its last block.
-type participant struct {
-	run  func(lo, hi int)
-	done func()
-}
+// Workers hold no state of their own. A block that needs scratch
+// borrows an arena with AcquireArena and releases it before it returns.
 
 // task is one dispatched parallel construct. Block b covers
 // [b*chunk, min((b+1)*chunk, n)).
 type task struct {
 	n, nb, chunk int
-	// body executes one block. Exactly one of body/withArena is set.
-	body func(lo, hi int)
-	// withArena, when set, is invoked once per participating goroutine
-	// (lazily, before its first block) with that goroutine's arena.
-	withArena func(a *Arena) participant
+	body         func(lo, hi int)
 
 	next atomic.Int64 // next unclaimed block
 	left atomic.Int64 // blocks not yet completed
 	refs atomic.Int64 // outstanding references (caller + queued tokens)
-	// done receives one token from the participant that completes the
-	// final block, iff that participant is not the caller.
+	// done receives one token from the goroutine that completes the
+	// final block, iff that goroutine is not the caller.
 	done chan struct{}
 }
 
@@ -54,40 +42,23 @@ var taskPool = sync.Pool{New: func() any {
 
 // work claims and executes blocks until none remain, returning the
 // number of blocks executed.
-func (t *task) work(a *Arena) int64 {
-	var p participant
+func (t *task) work() int64 {
 	var did int64
 	for {
 		b := int(t.next.Add(1) - 1)
 		if b >= t.nb {
-			break
-		}
-		if p.run == nil {
-			if t.withArena != nil {
-				p = t.withArena(a)
-			} else {
-				p = participant{run: t.body}
-			}
+			return did
 		}
 		lo := b * t.chunk
-		hi := lo + t.chunk
-		if hi > t.n {
-			hi = t.n
-		}
-		p.run(lo, hi)
+		t.body(lo, min(lo+t.chunk, t.n))
 		did++
 	}
-	if p.done != nil {
-		p.done()
-	}
-	return did
 }
 
 // release drops one reference; the last reference recycles the task.
 func (t *task) release() {
 	if t.refs.Add(-1) == 0 {
 		t.body = nil
-		t.withArena = nil
 		taskPool.Put(t)
 	}
 }
@@ -117,9 +88,8 @@ func ensureWorkers(n int) {
 	for pool.workers < n {
 		pool.workers++
 		go func() {
-			a := &Arena{}
 			for t := range pool.tasks {
-				if did := t.work(a); did > 0 && t.left.Add(-did) == 0 {
+				if did := t.work(); did > 0 && t.left.Add(-did) == 0 {
 					t.done <- struct{}{}
 				}
 				t.release()
@@ -129,18 +99,15 @@ func ensureWorkers(n int) {
 	pool.mu.Unlock()
 }
 
-// run executes a parallel construct of nb chunk-sized blocks over [0, n)
-// with pool assistance. Exactly one of body and withArena is non-nil,
-// and nb is at least 2: every caller (For, ForWith, ForBlocks) runs
-// single-block constructs inline on its own fast path, so dispatch only
-// ever sees work worth sharing. The caller always participates, so
-// progress never depends on pool capacity; a full task queue just means
-// fewer helpers.
-func dispatch(n, nb, chunk int, body func(lo, hi int), withArena func(a *Arena) participant) {
+// dispatch runs body over nb chunk-sized blocks of [0, n) with pool
+// assistance. nb is at least 2: For and ForBlocks run single-block
+// constructs inline on their own fast paths, so dispatch only ever sees
+// work worth sharing. The caller always participates, so progress never
+// depends on pool capacity; a full task queue just means fewer helpers.
+func dispatch(n, nb, chunk int, body func(lo, hi int)) {
 	t := taskPool.Get().(*task)
 	t.n, t.nb, t.chunk = n, nb, chunk
 	t.body = body
-	t.withArena = withArena
 	t.next.Store(0)
 	t.left.Store(int64(nb))
 	t.refs.Store(1)
@@ -165,9 +132,7 @@ func dispatch(n, nb, chunk int, body func(lo, hi int), withArena func(a *Arena) 
 		break          // queue full; remaining helpers would not fit either
 	}
 
-	a := callerArena()
-	did := t.work(a)
-	releaseCallerArena(a)
+	did := t.work()
 	callerDone := did > 0 && t.left.Add(-did) == 0
 	if sent > 0 && !callerDone {
 		// A worker holds (or will complete) the final block and sends
@@ -176,19 +141,3 @@ func dispatch(n, nb, chunk int, body func(lo, hi int), withArena func(a *Arena) 
 	}
 	t.release()
 }
-
-// callerArenas recycles arenas for non-worker goroutines that execute
-// blocks or need longer-lived scratch.
-var callerArenas = sync.Pool{New: func() any { return new(Arena) }}
-
-func callerArena() *Arena         { return callerArenas.Get().(*Arena) }
-func releaseCallerArena(a *Arena) { callerArenas.Put(a) }
-
-// AcquireArena hands out a scratch arena for a longer-lived computation
-// (e.g. reusing MIS-2 status buffers across calls). Pair with
-// ReleaseArena; buffers obtained with Get and returned with Put are
-// recycled across acquisitions.
-func AcquireArena() *Arena { return callerArenas.Get().(*Arena) }
-
-// ReleaseArena returns an arena obtained from AcquireArena to the pool.
-func ReleaseArena(a *Arena) { callerArenas.Put(a) }

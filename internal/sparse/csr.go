@@ -5,7 +5,7 @@ import "mis2go/internal/par"
 // csrOf is the CSR kernel set — the one body of every CSR kernel.
 // *Matrix forwards its kernels to a csrOf view of its own fields. The
 // kernels take value receivers so that the *Matrix forwards build the
-// view on the stack and a participant closure captures a copy of it,
+// view on the stack and the closure handed to the pool captures a copy,
 // never a heap-escaping pointer.
 type csrOf struct {
 	rows, cols int

@@ -8,9 +8,9 @@
 // symbolic phase is graph.Collect, the builder the fine and coarse
 // graphs share, with Gustavson's mark phase as its row walk. A *plan*
 // captures its result, the output RowPtr/Col (sorted rows), and nothing
-// else. Its Replay method refills a result matrix's values
-// with zero steady-state allocations (accumulator scratch comes from the
-// worker arenas). Product, transpose and smooth plans never change
+// else. Its Replay method refills a result matrix's values with no
+// steady-state allocation on one worker and one closure on more (each
+// block borrows its accumulator from a pooled arena). Product, transpose and smooth plans never change
 // after planning, so any number of goroutines may replay one at once
 // into separate results. A RAPPlan stages A*P in a buffer it owns, so
 // it runs one replay at a time.
@@ -79,25 +79,29 @@ type valuePass struct {
 // every x, ±0 included (+0 is not one: +0 + −0 == +0).
 var negZero = math.Copysign(0, -1)
 
-// replay runs the value kernel over every output row, each participant
-// with its own dense accumulator of width cols from its arena. Rows are
+// replay runs the value kernel over every output row. Rows are
 // independent, so the result is the same at any worker count.
 //
 //amg:hotpath
 func (pt *pattern) replay(rt *par.Runtime, v valuePass, cols int) {
 	rows := len(pt.ptr) - 1
 	if rt.Serial(rows) {
-		ar := par.AcquireArena()
-		acc := par.Get[float64](ar, cols)
-		pt.valueRows(v, acc, 0, rows)
-		par.Put(ar, acc)
-		par.ReleaseArena(ar)
+		pt.replayRows(v, cols, 0, rows)
 		return
 	}
-	par.ForWith(rt, rows,
-		func(ar *par.Arena) []float64 { return par.Get[float64](ar, cols) },
-		func(lo, hi int, acc []float64) { pt.valueRows(v, acc, lo, hi) },
-		func(ar *par.Arena, acc []float64) { par.Put(ar, acc) })
+	rt.For(rows, func(lo, hi int) { pt.replayRows(v, cols, lo, hi) })
+}
+
+// replayRows runs valueRows over rows [lo, hi) with a dense accumulator
+// of width cols, borrowed from an arena for the call.
+//
+//amg:hotpath
+func (pt *pattern) replayRows(v valuePass, cols, lo, hi int) {
+	ar := par.AcquireArena()
+	acc := par.Get[float64](ar, cols)
+	pt.valueRows(v, acc, lo, hi)
+	par.Put(ar, acc)
+	par.ReleaseArena(ar)
 }
 
 // valueRows is the one value kernel of product and smooth plans. For
@@ -349,28 +353,26 @@ func PlanSmoothProlongator(rt *par.Runtime, a, p0 *Matrix) (*SmoothPlan, error) 
 	pl.ptr, pl.col = pat.RowPtr, pat.Col
 	// An entry is P0-only when no column of its product row stamps it.
 	pl.p0Only = make([]bool, len(pl.col))
-	par.ForWith(rt, a.Rows,
-		func(ar *par.Arena) []int32 {
-			mark := par.Get[int32](ar, p0.Cols)
-			for i := range mark {
-				mark[i] = -1
-			}
-			return mark
-		},
-		func(lo, hi int, mark []int32) {
-			for i := lo; i < hi; i++ {
-				for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-					row := a.Col[p]
-					for q := p0.RowPtr[row]; q < p0.RowPtr[row+1]; q++ {
-						mark[p0.Col[q]] = int32(i)
-					}
-				}
-				for k := pl.ptr[i]; k < pl.ptr[i+1]; k++ {
-					pl.p0Only[k] = mark[pl.col[k]] != int32(i)
+	rt.For(a.Rows, func(lo, hi int) {
+		ar := par.AcquireArena()
+		mark := par.Get[int32](ar, p0.Cols)
+		for j := range mark {
+			mark[j] = -1
+		}
+		for i := lo; i < hi; i++ {
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				row := a.Col[p]
+				for q := p0.RowPtr[row]; q < p0.RowPtr[row+1]; q++ {
+					mark[p0.Col[q]] = int32(i)
 				}
 			}
-		},
-		func(ar *par.Arena, mark []int32) { par.Put(ar, mark) })
+			for k := pl.ptr[i]; k < pl.ptr[i+1]; k++ {
+				pl.p0Only[k] = mark[pl.col[k]] != int32(i)
+			}
+		}
+		par.Put(ar, mark)
+		par.ReleaseArena(ar)
+	})
 	return pl, nil
 }
 

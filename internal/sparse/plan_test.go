@@ -3,6 +3,9 @@ package sparse
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"mis2go/internal/par"
@@ -139,6 +142,82 @@ func TestTransposePlanMatchesTranspose(t *testing.T) {
 		t.Fatal(err)
 	}
 	matricesEqual(t, "cross-worker transpose replay", tr8, a.Transpose())
+}
+
+// refTranspose is the serial counting sort: entries land in column
+// buckets in row-major input order. perm[p] is entry p's output position.
+func refTranspose(a *Matrix) (t *Matrix, perm []int) {
+	t = &Matrix{Rows: a.Cols, Cols: a.Rows, RowPtr: make([]int, a.Cols+1)}
+	for _, j := range a.Col {
+		t.RowPtr[j+1]++
+	}
+	for j := 0; j < a.Cols; j++ {
+		t.RowPtr[j+1] += t.RowPtr[j]
+	}
+	fill := append([]int(nil), t.RowPtr[:a.Cols]...)
+	t.Col = make([]int32, len(a.Col))
+	t.Val = make([]float64, len(a.Col))
+	perm = make([]int, len(a.Col))
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			j := a.Col[p]
+			perm[p] = fill[j]
+			t.Col[fill[j]] = int32(i)
+			t.Val[fill[j]] = a.Val[p]
+			fill[j]++
+		}
+	}
+	return t, perm
+}
+
+// TestTransposeFewerBlocksOnWideMatrices reaches the transpose's cap on
+// its counting blocks (at most 1 + 4*nnz/(cols+1)), which wide matrices
+// hit: TransposeWith and PlanTranspose's permutation must match the
+// serial counting sort bit for bit at 1, 2 and 8 workers.
+func TestTransposeFewerBlocksOnWideMatrices(t *testing.T) {
+	for _, tc := range []struct {
+		rows, cols, maxNB int
+	}{
+		{rows: 2048, cols: 12000, maxNB: 1},
+		{rows: 4096, cols: 8000, maxNB: 2},
+	} {
+		// One or two entries per row; every 64th row also hits column
+		// 0, so blocks share output rows.
+		a := &Matrix{Rows: tc.rows, Cols: tc.cols, RowPtr: make([]int, tc.rows+1)}
+		rng := rand.New(rand.NewSource(int64(tc.rows)))
+		for i := 0; i < tc.rows; i++ {
+			if i%64 == 0 {
+				a.Col = append(a.Col, 0)
+				a.Val = append(a.Val, rng.NormFloat64())
+			}
+			if i%3 != 0 {
+				a.Col = append(a.Col, int32(1+rng.Intn(tc.cols-1)))
+				a.Val = append(a.Val, rng.NormFloat64())
+			}
+			a.RowPtr[i+1] = len(a.Col)
+		}
+		if got := 1 + 4*a.NNZ()/(tc.cols+1); got != tc.maxNB {
+			t.Fatalf("%dx%d: block cap %d, want %d", tc.rows, tc.cols, got, tc.maxNB)
+		}
+		if nb := len(par.New(8).Blocks(tc.rows)) - 1; nb <= tc.maxNB {
+			t.Fatalf("%dx%d: 8 workers give %d blocks, not above the cap %d", tc.rows, tc.cols, nb, tc.maxNB)
+		}
+		want, wantPerm := refTranspose(a)
+		for _, w := range planWorkerCounts {
+			rt := par.New(w)
+			label := fmt.Sprintf("%dx%d, %d workers", tc.rows, tc.cols, w)
+			matricesEqual(t, label+": TransposeWith", a.TransposeWith(rt), want)
+			pl := PlanTranspose(rt, a)
+			if !slices.Equal(pl.perm, wantPerm) {
+				t.Fatalf("%s: PlanTranspose perm differs from the counting sort", label)
+			}
+			tr := pl.NewMatrix()
+			if err := pl.Replay(rt, a, tr); err != nil {
+				t.Fatal(err)
+			}
+			matricesEqual(t, label+": transpose replay", tr, want)
+		}
+	}
 }
 
 // aggregateP0 builds a tentative-prolongator-shaped matrix: one entry
@@ -411,4 +490,87 @@ func TestPlanReplayRejectsStoredEntryMismatch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPlanReplayAllocsTwoWorkers gates steady-state replay allocations
+// at 2 workers on operands of 2048 and 1024 rows, so every value pass
+// runs in parallel. Each block borrows its accumulator from a pooled
+// arena, so a pass pays only for the closure it hands the pool: at most
+// one object per product or smooth replay, two per RAP replay.
+func TestPlanReplayAllocsTwoWorkers(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector bypasses sync.Pool arena recycling, charging spurious allocations")
+	}
+	if runtime.NumCPU() < 2 {
+		t.Skip("needs 2 CPUs: a pool helper that cannot run beside the caller keeps each task from being recycled")
+	}
+	rt := par.New(2)
+	a := randomMatrix(2048, 2048, 0.003, 31)
+	p0 := aggregateP0(2048, 1024)
+	r := p0.TransposeWith(rt)
+	dinv := make([]float64, a.Rows)
+	for i := range dinv {
+		dinv[i] = 0.5
+	}
+	pp, err := PlanMultiply(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := PlanSmoothProlongator(rt, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp, err := PlanRAP(rt, r, a, p0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, out, coarse := pp.NewMatrix(), sp.NewMatrix(), rp.NewMatrix()
+	for _, tc := range []struct {
+		name   string
+		limit  uint64
+		replay func() error
+	}{
+		{"ProductPlan", 1, func() error { return pp.Replay(rt, a, p0, c) }},
+		{"SmoothPlan", 1, func() error { return sp.Replay(rt, a, p0, dinv, 2.0/3.0, out) }},
+		{"RAPPlan", 2, func() error { return rp.Replay(rt, r, a, p0, coarse) }},
+	} {
+		// Warm-up replays fill the pooled arenas with accumulators.
+		for i := 0; i < 2; i++ {
+			if err := tc.replay(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs := parallelAllocs(func() {
+			if err := tc.replay(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > tc.limit {
+			t.Errorf("%s.Replay at 2 workers: %d allocs/op, want <= %d", tc.name, allocs, tc.limit)
+		}
+	}
+}
+
+// parallelAllocs reports the allocations per call of f at GOMAXPROCS 2:
+// the best of three 20-call measurements. testing.AllocsPerRun pins
+// GOMAXPROCS to 1, where a pool helper runs only after the caller has
+// finished every block; its queued token keeps the task from being
+// recycled, so the next dispatch allocates a fresh one. A helper that
+// the machine's load delays does the same at GOMAXPROCS 2. Scheduling
+// only ever adds allocations, so the best measurement is f's own.
+func parallelAllocs(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const runs = 20
+	best := uint64(math.MaxUint64)
+	for trial := 0; trial < 3; trial++ {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, (ms.Mallocs-before)/runs)
+	}
+	return best
 }

@@ -139,24 +139,14 @@ func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, per
 	if withVals {
 		val = make([]float64, len(a.Val))
 	}
-	blocks := rt.Blocks(a.Rows)
-	nb := len(blocks) - 1
 	// Bound the O(nb*ncols) counting scratch (and the serial offset scan
 	// over it) to a small multiple of nnz: wide matrices with many
 	// workers would otherwise pay more for the per-block counters than
 	// for the transpose itself. The output is blocking-independent, so
-	// coarsening the blocks deterministically (a function of the matrix
-	// shape and worker count only) never changes results.
-	if maxNB := 1 + 4*len(a.Col)/(ncols+1); nb > maxNB {
-		nb = maxNB
-		chunk := (a.Rows + nb - 1) / nb
-		blocks = blocks[:0]
-		for lo := 0; lo < a.Rows; lo += chunk {
-			blocks = append(blocks, lo)
-		}
-		blocks = append(blocks, a.Rows)
-		nb = len(blocks) - 1
-	}
+	// blocking for fewer workers (a function of the matrix shape and
+	// worker count only) never changes results.
+	blocks := par.New(min(rt.Workers(), 1+4*len(a.Col)/(ncols+1))).Blocks(a.Rows)
+	nb := len(blocks) - 1
 	// starts[b*ncols + j] counts block b's entries in column j, then
 	// becomes block b's write cursor for column j.
 	ar := par.AcquireArena()
