@@ -48,7 +48,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkCGBatchAMG|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke examples
 

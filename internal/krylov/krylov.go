@@ -176,7 +176,7 @@ type Workspace struct {
 	restart int
 	// CGBatch state: per-column scalar recurrences, active flags and
 	// stats, and two column-length buffers for de-interleaving through
-	// generic preconditioners.
+	// generic preconditioners (sized only for k > 1).
 	scal   []float64
 	act    []bool
 	stats  []Stats
@@ -233,16 +233,16 @@ func (w *Workspace) ensureGMRES(n, restart int) {
 
 // ensureBatch sizes the workspace for a k-wide interleaved batch solve
 // of n unknowns: the CG vectors hold n*k values, scal carries the six
-// per-column scalar recurrences, and rc/zc are the de-interleaving
-// buffers for non-batch preconditioners.
+// per-column scalar recurrences, and for k > 1 rc/zc are the
+// de-interleaving buffers for non-batch preconditioners (a single
+// column is preconditioned in place and never reads them).
 func (w *Workspace) ensureBatch(n, k int) {
-	w.r = grow(w.r, n*k)
-	w.z = grow(w.z, n*k)
-	w.p = grow(w.p, n*k)
-	w.ap = grow(w.ap, n*k)
+	w.ensureCG(n * k)
 	w.scal = grow(w.scal, 6*k)
-	w.rc = grow(w.rc, n)
-	w.zc = grow(w.zc, n)
+	if k > 1 {
+		w.rc = grow(w.rc, n)
+		w.zc = grow(w.zc, n)
+	}
 	if cap(w.act) >= k {
 		w.act = w.act[:k]
 	} else {
@@ -289,137 +289,17 @@ type Options struct {
 	Health *Health
 }
 
-// CGCtx solves A x = b for SPD A with the preconditioned conjugate
-// gradient method. x holds the initial guess on entry and the solution
-// on exit. Iterations stop when the recurrence residual drops below
-// o.Tol*||b|| or o.MaxIter is reached; Stats reports the true final
-// residual. a is any operator format (CSR or SELL); formats produce
-// bit-identical kernels, so the solve trajectory is independent of the
-// format choice.
-//
-// The context is checked once before the setup products and at the top
-// of every iteration, so a canceled caller stops paying for matrix
-// traversals within one iteration. Cancellation returns an error
-// wrapping ErrCanceled (and the context's cause); x then holds the
-// partial iterate. A non-nil o.Health watches the per-iteration relative
-// recurrence residual (the value the convergence test already computed)
-// and aborts a non-finite, diverging, or stagnating solve with a
-// classified error (ErrNonFinite, ErrDiverged, ErrStagnated); x then
-// holds the iterate at abort. Neither check changes the arithmetic:
-// with an uncanceled context and a healthy solve the result is bitwise
-// identical to a solve with a nil context and no guard. ctx may be nil
-// (treated as context.Background()).
+// CGCtx solves the single SPD system A x = b: it is CGBatchCtx with
+// k = 1, and so shares its recurrence, stopping rule, cancellation and
+// health-guard semantics and its error texts (which name CGBatch). It
+// differs only in returning a copy of the column's Stats, or Stats{}
+// when the call is rejected before solving.
 func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, o Options) (Stats, error) {
-	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
-	n, _ := a.Dims()
-	if len(b) != n || len(x) != n {
-		return Stats{}, fmt.Errorf("krylov: CG size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
+	stats, err := CGBatchCtx(ctx, rt, a, b, x, 1, o)
+	if len(stats) == 0 {
+		return Stats{}, err
 	}
-	if m == nil {
-		m = Identity()
-	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	ws.ensureCG(n)
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
-
-	bnorm := norm2(b)
-	if maxIter <= 0 {
-		// Report the initial residual without touching x.
-		nb := bnorm
-		if nb == 0 {
-			nb = 1
-		}
-		rel := finalResidualWith(rt, a, b, x, nb, r)
-		st := Stats{Iterations: 0, RelResidual: rel, Converged: rel < tol}
-		if !st.Converged {
-			return st, fmt.Errorf("%w: CG after 0 iterations, relres %.3e", ErrNotConverged, rel)
-		}
-		return st, nil
-	}
-	if bnorm == 0 {
-		// A zero right-hand side has the exact solution x = 0 (A is SPD,
-		// hence nonsingular); iterating would divide by a zero residual
-		// norm. Return it in 0 iterations.
-		for i := range x {
-			x[i] = 0
-		}
-		return Stats{Iterations: 0, RelResidual: 0, Converged: true}, nil
-	}
-	if err := ctxDone(ctx); err != nil {
-		return Stats{}, cancelErr(ctx, "CG", 0, math.Inf(1))
-	}
-
-	a.SpMV(rt, x, r)
-	// rr accumulates ||r||^2 with a single accumulator in index order —
-	// a fixed summation order, so convergence behavior is identical for
-	// every worker count — fused into the vector updates to save a pass.
-	rr := 0.0
-	for i := range r {
-		ri := b[i] - r[i]
-		r[i] = ri
-		rr += ri * ri
-	}
-	m.Precondition(r, z)
-	copy(p, z)
-	rz := dot(r, z)
-
-	iters := 0
-	met := false
-	gst := guardInit()
-	for ; iters < maxIter; iters++ {
-		rel := math.Sqrt(rr) / bnorm
-		if rel < tol {
-			met = true
-			break
-		}
-		if err := ctxDone(ctx); err != nil {
-			return Stats{Iterations: iters, RelResidual: rel}, cancelErr(ctx, "CG", iters, rel)
-		}
-		if hg != nil {
-			if herr := hg.check(&gst, "CG", -1, iters, rel); herr != nil {
-				return Stats{Iterations: iters, RelResidual: rel}, herr
-			}
-		}
-		a.SpMV(rt, p, ap)
-		pap := dot(p, ap)
-		if pap <= 0 {
-			return Stats{Iterations: iters, RelResidual: rel},
-				fmt.Errorf("%w: p^T A p = %g at iteration %d", ErrBreakdown, pap, iters)
-		}
-		alpha := rz / pap
-		// Fused update of x and r with the residual norm of the new r
-		// accumulated in the same pass (single accumulator, index order:
-		// a fixed, scheduling-independent summation order).
-		rr = 0
-		for i := range r {
-			x[i] += alpha * p[i]
-			ri := r[i] - alpha*ap[i]
-			r[i] = ri
-			rr += ri * ri
-		}
-		m.Precondition(r, z)
-		rzNew := dot(r, z)
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	rel := finalResidualWith(rt, a, b, x, bnorm, ap)
-	if iters < maxIter {
-		met = true // loop exited on the residual test
-	}
-	if met && tol > 0 && rel >= falseConvergenceLimit(tol) {
-		return Stats{Iterations: iters, RelResidual: rel},
-			fmt.Errorf("%w: CG false convergence at iteration %d: recurrence residual met tol %.1e but true relres is %.3e", ErrDiverged, iters, tol, rel)
-	}
-	st := Stats{Iterations: iters, RelResidual: rel, Converged: met || rel < tol}
-	if !st.Converged {
-		return st, fmt.Errorf("%w: CG after %d iterations, relres %.3e", ErrNotConverged, iters, rel)
-	}
-	return st, nil
+	return stats[0], err
 }
 
 // CGWith is CGCtx with positional arguments and a background context.
@@ -625,15 +505,23 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 	return st, nil
 }
 
-// preconditionBatch applies m to k interleaved columns, using the batch
-// fast path when m implements BatchPreconditioner and column-by-column
-// de-interleaving through rc/zc otherwise. In the de-interleave path a
-// non-nil act skips frozen columns — their stale z only feeds a search
-// direction whose alpha/beta are pinned to zero, so results are
-// unchanged while an expensive preconditioner (an AMG V-cycle, say)
-// runs once per live column instead of once per column. act must be nil
-// on the first application, before frozen columns hold a finite z.
+// preconditionBatch applies m to k interleaved columns. A single column
+// is already contiguous, so at k = 1 m.Precondition runs on it directly
+// (act needs no check there: the loop ends once its one column froze).
+// Otherwise it uses the batch fast path when m implements
+// BatchPreconditioner and column-by-column de-interleaving through rc/zc
+// otherwise; every route applies the same per-column operator, so they
+// agree bitwise. In the de-interleave path a non-nil act skips frozen
+// columns — their stale z only feeds a search direction whose
+// alpha/beta are pinned to zero, so results are unchanged while an
+// expensive preconditioner (an AMG V-cycle, say) runs once per live
+// column instead of once per column. act must be nil on the first
+// application, before frozen columns hold a finite z.
 func preconditionBatch(m Preconditioner, r, z []float64, n, k int, rc, zc []float64, act []bool) {
+	if k == 1 {
+		m.Precondition(r, z)
+		return
+	}
 	if bp, ok := m.(BatchPreconditioner); ok {
 		bp.PreconditionBatch(r, z, k)
 		return
@@ -652,29 +540,120 @@ func preconditionBatch(m Preconditioner, r, z []float64, n, k int, rc, zc []floa
 	}
 }
 
-// CGBatchCtx solves the k systems A x_j = b_j simultaneously with the
+// spmm is a.SpMM, issued as a.SpMV at k = 1. Every operator format's
+// SpMM does exactly that for one column, so no bit moves; routing it
+// here keeps single-RHS products visible to operator wrappers that
+// instrument SpMV (cmd/amgbench's traced ledger).
+func spmm(rt *par.Runtime, a sparse.Operator, k int, x, y []float64) {
+	if k == 1 {
+		a.SpMV(rt, x, y)
+		return
+	}
+	a.SpMM(rt, k, x, y)
+}
+
+// The vector passes of CGBatchCtx below walk the interleaved layout one
+// column at a time: column j of a k-wide vector v is v[j], v[j+k],
+// v[j+2k], … Every per-column sum keeps one accumulator in row order,
+// so each column's result is the same at every k and every worker
+// count, and at k = 1 each pass is a flat loop over the vector. The
+// width k is len of the per-column slice (out, rr, alpha or beta).
+
+// colDots sets out[j] to the dot product of column j of a and b.
+//
+//amg:hotpath
+func colDots(a, b, out []float64) {
+	k := len(out)
+	b = b[:len(a)]
+	for j := range out {
+		s := 0.0
+		for i := j; i < len(a); i += k {
+			s += a[i] * b[i]
+		}
+		out[j] = s
+	}
+}
+
+// residualCols overwrites r with b - r and sets rr[j] to the squared
+// norm of column j of the result.
+//
+//amg:hotpath
+func residualCols(b, r, rr []float64) {
+	k := len(rr)
+	b = b[:len(r)]
+	for j := range rr {
+		s := 0.0
+		for i := j; i < len(r); i += k {
+			ri := b[i] - r[i]
+			r[i] = ri
+			s += ri * ri
+		}
+		rr[j] = s
+	}
+}
+
+// stepCols is the fused CG step x += alpha*p, r -= alpha*ap per column,
+// with rr[j] set to the squared norm of column j of the new r.
+//
+//amg:hotpath
+func stepCols(alpha, x, r, p, ap, rr []float64) {
+	k := len(alpha)
+	r, p, ap = r[:len(x)], p[:len(x)], ap[:len(x)]
+	for j, a := range alpha {
+		s := 0.0
+		for i := j; i < len(x); i += k {
+			x[i] += a * p[i]
+			ri := r[i] - a*ap[i]
+			r[i] = ri
+			s += ri * ri
+		}
+		rr[j] = s
+	}
+}
+
+// directionCols is the direction update p = z + beta*p per column.
+//
+//amg:hotpath
+func directionCols(beta, z, p []float64) {
+	k := len(beta)
+	z = z[:len(p)]
+	for j, bt := range beta {
+		for i := j; i < len(p); i += k {
+			p[i] = z[i] + bt*p[i]
+		}
+	}
+}
+
+// CGBatchCtx solves the k SPD systems A x_j = b_j simultaneously with the
 // preconditioned conjugate gradient method, sharing one SpMM traversal
-// of A per iteration across all right-hand sides. b and x use the
+// of A per iteration across all right-hand sides. It is the package's
+// one CG recurrence: CGCtx is its k = 1 call. b and x use the
 // interleaved multi-RHS layout of sparse.SpMM (the k values of row i
 // contiguous at [i*k : (i+1)*k]); x holds the initial guesses on entry
-// and the solutions on exit. Each column runs its own scalar recurrence;
-// a column that converges (or has a zero right-hand side, solved as
-// x_j = 0 in 0 iterations) is frozen — its alpha and beta are pinned to
-// zero so the shared vector updates become exact no-ops — while the
-// remaining columns iterate. Deterministic for every worker count. The
-// returned Stats slice (one entry per column) is owned by the workspace
-// and overwritten by the next batch solve through it.
+// and the solutions on exit. a is any operator format (CSR or SELL);
+// formats produce bit-identical kernels. Each column runs its own scalar
+// recurrence and stops when its recurrence residual drops below
+// o.Tol*||b_j||; a column that converges (or has a zero right-hand
+// side, solved as x_j = 0 in 0 iterations) is frozen — its alpha and
+// beta are pinned to zero so the shared vector updates become exact
+// no-ops — while the remaining columns iterate, up to o.MaxIter
+// iterations. Stats report each column's true final residual.
+// Deterministic for every worker count, and each column's result is
+// independent of k. The returned Stats slice (one entry per column) is
+// owned by the workspace and overwritten by the next batch solve
+// through it.
 //
 // The context is checked once before the setup products and at the top
 // of every iteration. On cancellation every still-active column reports
-// its iteration count and recurrence residual (Converged false), columns
-// frozen earlier keep their recurrence result (like the breakdown path),
-// and the error wraps ErrCanceled plus the context's cause. A non-nil
-// o.Health watches each active column's relative recurrence residual; a
-// column turning non-finite, divergent, or stagnant aborts the whole
-// batch the way a breakdown does — all columns share the one operator,
-// so the failure is a property of the system, not the column — with a
-// classified error naming the first offending column. With an
+// its iteration count and recurrence residual (Converged false; +Inf
+// before the first iteration), columns frozen earlier keep their
+// recurrence result (like the breakdown path), x holds the partial
+// iterate, and the error wraps ErrCanceled plus the context's cause. A
+// non-nil o.Health watches each active column's relative recurrence
+// residual; a column turning non-finite, divergent, or stagnant aborts
+// the whole batch the way a breakdown does — all columns share the one
+// operator, so the failure is a property of the system, not the column
+// — with a classified error naming the first offending column. With an
 // uncanceled context and a healthy solve the result is bitwise
 // identical to a solve with a nil context and no guard. ctx may be nil
 // (treated as context.Background()).
@@ -707,25 +686,15 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 		stats[j] = Stats{}
 	}
 
-	// Per-column ||b_j|| in one pass over the interleaved block (single
-	// accumulator per column in index order: deterministic).
-	for j := 0; j < k; j++ {
-		bnorm[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		bb := b[i*k : i*k+k]
-		for j, v := range bb {
-			bnorm[j] += v * v
-		}
-	}
+	colDots(b, b, bnorm)
 	for j := 0; j < k; j++ {
 		bnorm[j] = math.Sqrt(bnorm[j])
 	}
 
 	if maxIter <= 0 {
 		// Report the initial residuals without touching x.
-		a.SpMM(rt, k, x, ap)
-		failed, _ := batchFinalize(b, x, ap, bnorm, rr, stats, n, k, tol, act, false)
+		spmm(rt, a, k, x, ap)
+		failed, _ := batchFinalize(b, ap, bnorm, rr, stats, tol, act, false)
 		if failed > 0 {
 			return stats, fmt.Errorf("%w: CGBatch after 0 iterations, %d of %d columns above tol", ErrNotConverged, failed, k)
 		}
@@ -739,8 +708,8 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 			// Zero right-hand side: exact solution x_j = 0 in 0 iterations
 			// (zeroed before the residual pass so r_j and rr[j] come out
 			// exactly zero and the column's recurrence is a no-op).
-			for i := 0; i < n; i++ {
-				x[i*k+j] = 0
+			for i := j; i < len(x); i += k {
+				x[i] = 0
 			}
 			act[j] = false
 			stats[j] = Stats{Iterations: 0, RelResidual: 0, Converged: true}
@@ -757,34 +726,11 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 		return stats, cancelErr(ctx, "CGBatch", 0, math.Inf(1))
 	}
 
-	// r = b - A x with per-column rr in the same pass.
-	a.SpMM(rt, k, x, r)
-	for j := 0; j < k; j++ {
-		rr[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		base := i * k
-		rb := r[base : base+k]
-		bb := b[base : base+k]
-		for j := range rb {
-			ri := bb[j] - rb[j]
-			rb[j] = ri
-			rr[j] += ri * ri
-		}
-	}
+	spmm(rt, a, k, x, r)
+	residualCols(b, r, rr)
 	preconditionBatch(m, r, z, n, k, ws.rc, ws.zc, nil)
 	copy(p, z)
-	for j := 0; j < k; j++ {
-		rz[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		base := i * k
-		rb := r[base : base+k]
-		zb := z[base : base+k]
-		for j := range rb {
-			rz[j] += rb[j] * zb[j]
-		}
-	}
+	colDots(r, z, rz)
 
 	iters := 0
 	for ; iters < maxIter && nActive > 0; iters++ {
@@ -801,7 +747,7 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 			}
 			if hg != nil {
 				if herr := hg.check(&ws.guard[j], "CGBatch", j, iters, rel); herr != nil {
-					batchAbortStats(stats, act, rr, bnorm, iters, k)
+					batchAbortStats(stats, act, rr, bnorm, iters)
 					return stats, herr
 				}
 			}
@@ -813,75 +759,33 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 			// Mirror the breakdown path: active columns report their
 			// recurrence residual unconverged; columns frozen by the
 			// convergence test keep their recurrence result.
+			batchAbortStats(stats, act, rr, bnorm, iters)
 			worst := 0.0
-			for q := 0; q < k; q++ {
-				if act[q] {
-					stats[q].Iterations = iters
-					stats[q].RelResidual = math.Sqrt(rr[q]) / bnorm[q]
-					if stats[q].RelResidual > worst {
-						worst = stats[q].RelResidual
-					}
-				} else if !stats[q].Converged {
-					stats[q].RelResidual = math.Sqrt(rr[q]) / bnorm[q]
-					stats[q].Converged = true
+			for j, st := range stats {
+				if act[j] && st.RelResidual > worst {
+					worst = st.RelResidual
 				}
 			}
 			return stats, cancelErr(ctx, "CGBatch", iters, worst)
 		}
-		a.SpMM(rt, k, p, ap)
-		for j := 0; j < k; j++ {
-			pap[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			base := i * k
-			pb := p[base : base+k]
-			apb := ap[base : base+k]
-			for j := range pb {
-				pap[j] += pb[j] * apb[j]
-			}
-		}
+		spmm(rt, a, k, p, ap)
+		colDots(p, ap, pap)
 		for j := 0; j < k; j++ {
 			if !act[j] {
 				alpha[j] = 0
 				continue
 			}
 			if pap[j] <= 0 {
-				batchAbortStats(stats, act, rr, bnorm, iters, k)
+				batchAbortStats(stats, act, rr, bnorm, iters)
 				return stats, fmt.Errorf("%w: CGBatch column %d, p^T A p = %g at iteration %d", ErrBreakdown, j, pap[j], iters)
 			}
 			alpha[j] = rz[j] / pap[j]
 		}
-		// Fused x/r update with the new per-column residual norms; frozen
-		// columns have alpha = 0, so their x and r are bit-identical
-		// no-ops and rr stays below tolerance.
-		for j := 0; j < k; j++ {
-			rr[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			base := i * k
-			xb := x[base : base+k]
-			rb := r[base : base+k]
-			pb := p[base : base+k]
-			apb := ap[base : base+k]
-			for j := range xb {
-				xb[j] += alpha[j] * pb[j]
-				ri := rb[j] - alpha[j]*apb[j]
-				rb[j] = ri
-				rr[j] += ri * ri
-			}
-		}
+		// Frozen columns have alpha = 0, so their x and r are
+		// bit-identical no-ops and rr stays below tolerance.
+		stepCols(alpha, x, r, p, ap, rr)
 		preconditionBatch(m, r, z, n, k, ws.rc, ws.zc, act)
-		for j := 0; j < k; j++ {
-			rzNew[j] = 0
-		}
-		for i := 0; i < n; i++ {
-			base := i * k
-			rb := r[base : base+k]
-			zb := z[base : base+k]
-			for j := range rb {
-				rzNew[j] += rb[j] * zb[j]
-			}
-		}
+		colDots(r, z, rzNew)
 		// alpha doubles as beta for the direction update.
 		for j := 0; j < k; j++ {
 			if act[j] {
@@ -891,14 +795,7 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 			}
 			rz[j] = rzNew[j]
 		}
-		for i := 0; i < n; i++ {
-			base := i * k
-			pb := p[base : base+k]
-			zb := z[base : base+k]
-			for j := range pb {
-				pb[j] = zb[j] + alpha[j]*pb[j]
-			}
-		}
+		directionCols(alpha, z, p)
 	}
 	for j := 0; j < k; j++ {
 		if act[j] {
@@ -907,8 +804,8 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 	}
 
 	// True final residuals per column.
-	a.SpMM(rt, k, x, ap)
-	failed, falseConv := batchFinalize(b, x, ap, bnorm, rr, stats, n, k, tol, act, true)
+	spmm(rt, a, k, x, ap)
+	failed, falseConv := batchFinalize(b, ap, bnorm, rr, stats, tol, act, true)
 	if falseConv > 0 {
 		return stats, fmt.Errorf("%w: CGBatch false convergence after %d iterations, %d of %d columns met tol %.1e in the recurrence but exceed the true-residual limit %.1e", ErrDiverged, iters, falseConv, k, tol, falseConvergenceLimit(tol))
 	}
@@ -919,14 +816,14 @@ func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []
 }
 
 // batchAbortStats fills the per-column stats of a batch solve that
-// aborted mid-iteration (breakdown or health-guard trip): every
-// still-active column reports its recurrence residual unconverged at
-// the abort iteration; a column frozen earlier by the convergence test
-// is reported converged with its recurrence residual (batchFinalize
+// stopped mid-iteration (breakdown, health-guard trip or cancellation):
+// every still-active column reports its recurrence residual unconverged
+// at the abort iteration; a column frozen earlier by the convergence
+// test is reported converged with its recurrence residual (batchFinalize
 // never runs on abort paths). Zero-RHS columns were finalized exactly
 // and keep their stats.
-func batchAbortStats(stats []Stats, act []bool, rr, bnorm []float64, iters, k int) {
-	for q := 0; q < k; q++ {
+func batchAbortStats(stats []Stats, act []bool, rr, bnorm []float64, iters int) {
+	for q := range stats {
 		if act[q] {
 			stats[q].Iterations = iters
 			stats[q].RelResidual = math.Sqrt(rr[q]) / bnorm[q]
@@ -938,27 +835,16 @@ func batchAbortStats(stats []Stats, act []bool, rr, bnorm []float64, iters, k in
 }
 
 // batchFinalize fills per-column RelResidual and Converged from the
-// product ax = A*x and returns the number of unconverged columns plus
-// how many of those are false convergences. When metByRecurrence is
-// true, a column whose recurrence already met the tolerance (act[j]
-// false) counts as converged as long as the true residual is within
-// falseConvergenceSlack of the tolerance, matching CG's Stats
-// contract.
-func batchFinalize(b, x, ax, bnorm, rr []float64, stats []Stats, n, k int, tol float64, act []bool, metByRecurrence bool) (int, int) {
-	for j := 0; j < k; j++ {
-		rr[j] = 0
-	}
-	for i := 0; i < n; i++ {
-		base := i * k
-		axb := ax[base : base+k]
-		bb := b[base : base+k]
-		for j := range axb {
-			ri := bb[j] - axb[j]
-			rr[j] += ri * ri
-		}
-	}
+// product ax = A*x (overwriting ax with the residual b - A*x) and
+// returns the number of unconverged columns plus how many of those are
+// false convergences. When metByRecurrence is true, a column whose
+// recurrence already met the tolerance (act[j] false) counts as
+// converged as long as the true residual is within
+// falseConvergenceSlack of the tolerance, matching CG's Stats contract.
+func batchFinalize(b, ax, bnorm, rr []float64, stats []Stats, tol float64, act []bool, metByRecurrence bool) (int, int) {
+	residualCols(b, ax, rr)
 	failed, falseConv := 0, 0
-	for j := 0; j < k; j++ {
+	for j := range stats {
 		nb := bnorm[j]
 		if nb == 0 {
 			nb = 1

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"mis2go/internal/amg"
 	"mis2go/internal/gen"
 	"mis2go/internal/par"
 	"mis2go/internal/sparse"
@@ -94,6 +95,71 @@ func TestCGBatchGenericPreconditionerPath(t *testing.T) {
 	for i := range xBatch {
 		if math.Float64bits(xBatch[i]) != math.Float64bits(xGeneric[i]) {
 			t.Fatalf("x[%d] differs between batch and generic preconditioner path", i)
+		}
+	}
+}
+
+// TestCGMatchesBatchColumnsBitwise pins the one-recurrence contract:
+// CGCtx on one column's right-hand side reproduces that column of a
+// k = 3 CGBatchCtx bit for bit, Stats included, although the columns
+// converge after different iteration counts. It runs both
+// preconditioner routes (AMG through column de-interleaving on the SELL
+// fine operator, Jacobi through BatchPreconditioner on CSR) at 1, 2 and
+// 8 workers, on a problem large enough to split across 8 workers.
+func TestCGMatchesBatchColumnsBitwise(t *testing.T) {
+	a := gen.DirichletLaplacian(gen.Laplace3D(16, 16, 16), 6.5)
+	n := a.Rows
+	h, err := amg.Build(a, amg.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jac, err := Jacobi(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 3
+	b := make([]float64, n*k)
+	for i := 0; i < n; i++ {
+		b[i*k] = 1
+		b[i*k+1] = math.Sin(0.37*float64(i)) + float64(i%7)
+		if i%97 == 0 {
+			b[i*k+2] = float64(i%5) - 2
+		}
+	}
+	bc, xc := make([]float64, n), make([]float64, n)
+	for _, c := range []struct {
+		name string
+		op   sparse.Operator
+		m    Preconditioner
+	}{{"amg", h.FineOperator(), h}, {"jacobi", a, jac}} {
+		for _, w := range []int{1, 2, 8} {
+			rt := par.New(w)
+			o := Options{Tol: 1e-10, MaxIter: 500, M: c.m}
+			xb := make([]float64, n*k)
+			stats, err := CGBatchCtx(nil, rt, c.op, b, xb, k, o)
+			if err != nil {
+				t.Fatalf("%s at %d workers: batch: %v", c.name, w, err)
+			}
+			for j := 0; j < k; j++ {
+				for i := 0; i < n; i++ {
+					bc[i], xc[i] = b[i*k+j], 0
+				}
+				st, err := CGCtx(nil, rt, c.op, bc, xc, o)
+				if err != nil {
+					t.Fatalf("%s at %d workers, column %d: %v", c.name, w, j, err)
+				}
+				if st != stats[j] {
+					t.Fatalf("%s at %d workers, column %d: CGCtx stats %+v, batch %+v", c.name, w, j, st, stats[j])
+				}
+				for i := 0; i < n; i++ {
+					if math.Float64bits(xc[i]) != math.Float64bits(xb[i*k+j]) {
+						t.Fatalf("%s at %d workers, column %d: x[%d] = %x, batch %x", c.name, w, j, i, math.Float64bits(xc[i]), math.Float64bits(xb[i*k+j]))
+					}
+				}
+			}
+			if w == 1 {
+				t.Logf("%s: iterations %d, %d, %d", c.name, stats[0].Iterations, stats[1].Iterations, stats[2].Iterations)
+			}
 		}
 	}
 }

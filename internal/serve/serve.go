@@ -43,11 +43,11 @@
 //
 // Determinism carries over from the underlying stack: a served solution
 // is bitwise identical to the same system solved by a sequential single
-// caller (krylov.CGBatchCtx with k = 1 on a freshly built hierarchy,
-// multiplying by its FineOperator), for any worker count, any cache
-// state, and any coalescing — columns of a batched CG recurrence are
-// exactly independent, and Hierarchy.Refresh is bitwise identical to a
-// fresh build.
+// caller (krylov.CGBatchCtx with k = 1, the same call as krylov.CGCtx,
+// on a freshly built hierarchy, multiplying by its FineOperator), for
+// any worker count, any cache state, and any coalescing — columns of a
+// batched CG recurrence are exactly independent, and Hierarchy.Refresh
+// is bitwise identical to a fresh build.
 package serve
 
 import (

@@ -254,7 +254,9 @@ type SolveOptions = krylov.Options
 // SolveCG runs preconditioned conjugate gradient on the SPD system
 // A x = b. threads 0 means all cores. a is any operator (a *Matrix, or
 // a SELL conversion from NewOperator); every format yields
-// bit-identical solves.
+// bit-identical solves. It is SolveCGBatch with k = 1: the solution and
+// stats are bitwise those of any column of a batch solve with the same
+// right-hand side, and its errors name CGBatch.
 func SolveCG(a Operator, b, x []float64, opt SolveOptions, threads int) (SolveStats, error) {
 	return krylov.CGCtx(nil, par.New(threads), a, b, x, opt)
 }
@@ -298,14 +300,11 @@ func NewSolverWorkspace(n int) *SolverWorkspace { return krylov.NewWorkspace(n) 
 // solvers: divergence (residual blow-up past a factor of the best seen),
 // stagnation (no relative progress over a window), and non-finite
 // residuals each abort the iteration early with a classified error
-// instead of burning the remaining iteration budget. The zero value
-// uses conservative defaults; see DefaultSolverHealth.
+// instead of burning the remaining iteration budget. The zero value,
+// &SolverHealth{}, gives the defaults: divergence at 1e4 times the best
+// residual for 5 consecutive iterations, stagnation after 100
+// iterations without 0.1% relative progress.
 type SolverHealth = krylov.Health
-
-// DefaultSolverHealth returns a health guard with the default
-// thresholds (divergence factor 1e4 over 5 iterations, stagnation after
-// 100 iterations without 0.1% relative progress).
-func DefaultSolverHealth() *SolverHealth { return krylov.DefaultHealth() }
 
 // Classified solver failures. All satisfy errors.Is against the
 // sentinel; ErrSolveQuarantined additionally unwraps from the
