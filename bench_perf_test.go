@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"mis2go/internal/amg"
 	"mis2go/internal/coarsen"
@@ -250,11 +249,11 @@ func BenchmarkCGBatch8Jacobi(b *testing.B) {
 }
 
 // BenchmarkCGBatchAMG measures AMG-preconditioned batch CG on the 40^3
-// Dirichlet Laplacian through a reused workspace, the way amgserve
-// solves: the hierarchy has no batch kernel, so every live column is
-// de-interleaved through its own V-cycle. k=1 is also every CGCtx
-// solve (amgsolve, the facade's SolveCG); k=4 is one coalesced 4-RHS
-// request, comparable against four k=1 solves.
+// Dirichlet Laplacian through a reused workspace. k=1 is every CGCtx
+// solve (amgsolve, the facade's SolveCG, each column amgserve solves).
+// At k=4 the hierarchy has no batch kernel, so every live column is
+// de-interleaved through its own V-cycle; compare it against four k=1
+// solves, which is what amgserve runs for a 4-RHS request.
 func BenchmarkCGBatchAMG(b *testing.B) {
 	a := gen.DirichletLaplacian(gen.Laplace3D(40, 40, 40), 6.5)
 	n := a.Rows
@@ -386,7 +385,7 @@ type serveBenchRequest struct {
 // serveBenchMix is the fixed request mix both serving benchmarks
 // replay: two sparsity patterns x four value sets x four same-operator
 // repeats, ordered so same-operator requests are adjacent (concurrent
-// clients pull them into the batching window together). 32 requests.
+// clients queue them on one entry lock together). 32 requests.
 func serveBenchMix() []serveBenchRequest {
 	patterns := []*sparse.Matrix{
 		gen.Laplacian(gen.Laplace3D(16, 16, 16), 0.05),
@@ -412,17 +411,17 @@ func serveBenchMix() []serveBenchRequest {
 // BenchmarkServeThroughput measures the solve service on the mixed
 // new-pattern/refresh/repeat request stream, driven by 8 concurrent
 // client goroutines: the fingerprint cache amortizes setup, identical
-// operators are served for free, and the batching window coalesces
-// same-operator solves into shared CGBatch calls. One op = the whole
+// operators are served for free, and same-pattern requests take turns
+// on their entry, each solving its own column. One op = the whole
 // 32-request mix. Compare BenchmarkSequentialSolves (the ratio is
 // Serve_vs_SequentialSolves in BENCH_PR5.json).
 func BenchmarkServeThroughput(b *testing.B) {
 	mix := serveBenchMix()
-	s := serve.New(serve.Config{Tol: 1e-8, MaxIter: 400, BatchWindow: 500 * time.Microsecond})
+	s := serve.New(serve.Config{Tol: 1e-8, MaxIter: 400})
 	ctx := context.Background()
 	const clients = 8
 	// Warm the cache with one sequential pass so every measured op does
-	// the same work (refreshes/reuses/coalesced solves, no cold builds):
+	// the same work (refreshes, reuses and solves, no cold builds):
 	// the ratio against BenchmarkSequentialSolves is explicitly
 	// steady-state service vs. naive per-request setup.
 	for _, r := range mix {

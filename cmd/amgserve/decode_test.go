@@ -143,7 +143,7 @@ func TestDecodeSolveRequestAllocs(t *testing.T) {
 // TestSolveEndpointHugeRowsClaimIsCheap: a tiny body claiming two
 // billion rows is refused 400 without presizing anything for them.
 func TestSolveEndpointHugeRowsClaimIsCheap(t *testing.T) {
-	mux := newMux(serve.New(serve.Config{BatchWindow: -1}), 64<<20)
+	mux := newMux(serve.New(serve.Config{}), 64<<20)
 	body := `{"rows":2000000000,"rowptr":[0,1],"col":[0],"val":[1],"b":[1]}`
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -204,15 +204,14 @@ func BenchmarkSolveRequestDecode(b *testing.B) {
 // struct or a different encoder must fail here first.
 const (
 	goldenRequest = `{"rows":4,"rowptr":[0,2,5,8,10],"col":[0,1,0,1,2,1,2,3,2,3],"val":[4,-1,-1,4,-1,-1,4,-1,-1,4],"b":[1,2,3,4]}`
-	goldenReply   = `{"outcome":"build","batched":1,"columns":[{"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"iterations":1,"relres":8.357455313457785e-17,"converged":true}],"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"converged":true,"relres":8.357455313457785e-17}` + "\n"
+	goldenReply   = `{"outcome":"build","columns":[{"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"iterations":1,"relres":8.357455313457785e-17,"converged":true}],"x":[0.4880382775119617,0.952153110047847,1.3205741626794258,1.3301435406698565],"converged":true,"relres":8.357455313457785e-17}` + "\n"
 )
 
 func TestSolveEndpointGoldenReply(t *testing.T) {
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{Threads: 1},
-		Tol:         1e-10,
-		MaxIter:     100,
-		BatchWindow: -1,
+		AMG:     amg.Options{Threads: 1},
+		Tol:     1e-10,
+		MaxIter: 100,
 	})
 	rec := httptest.NewRecorder()
 	newMux(svc, 1<<20).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/solve", strings.NewReader(goldenRequest)))

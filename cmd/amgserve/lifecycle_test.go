@@ -20,10 +20,9 @@ import (
 func testApp(t *testing.T) (*app, *httptest.Server) {
 	t.Helper()
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{MinCoarseSize: 30},
-		Tol:         1e-10,
-		MaxIter:     200,
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 30},
+		Tol:     1e-10,
+		MaxIter: 200,
 	})
 	ap := &app{svc: svc, maxBody: 64 << 20}
 	ts := httptest.NewServer(ap.mux())
@@ -94,10 +93,9 @@ func TestDrainRejectsNewSolves(t *testing.T) {
 // — classified from the error itself, not from the request context.
 func TestCancellationMapsToRetryable503(t *testing.T) {
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{MinCoarseSize: 30},
-		Tol:         1e-10,
-		MaxIter:     200,
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 30},
+		Tol:     1e-10,
+		MaxIter: 200,
 		FaultHook: func(p serve.FaultPhase, ctx context.Context) error {
 			if p == serve.FaultBuild {
 				return fmt.Errorf("injected cancel: %w", context.Canceled)
@@ -128,10 +126,9 @@ func TestCancellationMapsToRetryable503(t *testing.T) {
 // (http.ErrServerClosed is not an error).
 func TestRunDrainsOnSignal(t *testing.T) {
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{MinCoarseSize: 30},
-		Tol:         1e-10,
-		MaxIter:     200,
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 30},
+		Tol:     1e-10,
+		MaxIter: 200,
 	})
 	ap := &app{svc: svc, maxBody: 64 << 20}
 	srv := &http.Server{Addr: "127.0.0.1:0", Handler: ap.mux()}

@@ -1,7 +1,6 @@
 // Command amgserve exposes the concurrent solve service over HTTP: a
-// JSON solve endpoint backed by the fingerprint-keyed hierarchy cache
-// and request-coalescing batcher, plus plaintext metrics and lifecycle
-// probes.
+// JSON solve endpoint backed by the fingerprint-keyed hierarchy cache,
+// plus plaintext metrics and lifecycle probes.
 //
 //	amgserve -addr :8080 &
 //	curl -s localhost:8080/solve -d '{"rows":2,"rowptr":[0,1,2],"col":[0,1],"val":[4,4],"b":[1,2]}'
@@ -14,9 +13,8 @@
 //     stats, and what the request paid at the hierarchy cache ("build",
 //     "refresh", "reuse", or "collision"). Repeated solves with the
 //     same sparsity pattern pay only a numeric refresh; identical
-//     matrices pay nothing; concurrent requests against one operator
-//     are coalesced into batched CG solves (watch
-//     amgserve_batched_rhs_ratio).
+//     matrices pay nothing. Each right-hand side is solved with its
+//     own CG call; requests against one pattern take turns.
 //     A body larger than -maxbody is answered 413, a malformed one
 //     400 "bad request body: …".
 //   - GET /metrics returns plaintext counters.
@@ -89,7 +87,6 @@ type columnResult struct {
 // solveResponse is the JSON shape of a solve that produced results.
 type solveResponse struct {
 	Outcome string         `json:"outcome"`
-	Batched int            `json:"batched"`
 	Columns []columnResult `json:"columns"`
 	// X mirrors Columns[0].X for single-RHS requests whose column
 	// converged, so the common case stays a one-field read; an
@@ -124,8 +121,7 @@ type app struct {
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	cache := flag.Int("cache", 8, "hierarchy cache capacity (distinct sparsity patterns)")
-	window := flag.Duration("window", 200*time.Microsecond, "batching window for coalescing same-operator requests (negative disables)")
-	maxBatch := flag.Int("maxbatch", 8, "max right-hand sides coalesced into one batched CG call")
+	maxBatch := flag.Int("maxbatch", 8, "max right-hand sides one /solve request may carry")
 	inflight := flag.Int("inflight", 0, "max in-flight requests, 0 = 4*GOMAXPROCS (backpressure bound)")
 	maxBody := flag.Int64("maxbody", 512<<20, "max /solve request body bytes")
 	tol := flag.Float64("tol", 1e-8, "relative residual tolerance")
@@ -142,7 +138,6 @@ func main() {
 		Tol:           *tol,
 		MaxIter:       *maxIter,
 		CacheCapacity: *cache,
-		BatchWindow:   *window,
 		MaxBatch:      *maxBatch,
 		MaxInFlight:   *inflight,
 
@@ -152,7 +147,7 @@ func main() {
 		QuarantineCooldown:  *quarantineCooldown,
 	})
 	ap := &app{svc: svc, maxBody: *maxBody}
-	log.Printf("amgserve listening on %s (cache %d, window %v, maxbatch %d)", *addr, *cache, *window, *maxBatch)
+	log.Printf("amgserve listening on %s (cache %d, maxbatch %d)", *addr, *cache, *maxBatch)
 	// Explicit server timeouts: a public solve endpoint must not let
 	// slow or stalled clients pin connection goroutines forever (the
 	// write timeout is generous — solutions for large systems are big).
@@ -289,9 +284,9 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 			retryAfter(w)
 			status = http.StatusGatewayTimeout
 		case errors.Is(err, context.Canceled):
-			// Canceled admission (backpressure), a canceled coalescing
-			// wait, or a cancel that reached the iteration loop: the
-			// work was cut short, not rejected — safe to retry.
+			// Canceled admission (backpressure), a cancel during setup,
+			// or a cancel that reached the iteration loop: the work was
+			// cut short, not rejected — safe to retry.
 			retryAfter(w)
 			status = http.StatusServiceUnavailable
 		}
@@ -301,7 +296,7 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	resp := solveResponse{Outcome: stats.Outcome.String(), Batched: stats.Batched,
+	resp := solveResponse{Outcome: stats.Outcome.String(),
 		Converged: stats.Converged, RelResidual: stats.RelResidual,
 		Escalations: stats.Escalations}
 	for j, x := range xs {

@@ -23,10 +23,9 @@ import (
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{MinCoarseSize: 30},
-		Tol:         1e-10,
-		MaxIter:     200,
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 30},
+		Tol:     1e-10,
+		MaxIter: 200,
 	})
 	ts := httptest.NewServer(newMux(svc, 64<<20))
 	t.Cleanup(ts.Close)
@@ -117,8 +116,8 @@ func TestSolveEndpointMultiRHS(t *testing.T) {
 	}
 	body, _ := json.Marshal(solveRequest{Rows: a.Rows, RowPtr: a.RowPtr, Col: a.Col, Val: a.Val, Bs: bs})
 	sr := postSolve(t, ts, body)
-	if len(sr.Columns) != 3 || sr.Batched != 3 {
-		t.Fatalf("multi-RHS: %d columns batched %d, want 3/3", len(sr.Columns), sr.Batched)
+	if len(sr.Columns) != 3 {
+		t.Fatalf("multi-RHS: %d columns, want 3", len(sr.Columns))
 	}
 	if sr.X != nil {
 		t.Fatal("single-RHS convenience field set on a bs-only request")
@@ -162,7 +161,7 @@ func TestSolveEndpointRejectsBadRequests(t *testing.T) {
 // TestSolveEndpointBodyTooLarge413: a body past the -maxbody cap is
 // refused as too large, not as malformed.
 func TestSolveEndpointBodyTooLarge413(t *testing.T) {
-	svc := serve.New(serve.Config{BatchWindow: -1})
+	svc := serve.New(serve.Config{})
 	ts := httptest.NewServer(newMux(svc, 1<<10))
 	t.Cleanup(ts.Close)
 	body := `{"pad":"` + strings.Repeat("x", 4<<10) + `"}`
@@ -269,7 +268,6 @@ func TestSolveEndpointClassifiesDivergence(t *testing.T) {
 		AMG:                 amg.Options{MinCoarseSize: 30},
 		Tol:                 1e-10,
 		MaxIter:             200,
-		BatchWindow:         -1,
 		MaxEscalations:      -1,
 		QuarantineThreshold: -1,
 	})
@@ -303,7 +301,6 @@ func TestSolveEndpointQuarantine429(t *testing.T) {
 		AMG:                 amg.Options{MinCoarseSize: 30},
 		Tol:                 1e-10,
 		MaxIter:             200,
-		BatchWindow:         -1,
 		MaxEscalations:      -1,
 		QuarantineThreshold: 2,
 		QuarantineCooldown:  time.Minute,
@@ -359,7 +356,6 @@ func TestSolveEndpointDeadline504(t *testing.T) {
 		AMG:          amg.Options{MinCoarseSize: 30},
 		Tol:          1e-10,
 		MaxIter:      200,
-		BatchWindow:  -1,
 		SolveTimeout: time.Millisecond,
 		FaultHook: func(p serve.FaultPhase, ctx context.Context) error {
 			if p == serve.FaultAdmitted {
@@ -390,10 +386,9 @@ func TestSolveEndpointDeadline504(t *testing.T) {
 // field is withheld.
 func TestSolveEndpointReportsNonConvergence(t *testing.T) {
 	svc := serve.New(serve.Config{
-		AMG:         amg.Options{MinCoarseSize: 30},
-		Tol:         1e-14,
-		MaxIter:     1, // guaranteed non-convergence on a real system
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 30},
+		Tol:     1e-14,
+		MaxIter: 1, // guaranteed non-convergence on a real system
 	})
 	ts := httptest.NewServer(newMux(svc, 64<<20))
 	t.Cleanup(ts.Close)

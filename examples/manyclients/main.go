@@ -7,13 +7,11 @@
 //
 // The service amortizes everything that can be amortized: first request
 // per pattern builds an AMG hierarchy (cached, LRU), same-pattern
-// requests with new values pay only the numeric Refresh, identical
-// operators pay nothing, and requests that collide in the batching
-// window are coalesced into one batched CG call (one matrix traversal
-// per iteration for all of them). The run ends by replaying the same
-// traffic sequentially with a fresh build per request — the naive
-// single-caller baseline — and printing the speedup, plus the service
-// metrics that explain it.
+// requests with new values pay only the numeric Refresh, and identical
+// operators pay nothing. The run ends by replaying the same traffic
+// sequentially with a fresh build per request — the naive single-caller
+// baseline — and printing the speedup, plus the cache outcomes that
+// explain it.
 package main
 
 import (
@@ -57,15 +55,11 @@ func main() {
 	fmt.Printf("traffic: %d clients x %d requests over %d patterns x %d value sets\n",
 		clients, requests, len(patterns), valueSets)
 
-	svc := mis2go.NewSolveService(mis2go.ServeConfig{
-		Tol:         1e-8,
-		MaxIter:     400,
-		BatchWindow: 500 * time.Microsecond,
-	})
+	svc := mis2go.NewSolveService(mis2go.ServeConfig{Tol: 1e-8, MaxIter: 400})
 
 	// pick maps (client, request) to its (pattern, values) pair: bursts
 	// of repeats with periodic value and pattern rotation, staggered per
-	// client so same-operator requests overlap in time and coalesce.
+	// client so same-pattern requests overlap in time.
 	pick := func(c, r int) (int, int) {
 		return (c/6 + r/8) % len(patterns), r / 3 % valueSets
 	}
@@ -92,8 +86,6 @@ func main() {
 		m.Requests, served.Seconds(), float64(m.Requests)/served.Seconds())
 	fmt.Printf("  cache: %d builds, %d refreshes, %d free reuses, %d evictions\n",
 		m.Builds, m.Refreshes, m.ValueHits, m.Evictions)
-	fmt.Printf("  batching: %d CG calls for %d right-hand sides (%.2f RHS/call)\n",
-		m.BatchSolves, m.BatchedRHS, m.BatchedRHSRatio())
 
 	// The naive baseline: every request pays a fresh hierarchy build and
 	// a solo solve, one after another.

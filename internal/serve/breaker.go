@@ -153,7 +153,7 @@ func (b *breaker) recordFailure(fp uint64, probe bool, m *counters) {
 }
 
 // recordNeutral releases a probe that ended without a numerical verdict
-// (canceled, contained panic, invalidated batch): the breaker stays
+// (canceled, contained panic): the breaker stays
 // open but the next request may probe immediately — a cancellation says
 // nothing about the pattern's health.
 func (b *breaker) recordNeutral(fp uint64, probe bool) {

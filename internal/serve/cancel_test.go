@@ -1,9 +1,8 @@
-// Batch-window and end-to-end cancellation tests: a follower canceled
-// while parked in the coalescing window detaches without corrupting the
-// leader's batch, a canceled leader still hands the solve to its live
-// followers, cancellation reaches the CG iteration loop and the
-// hierarchy build, and every cancellation leaves the cache entry in a
-// state later requests can use. All run under -race in `make check`.
+// End-to-end cancellation and panic tests: cancellation reaches the CG
+// iteration loop, the hierarchy build and the numeric refresh, every
+// cancellation leaves the cache entry in a state later requests can
+// use, and a request queued behind a contained solve panic rebuilds.
+// All run under -race in `make check`.
 package serve
 
 import (
@@ -72,157 +71,23 @@ func planHook(p FaultPhase, ctx context.Context) error {
 		panic("injected fault: solver blew up")
 	case "cancel":
 		plan.cancel()
-		// Wait for the cancellation to be observable on the request
-		// context, then give the batch's AfterFunc a moment to
-		// propagate it to the solve context: the point of this kind is
-		// proving the iteration loop sees it.
+		// The request context is the solve context: once it reports
+		// done, the iteration loop will see the cancellation.
 		<-ctx.Done()
-		time.Sleep(10 * time.Millisecond)
 	case "slow":
 		time.Sleep(2 * time.Millisecond)
 	}
 	return nil
 }
 
-func TestServeFollowerCancelDetachesFromWindow(t *testing.T) {
-	cfg := Config{
-		AMG:         amg.Options{MinCoarseSize: 40},
-		Tol:         1e-10,
-		MaxIter:     300,
-		BatchWindow: 300 * time.Millisecond,
-		MaxBatch:    4,
-	}
-	s := New(cfg)
-	a := gen.Laplacian(gen.Laplace3D(7, 7, 7), 0.05)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = float64((i*7)%13) - 6
-	}
-	want := cancelRefSolve(t, cfg, a, b)
-
-	// Warm the entry so the leader below goes straight into a window.
-	if _, _, err := s.Solve(context.Background(), a, b); err != nil {
-		t.Fatal(err)
-	}
-
-	type result struct {
-		x   []float64
-		st  RequestStats
-		err error
-	}
-	leadc := make(chan result, 1)
-	go func() {
-		x, st, err := s.Solve(context.Background(), a, b)
-		leadc <- result{x, st, err}
-	}()
-	time.Sleep(30 * time.Millisecond) // leader is parked in its window
-
-	fctx, fcancel := context.WithCancel(context.Background())
-	folc := make(chan result, 1)
-	go func() {
-		x, st, err := s.Solve(fctx, a, b)
-		folc <- result{x, st, err}
-	}()
-	time.Sleep(30 * time.Millisecond) // follower has joined the open batch
-	start := time.Now()
-	fcancel()
-
-	fol := <-folc
-	detachLatency := time.Since(start)
-	if fol.err == nil {
-		t.Fatal("canceled follower returned a result")
-	}
-	if !errors.Is(fol.err, context.Canceled) {
-		t.Fatalf("follower error does not wrap context.Canceled: %v", fol.err)
-	}
-	if detachLatency > 150*time.Millisecond {
-		t.Fatalf("follower took %v to detach; the window still had ~%v to run", detachLatency, 240*time.Millisecond)
-	}
-
-	lead := <-leadc
-	if lead.err != nil {
-		t.Fatalf("leader failed after follower detached: %v", lead.err)
-	}
-	if lead.st.Batched != 2 {
-		t.Fatalf("leader batched %d columns, want 2 (follower never joined?)", lead.st.Batched)
-	}
-	cancelBitwise(t, "leader result after follower detach", lead.x, want)
-
-	m := s.Metrics()
-	if m.Canceled != 1 {
-		t.Fatalf("canceled metric = %d, want 1", m.Canceled)
-	}
-}
-
-func TestServeLeaderCancelStillServesFollower(t *testing.T) {
-	cfg := Config{
-		AMG:         amg.Options{MinCoarseSize: 40},
-		Tol:         1e-10,
-		MaxIter:     300,
-		BatchWindow: 250 * time.Millisecond,
-		MaxBatch:    4,
-	}
-	s := New(cfg)
-	a := gen.Laplacian(gen.Laplace2D(20, 20), 0.1)
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = float64((i*5)%17) - 8
-	}
-	want := cancelRefSolve(t, cfg, a, b)
-	if _, _, err := s.Solve(context.Background(), a, b); err != nil {
-		t.Fatal(err)
-	}
-
-	type result struct {
-		x   []float64
-		st  RequestStats
-		err error
-	}
-	lctx, lcancel := context.WithCancel(context.Background())
-	leadc := make(chan result, 1)
-	go func() {
-		x, st, err := s.Solve(lctx, a, b)
-		leadc <- result{x, st, err}
-	}()
-	time.Sleep(30 * time.Millisecond)
-
-	folc := make(chan result, 1)
-	go func() {
-		x, st, err := s.Solve(context.Background(), a, b)
-		folc <- result{x, st, err}
-	}()
-	time.Sleep(30 * time.Millisecond)
-	lcancel() // leader canceled mid-window, follower still live
-
-	fol := <-folc
-	if fol.err != nil {
-		t.Fatalf("follower failed after leader cancel: %v", fol.err)
-	}
-	if fol.st.Batched != 2 {
-		t.Fatalf("follower batched %d columns, want 2", fol.st.Batched)
-	}
-	cancelBitwise(t, "follower result after leader cancel", fol.x, want)
-
-	// The canceled leader either completed the solve it led anyway (its
-	// own result is then the real answer) or reported the cancellation;
-	// either way, never a wrong result.
-	lead := <-leadc
-	if lead.err == nil {
-		cancelBitwise(t, "canceled leader's own result", lead.x, want)
-	} else if !errors.Is(lead.err, context.Canceled) {
-		t.Fatalf("leader error does not wrap context.Canceled: %v", lead.err)
-	}
-}
-
 func TestServeCancelReachesIterationLoop(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := Config{
-		AMG:         amg.Options{MinCoarseSize: 60},
-		Tol:         1e-12,
-		MaxIter:     500,
-		BatchWindow: -1, // lead immediately; the fault hook does the canceling
-		FaultHook:   planHook,
+		AMG:       amg.Options{MinCoarseSize: 60},
+		Tol:       1e-12,
+		MaxIter:   500,
+		FaultHook: planHook,
 	}
 	s := New(cfg)
 	a := gen.Laplacian(gen.Laplace3D(12, 12, 12), 0.05)
@@ -353,14 +218,26 @@ func TestServeRefreshCancelKeepsPreviousOperator(t *testing.T) {
 	cancelBitwise(t, "retried refresh", x2, want2)
 }
 
-func TestServePanicInSolveCancelWakesFollowers(t *testing.T) {
+// TestServePanicInSolveQueuedRequestRebuildsBitwise: a request panics
+// in its solve while a clean request for the same operator is queued on
+// the entry lock. The panicking request gets ErrPanic; the queued one
+// must find the entry reset, rebuild, and return the sequential
+// reference bitwise — never hang, never solve on the poisoned state.
+func TestServePanicInSolveQueuedRequestRebuildsBitwise(t *testing.T) {
+	type panicKey struct{}
+	entered := make(chan struct{})
 	cfg := Config{
-		AMG:         amg.Options{MinCoarseSize: 40},
-		Tol:         1e-10,
-		MaxIter:     300,
-		BatchWindow: 200 * time.Millisecond,
-		MaxBatch:    4,
-		FaultHook:   planHook,
+		AMG:     amg.Options{MinCoarseSize: 40},
+		Tol:     1e-10,
+		MaxIter: 300,
+		FaultHook: func(p FaultPhase, ctx context.Context) error {
+			if p == FaultSolve && ctx.Value(panicKey{}) != nil {
+				close(entered)
+				time.Sleep(30 * time.Millisecond) // let the clean request queue on the entry lock
+				panic("injected fault: solver blew up")
+			}
+			return nil
+		},
 	}
 	s := New(cfg)
 	a := gen.Laplacian(gen.Laplace2D(18, 18), 0.1)
@@ -373,37 +250,25 @@ func TestServePanicInSolveCancelWakesFollowers(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Leader carries a mid-batch panic plan; a clean follower joins its
-	// window. Both must come back with an error wrapping ErrPanic —
-	// never hang on the condition variable.
-	rctx := context.WithValue(context.Background(), faultPlanKey{}, &faultPlan{phase: FaultSolve, kind: "panic"})
+	rctx := context.WithValue(context.Background(), panicKey{}, true)
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := s.Solve(rctx, a, b)
 		errc <- err
 	}()
-	time.Sleep(30 * time.Millisecond)
-	_, _, folErr := s.Solve(context.Background(), a, b)
-	leadErr := <-errc
-
-	if !errors.Is(leadErr, ErrPanic) {
-		t.Fatalf("panicking leader error = %v, want ErrPanic", leadErr)
+	<-entered // the panicking request holds the entry lock
+	x, st, err := s.Solve(context.Background(), a, b)
+	if perr := <-errc; !errors.Is(perr, ErrPanic) {
+		t.Fatalf("panicking request error = %v, want ErrPanic", perr)
 	}
-	if !errors.Is(folErr, ErrPanic) {
-		t.Fatalf("follower error = %v, want ErrPanic", folErr)
+	if err != nil {
+		t.Fatalf("queued request failed after a neighbor's panic: %v", err)
 	}
+	if st.Outcome != OutcomeBuild {
+		t.Fatalf("queued request outcome = %v, want build", st.Outcome)
+	}
+	cancelBitwise(t, "queued request after contained panic", x, want)
 	if m := s.Metrics(); m.Panics != 1 {
 		t.Fatalf("panics metric = %d, want 1", m.Panics)
 	}
-
-	// The poisoned entry was retired; the next request rebuilds and the
-	// result is still bitwise the sequential reference.
-	x, st, err := s.Solve(context.Background(), a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Outcome != OutcomeBuild {
-		t.Fatalf("outcome after contained panic = %v, want build", st.Outcome)
-	}
-	cancelBitwise(t, "rebuild after contained panic", x, want)
 }

@@ -24,13 +24,11 @@ const (
 	// is a pre-mutation rejection (the entry stays usable); a panic
 	// retires the entry.
 	FaultRefresh
-	// FaultSolve fires inside the batch-leader critical section, after
-	// the coalescing window closed and with the entry lock held, just
-	// before the CGBatchCtx call. The context is the leader's — followers
-	// coalesced into the batch share the outcome. A panic here is the
-	// "mid-batch panic" scenario: every follower must be woken with an
-	// error wrapping ErrPanic and the entry must be retired, never
-	// deadlocked on the condition variable.
+	// FaultSolve fires inside the cached path's solve critical section,
+	// with the entry lock held, just before the request's first column
+	// is solved. A panic here is the "mid-solve panic" scenario: the
+	// request gets an error wrapping ErrPanic, the entry is retired, and
+	// requests queued on the entry lock rebuild.
 	FaultSolve
 	// FaultEscalate fires at the start of each escalation-ladder rung,
 	// inside the rung's panic isolation, before the rung's hierarchy

@@ -113,11 +113,11 @@ func (s *Service) escalate(ctx context.Context, a *sparse.Matrix, bs [][]float64
 }
 
 // solveRung runs one escalation attempt, request-local and panic-
-// isolated: a fresh hierarchy with the rung's options, then a guarded
-// batch CG (or per-column GMRES) through that hierarchy's FineOperator.
-// Nothing touches the cache, so a failed rung leaves no state behind
-// and a successful one is bitwise reproducible by a sequential caller
-// using the same options.
+// isolated: a fresh hierarchy with the rung's options, then the
+// service's column loop (guarded CG, or GMRES) through that hierarchy's
+// FineOperator. Nothing touches the cache, so a failed rung leaves no
+// state behind and a successful one is bitwise reproducible by a
+// sequential caller using the same options.
 func (s *Service) solveRung(ctx context.Context, rg rung, a *sparse.Matrix, bs [][]float64) (xs [][]float64, cols []krylov.Stats, err error) {
 	defer recoverTo(&err)
 	if err := s.fault(FaultEscalate, ctx); err != nil {
@@ -127,19 +127,5 @@ func (s *Service) solveRung(ctx context.Context, rg rung, a *sparse.Matrix, bs [
 	if err != nil {
 		return nil, nil, err
 	}
-	if !rg.gmres {
-		return s.solveFresh(ctx, a, h, bs)
-	}
-	o := s.solveOpt
-	o.M, o.Work = h, krylov.NewWorkspace(a.Rows)
-	for _, b := range bs {
-		x := make([]float64, a.Rows)
-		cst, serr := krylov.GMRESCtx(ctx, s.rt, h.FineOperator(), b, x, 0, o)
-		cols = append(cols, cst)
-		xs = append(xs, x)
-		if serr != nil {
-			return xs, cols, serr
-		}
-	}
-	return xs, cols, nil
+	return s.solveColumns(ctx, h, krylov.NewWorkspace(a.Rows), bs, rg.gmres)
 }

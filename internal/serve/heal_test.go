@@ -24,10 +24,9 @@ import (
 // the point-SGS hierarchy of the f64+sgs rung converges in 7.
 func stallConfig() Config {
 	return Config{
-		AMG:         amg.Options{MinCoarseSize: 40},
-		Tol:         1e-10,
-		MaxIter:     9,
-		BatchWindow: -1,
+		AMG:     amg.Options{MinCoarseSize: 40},
+		Tol:     1e-10,
+		MaxIter: 9,
 	}
 }
 
@@ -195,7 +194,6 @@ func poisonService(cooldown time.Duration) (*Service, *sparse.Matrix, []float64,
 		AMG:                 amg.Options{MinCoarseSize: 40},
 		Tol:                 1e-10,
 		MaxIter:             200,
-		BatchWindow:         -1,
 		MaxEscalations:      -1,
 		QuarantineThreshold: 2,
 		QuarantineCooldown:  cooldown,
@@ -302,7 +300,6 @@ func TestQuarantineDisabled(t *testing.T) {
 		AMG:                 amg.Options{MinCoarseSize: 40},
 		Tol:                 1e-10,
 		MaxIter:             200,
-		BatchWindow:         -1,
 		MaxEscalations:      -1,
 		QuarantineThreshold: -1,
 	}
@@ -336,7 +333,6 @@ func TestEscalationFalseConvergenceClassified(t *testing.T) {
 		AMG:                 amg.Options{MinCoarseSize: 40},
 		Tol:                 1e-8,
 		MaxIter:             500,
-		BatchWindow:         -1,
 		MaxEscalations:      -1,
 		QuarantineThreshold: 2,
 		QuarantineCooldown:  time.Minute,

@@ -43,16 +43,16 @@ type Metrics struct {
 	// Collisions counts fingerprint collisions served uncached;
 	// Evictions counts hierarchies dropped by LRU capacity pressure.
 	Collisions, Evictions int64
-	// BatchSolves counts CGBatchCtx calls; BatchedRHS counts the
-	// right-hand-side columns they carried in total.
+	// BatchSolves counts solve calls, one per request that reached the
+	// solver; BatchedRHS counts the columns those calls solved.
 	BatchSolves, BatchedRHS int64
-	// Canceled counts admitted requests that ended canceled (before,
-	// during, or while coalescing for a solve); admission-wait
-	// cancellations count under Rejected instead.
+	// Canceled counts admitted requests that ended canceled (during
+	// setup or the solve); admission-wait cancellations count under
+	// Rejected instead.
 	Canceled int64
 	// Panics counts panics contained by the solver critical sections —
 	// each one converted to an error and an entry retirement instead of
-	// a dead process or a deadlocked batch.
+	// a dead process.
 	Panics int64
 	// NumericalFailures counts requests that ultimately failed with a
 	// classified numerical error (after any escalation); Escalations
@@ -94,9 +94,9 @@ func (s *Service) Metrics() Metrics {
 	}
 }
 
-// BatchedRHSRatio is the mean number of right-hand sides per CGBatchCtx
-// call — 1.0 means no coalescing ever happened, higher means the
-// batching window is amortizing matrix traversals across users.
+// BatchedRHSRatio is the mean number of columns per solve call
+// (BatchedRHS / BatchSolves): the mean width of the requests that
+// reached the solver.
 func (m Metrics) BatchedRHSRatio() float64 {
 	if m.BatchSolves == 0 {
 		return 0

@@ -33,7 +33,6 @@ func TestServeStressPoisonQuarantine(t *testing.T) {
 		Tol:           1e-10,
 		MaxIter:       200,
 		CacheCapacity: 2, // below the pattern count: eviction pressure during the storm
-		BatchWindow:   100 * time.Microsecond,
 		MaxBatch:      4,
 		// The ladder is off: every poison request keeps its classified
 		// failure, so the breaker sees each one (the ladder has its own
@@ -251,10 +250,9 @@ func TestServeHealthyBitwiseAcrossWorkerCounts(t *testing.T) {
 	var want []float64
 	for _, threads := range []int{1, 2, 8} {
 		cfg := Config{
-			AMG:         amg.Options{MinCoarseSize: 40, Threads: threads},
-			Tol:         1e-10,
-			MaxIter:     200,
-			BatchWindow: -1,
+			AMG:     amg.Options{MinCoarseSize: 40, Threads: threads},
+			Tol:     1e-10,
+			MaxIter: 200,
 		}
 		s := New(cfg)
 		x, st, err := s.Solve(context.Background(), a, b)

@@ -1,11 +1,12 @@
 // White-box tests for the solve service's cache layer: LRU eviction
 // under capacity pressure, fingerprint-collision shape checks,
 // single-flight builds, outcome accounting, and the bitwise equivalence
-// of solo and coalesced solves.
+// of solo and concurrent solves.
 package serve
 
 import (
 	"context"
+	"errors"
 	"math"
 	"strings"
 	"sync"
@@ -21,14 +22,12 @@ import (
 )
 
 // testConfig returns a service configuration sized for the small test
-// problems: modest iteration budget, coalescing off by default so cache
-// accounting is deterministic (batching tests override it).
+// problems: modest iteration budget.
 func testConfig() Config {
 	return Config{
-		AMG:         amg.Options{MinCoarseSize: 40},
-		Tol:         1e-10,
-		MaxIter:     200,
-		BatchWindow: -1, // disable coalescing unless a test wants it
+		AMG:     amg.Options{MinCoarseSize: 40},
+		Tol:     1e-10,
+		MaxIter: 200,
 	}
 }
 
@@ -229,10 +228,12 @@ func TestServeSingleFlightBuild(t *testing.T) {
 	}
 }
 
-// TestServeCoalescedBitwiseMatchesSolo: a request served inside a
-// coalesced CGBatchCtx must be bitwise identical to the same request
-// served alone (and to the sequential reference).
-func TestServeCoalescedBitwiseMatchesSolo(t *testing.T) {
+// TestServeConcurrentSameOperatorBitwiseMatchesSolo: k concurrent
+// requests against one primed operator queue on its entry lock and each
+// solve their own column; every result must be bitwise identical to the
+// same request served alone (and to the sequential reference), and each
+// request makes exactly one solve call.
+func TestServeConcurrentSameOperatorBitwiseMatchesSolo(t *testing.T) {
 	a, _ := testProblem(8, 0.05)
 	n := a.Rows
 	const k = 4
@@ -244,32 +245,24 @@ func TestServeCoalescedBitwiseMatchesSolo(t *testing.T) {
 		}
 	}
 
-	// Solo: coalescing disabled, each request runs as a k=1 batch.
-	soloCfg := testConfig()
-	solo := New(soloCfg)
+	cfg := testConfig()
+	solo := New(cfg)
 	want := make([][]float64, k)
 	for j := range rhs {
-		x, st, err := solo.Solve(context.Background(), a, rhs[j])
+		x, _, err := solo.Solve(context.Background(), a, rhs[j])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.Batched != 1 {
-			t.Fatalf("solo request batched %d, want 1", st.Batched)
-		}
 		want[j] = x
-		bitwiseEqual(t, "solo vs reference", x, referenceSolve(t, soloCfg, a.Clone(), rhs[j]))
+		bitwiseEqual(t, "solo vs reference", x, referenceSolve(t, cfg, a.Clone(), rhs[j]))
 	}
 
-	// Coalesced: a long window so concurrently launched requests join
-	// one batch.
-	cfg := testConfig()
-	cfg.BatchWindow = 250 * time.Millisecond
-	cfg.MaxBatch = k
 	s := New(cfg)
-	// Prime the cache so the batch isn't serialized behind the build.
+	// Prime the cache so the concurrent requests all take the reuse path.
 	if _, _, err := s.Solve(context.Background(), a, rhs[0]); err != nil {
 		t.Fatal(err)
 	}
+	before := s.Metrics()
 	var wg sync.WaitGroup
 	got := make([][]float64, k)
 	stats := make([]RequestStats, k)
@@ -282,27 +275,28 @@ func TestServeCoalescedBitwiseMatchesSolo(t *testing.T) {
 		}(j)
 	}
 	wg.Wait()
-	maxBatched := 0
 	for j := 0; j < k; j++ {
 		if errs[j] != nil {
 			t.Fatalf("request %d: %v", j, errs[j])
 		}
-		bitwiseEqual(t, "coalesced vs solo", got[j], want[j])
-		if stats[j].Batched > maxBatched {
-			maxBatched = stats[j].Batched
+		if stats[j].Outcome != OutcomeReuse {
+			t.Fatalf("request %d outcome %v, want reuse", j, stats[j].Outcome)
 		}
+		bitwiseEqual(t, "concurrent vs solo", got[j], want[j])
 	}
-	if maxBatched < 2 {
-		t.Fatalf("no coalescing happened (max batched %d) despite a %v window", maxBatched, cfg.BatchWindow)
+	m := s.Metrics()
+	if d := m.BatchSolves - before.BatchSolves; d != k {
+		t.Fatalf("solve calls grew by %d, want %d (one per request)", d, k)
 	}
-	if m := s.Metrics(); m.BatchedRHS != int64(k+1) {
-		t.Fatalf("batched RHS %d, want %d", m.BatchedRHS, k+1)
+	if d := m.BatchedRHS - before.BatchedRHS; d != k {
+		t.Fatalf("solved columns grew by %d, want %d", d, k)
 	}
 }
 
 // TestServeMultiRHSRequest: one request carrying several right-hand
-// sides solves them in one batch, each column bitwise equal to its solo
-// solve.
+// sides solves each column bitwise equal to its solo solve, and a
+// failing column fails alone: the request's other columns still come
+// back converged and bitwise equal to their solo solves.
 func TestServeMultiRHSRequest(t *testing.T) {
 	cfg := testConfig()
 	s := New(cfg)
@@ -319,11 +313,32 @@ func TestServeMultiRHSRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Batched != 3 || len(st.Columns) != 3 || len(xs) != 3 {
-		t.Fatalf("batched=%d columns=%d results=%d, want 3/3/3", st.Batched, len(st.Columns), len(xs))
+	if len(st.Columns) != 3 || len(xs) != 3 {
+		t.Fatalf("columns=%d results=%d, want 3/3", len(st.Columns), len(xs))
 	}
 	for j := range bs {
 		bitwiseEqual(t, "multi-RHS column", xs[j], referenceSolve(t, cfg, a.Clone(), bs[j]))
+	}
+
+	// A NaN in the middle column: that column fails non-finite, the
+	// request error says so, and the healthy columns are untouched.
+	poisoned := [][]float64{bs[0], append([]float64(nil), bs[1]...), bs[2]}
+	poisoned[1][5] = math.NaN()
+	xs, st, err = s.SolveBatch(context.Background(), a, poisoned)
+	if !errors.Is(err, krylov.ErrNonFinite) {
+		t.Fatalf("want an error wrapping krylov.ErrNonFinite, got %v", err)
+	}
+	if len(st.Columns) != 3 || len(xs) != 3 {
+		t.Fatalf("columns=%d results=%d, want 3/3", len(st.Columns), len(xs))
+	}
+	if st.Columns[1].Converged || st.Converged {
+		t.Fatalf("NaN column reported converged: %+v", st)
+	}
+	for _, j := range []int{0, 2} {
+		if !st.Columns[j].Converged {
+			t.Fatalf("healthy column %d not converged: %+v", j, st.Columns[j])
+		}
+		bitwiseEqual(t, "healthy column beside a NaN column", xs[j], referenceSolve(t, cfg, a.Clone(), bs[j]))
 	}
 }
 
@@ -556,13 +571,13 @@ func TestServeDeepRefreshFailureResetsEntry(t *testing.T) {
 	bitwiseEqual(t, "fresh request after deep failure", x2, want)
 }
 
-// TestServeRefreshWaitersSurviveDeepFailure orchestrates the nastiest
-// interleaving: requests with different new value sets park behind an
-// open batch; one of them then suffers a deep refresh failure that
-// resets the entry. Waiters resuming from the condition wait must
-// re-check the entry state and rebuild — never dereference the reset
-// fine matrix or touch the invalidated hierarchy.
-func TestServeRefreshWaitersSurviveDeepFailure(t *testing.T) {
+// TestServeDeepRefreshFailureQueuedRequestsRebuildBitwise: requests
+// with new values queue on the entry lock behind a refresh that fails
+// mid-replay and resets the entry. The first of them to take the lock
+// must find the unbuilt state and rebuild — never dereference the reset
+// fine matrix or touch the invalidated hierarchy — and every queued
+// request must return its sequential reference bitwise.
+func TestServeDeepRefreshFailureQueuedRequestsRebuildBitwise(t *testing.T) {
 	good := &sparse.Matrix{Rows: 2, Cols: 2,
 		RowPtr: []int{0, 2, 4}, Col: []int32{0, 1, 0, 1}, Val: []float64{2, 1, 1, 2}}
 	scaled := good.Clone()
@@ -571,45 +586,59 @@ func TestServeRefreshWaitersSurviveDeepFailure(t *testing.T) {
 	copy(sing.Val, []float64{1, 1, 1, 1}) // passes pre-validation, singular coarse factorization
 	b := []float64{1, 2}
 
+	// The refresher holds the entry lock in its refresh hook until the
+	// queued requests have had time to reach the lock.
+	type holdKey struct{}
 	cfg := testConfig()
-	cfg.BatchWindow = 20 * time.Millisecond
-	cfg.MaxBatch = 4
-	want := referenceSolve(t, cfg, scaled.Clone(), b)
+	cfg.FaultHook = func(p FaultPhase, ctx context.Context) error {
+		if entered, ok := ctx.Value(holdKey{}).(chan struct{}); ok && p == FaultRefresh {
+			close(entered)
+			time.Sleep(20 * time.Millisecond)
+		}
+		return nil
+	}
+	queued := []*sparse.Matrix{scaled, good}
+	want := make([][]float64, len(queued))
+	for i, m := range queued {
+		want[i] = referenceSolve(t, cfg, m.Clone(), b)
+	}
 
-	// The race between the two waiters is scheduler-dependent; iterate
-	// so both orders occur. Pre-fix, the losing order panicked on a nil
-	// e.fine.
-	for it := 0; it < 6; it++ {
+	// Which queued request takes the lock first is up to the scheduler;
+	// iterate so both orders occur.
+	for it := 0; it < 4; it++ {
 		s := New(cfg)
 		ctx := context.Background()
 		if _, _, err := s.Solve(ctx, good, b); err != nil { // build
 			t.Fatal(err)
 		}
+		entered := make(chan struct{})
 		var wg sync.WaitGroup
-		wg.Add(3)
-		go func() { // batch leader: holds pending > 0 for the window
+		wg.Add(1)
+		go func() { // deep-failing refresher
 			defer wg.Done()
-			if _, _, err := s.Solve(ctx, good, b); err != nil {
-				t.Error(err)
-			}
-		}()
-		time.Sleep(2 * time.Millisecond) // let the leader publish its batch
-		go func() {                      // deep-failing refresher
-			defer wg.Done()
-			if _, _, err := s.Solve(ctx, sing, b); err == nil {
+			if _, _, err := s.Solve(context.WithValue(ctx, holdKey{}, entered), sing, b); err == nil {
 				t.Error("singular refresh not rejected")
 			}
 		}()
-		go func() { // innocent new-values waiter
-			defer wg.Done()
-			x, _, err := s.Solve(ctx, scaled, b)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			bitwiseEqual(t, "waiter after deep failure", x, want)
-		}()
+		<-entered
+		outcomes := make([]Outcome, len(queued))
+		for i, m := range queued {
+			wg.Add(1)
+			go func(i int, m *sparse.Matrix) {
+				defer wg.Done()
+				x, st, err := s.Solve(ctx, m, b)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				outcomes[i] = st.Outcome
+				bitwiseEqual(t, "queued request after deep failure", x, want[i])
+			}(i, m)
+		}
 		wg.Wait()
+		if outcomes[0] != OutcomeBuild && outcomes[1] != OutcomeBuild {
+			t.Fatalf("iteration %d: outcomes %v, want a rebuild after the deep failure", it, outcomes)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Concurrent-solve stress test: many goroutines drive mixed
 // build/refresh/repeat traffic — including eviction pressure and
-// coalescing — through one Service, and every served solution must be
-// bitwise identical to the sequential single-caller solve of the same
-// system. Runs in the `make check` race suite; the -race run is the
+// same-operator bursts — through one Service, and every served solution
+// must be bitwise identical to the sequential single-caller solve of the
+// same system. Runs in the `make check` race suite; the -race run is the
 // gate that flushes shared-solver-state data races out of the stack.
 package serve
 
@@ -11,7 +11,6 @@ import (
 	"math"
 	"sync"
 	"testing"
-	"time"
 
 	"mis2go/internal/amg"
 	"mis2go/internal/gen"
@@ -34,7 +33,6 @@ func TestServeStressMixedTraffic(t *testing.T) {
 		Tol:           1e-10,
 		MaxIter:       200,
 		CacheCapacity: 2, // below the pattern count: constant eviction/rebuild pressure
-		BatchWindow:   100 * time.Microsecond,
 		MaxBatch:      4,
 	}
 	s := New(cfg)
@@ -71,10 +69,10 @@ func TestServeStressMixedTraffic(t *testing.T) {
 	}
 
 	// Mixed traffic: each goroutine walks its own deterministic sequence
-	// over (pattern, values) — bursts of repeats (reuse/coalesce), value
+	// over (pattern, values) — bursts of repeats (reuse), value
 	// rotation (refresh), pattern rotation (build/evict under the tiny
 	// cache). Goroutines deliberately overlap so same-operator requests
-	// race into the batching window together.
+	// queue on one entry lock together.
 	const goroutines = 8
 	requests := 60
 	if testing.Short() {
@@ -98,14 +96,14 @@ func TestServeStressMixedTraffic(t *testing.T) {
 					errc <- err
 					return
 				}
-				if st.Batched < 1 || len(st.Columns) != 1 || !st.Columns[0].Converged {
+				if len(st.Columns) != 1 || !st.Columns[0].Converged {
 					errc <- errUnconverged{p, v}
 					return
 				}
 				for i := range x {
 					if math.Float64bits(x[i]) != math.Float64bits(sys.want[i]) {
-						t.Errorf("goroutine %d: pattern %d values %d: bit mismatch at %d (%g vs %g, outcome %v, batched %d)",
-							g, p, v, i, x[i], sys.want[i], st.Outcome, st.Batched)
+						t.Errorf("goroutine %d: pattern %d values %d: bit mismatch at %d (%g vs %g, outcome %v)",
+							g, p, v, i, x[i], sys.want[i], st.Outcome)
 						return
 					}
 				}
@@ -119,7 +117,7 @@ func TestServeStressMixedTraffic(t *testing.T) {
 	}
 
 	m := s.Metrics()
-	t.Logf("stress metrics: %+v (batched-RHS ratio %.2f)", m, m.BatchedRHSRatio())
+	t.Logf("stress metrics: %+v", m)
 	if m.Requests != int64(goroutines*requests) {
 		t.Fatalf("requests %d, want %d", m.Requests, goroutines*requests)
 	}
@@ -149,11 +147,10 @@ func TestServeStressSmootherVariants(t *testing.T) {
 	errc := make(chan error, len(smoothers)*2)
 	for si, sm := range smoothers {
 		cfg := Config{
-			AMG:         amg.Options{MinCoarseSize: 30, Smoother: sm},
-			Tol:         1e-8,
-			MaxIter:     300,
-			BatchWindow: 50 * time.Microsecond,
-			MaxBatch:    4,
+			AMG:      amg.Options{MinCoarseSize: 30, Smoother: sm},
+			Tol:      1e-8,
+			MaxIter:  300,
+			MaxBatch: 4,
 		}
 		s := New(cfg)
 		for g := 0; g < 2; g++ {

@@ -336,21 +336,21 @@ type ServeQuarantinedError = serve.QuarantinedError
 // SolveService is a concurrent solve service over the AMG+CG stack: an
 // LRU cache of hierarchies keyed by sparsity-pattern fingerprint (first
 // request per pattern builds, same-pattern/new-values requests pay only
-// the numeric Refresh, identical-values requests pay nothing), a small
-// batching window coalescing same-operator requests into one batched CG
-// call, per-pattern single-flight locking, and bounded in-flight
-// admission. Safe for concurrent use by any number of goroutines;
-// served results are bitwise identical to sequential single-caller
-// solves. See NewSolveService.
+// the numeric Refresh, identical-values requests pay nothing),
+// per-pattern single-flight locking under which each request solves its
+// own right-hand sides with one CG call per column, and bounded
+// in-flight admission. Safe for concurrent use by any number of
+// goroutines; served results are bitwise identical to sequential
+// single-caller solves. See NewSolveService.
 type SolveService = serve.Service
 
 // ServeConfig configures NewSolveService; the zero value serves with
-// defaults (1e-8 tolerance, 8 cached hierarchies, 200µs batching
-// window, 8-wide batches, 4×GOMAXPROCS in-flight requests).
+// defaults (1e-8 tolerance, 8 cached hierarchies, at most 8
+// right-hand sides per request, 4×GOMAXPROCS in-flight requests).
 type ServeConfig = serve.Config
 
 // ServeRequestStats reports what one served request paid (cache
-// outcome, coalesced batch width) and its per-column solver stats.
+// outcome, escalation rungs) and its per-column solver stats.
 type ServeRequestStats = serve.RequestStats
 
 // ServeMetrics is a snapshot of a SolveService's counters.
