@@ -4,9 +4,10 @@
 # BENCH_PR$(PR).json with current numbers joined against $(BASELINE)
 # (BENCH_SEED.json by default; pass BASELINE=BENCH_PR1.json to measure a
 # PR against its predecessor), including per-benchmark speedups and the
-# derived SpMM-vs-separate-SpMV ratio. The run fails when any derived
-# ratio drops more than $(MAXDROP)% below the baseline's recorded ratio
-# (set MAXDROP=0 to disable the regression gate).
+# derived cross-benchmark ratios (the -ratio flags below). The run
+# fails when any derived ratio drops more than $(MAXDROP)% below the
+# baseline's recorded ratio (set MAXDROP=0 to disable the regression
+# gate).
 #
 # `make lint` fails when `gofmt -l` lists any file, then builds the
 # repo's custom vet tool (cmd/amglint, analyzers in internal/lint) and
@@ -48,7 +49,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGBatch8Jacobi|BenchmarkCGBatchAMG|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkSpMM8|BenchmarkSpMV8Separate|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGAMG$$|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke examples
 
@@ -88,7 +89,6 @@ fuzz:
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \
 		| go run ./cmd/benchjson -baseline $(BASELINE) -label pr$(PR) \
-			-ratio SpMM8_vs_8xSpMV=SpMV8Separate/SpMM8 \
 			-ratio Resetup_vs_FullSetup=AMGBuild/AMGRefresh \
 			-ratio SELL_vs_CSR=SpMVHot/SpMVSELL \
 			-ratio Serve_vs_SequentialSolves=SequentialSolves/ServeThroughput \

@@ -96,56 +96,6 @@ func TestFacadeSolveCGWithZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestSpMMZeroAllocs(t *testing.T) {
-	g := gen.Laplace3D(16, 16, 16)
-	a := gen.Laplacian(g, 0.1)
-	for _, k := range []int{4, 8} {
-		x := make([]float64, a.Cols*k)
-		y := make([]float64, a.Rows*k)
-		for i := range x {
-			x[i] = float64(i%7) - 3
-		}
-		rt := par.New(1)
-		allocs := testing.AllocsPerRun(20, func() {
-			a.SpMM(rt, k, x, y)
-		})
-		if allocs != 0 {
-			t.Fatalf("SpMM k=%d: %v allocs/op, want 0", k, allocs)
-		}
-	}
-}
-
-func TestCGBatchWorkspaceZeroAllocs(t *testing.T) {
-	g := gen.Laplace3D(12, 12, 12)
-	a := gen.Laplacian(g, 1e-2)
-	n := a.Rows
-	const k = 8
-	b := make([]float64, n*k)
-	x := make([]float64, n*k)
-	for i := range b {
-		b[i] = float64(i%13) - 6
-	}
-	m, err := JacobiPreconditioner(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := NewSolverWorkspace(n)
-	if _, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		for i := range x {
-			x[i] = 0
-		}
-		if _, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-8, MaxIter: 500, M: m, Work: ws}, 1); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("batch CG solve with workspace: %v allocs/op, want 0", allocs)
-	}
-}
-
 func TestVCycleZeroAllocs(t *testing.T) {
 	g := gen.Laplace3D(12, 12, 12)
 	a := gen.Laplacian(g, 1e-2)

@@ -7,7 +7,6 @@ package mis2go
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -167,94 +166,11 @@ func BenchmarkSpMVSELL(b *testing.B) {
 	}
 }
 
-// BenchmarkSpMM8 measures the batched multi-RHS product with 8
-// right-hand sides in the interleaved layout: one traversal of A serves
-// all 8 columns. Compare against BenchmarkSpMV8Separate (the same work
-// as 8 independent SpMV calls, re-reading A each time); the ratio is
-// recorded in BENCH_PR2.json as SpMM8_vs_8xSpMV.
-func BenchmarkSpMM8(b *testing.B) {
-	g := gen.Laplace3D(40, 40, 40)
-	a := gen.Laplacian(g, 0.1)
-	const k = 8
-	x := make([]float64, a.Cols*k)
-	y := make([]float64, a.Rows*k)
-	for i := range x {
-		x[i] = float64(i % 7)
-	}
-	rt := par.New(0)
-	b.SetBytes(int64(12 * a.NNZ() * k))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a.SpMM(rt, k, x, y)
-	}
-}
-
-// BenchmarkSpMV8Separate is the unbatched baseline for BenchmarkSpMM8:
-// 8 separate SpMV calls over contiguous single-RHS vectors.
-func BenchmarkSpMV8Separate(b *testing.B) {
-	g := gen.Laplace3D(40, 40, 40)
-	a := gen.Laplacian(g, 0.1)
-	const k = 8
-	xs := make([][]float64, k)
-	ys := make([][]float64, k)
-	for j := 0; j < k; j++ {
-		xs[j] = make([]float64, a.Cols)
-		ys[j] = make([]float64, a.Rows)
-		for i := range xs[j] {
-			xs[j][i] = float64((i*k + j) % 7)
-		}
-	}
-	rt := par.New(0)
-	b.SetBytes(int64(12 * a.NNZ() * k))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < k; j++ {
-			a.SpMV(rt, xs[j], ys[j])
-		}
-	}
-}
-
-// BenchmarkCGBatch8Jacobi measures a batched 8-RHS Jacobi-preconditioned
-// CG solve through a reused workspace — the multi-RHS analogue of
-// BenchmarkCGJacobiWorkspace, sharing one SpMM traversal per iteration
-// across all columns.
-func BenchmarkCGBatch8Jacobi(b *testing.B) {
-	g := gen.Laplace3D(24, 24, 24)
-	a := gen.Laplacian(g, 1e-4)
-	n := a.Rows
-	const k = 8
-	rhs := make([]float64, n*k)
-	for i := range rhs {
-		rhs[i] = float64(i%13) - 6
-	}
-	m, err := krylov.Jacobi(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt := par.New(0)
-	x := make([]float64, n*k)
-	ws := krylov.NewWorkspace(n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := range x {
-			x[j] = 0
-		}
-		if _, err := krylov.CGBatchCtx(nil, rt, a, rhs, x, k, krylov.Options{Tol: 1e-8, MaxIter: 400, M: m, Work: ws}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCGBatchAMG measures AMG-preconditioned batch CG on the 40^3
-// Dirichlet Laplacian through a reused workspace. k=1 is every CGCtx
-// solve (amgsolve, the facade's SolveCG, each column amgserve solves).
-// At k=4 the hierarchy has no batch kernel, so every live column is
-// de-interleaved through its own V-cycle; compare it against four k=1
-// solves, which is what amgserve runs for a 4-RHS request.
-func BenchmarkCGBatchAMG(b *testing.B) {
+// BenchmarkCGAMG measures AMG-preconditioned CG on the 40^3 Dirichlet
+// Laplacian through a reused workspace, on the hierarchy's fine
+// operator: the solve amgsolve, the facade's SolveCG and each column
+// amgserve solves all run.
+func BenchmarkCGAMG(b *testing.B) {
 	a := gen.DirichletLaplacian(gen.Laplace3D(40, 40, 40), 6.5)
 	n := a.Rows
 	h, err := amg.Build(a, amg.Options{})
@@ -263,22 +179,18 @@ func BenchmarkCGBatchAMG(b *testing.B) {
 	}
 	rt := par.New(0)
 	ws := krylov.NewWorkspace(n)
-	for _, k := range []int{1, 4} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			rhs := make([]float64, n*k)
-			for i := range rhs {
-				rhs[i] = float64(i%13) - 6
-			}
-			x := make([]float64, n*k)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clear(x)
-				if _, err := krylov.CGBatchCtx(nil, rt, h.FineOperator(), rhs, x, k, krylov.Options{Tol: 1e-8, MaxIter: 400, M: h, Work: ws}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	rhs := make([]float64, n)
+	for i := range rhs {
+		rhs[i] = float64(i%13) - 6
+	}
+	x := make([]float64, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(x)
+		if _, err := krylov.CGCtx(nil, rt, h.FineOperator(), rhs, x, krylov.Options{Tol: 1e-8, MaxIter: 400, M: h, Work: ws}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -471,7 +383,7 @@ func BenchmarkSequentialSolves(b *testing.B) {
 			}
 			x := make([]float64, r.a.Rows)
 			bb := append([]float64(nil), r.b...)
-			if _, err := krylov.CGBatchCtx(nil, rt, r.a, bb, x, 1, krylov.Options{Tol: 1e-8, MaxIter: 400, M: h}); err != nil {
+			if _, err := krylov.CGCtx(nil, rt, r.a, bb, x, krylov.Options{Tol: 1e-8, MaxIter: 400, M: h}); err != nil {
 				b.Fatal(err)
 			}
 		}

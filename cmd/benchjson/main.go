@@ -48,7 +48,7 @@ type File struct {
 	Benchmarks map[string]Entry `json:"benchmarks"`
 	// Ratios are derived cross-benchmark speedups requested with -ratio
 	// NAME=NUM/DEN: ns/op of benchmark NUM divided by ns/op of DEN
-	// (higher means DEN is faster), e.g. batched SpMM vs separate SpMVs.
+	// (higher means DEN is faster), e.g. AMG refresh vs full build.
 	Ratios map[string]float64 `json:"ratios,omitempty"`
 }
 

@@ -73,81 +73,6 @@ func TestAggregateDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSpMMDeterministicAcrossWorkers(t *testing.T) {
-	g := gen.Laplace3D(24, 24, 24)
-	a := GraphLaplacian(g, 1e-4)
-	for _, k := range []int{4, 8, 5} {
-		x := make([]float64, a.Cols*k)
-		for i := range x {
-			x[i] = float64(i%17) - 8
-		}
-		var ref []uint64
-		for idx, threads := range detWorkerCounts {
-			y := make([]float64, a.Rows*k)
-			SpMM(a, x, y, k, threads)
-			bits := make([]uint64, len(y))
-			for i, v := range y {
-				bits[i] = math.Float64bits(v)
-			}
-			if idx == 0 {
-				ref = bits
-				continue
-			}
-			for i := range bits {
-				if bits[i] != ref[i] {
-					t.Fatalf("k=%d, %d workers: y[%d] differs bitwise", k, threads, i)
-				}
-			}
-		}
-	}
-}
-
-func TestSolveCGBatchDeterministicAcrossWorkers(t *testing.T) {
-	g := gen.Laplace3D(20, 20, 20)
-	a := GraphLaplacian(g, 1e-4)
-	n := a.Rows
-	const k = 8
-	b := make([]float64, n*k)
-	for i := range b {
-		b[i] = float64(i%13) - 6
-	}
-	m, err := JacobiPreconditioner(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var refX []uint64
-	var refStats []SolveStats
-	for idx, threads := range detWorkerCounts {
-		x := make([]float64, n*k)
-		stats, err := SolveCGBatch(a, b, x, k, SolveOptions{Tol: 1e-10, MaxIter: 600, M: m}, threads)
-		if err != nil {
-			t.Fatalf("%d workers: %v", threads, err)
-		}
-		bits := make([]uint64, len(x))
-		for i, v := range x {
-			bits[i] = math.Float64bits(v)
-		}
-		if idx == 0 {
-			refX = bits
-			refStats = append([]SolveStats(nil), stats...)
-			continue
-		}
-		for j := range stats {
-			if stats[j].Iterations != refStats[j].Iterations {
-				t.Fatalf("%d workers: column %d %d iterations, want %d", threads, j, stats[j].Iterations, refStats[j].Iterations)
-			}
-			if math.Float64bits(stats[j].RelResidual) != math.Float64bits(refStats[j].RelResidual) {
-				t.Fatalf("%d workers: column %d relres differs bitwise", threads, j)
-			}
-		}
-		for i := range bits {
-			if bits[i] != refX[i] {
-				t.Fatalf("%d workers: x[%d] differs bitwise", threads, i)
-			}
-		}
-	}
-}
-
 // TestVCycleDeterministicAcrossWorkers pins the fused V-cycle paths
 // (fused residual+restriction, fused prolongation+correction, fused
 // ping-pong Jacobi): one preconditioner application must be bitwise

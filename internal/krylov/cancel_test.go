@@ -73,8 +73,8 @@ func TestCGCtxCanceledBeforeStart(t *testing.T) {
 	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
 	}
-	if st.Iterations != 0 {
-		t.Fatalf("iterations = %d, want 0", st.Iterations)
+	if st.Iterations != 0 || st.Converged || !math.IsInf(st.RelResidual, 1) {
+		t.Fatalf("pre-start cancel stats %+v, want 0 iterations, unconverged, +Inf residual", st)
 	}
 	for i := range x {
 		if x[i] != 0 {
@@ -106,90 +106,6 @@ func TestCGCtxBackgroundBitwiseIdentical(t *testing.T) {
 	}
 	if st1 != st2 {
 		t.Fatalf("stats diverged: %+v vs %+v", st1, st2)
-	}
-	for i := range x1 {
-		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
-			t.Fatalf("bit mismatch at %d: %g vs %g", i, x1[i], x2[i])
-		}
-	}
-}
-
-func TestCGBatchCtxCanceledMidSolve(t *testing.T) {
-	a, b, _ := spdProblem(20, 20)
-	rt := par.New(2)
-	const k = 3
-	n := a.Rows
-	bb := make([]float64, n*k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			bb[i*k+j] = b[i] * float64(j+1)
-		}
-	}
-	x := make([]float64, n*k)
-	const allow = 4
-	ctx := newCountdownCtx(allow)
-	stats, err := CGBatchCtx(ctx, rt, a, bb, x, k, Options{Tol: 1e-12, MaxIter: 2000})
-	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("want ErrCanceled wrapping context.Canceled, got %v", err)
-	}
-	if len(stats) != k {
-		t.Fatalf("stats length %d, want %d", len(stats), k)
-	}
-	for j, st := range stats {
-		if st.Converged {
-			t.Fatalf("column %d reported converged after cancel: %+v", j, st)
-		}
-		if st.Iterations != allow-1 {
-			t.Fatalf("column %d iterations = %d, want %d", j, st.Iterations, allow-1)
-		}
-		if st.RelResidual <= 0 || math.IsInf(st.RelResidual, 1) {
-			t.Fatalf("column %d residual %g not a finite partial value", j, st.RelResidual)
-		}
-	}
-}
-
-func TestCGBatchCtxCanceledBeforeStart(t *testing.T) {
-	a, b, _ := spdProblem(10, 10)
-	n := a.Rows
-	x := make([]float64, n)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stats, err := CGBatchCtx(ctx, par.New(1), a, b, x, 1, Options{Tol: 1e-10, MaxIter: 100})
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled, got %v", err)
-	}
-	if stats[0].Iterations != 0 || stats[0].Converged {
-		t.Fatalf("pre-start cancel stats: %+v", stats[0])
-	}
-	for i := range x {
-		if x[i] != 0 {
-			t.Fatalf("x touched before the first cancellation check (x[%d]=%g)", i, x[i])
-		}
-	}
-}
-
-func TestCGBatchCtxBackgroundBitwiseIdentical(t *testing.T) {
-	a, b, _ := spdProblem(15, 15)
-	rt := par.New(2)
-	const k = 2
-	n := a.Rows
-	bb := make([]float64, n*k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			bb[i*k+j] = b[i] + float64(j)
-		}
-	}
-	x1 := make([]float64, n*k)
-	x2 := make([]float64, n*k)
-	s1, err1 := CGBatchCtx(nil, rt, a, append([]float64(nil), bb...), x1, k, Options{Tol: 1e-10, MaxIter: 500})
-	s2, err2 := CGBatchCtx(context.Background(), rt, a, bb, x2, k, Options{Tol: 1e-10, MaxIter: 500})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	for j := 0; j < k; j++ {
-		if s1[j] != s2[j] {
-			t.Fatalf("column %d stats diverged: %+v vs %+v", j, s1[j], s2[j])
-		}
 	}
 	for i := range x1 {
 		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {

@@ -125,11 +125,10 @@ func (h *Health) stagnationRel() float64 {
 	return 1e-3
 }
 
-// guardState is the per-solve (or, in CGBatch, per-column) state of a
-// health guard: the best residual seen, the consecutive over-factor
-// count, the last progress mark, and the iterations since it moved.
-// The zero value with best/mark = +Inf is the initial state; see
-// guardInit.
+// guardState is the per-solve state of a health guard: the best
+// residual seen, the consecutive over-factor count, the last progress
+// mark, and the iterations since it moved. The zero value with
+// best/mark = +Inf is the initial state; see guardInit.
 type guardState struct {
 	best  float64
 	mark  float64
@@ -142,16 +141,16 @@ func guardInit() guardState {
 }
 
 // check advances the guard by one iteration with relative residual rel
-// and returns a classified error if the solve is unhealthy. name and
-// col label the error message (col < 0 for single-RHS solves).
-func (h *Health) check(g *guardState, name string, col, iter int, rel float64) error {
+// and returns a classified error if the solve is unhealthy. name labels
+// the error message.
+func (h *Health) check(g *guardState, name string, iter int, rel float64) error {
 	if math.IsNaN(rel) || math.IsInf(rel, 0) {
-		return guardErr(ErrNonFinite, name, col, iter, rel)
+		return guardErr(ErrNonFinite, name, iter, rel)
 	}
 	if rel > h.divergeFactor()*g.best {
 		g.over++
 		if g.over >= h.divergeWindow() {
-			return guardErr(ErrDiverged, name, col, iter, rel)
+			return guardErr(ErrDiverged, name, iter, rel)
 		}
 	} else {
 		g.over = 0
@@ -162,7 +161,7 @@ func (h *Health) check(g *guardState, name string, col, iter int, rel float64) e
 	} else {
 		g.stall++
 		if g.stall >= h.stagnationWindow() {
-			return guardErr(ErrStagnated, name, col, iter, rel)
+			return guardErr(ErrStagnated, name, iter, rel)
 		}
 	}
 	if rel < g.best {
@@ -173,9 +172,6 @@ func (h *Health) check(g *guardState, name string, col, iter int, rel float64) e
 
 // guardErr builds the classified error carrying the iteration and
 // residual state at the moment the guard tripped.
-func guardErr(sentinel error, name string, col, iter int, rel float64) error {
-	if col >= 0 {
-		return fmt.Errorf("%w: %s column %d at iteration %d, relres %.3e", sentinel, name, col, iter, rel)
-	}
+func guardErr(sentinel error, name string, iter int, rel float64) error {
 	return fmt.Errorf("%w: %s at iteration %d, relres %.3e", sentinel, name, iter, rel)
 }

@@ -18,20 +18,20 @@ func TestHealthCheckClassifiesDivergence(t *testing.T) {
 	g := guardInit()
 	// Healthy descent establishes best = 1e-3.
 	for i, rel := range []float64{1, 1e-1, 1e-2, 1e-3} {
-		if err := h.check(&g, "CG", -1, i, rel); err != nil {
+		if err := h.check(&g, "CG", i, rel); err != nil {
 			t.Fatalf("healthy descent tripped at %d: %v", i, err)
 		}
 	}
 	// Two over-factor iterations, then recovery: the window resets.
 	for i, rel := range []float64{1, 1, 1e-3} {
-		if err := h.check(&g, "CG", -1, 4+i, rel); err != nil {
+		if err := h.check(&g, "CG", 4+i, rel); err != nil {
 			t.Fatalf("sub-window spike tripped at %d: %v", i, err)
 		}
 	}
 	// Three consecutive over-factor iterations trip the guard.
 	var err error
 	for i := 0; i < 3 && err == nil; i++ {
-		err = h.check(&g, "CG", -1, 7+i, 10)
+		err = h.check(&g, "CG", 7+i, 10)
 	}
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged, got %v", err)
@@ -41,13 +41,13 @@ func TestHealthCheckClassifiesDivergence(t *testing.T) {
 func TestHealthCheckClassifiesStagnation(t *testing.T) {
 	h := &Health{StagnationWindow: 4, StagnationRel: 1e-2}
 	g := guardInit()
-	if err := h.check(&g, "CG", -1, 0, 1.0); err != nil {
+	if err := h.check(&g, "CG", 0, 1.0); err != nil {
 		t.Fatal(err)
 	}
 	// Sub-threshold "progress" counts as stagnation.
 	var err error
 	for i := 0; i < 4 && err == nil; i++ {
-		err = h.check(&g, "CG", -1, 1+i, 0.999)
+		err = h.check(&g, "CG", 1+i, 0.999)
 	}
 	if !errors.Is(err, ErrStagnated) {
 		t.Fatalf("want ErrStagnated, got %v", err)
@@ -57,7 +57,7 @@ func TestHealthCheckClassifiesStagnation(t *testing.T) {
 	rel := 1.0
 	for i := 0; i < 40; i++ {
 		rel *= 0.9
-		if err := h.check(&g, "CG", -1, i, rel); err != nil {
+		if err := h.check(&g, "CG", i, rel); err != nil {
 			t.Fatalf("steady progress tripped at %d: %v", i, err)
 		}
 	}
@@ -67,7 +67,7 @@ func TestHealthCheckClassifiesNonFinite(t *testing.T) {
 	h := DefaultHealth()
 	for _, rel := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		g := guardInit()
-		if err := h.check(&g, "CG", -1, 0, rel); !errors.Is(err, ErrNonFinite) {
+		if err := h.check(&g, "CG", 0, rel); !errors.Is(err, ErrNonFinite) {
 			t.Fatalf("rel %v: want ErrNonFinite, got %v", rel, err)
 		}
 	}
@@ -137,27 +137,6 @@ func TestHealthGMRESNaNRHS(t *testing.T) {
 	}
 }
 
-// TestHealthCGBatchColumnClassified: one poisoned column aborts the
-// batch with a classified error naming the failure class (the columns
-// share one operator, so a numerical failure taints the whole batch).
-func TestHealthCGBatchColumnClassified(t *testing.T) {
-	a, b0, _ := spdProblem(10, 10)
-	n, k := a.Rows, 3
-	b := make([]float64, n*k)
-	for i := 0; i < n; i++ {
-		for j := 0; j < k; j++ {
-			b[i*k+j] = b0[i] * float64(j+1)
-		}
-	}
-	b[5*k+1] = math.NaN() // poison column 1 only
-	x := make([]float64, n*k)
-	ws := NewWorkspace(n)
-	_, err := CGBatchCtx(nil, par.New(2), a, b, x, k, Options{Tol: 1e-10, MaxIter: 500, Work: ws, Health: DefaultHealth()})
-	if !errors.Is(err, ErrNonFinite) {
-		t.Fatalf("want ErrNonFinite, got %v", err)
-	}
-}
-
 // TestHealthGuardBitwiseIdentical: the guard reads only residual norms
 // the convergence test already computes, so a guarded healthy solve is
 // bitwise identical to the unguarded one at every worker count.
@@ -192,7 +171,7 @@ func TestHealthGuardBitwiseIdentical(t *testing.T) {
 // solve ErrDiverged instead of reporting a garbage iterate as an
 // answer (this exact case previously returned Converged with
 // RelResidual 5e9 times the tolerance).
-func TestHealthCGBatchFalseConvergenceClassified(t *testing.T) {
+func TestHealthCGFalseConvergenceClassified(t *testing.T) {
 	g := gen.Laplace2D(16, 16)
 	a := gen.Laplacian(g, 0)
 	n := a.Rows
@@ -205,14 +184,14 @@ func TestHealthCGBatchFalseConvergenceClassified(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := make([]float64, n)
-	stats, err := CGBatchCtx(nil, par.New(1), a, b, x, 1, Options{Tol: 1e-8, MaxIter: 500, M: h})
+	st, err := CGCtx(nil, par.New(1), a, b, x, Options{Tol: 1e-8, MaxIter: 500, M: h})
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("want ErrDiverged (false convergence), got %v", err)
 	}
-	if stats[0].Converged {
-		t.Fatalf("column reported converged with true relres %g", stats[0].RelResidual)
+	if st.Converged {
+		t.Fatalf("solve reported converged with true relres %g", st.RelResidual)
 	}
-	if stats[0].RelResidual < 1 {
-		t.Fatalf("expected a catastrophic true residual, got %g", stats[0].RelResidual)
+	if st.RelResidual < 1 {
+		t.Fatalf("expected a catastrophic true residual, got %g", st.RelResidual)
 	}
 }

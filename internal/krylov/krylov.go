@@ -1,6 +1,8 @@
 // Package krylov provides the iterative solvers used by the paper's
 // solver experiments: preconditioned conjugate gradient (Table V) and
-// preconditioned restarted GMRES (Table VI).
+// preconditioned restarted GMRES (Table VI). Each call solves one
+// right-hand side; several right-hand sides against one operator are
+// solved one call after another.
 //
 // Concurrency: the solver functions are stateless between the operator,
 // the vectors, and the workspace they are handed — concurrent solves
@@ -28,21 +30,10 @@ type Preconditioner interface {
 	Precondition(r, z []float64)
 }
 
-// BatchPreconditioner is implemented by preconditioners that can apply
-// M^{-1} to k residual columns stored in the interleaved multi-RHS
-// layout (the k values of row i contiguous at [i*k : (i+1)*k]) in one
-// pass. CGBatchCtx uses it when available; other preconditioners are
-// applied column by column through de-interleaving scratch.
-type BatchPreconditioner interface {
-	PreconditionBatch(r, z []float64, k int)
-}
-
 // identityPrec is the unpreconditioned fallback.
 type identityPrec struct{}
 
 func (identityPrec) Precondition(r, z []float64) { copy(z, r) }
-
-func (identityPrec) PreconditionBatch(r, z []float64, k int) { copy(z, r) }
 
 // Identity returns the no-op preconditioner.
 func Identity() Preconditioner { return identityPrec{} }
@@ -68,16 +59,6 @@ type jacobiPrecond struct{ dinv []float64 }
 func (j jacobiPrecond) Precondition(r, z []float64) {
 	for i := range z {
 		z[i] = j.dinv[i] * r[i]
-	}
-}
-
-func (j jacobiPrecond) PreconditionBatch(r, z []float64, k int) {
-	for i, d := range j.dinv {
-		rb := r[i*k : i*k+k]
-		zb := z[i*k : i*k+k]
-		for q, v := range rb {
-			zb[q] = d * v
-		}
 	}
 }
 
@@ -158,9 +139,9 @@ func axpy(alpha float64, x, y []float64) {
 	}
 }
 
-// Workspace holds the scratch vectors of CGCtx, CGBatchCtx and GMRESCtx
-// so that repeated solves allocate nothing. A zero Workspace is ready
-// for use; buffers grow on demand and are retained between solves.
+// Workspace holds the scratch vectors of CGCtx and GMRESCtx so that
+// repeated solves allocate nothing. A zero Workspace is ready for use;
+// buffers grow on demand and are retained between solves.
 // Every solve re-slices all scratch to exactly the system size, so a
 // workspace may be reused freely across systems of different sizes:
 // results are bitwise identical to a fresh workspace. Not safe for
@@ -174,16 +155,6 @@ type Workspace struct {
 	s, y    []float64
 	zb      []float64
 	restart int
-	// CGBatch state: per-column scalar recurrences, active flags and
-	// stats, and two column-length buffers for de-interleaving through
-	// generic preconditioners (sized only for k > 1).
-	scal   []float64
-	act    []bool
-	stats  []Stats
-	rc, zc []float64
-	// Per-column health-guard state (allocated only when CGBatchCtx
-	// runs with a non-nil *Health).
-	guard []guardState
 }
 
 // NewWorkspace returns a Workspace pre-sized for systems of n unknowns.
@@ -231,46 +202,9 @@ func (w *Workspace) ensureGMRES(n, restart int) {
 	w.zb = grow(w.zb, n)
 }
 
-// ensureBatch sizes the workspace for a k-wide interleaved batch solve
-// of n unknowns: the CG vectors hold n*k values, scal carries the six
-// per-column scalar recurrences, and for k > 1 rc/zc are the
-// de-interleaving buffers for non-batch preconditioners (a single
-// column is preconditioned in place and never reads them).
-func (w *Workspace) ensureBatch(n, k int) {
-	w.ensureCG(n * k)
-	w.scal = grow(w.scal, 6*k)
-	if k > 1 {
-		w.rc = grow(w.rc, n)
-		w.zc = grow(w.zc, n)
-	}
-	if cap(w.act) >= k {
-		w.act = w.act[:k]
-	} else {
-		w.act = make([]bool, k)
-	}
-	if cap(w.stats) >= k {
-		w.stats = w.stats[:k]
-	} else {
-		w.stats = make([]Stats, k)
-	}
-}
-
-// ensureGuard sizes and resets the per-column guard state for a k-wide
-// guarded batch solve.
-func (w *Workspace) ensureGuard(k int) {
-	if cap(w.guard) >= k {
-		w.guard = w.guard[:k]
-	} else {
-		w.guard = make([]guardState, k)
-	}
-	for j := range w.guard {
-		w.guard[j] = guardInit()
-	}
-}
-
-// Options configures one solve of CGCtx, GMRESCtx or CGBatchCtx. Every
-// field's zero value keeps its documented default, so callers set only
-// the fields they need.
+// Options configures one solve of CGCtx or GMRESCtx. Every field's
+// zero value keeps its documented default, so callers set only the
+// fields they need.
 type Options struct {
 	// Tol is the relative residual tolerance: a solve stops once its
 	// residual drops below Tol*||b||.
@@ -289,17 +223,163 @@ type Options struct {
 	Health *Health
 }
 
-// CGCtx solves the single SPD system A x = b: it is CGBatchCtx with
-// k = 1, and so shares its recurrence, stopping rule, cancellation and
-// health-guard semantics and its error texts (which name CGBatch). It
-// differs only in returning a copy of the column's Stats, or Stats{}
-// when the call is rejected before solving.
-func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, o Options) (Stats, error) {
-	stats, err := CGBatchCtx(ctx, rt, a, b, x, 1, o)
-	if len(stats) == 0 {
-		return Stats{}, err
+// The four fused vector passes of CGCtx below each sum with one
+// accumulator in row order, so a solve's bits are a fixed function of
+// its inputs at every worker count. GMRES sums with dot instead.
+
+// seqDot returns the dot product of a and b.
+//
+//amg:hotpath
+func seqDot(a, b []float64) float64 {
+	b = b[:len(a)]
+	s := 0.0
+	for i, v := range a {
+		s += v * b[i]
 	}
-	return stats[0], err
+	return s
+}
+
+// residualSq overwrites r with b - r and returns the squared norm of
+// the result.
+//
+//amg:hotpath
+func residualSq(b, r []float64) float64 {
+	b = b[:len(r)]
+	s := 0.0
+	for i, v := range r {
+		ri := b[i] - v
+		r[i] = ri
+		s += ri * ri
+	}
+	return s
+}
+
+// cgStep is the fused CG step x += alpha*p, r -= alpha*ap; it returns
+// the squared norm of the new r.
+//
+//amg:hotpath
+func cgStep(alpha float64, x, r, p, ap []float64) float64 {
+	r, p, ap = r[:len(x)], p[:len(x)], ap[:len(x)]
+	s := 0.0
+	for i := range x {
+		x[i] += alpha * p[i]
+		ri := r[i] - alpha*ap[i]
+		r[i] = ri
+		s += ri * ri
+	}
+	return s
+}
+
+// cgDirection is the direction update p = z + beta*p.
+//
+//amg:hotpath
+func cgDirection(beta float64, z, p []float64) {
+	z = z[:len(p)]
+	for i, v := range p {
+		p[i] = z[i] + beta*v
+	}
+}
+
+// CGCtx solves the SPD system A x = b with the preconditioned conjugate
+// gradient method. x holds the initial guess on entry and the solution
+// on exit; a is any operator format (CSR or SELL), and formats produce
+// bit-identical kernels. The iteration stops once the recurrence
+// residual drops below o.Tol*||b||, up to o.MaxIter iterations; Stats
+// report the true final residual. A zero right-hand side is solved as
+// x = 0 in 0 iterations. Deterministic for every worker count.
+//
+// The context is checked once before the setup products and at the top
+// of every iteration. On cancellation x holds the partial iterate, Stats
+// report the iteration count and the recurrence residual (+Inf before
+// the first iteration), and the error wraps ErrCanceled plus the
+// context's cause. A non-nil o.Health watches the relative recurrence
+// residual and aborts a non-finite, divergent or stagnant solve with a
+// classified error; p^T A p <= 0 aborts with ErrBreakdown. With an
+// uncanceled context and a healthy solve the result is bitwise
+// identical to a solve with a nil context and no guard. ctx may be nil
+// (treated as context.Background()).
+func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, o Options) (Stats, error) {
+	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
+	n, _ := a.Dims()
+	if len(b) != n || len(x) != n {
+		return Stats{}, fmt.Errorf("krylov: CG size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
+	}
+	if m == nil {
+		m = Identity()
+	}
+	if ws == nil {
+		ws = &Workspace{}
+	}
+	ws.ensureCG(n)
+	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
+	bnorm := math.Sqrt(seqDot(b, b))
+
+	if maxIter <= 0 {
+		// Report the initial residual without touching x.
+		nb := bnorm
+		if nb == 0 {
+			nb = 1
+		}
+		rel := finalResidualWith(rt, a, b, x, nb, ap)
+		st := Stats{Iterations: 0, RelResidual: rel, Converged: rel < tol}
+		if !st.Converged {
+			return st, fmt.Errorf("%w: CG after 0 iterations, relres %.3e", ErrNotConverged, rel)
+		}
+		return st, nil
+	}
+	if bnorm == 0 {
+		clear(x)
+		return Stats{Iterations: 0, RelResidual: 0, Converged: true}, nil
+	}
+	if err := ctxDone(ctx); err != nil {
+		return Stats{Iterations: 0, RelResidual: math.Inf(1)}, cancelErr(ctx, "CG", 0, math.Inf(1))
+	}
+
+	a.SpMV(rt, x, r)
+	rr := residualSq(b, r)
+	m.Precondition(r, z)
+	copy(p, z)
+	rz := seqDot(r, z)
+
+	gst := guardInit()
+	met := false
+	iters := 0
+	for ; iters < maxIter; iters++ {
+		rel := math.Sqrt(rr) / bnorm
+		if rel < tol {
+			met = true
+			break
+		}
+		if hg != nil {
+			if herr := hg.check(&gst, "CG", iters, rel); herr != nil {
+				return Stats{Iterations: iters, RelResidual: rel}, herr
+			}
+		}
+		if err := ctxDone(ctx); err != nil {
+			return Stats{Iterations: iters, RelResidual: rel}, cancelErr(ctx, "CG", iters, rel)
+		}
+		a.SpMV(rt, p, ap)
+		pap := seqDot(p, ap)
+		if pap <= 0 {
+			return Stats{Iterations: iters, RelResidual: rel}, fmt.Errorf("%w: CG p^T A p = %g at iteration %d", ErrBreakdown, pap, iters)
+		}
+		rr = cgStep(rz/pap, x, r, p, ap)
+		m.Precondition(r, z)
+		rzNew := seqDot(r, z)
+		cgDirection(rzNew/rz, z, p)
+		rz = rzNew
+	}
+
+	rel := finalResidualWith(rt, a, b, x, bnorm, ap)
+	if met && tol > 0 && rel >= falseConvergenceLimit(tol) {
+		return Stats{Iterations: iters, RelResidual: rel},
+			fmt.Errorf("%w: CG false convergence at iteration %d: residual estimate met tol %.1e but true relres is %.3e", ErrDiverged, iters, tol, rel)
+	}
+	st := Stats{Iterations: iters, RelResidual: rel, Converged: met || rel < tol}
+	if !st.Converged {
+		return st, fmt.Errorf("%w: CG after %d iterations, relres %.3e", ErrNotConverged, iters, rel)
+	}
+	return st, nil
 }
 
 // CGWith is CGCtx with positional arguments and a background context.
@@ -473,7 +553,7 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 				// discarded, like cancellation: x keeps the iterate of the
 				// last completed restart.
 				rel := math.Abs(s[k+1]) / zbnorm
-				if herr := hg.check(&gst, "GMRES", -1, totalIters, rel); herr != nil {
+				if herr := hg.check(&gst, "GMRES", totalIters, rel); herr != nil {
 					return Stats{Iterations: totalIters, RelResidual: rel}, herr
 				}
 			}
@@ -503,372 +583,6 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 		return st, fmt.Errorf("%w: GMRES after %d iterations, relres %.3e", ErrNotConverged, totalIters, rel)
 	}
 	return st, nil
-}
-
-// preconditionBatch applies m to k interleaved columns. A single column
-// is already contiguous, so at k = 1 m.Precondition runs on it directly
-// (act needs no check there: the loop ends once its one column froze).
-// Otherwise it uses the batch fast path when m implements
-// BatchPreconditioner and column-by-column de-interleaving through rc/zc
-// otherwise; every route applies the same per-column operator, so they
-// agree bitwise. In the de-interleave path a non-nil act skips frozen
-// columns — their stale z only feeds a search direction whose
-// alpha/beta are pinned to zero, so results are unchanged while an
-// expensive preconditioner (an AMG V-cycle, say) runs once per live
-// column instead of once per column. act must be nil on the first
-// application, before frozen columns hold a finite z.
-func preconditionBatch(m Preconditioner, r, z []float64, n, k int, rc, zc []float64, act []bool) {
-	if k == 1 {
-		m.Precondition(r, z)
-		return
-	}
-	if bp, ok := m.(BatchPreconditioner); ok {
-		bp.PreconditionBatch(r, z, k)
-		return
-	}
-	for j := 0; j < k; j++ {
-		if act != nil && !act[j] {
-			continue
-		}
-		for i := 0; i < n; i++ {
-			rc[i] = r[i*k+j]
-		}
-		m.Precondition(rc, zc)
-		for i := 0; i < n; i++ {
-			z[i*k+j] = zc[i]
-		}
-	}
-}
-
-// spmm is a.SpMM, issued as a.SpMV at k = 1. Every operator format's
-// SpMM does exactly that for one column, so no bit moves; routing it
-// here keeps single-RHS products visible to operator wrappers that
-// instrument SpMV (cmd/amgbench's traced ledger).
-func spmm(rt *par.Runtime, a sparse.Operator, k int, x, y []float64) {
-	if k == 1 {
-		a.SpMV(rt, x, y)
-		return
-	}
-	a.SpMM(rt, k, x, y)
-}
-
-// The vector passes of CGBatchCtx below walk the interleaved layout one
-// column at a time: column j of a k-wide vector v is v[j], v[j+k],
-// v[j+2k], … Every per-column sum keeps one accumulator in row order,
-// so each column's result is the same at every k and every worker
-// count, and at k = 1 each pass is a flat loop over the vector. The
-// width k is len of the per-column slice (out, rr, alpha or beta).
-
-// colDots sets out[j] to the dot product of column j of a and b.
-//
-//amg:hotpath
-func colDots(a, b, out []float64) {
-	k := len(out)
-	b = b[:len(a)]
-	for j := range out {
-		s := 0.0
-		for i := j; i < len(a); i += k {
-			s += a[i] * b[i]
-		}
-		out[j] = s
-	}
-}
-
-// residualCols overwrites r with b - r and sets rr[j] to the squared
-// norm of column j of the result.
-//
-//amg:hotpath
-func residualCols(b, r, rr []float64) {
-	k := len(rr)
-	b = b[:len(r)]
-	for j := range rr {
-		s := 0.0
-		for i := j; i < len(r); i += k {
-			ri := b[i] - r[i]
-			r[i] = ri
-			s += ri * ri
-		}
-		rr[j] = s
-	}
-}
-
-// stepCols is the fused CG step x += alpha*p, r -= alpha*ap per column,
-// with rr[j] set to the squared norm of column j of the new r.
-//
-//amg:hotpath
-func stepCols(alpha, x, r, p, ap, rr []float64) {
-	k := len(alpha)
-	r, p, ap = r[:len(x)], p[:len(x)], ap[:len(x)]
-	for j, a := range alpha {
-		s := 0.0
-		for i := j; i < len(x); i += k {
-			x[i] += a * p[i]
-			ri := r[i] - a*ap[i]
-			r[i] = ri
-			s += ri * ri
-		}
-		rr[j] = s
-	}
-}
-
-// directionCols is the direction update p = z + beta*p per column.
-//
-//amg:hotpath
-func directionCols(beta, z, p []float64) {
-	k := len(beta)
-	z = z[:len(p)]
-	for j, bt := range beta {
-		for i := j; i < len(p); i += k {
-			p[i] = z[i] + bt*p[i]
-		}
-	}
-}
-
-// CGBatchCtx solves the k SPD systems A x_j = b_j simultaneously with the
-// preconditioned conjugate gradient method, sharing one SpMM traversal
-// of A per iteration across all right-hand sides. It is the package's
-// one CG recurrence: CGCtx is its k = 1 call. b and x use the
-// interleaved multi-RHS layout of sparse.SpMM (the k values of row i
-// contiguous at [i*k : (i+1)*k]); x holds the initial guesses on entry
-// and the solutions on exit. a is any operator format (CSR or SELL);
-// formats produce bit-identical kernels. Each column runs its own scalar
-// recurrence and stops when its recurrence residual drops below
-// o.Tol*||b_j||; a column that converges (or has a zero right-hand
-// side, solved as x_j = 0 in 0 iterations) is frozen — its alpha and
-// beta are pinned to zero so the shared vector updates become exact
-// no-ops — while the remaining columns iterate, up to o.MaxIter
-// iterations. Stats report each column's true final residual.
-// Deterministic for every worker count, and each column's result is
-// independent of k. The returned Stats slice (one entry per column) is
-// owned by the workspace and overwritten by the next batch solve
-// through it.
-//
-// The context is checked once before the setup products and at the top
-// of every iteration. On cancellation every still-active column reports
-// its iteration count and recurrence residual (Converged false; +Inf
-// before the first iteration), columns frozen earlier keep their
-// recurrence result (like the breakdown path), x holds the partial
-// iterate, and the error wraps ErrCanceled plus the context's cause. A
-// non-nil o.Health watches each active column's relative recurrence
-// residual; a column turning non-finite, divergent, or stagnant aborts
-// the whole batch the way a breakdown does — all columns share the one
-// operator, so the failure is a property of the system, not the column
-// — with a classified error naming the first offending column. With an
-// uncanceled context and a healthy solve the result is bitwise
-// identical to a solve with a nil context and no guard. ctx may be nil
-// (treated as context.Background()).
-func CGBatchCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, k int, o Options) ([]Stats, error) {
-	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
-	n, _ := a.Dims()
-	if k <= 0 {
-		return nil, fmt.Errorf("krylov: CGBatch needs k >= 1, got %d", k)
-	}
-	if len(b) != n*k || len(x) != n*k {
-		return nil, fmt.Errorf("krylov: CGBatch size mismatch (n=%d, k=%d, len(b)=%d, len(x)=%d)", n, k, len(b), len(x))
-	}
-	if m == nil {
-		m = Identity()
-	}
-	if ws == nil {
-		ws = &Workspace{}
-	}
-	ws.ensureBatch(n, k)
-	if hg != nil {
-		ws.ensureGuard(k)
-	}
-	r, z, p, ap := ws.r, ws.z, ws.p, ws.ap
-	scal := ws.scal
-	rr, rz := scal[0:k], scal[k:2*k]
-	rzNew, alpha := scal[2*k:3*k], scal[3*k:4*k]
-	bnorm, pap := scal[4*k:5*k], scal[5*k:6*k]
-	act, stats := ws.act, ws.stats
-	for j := 0; j < k; j++ {
-		stats[j] = Stats{}
-	}
-
-	colDots(b, b, bnorm)
-	for j := 0; j < k; j++ {
-		bnorm[j] = math.Sqrt(bnorm[j])
-	}
-
-	if maxIter <= 0 {
-		// Report the initial residuals without touching x.
-		spmm(rt, a, k, x, ap)
-		failed, _ := batchFinalize(b, ap, bnorm, rr, stats, tol, act, false)
-		if failed > 0 {
-			return stats, fmt.Errorf("%w: CGBatch after 0 iterations, %d of %d columns above tol", ErrNotConverged, failed, k)
-		}
-		return stats, nil
-	}
-
-	nActive := k
-	for j := 0; j < k; j++ {
-		act[j] = true
-		if bnorm[j] == 0 {
-			// Zero right-hand side: exact solution x_j = 0 in 0 iterations
-			// (zeroed before the residual pass so r_j and rr[j] come out
-			// exactly zero and the column's recurrence is a no-op).
-			for i := j; i < len(x); i += k {
-				x[i] = 0
-			}
-			act[j] = false
-			stats[j] = Stats{Iterations: 0, RelResidual: 0, Converged: true}
-			nActive--
-		}
-	}
-
-	if err := ctxDone(ctx); err != nil {
-		for j := 0; j < k; j++ {
-			if act[j] {
-				stats[j] = Stats{Iterations: 0, RelResidual: math.Inf(1)}
-			}
-		}
-		return stats, cancelErr(ctx, "CGBatch", 0, math.Inf(1))
-	}
-
-	spmm(rt, a, k, x, r)
-	residualCols(b, r, rr)
-	preconditionBatch(m, r, z, n, k, ws.rc, ws.zc, nil)
-	copy(p, z)
-	colDots(r, z, rz)
-
-	iters := 0
-	for ; iters < maxIter && nActive > 0; iters++ {
-		for j := 0; j < k; j++ {
-			if !act[j] {
-				continue
-			}
-			rel := math.Sqrt(rr[j]) / bnorm[j]
-			if rel < tol {
-				act[j] = false
-				stats[j].Iterations = iters
-				nActive--
-				continue
-			}
-			if hg != nil {
-				if herr := hg.check(&ws.guard[j], "CGBatch", j, iters, rel); herr != nil {
-					batchAbortStats(stats, act, rr, bnorm, iters)
-					return stats, herr
-				}
-			}
-		}
-		if nActive == 0 {
-			break
-		}
-		if err := ctxDone(ctx); err != nil {
-			// Mirror the breakdown path: active columns report their
-			// recurrence residual unconverged; columns frozen by the
-			// convergence test keep their recurrence result.
-			batchAbortStats(stats, act, rr, bnorm, iters)
-			worst := 0.0
-			for j, st := range stats {
-				if act[j] && st.RelResidual > worst {
-					worst = st.RelResidual
-				}
-			}
-			return stats, cancelErr(ctx, "CGBatch", iters, worst)
-		}
-		spmm(rt, a, k, p, ap)
-		colDots(p, ap, pap)
-		for j := 0; j < k; j++ {
-			if !act[j] {
-				alpha[j] = 0
-				continue
-			}
-			if pap[j] <= 0 {
-				batchAbortStats(stats, act, rr, bnorm, iters)
-				return stats, fmt.Errorf("%w: CGBatch column %d, p^T A p = %g at iteration %d", ErrBreakdown, j, pap[j], iters)
-			}
-			alpha[j] = rz[j] / pap[j]
-		}
-		// Frozen columns have alpha = 0, so their x and r are
-		// bit-identical no-ops and rr stays below tolerance.
-		stepCols(alpha, x, r, p, ap, rr)
-		preconditionBatch(m, r, z, n, k, ws.rc, ws.zc, act)
-		colDots(r, z, rzNew)
-		// alpha doubles as beta for the direction update.
-		for j := 0; j < k; j++ {
-			if act[j] {
-				alpha[j] = rzNew[j] / rz[j]
-			} else {
-				alpha[j] = 0
-			}
-			rz[j] = rzNew[j]
-		}
-		directionCols(alpha, z, p)
-	}
-	for j := 0; j < k; j++ {
-		if act[j] {
-			stats[j].Iterations = iters
-		}
-	}
-
-	// True final residuals per column.
-	spmm(rt, a, k, x, ap)
-	failed, falseConv := batchFinalize(b, ap, bnorm, rr, stats, tol, act, true)
-	if falseConv > 0 {
-		return stats, fmt.Errorf("%w: CGBatch false convergence after %d iterations, %d of %d columns met tol %.1e in the recurrence but exceed the true-residual limit %.1e", ErrDiverged, iters, falseConv, k, tol, falseConvergenceLimit(tol))
-	}
-	if failed > 0 {
-		return stats, fmt.Errorf("%w: CGBatch after %d iterations, %d of %d columns above tol", ErrNotConverged, iters, failed, k)
-	}
-	return stats, nil
-}
-
-// batchAbortStats fills the per-column stats of a batch solve that
-// stopped mid-iteration (breakdown, health-guard trip or cancellation):
-// every still-active column reports its recurrence residual unconverged
-// at the abort iteration; a column frozen earlier by the convergence
-// test is reported converged with its recurrence residual (batchFinalize
-// never runs on abort paths). Zero-RHS columns were finalized exactly
-// and keep their stats.
-func batchAbortStats(stats []Stats, act []bool, rr, bnorm []float64, iters int) {
-	for q := range stats {
-		if act[q] {
-			stats[q].Iterations = iters
-			stats[q].RelResidual = math.Sqrt(rr[q]) / bnorm[q]
-		} else if !stats[q].Converged {
-			stats[q].RelResidual = math.Sqrt(rr[q]) / bnorm[q]
-			stats[q].Converged = true
-		}
-	}
-}
-
-// batchFinalize fills per-column RelResidual and Converged from the
-// product ax = A*x (overwriting ax with the residual b - A*x) and
-// returns the number of unconverged columns plus how many of those are
-// false convergences. When metByRecurrence is true, a column whose
-// recurrence already met the tolerance (act[j] false) counts as
-// converged as long as the true residual is within
-// falseConvergenceSlack of the tolerance, matching CG's Stats contract.
-func batchFinalize(b, ax, bnorm, rr []float64, stats []Stats, tol float64, act []bool, metByRecurrence bool) (int, int) {
-	residualCols(b, ax, rr)
-	failed, falseConv := 0, 0
-	for j := range stats {
-		nb := bnorm[j]
-		if nb == 0 {
-			nb = 1
-		}
-		rel := math.Sqrt(rr[j]) / nb
-		if metByRecurrence && stats[j].Converged {
-			// Zero-RHS columns were finalized exactly; keep their stats.
-			continue
-		}
-		stats[j].RelResidual = rel
-		// A column frozen by the recurrence test is converged only while
-		// the true residual stays under the false-convergence limit;
-		// beyond it the recurrence has lied and the column is a failure,
-		// not an answer.
-		froze := metByRecurrence && !act[j]
-		stats[j].Converged = rel < tol || (froze && (tol <= 0 || rel < falseConvergenceLimit(tol)))
-		if !stats[j].Converged {
-			failed++
-			if froze {
-				falseConv++
-			}
-		}
-	}
-	return failed, falseConv
 }
 
 // finalResidualWith computes ||b - Ax|| / bnorm using scratch as the

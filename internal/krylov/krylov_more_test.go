@@ -1,7 +1,9 @@
 package krylov
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mis2go/internal/gen"
@@ -68,8 +70,9 @@ func TestGMRESRestartClampedToMaxIter(t *testing.T) {
 
 func TestGMRESSizeMismatch(t *testing.T) {
 	a, b, _ := spdProblem(4, 4)
-	if _, err := GMRESCtx(nil, par.New(1), a, b, make([]float64, 2), 5, Options{Tol: 1e-8, MaxIter: 10}); err == nil {
-		t.Fatal("size mismatch not reported")
+	_, err := GMRESCtx(nil, par.New(1), a, b, make([]float64, 2), 5, Options{Tol: 1e-8, MaxIter: 10})
+	if want := fmt.Sprintf("(n=%d, len(b)=%d, len(x)=2)", a.Rows, a.Rows); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("short x: got %v, want an error naming %s", err, want)
 	}
 }
 

@@ -3,7 +3,9 @@ package krylov
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"mis2go/internal/gen"
@@ -52,8 +54,12 @@ func TestCGIterationLimit(t *testing.T) {
 
 func TestCGSizeMismatch(t *testing.T) {
 	a, b, _ := spdProblem(5, 5)
-	if _, err := CGCtx(nil, par.New(1), a, b, make([]float64, 3), Options{Tol: 1e-8, MaxIter: 10}); err == nil {
-		t.Fatal("size mismatch not reported")
+	_, err := CGCtx(nil, par.New(1), a, b, make([]float64, 3), Options{Tol: 1e-8, MaxIter: 10})
+	if want := fmt.Sprintf("(n=%d, len(b)=%d, len(x)=3)", a.Rows, a.Rows); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("short x: got %v, want an error naming %s", err, want)
+	}
+	if _, err := CGCtx(nil, par.New(1), a, b[:4], make([]float64, a.Rows), Options{Tol: 1e-8, MaxIter: 10}); err == nil {
+		t.Fatal("short b accepted")
 	}
 }
 
@@ -207,46 +213,35 @@ func TestIdentityPreconditioner(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	a := gen.Laplacian(gen.Laplace3D(8, 8, 8), 1e-2)
 	n := a.Rows
-	const k = 3
-	b := make([]float64, n*k)
+	b := make([]float64, n)
 	for i := range b {
 		b[i] = float64(i%11) - 5
 	}
-	type solve func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error)
+	type solve func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, Stats, error)
 	solvers := []struct {
 		name string
 		run  solve
 	}{
-		{"CG", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+		{"CG", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, Stats, error) {
 			x := make([]float64, n)
-			st, err := CGCtx(ctx, rt, a, b[:n], x, o)
-			return x, []Stats{st}, err
+			st, err := CGCtx(ctx, rt, a, b, x, o)
+			return x, st, err
 		}},
-		{"GMRES", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+		{"GMRES", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, Stats, error) {
 			x := make([]float64, n)
-			st, err := GMRESCtx(ctx, rt, a, b[:n], x, 20, o)
-			return x, []Stats{st}, err
+			st, err := GMRESCtx(ctx, rt, a, b, x, 20, o)
+			return x, st, err
 		}},
-		{"CGBatch", func(ctx context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
-			x := make([]float64, n*k)
-			st, err := CGBatchCtx(ctx, rt, a, b, x, k, o)
-			return x, append([]Stats(nil), st...), err
-		}},
-		{"CGWith", func(_ context.Context, rt *par.Runtime, o Options) ([]float64, []Stats, error) {
+		{"CGWith", func(_ context.Context, rt *par.Runtime, o Options) ([]float64, Stats, error) {
 			x := make([]float64, n)
-			st, err := CGWith(rt, a, b[:n], x, o.Tol, o.MaxIter, o.M, o.Work)
-			return x, []Stats{st}, err
+			st, err := CGWith(rt, a, b, x, o.Tol, o.MaxIter, o.M, o.Work)
+			return x, st, err
 		}},
 	}
-	same := func(t *testing.T, what string, x0, x1 []float64, st0, st1 []Stats) {
+	same := func(t *testing.T, what string, x0, x1 []float64, st0, st1 Stats) {
 		t.Helper()
-		if len(st0) != len(st1) {
-			t.Fatalf("%s: %d stats vs %d", what, len(st1), len(st0))
-		}
-		for j := range st0 {
-			if st0[j] != st1[j] {
-				t.Fatalf("%s: column %d stats %+v, want %+v", what, j, st1[j], st0[j])
-			}
+		if st0 != st1 {
+			t.Fatalf("%s: stats %+v, want %+v", what, st1, st0)
 		}
 		for i := range x0 {
 			if math.Float64bits(x0[i]) != math.Float64bits(x1[i]) {

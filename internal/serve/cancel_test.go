@@ -30,7 +30,7 @@ func cancelRefSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []f
 	}
 	want := make([]float64, a.Rows)
 	rt := par.New(cfg.AMG.Threads)
-	if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
+	if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 		t.Fatal(err)
 	}
 	return want

@@ -37,7 +37,7 @@ func TestServeStressFaultInjection(t *testing.T) {
 	rt := par.New(cfg.withDefaults().AMG.Threads)
 
 	// Three structurally different patterns, three value sets each, with
-	// sequential single-caller references (fresh build, k=1 CGBatchCtx).
+	// sequential single-caller references (fresh build, CGCtx).
 	patterns := []*sparse.Matrix{
 		gen.Laplacian(gen.Laplace3D(7, 7, 7), 0.05),
 		gen.Laplacian(gen.Laplace2D(20, 20), 0.1),
@@ -59,7 +59,7 @@ func TestServeStressFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := make([]float64, a.Rows)
-			if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
+			if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 				t.Fatal(err)
 			}
 			systems[p][v] = stressSystem{a: a, b: b, want: want}

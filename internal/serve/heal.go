@@ -91,7 +91,7 @@ func (s *Service) escalate(ctx context.Context, a *sparse.Matrix, bs [][]float64
 		}
 		st.Escalations = append(st.Escalations, rg.name)
 		s.m.escalations.Add(1)
-		rxs, cols, rerr := s.solveRung(ctx, rg, a, bs)
+		rxs, cols, rerr := s.solveFresh(ctx, a, bs, rg.amg, rg.gmres, true)
 		if rerr == nil {
 			st.Columns = cols
 			s.m.escalationRecoveries.Add(1)
@@ -110,22 +110,4 @@ func (s *Service) escalate(ctx context.Context, a *sparse.Matrix, bs [][]float64
 		return xs, fmt.Errorf("serve: escalation exhausted (%s): %w", strings.Join(st.Escalations, ", "), origErr)
 	}
 	return xs, origErr
-}
-
-// solveRung runs one escalation attempt, request-local and panic-
-// isolated: a fresh hierarchy with the rung's options, then the
-// service's column loop (guarded CG, or GMRES) through that hierarchy's
-// FineOperator. Nothing touches the cache, so a failed rung leaves no
-// state behind and a successful one is bitwise reproducible by a
-// sequential caller using the same options.
-func (s *Service) solveRung(ctx context.Context, rg rung, a *sparse.Matrix, bs [][]float64) (xs [][]float64, cols []krylov.Stats, err error) {
-	defer recoverTo(&err)
-	if err := s.fault(FaultEscalate, ctx); err != nil {
-		return nil, nil, err
-	}
-	h, err := amg.BuildCtx(ctx, a, rg.amg)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.solveColumns(ctx, h, krylov.NewWorkspace(a.Rows), bs, rg.gmres)
 }

@@ -62,7 +62,7 @@ func TestServeStressPoisonQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]float64, a.Rows)
-		if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
 			t.Fatal(err)
 		}
 		return want

@@ -20,9 +20,9 @@
 //
 // Requests are not coalesced. Each request solves its own right-hand
 // sides, one krylov.CGCtx call per column, while it holds the entry
-// lock: under AMG every column pays its own V-cycle, so a batched CG
-// call saves only matrix traffic, and a 4-column batch measured slower
-// than four single solves.
+// lock: the solver stack solves one right-hand side per call, and
+// multi-RHS batching measured slower than single solves under both AMG
+// and Jacobi.
 //
 // A Service is safe for concurrent use by any number of goroutines. A
 // bounded admission semaphore (Config.MaxInFlight) provides backpressure:
@@ -35,15 +35,16 @@
 // loop itself. A cancellation never corrupts the cache: the entry stays
 // valid and later requests reuse it. Panics in the build/refresh/solve
 // critical sections are contained — converted to an error for the
-// request, whose cache entry is invalidated and dropped so the next
-// request rebuilds fresh — instead of killing the process.
+// request, whose cache entry is reset and dropped — instead of killing
+// the process. The next request for the pattern rebuilds it, and that
+// build goes back in the cache.
 //
 // Determinism carries over from the underlying stack: a served solution
 // is bitwise identical to the same system solved by a sequential single
-// caller (krylov.CGCtx, the k = 1 call of the batch CG recurrence, on a
-// freshly built hierarchy, multiplying by its FineOperator), for any
-// worker count and any cache state — each column is solved on its own,
-// and Hierarchy.Refresh is bitwise identical to a fresh build.
+// caller (krylov.CGCtx on a freshly built hierarchy, multiplying by its
+// FineOperator), for any worker count and any cache state — each column
+// is solved on its own, and Hierarchy.Refresh is bitwise identical to a
+// fresh build.
 package serve
 
 import (
@@ -442,17 +443,25 @@ func (s *Service) SolveBatch(ctx context.Context, a *sparse.Matrix, bs [][]float
 	}
 
 	var xs [][]float64
-	var rst RequestStats
 	var err error
-	if e, collision := s.lookup(key, a); collision {
-		xs, rst, err = s.solveUncached(ctx, a, bs, &st)
-	} else {
-		xs, rst, err = s.solveCached(ctx, e, a, bs, &st)
+	e, collision := s.lookup(key, a)
+	if !collision {
+		xs, collision, err = s.solveCached(ctx, e, a, bs, &st)
+	}
+	if collision {
+		// Serve the request correctly but without touching the cache: a
+		// fresh hierarchy and the same column loop as the cached path,
+		// so even this path is bitwise identical to the cached one.
+		st.Outcome = OutcomeCollision
+		xs, st.Columns, err = s.solveFresh(ctx, a, bs, s.cfg.AMG, false, false)
+		if errors.Is(err, ErrPanic) {
+			s.m.panics.Add(1)
+		}
 	}
 	if err != nil && s.escalatable(err) {
-		xs, err = s.escalate(ctx, a, bs, &rst, xs, err)
+		xs, err = s.escalate(ctx, a, bs, &st, xs, err)
 	}
-	rst.finalize()
+	st.finalize()
 	if s.br != nil {
 		switch {
 		case err == nil:
@@ -470,7 +479,7 @@ func (s *Service) SolveBatch(ctx context.Context, a *sparse.Matrix, bs [][]float
 			s.m.numericalFailures.Add(1)
 		}
 	}
-	return xs, rst, err
+	return xs, st, err
 }
 
 // fault runs the configured fault-injection hook for the phase, if any.
@@ -521,10 +530,10 @@ func (s *Service) index(e *entry) {
 
 // drop removes an entry from the cache if it is still indexed (an
 // entry whose build failed, or whose numeric state a deep Refresh
-// failure left unusable). In-flight holders of the entry keep working;
-// the next request for the pattern rebuilds fresh. Lock order: drop
-// takes the index lock (s.mu) and is called after releasing the entry
-// lock, never while holding s.mu.
+// failure or a contained panic left unusable). Callers hold the entry
+// lock, so the entry is out of the index before any request queued on
+// it can rebuild it (see reindex). Lock order: e.mu, then s.mu — no
+// path takes an entry lock while holding s.mu.
 func (s *Service) drop(e *entry) {
 	s.mu.Lock()
 	if cur, ok := s.entries[e.key]; ok && cur == e {
@@ -534,17 +543,31 @@ func (s *Service) drop(e *entry) {
 	s.mu.Unlock()
 }
 
+// reindex puts a freshly built entry back in the cache if it was
+// dropped and no other entry holds its key since: a request queued on
+// an entry that a failure reset rebuilds it, and the next request for
+// the pattern should reuse that build. Called with e.mu held.
+func (s *Service) reindex(e *entry) {
+	s.mu.Lock()
+	if _, ok := s.entries[e.key]; !ok {
+		s.index(e)
+	}
+	s.mu.Unlock()
+}
+
 // solveCached runs the cached-pattern path: ensure the hierarchy's
 // numeric state matches the request's values (build, refresh, or
 // nothing), then solve the request's columns, all under the entry lock.
-func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, bs [][]float64, st *RequestStats) ([][]float64, RequestStats, error) {
+// collision reports an equal-shape fingerprint collision, which the
+// caller serves uncached.
+func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, bs [][]float64, st *RequestStats) (xs [][]float64, collision bool, err error) {
 	e.mu.Lock()
 	if err := ctx.Err(); err != nil {
 		// Honor cancellation before committing to any setup work.
 		// Nothing has been mutated: the entry stays exactly as the
 		// previous request left it.
 		e.mu.Unlock()
-		return nil, *st, fmt.Errorf("serve: canceled before solve: %w", context.Cause(ctx))
+		return nil, false, fmt.Errorf("serve: canceled before solve: %w", context.Cause(ctx))
 	}
 	switch {
 	case e.h == nil:
@@ -557,10 +580,11 @@ func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, b
 			if errors.Is(err, ErrPanic) {
 				s.m.panics.Add(1)
 			}
-			e.mu.Unlock()
 			s.drop(e)
-			return nil, *st, fmt.Errorf("serve: hierarchy build: %w", err)
+			e.mu.Unlock()
+			return nil, false, fmt.Errorf("serve: hierarchy build: %w", err)
 		}
+		s.reindex(e)
 		st.Outcome = OutcomeBuild
 		s.m.builds.Add(1)
 	case !samePattern(e.fine, a):
@@ -571,7 +595,7 @@ func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, b
 		// silently solve the wrong matrix, so serve it uncached.
 		e.mu.Unlock()
 		s.m.collisions.Add(1)
-		return s.solveUncached(ctx, a, bs, st)
+		return nil, true, nil
 	case sameValues(e.fine.Val, a.Val):
 		// Same operator as the cached numeric state: pay nothing.
 		st.Outcome = OutcomeReuse
@@ -590,35 +614,31 @@ func (s *Service) solveCached(ctx context.Context, e *entry, a *sparse.Matrix, b
 				// Precondition panics) — and retire it from the index so
 				// the next lookup starts fresh.
 				e.reset()
-				e.mu.Unlock()
 				s.drop(e)
+				e.mu.Unlock()
 			} else {
 				// Pre-mutation rejection (bad values, cancellation
 				// caught before the replay touched anything): the
 				// previous numeric state is fully usable, keep it.
 				e.mu.Unlock()
 			}
-			return nil, *st, fmt.Errorf("serve: hierarchy refresh: %w", err)
+			return nil, false, fmt.Errorf("serve: hierarchy refresh: %w", err)
 		}
 		st.Outcome = OutcomeRefresh
 		s.m.refreshes.Add(1)
 	}
-	xs, cols, err := s.solveEntry(ctx, e, bs)
-	panicked := errors.Is(err, ErrPanic)
-	if panicked {
+	xs, st.Columns, err = s.solveEntry(ctx, e, bs)
+	if errors.Is(err, ErrPanic) {
 		// The panic may have struck mid-update inside the hierarchy or
 		// workspace: nothing about the entry's solver state can be
 		// trusted anymore. Reset it (queued requests rebuild) and retire
 		// it.
 		s.m.panics.Add(1)
 		e.reset()
-	}
-	e.mu.Unlock()
-	if panicked {
 		s.drop(e)
 	}
-	st.Columns = cols
-	return xs, *st, err
+	e.mu.Unlock()
+	return xs, false, err
 }
 
 // buildEntry runs the full-construction critical section with panic
@@ -692,27 +712,31 @@ func (s *Service) solveEntry(ctx context.Context, e *entry, bs [][]float64) (xs 
 	return s.solveColumns(ctx, e.h, e.ws, bs, false)
 }
 
-// solveUncached serves a fingerprint-collision request correctly but
-// without touching the cache: a fresh hierarchy and the same column
-// loop as the cached path, so even this path is bitwise identical to
-// the cached one. Panic isolation applies here too — the state is
-// request-local, but the process must survive.
-func (s *Service) solveUncached(ctx context.Context, a *sparse.Matrix, bs [][]float64, st *RequestStats) (xs [][]float64, rst RequestStats, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			s.m.panics.Add(1)
-			xs, rst, err = nil, *st, fmt.Errorf("serve: %w: %v\n%s", ErrPanic, r, debug.Stack())
+// solveFresh solves the request's columns on a hierarchy built for this
+// request alone with opt, by CG or, when gmres is set, GMRES. It serves
+// fingerprint collisions and every escalation rung; a rung (escalation
+// set) first fires FaultEscalate and is not counted in BatchSolves.
+// Nothing touches the cache, so a failure leaves no state behind and a
+// result is bitwise reproducible by a sequential caller using the same
+// options. Panics are contained (an error wrapping ErrPanic) and
+// counted by the caller: the state is request-local, but the process
+// must survive.
+func (s *Service) solveFresh(ctx context.Context, a *sparse.Matrix, bs [][]float64, opt amg.Options, gmres, escalation bool) (xs [][]float64, cols []krylov.Stats, err error) {
+	defer recoverTo(&err)
+	if escalation {
+		if err := s.fault(FaultEscalate, ctx); err != nil {
+			return nil, nil, err
 		}
-	}()
-	st.Outcome = OutcomeCollision
-	h, err := amg.BuildCtx(ctx, a, s.cfg.AMG)
-	if err != nil {
-		return nil, *st, fmt.Errorf("serve: hierarchy build: %w", err)
 	}
-	s.m.batchSolves.Add(1)
-	s.m.batchedRHS.Add(int64(len(bs)))
-	xs, st.Columns, err = s.solveColumns(ctx, h, krylov.NewWorkspace(a.Rows), bs, false)
-	return xs, *st, err
+	h, err := amg.BuildCtx(ctx, a, opt)
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: hierarchy build: %w", err)
+	}
+	if !escalation {
+		s.m.batchSolves.Add(1)
+		s.m.batchedRHS.Add(int64(len(bs)))
+	}
+	return s.solveColumns(ctx, h, krylov.NewWorkspace(a.Rows), bs, gmres)
 }
 
 // solveColumns solves A x = b for each column b of bs on its own, from

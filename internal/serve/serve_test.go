@@ -42,7 +42,7 @@ func testProblem(nx int, shift float64) (*sparse.Matrix, []float64) {
 }
 
 // referenceSolve is the sequential single-caller baseline the service
-// must match bitwise: a fresh hierarchy and a k=1 CGBatchCtx solve.
+// must match bitwise: a fresh hierarchy and a CGCtx solve.
 func referenceSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []float64 {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -52,7 +52,7 @@ func referenceSolve(t *testing.T, cfg Config, a *sparse.Matrix, b []float64) []f
 	}
 	x := make([]float64, a.Rows)
 	bb := append([]float64(nil), b...)
-	if _, err := krylov.CGBatchCtx(nil, par.New(cfg.AMG.Threads), a, bb, x, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
+	if _, err := krylov.CGCtx(nil, par.New(cfg.AMG.Threads), a, bb, x, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 		t.Fatal(err)
 	}
 	return x
@@ -640,6 +640,59 @@ func TestServeDeepRefreshFailureQueuedRequestsRebuildBitwise(t *testing.T) {
 			t.Fatalf("iteration %d: outcomes %v, want a rebuild after the deep failure", it, outcomes)
 		}
 	}
+}
+
+// TestServeQueuedRebuildIsCachedBitwise: a request queued on an entry
+// that a contained panic reset rebuilds it, and that build goes back in
+// the cache. Request 1 builds and panics at FaultSolve while request 2
+// waits on the entry lock; request 3 repeats request 2. Outcomes read
+// build, build, reuse, with two builds in all, and the clean requests
+// return their sequential reference bitwise.
+func TestServeQueuedRebuildIsCachedBitwise(t *testing.T) {
+	type panicKey struct{}
+	entered := make(chan struct{})
+	cfg := testConfig()
+	cfg.FaultHook = func(p FaultPhase, ctx context.Context) error {
+		if p == FaultSolve && ctx.Value(panicKey{}) != nil {
+			close(entered)
+			time.Sleep(30 * time.Millisecond) // let request 2 queue on the entry lock
+			panic("injected fault: solver blew up")
+		}
+		return nil
+	}
+	s := New(cfg)
+	a, b := testProblem(8, 0.05)
+	want := referenceSolve(t, cfg, a.Clone(), b)
+
+	var st1 RequestStats
+	var err1 error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, st1, err1 = s.Solve(context.WithValue(context.Background(), panicKey{}, true), a, b)
+	}()
+	<-entered // request 1 holds the entry lock
+	x2, st2, err := s.Solve(context.Background(), a, b)
+	<-done
+	if !errors.Is(err1, ErrPanic) {
+		t.Fatalf("request 1 error = %v, want ErrPanic", err1)
+	}
+	if err != nil {
+		t.Fatalf("request 2: %v", err)
+	}
+	x3, st3, err := s.Solve(context.Background(), a, b)
+	if err != nil {
+		t.Fatalf("request 3: %v", err)
+	}
+	got := []Outcome{st1.Outcome, st2.Outcome, st3.Outcome}
+	if m := s.Metrics(); m.Builds != 2 {
+		t.Fatalf("builds %d (outcomes %v), want 2", m.Builds, got)
+	}
+	if got[0] != OutcomeBuild || got[1] != OutcomeBuild || got[2] != OutcomeReuse {
+		t.Fatalf("outcomes %v, want build, build, reuse", got)
+	}
+	bitwiseEqual(t, "request 2", x2, want)
+	bitwiseEqual(t, "request 3", x3, want)
 }
 
 // TestServeRejectsOversizedRequest: MaxBatch bounds a single request's

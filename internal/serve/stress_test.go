@@ -55,13 +55,13 @@ func TestServeStressMixedTraffic(t *testing.T) {
 			for i := range b {
 				b[i] = float64((i*13+p+v)%23) - 11
 			}
-			// Sequential single-caller reference: fresh build, k=1 CGBatchCtx.
+			// Sequential single-caller reference: fresh build, CGCtx.
 			h, err := amg.Build(a.Clone(), cfg.AMG)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := make([]float64, a.Rows)
-			if _, err := krylov.CGBatchCtx(nil, rt, a, append([]float64(nil), b...), want, 1, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
+			if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, M: h}); err != nil {
 				t.Fatal(err)
 			}
 			systems[p][v] = stressSystem{a: a, b: b, want: want}

@@ -153,115 +153,6 @@ func (c csrOf) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []flo
 	}
 }
 
-// SpMM computes the multi-RHS product Y = A*X for k right-hand sides.
-// X and Y use the interleaved (column-blocked) layout: the k values of
-// row i are contiguous at [i*k : (i+1)*k], so one traversal of A serves
-// all k right-hand sides and every gather from X touches one contiguous
-// block. len(x) must be cols*k and len(y) rows*k. Specialized
-// register-accumulator kernels handle the 4- and 8-wide blocks the
-// batched solvers use; other widths accumulate directly into Y's row
-// block. Deterministic: per-row summation order is fixed.
-//
-//amg:hotpath
-func (c csrOf) SpMM(rt *par.Runtime, k int, x, y []float64) {
-	if k == 1 {
-		c.SpMV(rt, x, y)
-		return
-	}
-	if rt.Serial(c.rows) {
-		c.spmmDispatch(k, x, y, 0, c.rows)
-		return
-	}
-	rt.For(c.rows, func(lo, hi int) {
-		c.spmmDispatch(k, x, y, lo, hi)
-	})
-}
-
-// spmmDispatch selects the width-specialized kernel for rows [lo, hi).
-//
-//amg:hotpath
-func (c csrOf) spmmDispatch(k int, x, y []float64, lo, hi int) {
-	switch k {
-	case 4:
-		c.spmm4Range(x, y, lo, hi)
-	case 8:
-		c.spmm8Range(x, y, lo, hi)
-	default:
-		c.spmmRange(k, x, y, lo, hi)
-	}
-}
-
-// spmm4Range is the 4-wide SpMM kernel: four independent accumulators
-// per row, one contiguous 4-block gather from X per stored entry.
-//
-//amg:hotpath
-func (c csrOf) spmm4Range(x, y []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		var s0, s1, s2, s3 float64
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := c.val[p]
-			xb := x[int(c.col[p])*4:]
-			xb = xb[:4]
-			s0 += v * xb[0]
-			s1 += v * xb[1]
-			s2 += v * xb[2]
-			s3 += v * xb[3]
-		}
-		yb := y[i*4:]
-		yb = yb[:4]
-		yb[0], yb[1], yb[2], yb[3] = s0, s1, s2, s3
-	}
-}
-
-// spmm8Range is the 8-wide SpMM kernel.
-//
-//amg:hotpath
-func (c csrOf) spmm8Range(x, y []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		var s0, s1, s2, s3, s4, s5, s6, s7 float64
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := c.val[p]
-			xb := x[int(c.col[p])*8:]
-			xb = xb[:8]
-			s0 += v * xb[0]
-			s1 += v * xb[1]
-			s2 += v * xb[2]
-			s3 += v * xb[3]
-			s4 += v * xb[4]
-			s5 += v * xb[5]
-			s6 += v * xb[6]
-			s7 += v * xb[7]
-		}
-		yb := y[i*8:]
-		yb = yb[:8]
-		yb[0], yb[1], yb[2], yb[3] = s0, s1, s2, s3
-		yb[4], yb[5], yb[6], yb[7] = s4, s5, s6, s7
-	}
-}
-
-// spmmRange is the generic-width SpMM kernel; it accumulates directly
-// into Y's row block (owned by this row), so no scratch is needed.
-//
-//amg:hotpath
-func (c csrOf) spmmRange(k int, x, y []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		yb := y[i*k : i*k+k]
-		for j := range yb {
-			yb[j] = 0
-		}
-		for p := rp[i]; p < rp[i+1]; p++ {
-			v := c.val[p]
-			xb := x[int(c.col[p])*k : int(c.col[p])*k+k]
-			for j, xv := range xb {
-				yb[j] += v * xv
-			}
-		}
-	}
-}
-
 // DiagonalInto fills d with the diagonal entries (zero where absent)
 // in parallel over rows. The serial fast path
 // bypasses the closure API so re-setup loops stay allocation-free.

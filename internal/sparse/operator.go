@@ -28,9 +28,6 @@ type Operator interface {
 	SpMVResidual(rt *par.Runtime, b, x, r []float64)
 	// SpMVAdd computes y += A*x in one traversal.
 	SpMVAdd(rt *par.Runtime, x, y []float64)
-	// SpMM computes the multi-RHS product Y = A*X for k interleaved
-	// right-hand sides (see Matrix.SpMM for the layout).
-	SpMM(rt *par.Runtime, k int, x, y []float64)
 	// DiagonalInto fills d with the diagonal entries (zero where absent).
 	DiagonalInto(rt *par.Runtime, d []float64)
 	// JacobiSweep performs one damped-Jacobi sweep fused into the matrix
@@ -57,11 +54,6 @@ func (a *Matrix) SpMVResidual(rt *par.Runtime, b, x, r []float64) { a.csr().SpMV
 
 // SpMVAdd computes y += A*x in one traversal of A. y must not alias x.
 func (a *Matrix) SpMVAdd(rt *par.Runtime, x, y []float64) { a.csr().SpMVAdd(rt, x, y) }
-
-// SpMM computes the multi-RHS product Y = A*X for k right-hand sides in
-// the interleaved layout: the k values of row i are contiguous at
-// [i*k : (i+1)*k]. len(x) must be a.Cols*k and len(y) a.Rows*k.
-func (a *Matrix) SpMM(rt *par.Runtime, k int, x, y []float64) { a.csr().SpMM(rt, k, x, y) }
 
 // DiagonalInto fills d with the diagonal entries of A (zero where
 // absent) in parallel over rows.

@@ -442,57 +442,6 @@ func (s *SELL) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64
 	}
 }
 
-// SpMM computes the multi-RHS product Y = A*X for k interleaved
-// right-hand sides (the layout of Matrix.SpMM). Each output row block is
-// accumulated in stored-entry order, matching the CSR kernels bitwise.
-//
-//amg:hotpath
-func (s *SELL) SpMM(rt *par.Runtime, k int, x, y []float64) {
-	if k == 1 {
-		s.SpMV(rt, x, y)
-		return
-	}
-	if rt.Serial(s.rows) {
-		s.spmmChunks(k, x, y, 0, s.nchunks())
-		return
-	}
-	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmmChunks(k, x, y, c0, c1)
-	})
-}
-
-//amg:hotpath
-func (s *SELL) spmmChunks(k int, x, y []float64, c0, c1 int) {
-	col, val, cnt := s.col, s.val, s.cnt
-	for c := c0; c < c1; c++ {
-		slot := c * SellC
-		lanes := s.perm[slot:min(slot+SellC, s.rows)]
-		for _, row := range lanes {
-			clear(y[int(row)*k : int(row)*k+k])
-		}
-		p := int(s.chunkPtr[c])
-		w := int(s.width[c])
-		f := int(s.full[c])
-		base := int(s.cntPtr[c])
-		for j := 0; j < w; j++ {
-			m := SellC
-			if j >= f {
-				m = int(cnt[base+j])
-			}
-			for _, row := range lanes[:m] {
-				v := val[p]
-				xb := x[int(col[p])*k : int(col[p])*k+k]
-				yb := y[int(row)*k : int(row)*k+k]
-				for q, xv := range xb {
-					yb[q] += v * xv
-				}
-				p++
-			}
-		}
-	}
-}
-
 // DiagonalInto fills d with the diagonal entries (zero where absent),
 // parallel over chunks.
 //

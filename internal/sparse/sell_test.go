@@ -130,18 +130,6 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 					bitsEqual(t, name+"/JacobiSweep", ySELL, yCSR)
 				}
 
-				for _, k := range []int{2, 4, 8, 5} {
-					xk := make([]float64, a.Cols*k)
-					for i := range xk {
-						xk[i] = float64(i%19) - 9
-					}
-					ykCSR := make([]float64, a.Rows*k)
-					ykSELL := make([]float64, a.Rows*k)
-					a.SpMM(rt, k, xk, ykCSR)
-					s.SpMM(rt, k, xk, ykSELL)
-					bitsEqual(t, name+"/SpMM", ykSELL, ykCSR)
-				}
-
 				dCSR := make([]float64, a.Rows)
 				dSELL := make([]float64, a.Rows)
 				a.DiagonalInto(rt, dCSR)
@@ -235,11 +223,6 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 		b[i] = float64(i % 5)
 		dinv[i] = 0.5
 	}
-	xk := make([]float64, 2000*8)
-	yk := make([]float64, 2000*8)
-	for i := range xk {
-		xk[i] = float64(i%19) - 9
-	}
 	for opName, op := range map[string]Operator{"csr": a, "sell": s} {
 		kernels := map[string]func(){
 			"SpMV":         func() { op.SpMV(rt, x, y) },
@@ -247,8 +230,6 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 			"SpMVAdd":      func() { op.SpMVAdd(rt, x, y) },
 			"JacobiSweep":  func() { op.JacobiSweep(rt, b, dinv, 0.7, x, y) },
 			"Diagonal":     func() { op.DiagonalInto(rt, y) },
-			"SpMM4":        func() { op.SpMM(rt, 4, xk[:2000*4], yk[:2000*4]) },
-			"SpMM8":        func() { op.SpMM(rt, 8, xk, yk) },
 		}
 		for name, fn := range kernels {
 			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {

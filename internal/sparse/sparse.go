@@ -1,8 +1,8 @@
 // Package sparse implements the CSR sparse matrix substrate: parallel
-// sparse matrix-vector products, transposition, and the planned sparse
-// matrix-matrix products (SpGEMM, Gustavson's algorithm) that form the
-// smoothed prolongator and the Galerkin triple product R*A*P of
-// smoothed-aggregation algebraic multigrid (plan.go).
+// sparse matrix-vector products (one vector per call), transposition,
+// and the planned sparse matrix-matrix products (SpGEMM, Gustavson's
+// algorithm) that form the smoothed prolongator and the Galerkin triple
+// product R*A*P of smoothed-aggregation algebraic multigrid (plan.go).
 //
 //amg:deterministic
 package sparse
@@ -19,12 +19,11 @@ import (
 // Matrix is a sparse matrix in CSR format. Column indices within a row are
 // sorted ascending for matrices that pass Validate.
 //
-// Concurrency: every kernel (SpMV and its fused variants, SpMM,
-// JacobiSweep, Diagonal, Graph, Transpose, and plan replays reading it
-// as an operand) only reads the matrix and writes caller-provided
-// outputs, so any number of
-// goroutines may use one Matrix concurrently as long as none mutates
-// it — Scale, direct writes to Val, and plan Replay calls
+// Concurrency: every kernel (SpMV and its fused variants, JacobiSweep,
+// Diagonal, Graph, Transpose, and plan replays reading it as an
+// operand) only reads the matrix and writes caller-provided outputs, so
+// any number of goroutines may use one Matrix concurrently as long as
+// none mutates it — Scale, direct writes to Val, and plan Replay calls
 // targeting the matrix must be serialized against all readers.
 type Matrix struct {
 	Rows, Cols int

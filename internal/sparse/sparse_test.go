@@ -124,6 +124,68 @@ func TestSpMVAgainstDense(t *testing.T) {
 	}
 }
 
+// testMatrix builds a deterministic sparse band matrix with rows rows and
+// cols cols, ~5 entries per row, mixed-sign values.
+func testMatrix(t *testing.T, rows, cols int) *Matrix {
+	t.Helper()
+	m := &Matrix{Rows: rows, Cols: cols}
+	m.RowPtr = make([]int, rows+1)
+	for i := 0; i < rows; i++ {
+		for _, off := range []int{-7, -1, 0, 1, 9} {
+			j := i + off
+			if j < 0 || j >= cols {
+				continue
+			}
+			m.Col = append(m.Col, int32(j))
+			m.Val = append(m.Val, float64((i*31+j*17)%13)-6+0.25)
+		}
+		m.RowPtr[i+1] = len(m.Col)
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatalf("test matrix invalid: %v", err)
+	}
+	return m
+}
+
+func TestSpMVResidualAndAddMatchUnfused(t *testing.T) {
+	a := testMatrix(t, 500, 500)
+	x := make([]float64, a.Cols)
+	b := make([]float64, a.Rows)
+	for i := range x {
+		x[i] = float64(i%11) - 5
+		b[i] = float64(i%7) - 3
+	}
+	ax := make([]float64, a.Rows)
+	for _, workers := range []int{1, 2, 8} {
+		rt := par.New(workers)
+		a.SpMV(rt, x, ax)
+
+		r := make([]float64, a.Rows)
+		a.SpMVResidual(rt, b, x, r)
+		for i := range r {
+			want := b[i] - ax[i]
+			if math.Float64bits(r[i]) != math.Float64bits(want) {
+				t.Fatalf("w=%d: residual[%d]=%g, want %g (bitwise)", workers, i, r[i], want)
+			}
+		}
+
+		y := make([]float64, a.Rows)
+		for i := range y {
+			y[i] = float64(i%5) - 2
+		}
+		want := make([]float64, a.Rows)
+		for i := range want {
+			want[i] = y[i] + ax[i]
+		}
+		a.SpMVAdd(rt, x, y)
+		for i := range y {
+			if math.Float64bits(y[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("w=%d: add[%d]=%g, want %g (bitwise)", workers, i, y[i], want[i])
+			}
+		}
+	}
+}
+
 // TestMultiplyAgainstDense checks product plans against a dense A*B and
 // smooth plans against a dense (I - omega*D^{-1}*A)*P0, to a tolerance.
 func TestMultiplyAgainstDense(t *testing.T) {

@@ -114,7 +114,7 @@ func CoarseGraph(g *Graph, agg Aggregation) *Graph { return coarsen.CoarseGraph(
 type Matrix = sparse.Matrix
 
 // Operator is the format-independent view of a sparse operator: the
-// kernels the solver stack needs (SpMV and its fused variants, SpMM,
+// kernels the solver stack needs (SpMV and its fused variants and
 // smoother sweeps), dispatched over the storage format. *Matrix (CSR)
 // and the SELL-C-sigma conversion both implement it, with bit-identical
 // results: switching formats never changes any answer, only speed.
@@ -232,16 +232,10 @@ func NewAMGSymbolic(a *Matrix, opt AMGOptions) (*AMG, error) { return amg.BuildS
 // Preconditioner maps a residual to an approximate error (z = M^{-1} r).
 type Preconditioner = krylov.Preconditioner
 
-// BatchPreconditioner is implemented by preconditioners that apply
-// M^{-1} to k residual columns in the interleaved multi-RHS layout in
-// one pass (the Jacobi preconditioner does); SolveCGBatch uses the fast
-// path when available and de-interleaves otherwise.
-type BatchPreconditioner = krylov.BatchPreconditioner
-
 // SolveStats reports iterations and the final relative residual.
 type SolveStats = krylov.Stats
 
-// SolveOptions configures SolveCG, SolveGMRES and SolveCGBatch:
+// SolveOptions configures SolveCG and SolveGMRES:
 // tolerance, iteration budget, preconditioner (nil means none), a
 // caller-held SolverWorkspace (nil allocates a temporary one; reusing
 // one makes repeated solves allocation-free) and a health guard (nil
@@ -254,9 +248,9 @@ type SolveOptions = krylov.Options
 // SolveCG runs preconditioned conjugate gradient on the SPD system
 // A x = b. threads 0 means all cores. a is any operator (a *Matrix, or
 // a SELL conversion from NewOperator); every format yields
-// bit-identical solves. It is SolveCGBatch with k = 1: the solution and
-// stats are bitwise those of any column of a batch solve with the same
-// right-hand side, and its errors name CGBatch.
+// bit-identical solves, and the result is the same at every thread
+// count. Several right-hand sides against one matrix are solved one
+// call at a time.
 func SolveCG(a Operator, b, x []float64, opt SolveOptions, threads int) (SolveStats, error) {
 	return krylov.CGCtx(nil, par.New(threads), a, b, x, opt)
 }
@@ -265,27 +259,6 @@ func SolveCG(a Operator, b, x []float64, opt SolveOptions, threads int) (SolveSt
 // restart <= 0 selects 50.
 func SolveGMRES(a Operator, b, x []float64, restart int, opt SolveOptions, threads int) (SolveStats, error) {
 	return krylov.GMRESCtx(nil, par.New(threads), a, b, x, restart, opt)
-}
-
-// SpMM computes the batched multi-RHS product Y = A*X for k right-hand
-// sides stored in the interleaved layout: the k values of row i are
-// contiguous at [i*k : (i+1)*k]. One traversal of A serves all k
-// columns (4- and 8-wide blocks take unrolled register kernels), so the
-// matrix bytes — the dominant traffic of sparse iteration — are read
-// once instead of k times. len(x) must be a.Cols*k, len(y) a.Rows*k.
-func SpMM(a Operator, x, y []float64, k, threads int) {
-	a.SpMM(par.New(threads), k, x, y)
-}
-
-// SolveCGBatch solves the k SPD systems A x_j = b_j simultaneously with
-// conjugate gradient recurrences sharing one SpMM traversal of A per
-// iteration. b and x use the interleaved layout of SpMM; the returned
-// stats hold one entry per column and, when opt.Work is set, are owned
-// by that workspace and overwritten by its next batch solve. Columns
-// converge (and freeze) independently; a zero column returns x_j = 0 in
-// 0 iterations.
-func SolveCGBatch(a Operator, b, x []float64, k int, opt SolveOptions, threads int) ([]SolveStats, error) {
-	return krylov.CGBatchCtx(nil, par.New(threads), a, b, x, k, opt)
 }
 
 // SolverWorkspace holds the scratch vectors of the Krylov solvers so
