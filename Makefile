@@ -23,13 +23,13 @@
 # `make examples` runs every program under examples/ with `go run` and
 # fails on the first non-zero exit (`go build ./...` only compiles them).
 #
-# `make fuzz FUZZTIME=30s` runs each of the six fuzz targets (MIS-2
+# `make fuzz FUZZTIME=30s` runs each of the seven fuzz targets (MIS-2
 # validity and its output at 1/2/8 workers with and without the unrolled
 # loops, CoarseGraph against its serial reference, the operator formats
 # against CSR, SpGEMM product and smooth plans against their serial
 # reference, Matrix.GraphWith on unsorted and duplicate rows against its
-# serial reference, amgserve's request decoder against encoding/json)
-# for FUZZTIME,
+# serial reference, amgserve's request decoder and reply encoder against
+# encoding/json) for FUZZTIME,
 # starting from its checked-in corpus under testdata/fuzz. A failing input is
 # written there too; commit it with the fix. Minimizing an input is
 # capped at 2s (Go's default is 60s per new input), so a short run
@@ -85,6 +85,7 @@ fuzz:
 	go test -run '^$$' -fuzz '^FuzzProductPlan$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzGraphWith$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./internal/sparse
 	go test -run '^$$' -fuzz '^FuzzSolveRequestDecode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./cmd/amgserve
+	go test -run '^$$' -fuzz '^FuzzReplyEncode$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 2s ./cmd/amgserve
 
 bench:
 	GOMAXPROCS=$(BENCHPROCS) go test -run '^$$' -bench $(BENCH_PATTERN) -benchtime=1s -count=$(BENCHCOUNT) . \

@@ -46,8 +46,9 @@ const (
 )
 
 // decodeSolveRequest decodes a POST /solve body into req in one pass:
-// numbers are parsed with strconv straight from sub-slices of body, and
-// each slice is allocated once, sized from "rows" and the last "rowptr"
+// each number's digits are read as its grammar is checked, strconv
+// parses only the numbers the fast paths leave (see number), and each
+// slice is allocated once, sized from "rows" and the last "rowptr"
 // entry when those come first. It accepts and rejects exactly what
 // json.NewDecoder(bytes.NewReader(body)).Decode(req) does, and decodes
 // the same values bit for bit (FuzzSolveRequestDecode holds it to
@@ -250,13 +251,17 @@ func array[T any](d *decoder, dst []T, hint int, elem func(*decoder, *T) error) 
 // intValue decodes an integer, or null (which leaves *p unchanged),
 // rejecting fractions, exponents and values that overflow T.
 func intValue[T int | int32](d *decoder, p *T) error {
-	num, err := d.numberOrNull("an integer")
-	if num == nil || err != nil {
+	var num number
+	if isNum, err := d.numberOrNull("an integer", &num); !isNum || err != nil {
 		return err
 	}
-	n, err := strconv.ParseInt(string(num), 10, 64)
+	n, ok := num.int64()
+	var err error
+	if !ok {
+		n, err = strconv.ParseInt(string(d.text(num)), 10, 64)
+	}
 	if err != nil || int64(T(n)) != n {
-		return fmt.Errorf("field %q: number %s is not a valid %T", d.field, num, *p)
+		return fmt.Errorf("field %q: number %s is not a valid %T", d.field, d.text(num), *p)
 	}
 	*p = T(n)
 	return nil
@@ -265,28 +270,31 @@ func intValue[T int | int32](d *decoder, p *T) error {
 // floatValue decodes a number, or null (which leaves *p unchanged),
 // rejecting values beyond float64's range.
 func floatValue(d *decoder, p *float64) error {
-	num, err := d.numberOrNull("a number")
-	if num == nil || err != nil {
+	var num number
+	if isNum, err := d.numberOrNull("a number", &num); !isNum || err != nil {
 		return err
 	}
-	v, err := strconv.ParseFloat(string(num), 64)
-	if err != nil {
-		return fmt.Errorf("field %q: number %s is not a valid float64", d.field, num)
+	v, ok := num.float64()
+	if !ok {
+		var err error
+		if v, err = strconv.ParseFloat(string(d.text(num)), 64); err != nil {
+			return fmt.Errorf("field %q: number %s is not a valid float64", d.field, d.text(num))
+		}
 	}
 	*p = v
 	return nil
 }
 
-// numberOrNull consumes a number, returning its text, or null,
-// returning nil; anything else is not the kind of value the field wants.
-func (d *decoder) numberOrNull(kind string) ([]byte, error) {
+// numberOrNull consumes a number into n, reporting true, or null;
+// anything else is not the kind of value the field wants.
+func (d *decoder) numberOrNull(kind string, n *number) (bool, error) {
 	switch c := d.peek(); {
 	case c == 'n':
-		return nil, d.literal("null")
+		return false, d.literal("null")
 	case c == '-' || isDigit(c):
-		return d.number()
+		return true, d.number(n)
 	}
-	return nil, d.want(kind)
+	return false, d.want(kind)
 }
 
 // peek returns the byte at the cursor, 0 at the end of the body.
@@ -299,49 +307,139 @@ func (d *decoder) peek() byte {
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// digits advances past a run of decimal digits and reports whether
-// there was at least one.
-func (d *decoder) digits() bool {
-	i := d.off
-	for i < len(d.buf) && isDigit(d.buf[i]) {
-		i++
-	}
-	ok := i > d.off
-	d.off = i
-	return ok
+// number is one scanned JSON number: where its text lies in the body,
+// and its value as read from the digits during the scan, ±mant × 10^exp.
+// mant holds the significant digits (leading zeros dropped); it is exact
+// while nd, the count of those digits, is at most 19. The struct holds
+// no pointer, so filling it costs no write barrier.
+type number struct {
+	start  int
+	end    int
+	mant   uint64
+	nd     int
+	exp    int
+	neg    bool
+	nonInt bool // has a fraction or an exponent
 }
 
-// number consumes a JSON number and returns its text:
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-func (d *decoder) number() ([]byte, error) {
-	start := d.off
-	if d.peek() == '-' {
-		d.off++
+// text returns the body bytes of n.
+func (d *decoder) text(n number) []byte { return d.buf[n.start:n.end] }
+
+// int64 returns an integer's value when it has at most 18 digits, which
+// every int64 holds; ok is false otherwise, and the caller parses the
+// text.
+func (n *number) int64() (v int64, ok bool) {
+	if n.nonInt || n.nd > 18 {
+		return 0, false
 	}
-	switch c := d.peek(); {
-	case c == '0':
-		d.off++
-	case isDigit(c):
-		d.digits()
+	v = int64(n.mant)
+	if n.neg {
+		v = -v
+	}
+	return v, true
+}
+
+// pow10 holds the powers of ten float64 represents exactly.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22}
+
+// float64 returns the number's value when one correctly rounded
+// multiply or divide yields it (Clinger's fast path): a significand of
+// at most 15 digits, below 2^53 so exact in float64, and |exp| <= 22,
+// an exact power of ten. That is strconv.ParseFloat's result bit for
+// bit, -0 included; ok is false otherwise, and the caller parses the
+// text.
+func (n *number) float64() (v float64, ok bool) {
+	if n.nd > 15 || n.exp < -22 || n.exp > 22 {
+		return 0, false
+	}
+	v = float64(n.mant)
+	if n.neg {
+		v = -v
+	}
+	if n.exp < 0 {
+		return v / pow10[-n.exp], true
+	}
+	return v * pow10[n.exp], true
+}
+
+// maxExp caps the exponent the scan accumulates: past it, the
+// number is off the fast path anyway and its text is parsed.
+const maxExp = 1 << 20
+
+// number consumes a JSON number into n,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?,
+// checking its grammar and reading its digits in the same pass.
+func (d *decoder) number(n *number) error {
+	buf, start, i := d.buf, d.off, d.off
+	neg := i < len(buf) && buf[i] == '-'
+	if neg {
+		i++
+	}
+	var mant uint64
+	nd, exp := 0, 0
+	switch {
+	case i < len(buf) && buf[i] == '0':
+		i++
+	case i < len(buf) && isDigit(buf[i]):
+		mant, nd, i = mantissa(buf, i, mant, nd)
 	default:
-		return nil, d.syntaxError("in numeric literal")
+		d.off = i
+		return d.syntaxError("in numeric literal")
 	}
-	if d.peek() == '.' {
-		d.off++
-		if !d.digits() {
-			return nil, d.syntaxError("after decimal point in numeric literal")
+	nonInt := false
+	if i < len(buf) && buf[i] == '.' {
+		i++
+		j := i
+		if mant, nd, i = mantissa(buf, i, mant, nd); i == j {
+			d.off = i
+			return d.syntaxError("after decimal point in numeric literal")
+		}
+		exp, nonInt = j-i, true
+	}
+	if i < len(buf) && buf[i]|0x20 == 'e' {
+		i++
+		eneg := false
+		if i < len(buf) && (buf[i] == '+' || buf[i] == '-') {
+			eneg = buf[i] == '-'
+			i++
+		}
+		e, j := 0, i
+		for ; i < len(buf) && isDigit(buf[i]); i++ {
+			if e < maxExp {
+				e = e*10 + int(buf[i]-'0')
+			}
+		}
+		if i == j {
+			d.off = i
+			return d.syntaxError("in exponent of numeric literal")
+		}
+		if eneg {
+			e = -e
+		}
+		exp, nonInt = exp+e, true
+	}
+	d.off = i
+	*n = number{start: start, end: i, mant: mant, nd: nd, exp: exp, neg: neg, nonInt: nonInt}
+	return nil
+}
+
+// mantissa reads the run of digits at buf[i:] into the significand
+// mant of nd significant digits and returns both and the index past
+// the run. Leading zeros are not significant; past 19 significant
+// digits mant wraps, and nd sends the number to strconv.
+func mantissa(buf []byte, i int, mant uint64, nd int) (uint64, int, int) {
+	for ; i < len(buf); i++ {
+		c := buf[i] - '0'
+		if c > 9 {
+			break
+		}
+		if nd > 0 || c != 0 {
+			mant = mant*10 + uint64(c)
+			nd++
 		}
 	}
-	if c := d.peek(); c == 'e' || c == 'E' {
-		d.off++
-		if c := d.peek(); c == '+' || c == '-' {
-			d.off++
-		}
-		if !d.digits() {
-			return nil, d.syntaxError("in exponent of numeric literal")
-		}
-	}
-	return d.buf[start:d.off], nil
+	return mant, nd, i
 }
 
 // str consumes a string literal and returns its raw contents between
@@ -501,8 +599,8 @@ func (d *decoder) skip(depth int) error {
 		}
 	default:
 		if c == '-' || isDigit(c) {
-			_, err := d.number()
-			return err
+			var n number
+			return d.number(&n)
 		}
 		return d.syntaxError("looking for beginning of value")
 	}

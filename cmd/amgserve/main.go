@@ -33,6 +33,19 @@
 // rejected), col within int32; a number beyond float64's range (1e400)
 // is rejected. Bytes after the object are ignored.
 //
+// Reply grammar: a /solve reply that carries results (200, or 422 when
+// some column missed the tolerance) is one JSON object and a newline,
+// written by a hand-written encoder with exactly the bytes
+// encoding/json's Encoder writes for the same struct. Fields come in
+// the order outcome, columns (each x, iterations, relres, converged),
+// x, converged, relres, escalations, error; x, escalations and error
+// are left out when empty. Floats take the shortest form that reads
+// back bit for bit, in exponent form below 1e-6 and from 1e21 (1e-7,
+// 1e+21), and strings are HTML-escaped (< is \u003c). A NaN or ±Inf,
+// which encoding/json cannot write, is written as null, so a failed
+// column still reports its error and stats. Other failures are
+// plaintext.
+//
 // Lifecycle: on SIGTERM or SIGINT the server flips /readyz to 503,
 // rejects new /solve requests with 503 + Retry-After, lets in-flight
 // solves finish (bounded by -drain-timeout), then exits. Cancellation
@@ -43,7 +56,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -85,6 +97,9 @@ type columnResult struct {
 }
 
 // solveResponse is the JSON shape of a solve that produced results.
+// encodeReply writes it; the json tags name the wire fields for the
+// tests, which decode replies with encoding/json and hold encodeReply
+// to its Encoder.
 type solveResponse struct {
 	Outcome string         `json:"outcome"`
 	Columns []columnResult `json:"columns"`
@@ -310,16 +325,20 @@ func (ap *app) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if req.B != nil && len(xs) == 1 && len(resp.Columns) == 1 && resp.Columns[0].Converged {
 		resp.X = xs[0]
 	}
-	w.Header().Set("Content-Type", "application/json")
+	status := http.StatusOK
 	if err != nil {
 		// Partial failure (some column above tolerance): report it in
 		// the status line and body — a 200 with the final iterate would
 		// let status-only clients mistake a non-solution for the answer.
 		resp.Error = err.Error()
-		w.WriteHeader(http.StatusUnprocessableEntity)
+		status = http.StatusUnprocessableEntity
 	}
-	if err := json.NewEncoder(w).Encode(resp); err != nil {
-		log.Printf("amgserve: encode response: %v", err)
+	reply := encodeReply(&resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(reply)))
+	w.WriteHeader(status)
+	if _, err := w.Write(reply); err != nil {
+		log.Printf("amgserve: write response: %v", err)
 	}
 }
 

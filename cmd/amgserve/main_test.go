@@ -412,3 +412,41 @@ func TestSolveEndpointReportsNonConvergence(t *testing.T) {
 		t.Fatalf("unconverged response columns: %+v", sr.Columns)
 	}
 }
+
+// TestSolveEndpointNonFiniteReply: a partial failure whose residual is
+// NaN, which encoding/json cannot encode, still reaches the client as a
+// 422 whose body parses, carries the error, and writes the NaN as null.
+func TestSolveEndpointNonFiniteReply(t *testing.T) {
+	ts := testServer(t)
+	a := gen.Laplacian(gen.Laplace2D(8, 8), 1e-2)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1e308
+	}
+	body, err := json.Marshal(solveRequest{Rows: a.Rows, RowPtr: a.RowPtr, Col: a.Col, Val: a.Val, B: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/solve", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("status %d, want 422: %s", resp.StatusCode, raw)
+	}
+	var sr solveResponse
+	if err := json.Unmarshal(raw, &sr); err != nil {
+		t.Fatalf("422 body does not parse: %v\n%q", err, raw)
+	}
+	if sr.Error == "" || len(sr.Columns) != 1 {
+		t.Fatalf("422 body lost the error or the column: %s", raw)
+	}
+	if !bytes.Contains(raw, []byte(`"relres":null,"converged":false}`)) {
+		t.Fatalf(`column does not report "relres":null: %s`, raw)
+	}
+}
