@@ -14,6 +14,7 @@ import (
 	"mis2go/internal/gs"
 	"mis2go/internal/krylov"
 	"mis2go/internal/par"
+	"mis2go/internal/sparse"
 )
 
 func TestSpMVZeroAllocs(t *testing.T) {
@@ -151,7 +152,7 @@ func TestVCycleSELLZeroAllocs(t *testing.T) {
 func TestSELLSmootherSweepZeroAllocs(t *testing.T) {
 	g := gen.Laplace3D(12, 12, 12)
 	a := gen.Laplacian(g, 1e-2)
-	op, err := SELLOperator(a, 0)
+	op, err := sparse.NewSELL(a)
 	if err != nil {
 		t.Fatal(err)
 	}

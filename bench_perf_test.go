@@ -148,7 +148,7 @@ func BenchmarkSpMVHot(b *testing.B) {
 func BenchmarkSpMVSELL(b *testing.B) {
 	g := gen.Laplace3D(40, 40, 40)
 	a := gen.Laplacian(g, 0.1)
-	s, err := sparse.NewSELL(a, 0)
+	s, err := sparse.NewSELL(a)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -415,7 +415,8 @@ func TestSolveEndpointReportsNonConvergence(t *testing.T) {
 
 // TestSolveEndpointNonFiniteReply: a partial failure whose residual is
 // NaN, which encoding/json cannot encode, still reaches the client as a
-// 422 whose body parses, carries the error, and writes the NaN as null.
+// 422 whose body parses, carries the error, and writes the NaN as null,
+// both in the column and as the request's worst residual.
 func TestSolveEndpointNonFiniteReply(t *testing.T) {
 	ts := testServer(t)
 	a := gen.Laplacian(gen.Laplace2D(8, 8), 1e-2)
@@ -448,5 +449,8 @@ func TestSolveEndpointNonFiniteReply(t *testing.T) {
 	}
 	if !bytes.Contains(raw, []byte(`"relres":null,"converged":false}`)) {
 		t.Fatalf(`column does not report "relres":null: %s`, raw)
+	}
+	if !bytes.Contains(raw, []byte(`],"converged":false,"relres":null,`)) {
+		t.Fatalf(`request does not report "relres":null: %s`, raw)
 	}
 }

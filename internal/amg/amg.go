@@ -146,19 +146,6 @@ type Level struct {
 	x, b, r, d []float64
 }
 
-// setOperator converts the level's apply-side operator to the format
-// sparse.ChooseFormat picks. The conversion is pattern-only in the
-// symbolic phase (values land in BuildNumeric); the SELL row sort and
-// the value-replay entry schedule are part of the symbolic state.
-func (l *Level) setOperator() error {
-	op, err := sparse.NewOperator(l.A, sparse.FormatAuto, 0)
-	if err != nil {
-		return err
-	}
-	l.op = op
-	return nil
-}
-
 // levelPlan holds the cached symbolic state of one level's setup: the
 // tentative prolongator (whose values depend only on aggregate sizes,
 // i.e. on the pattern) and the SpGEMM plans for the smoothed
@@ -312,10 +299,10 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		// Choose the level's apply-side operator format — only now that
 		// the level is known not to be the coarsest (the coarsest level is
 		// solved densely, its op never applied, so converting it would be
-		// pure waste).
-		if err := l.setOperator(); err != nil {
-			return nil, fmt.Errorf("amg: level %d operator format: %w", level, err)
-		}
+		// pure waste). The conversion is pattern-only (values land in
+		// BuildNumeric): the SELL row sort and the value-replay entry
+		// schedule are part of the symbolic state.
+		l.op = sparse.NewOperator(cur)
 		// The smoother's color sets depend on the pattern alone; the
 		// numeric phase only refills its values.
 		if opt.Smoother == SmootherPointSGS {
@@ -347,9 +334,7 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 	// A one-level hierarchy converts level 0 anyway: its op is also the
 	// outer Krylov matvec (FineOperator).
 	if len(h.Levels) == 1 {
-		if err := h.Levels[0].setOperator(); err != nil {
-			return nil, fmt.Errorf("amg: level 0 operator format: %w", err)
-		}
+		h.Levels[0].op = sparse.NewOperator(h.Levels[0].A)
 	}
 
 	// Preallocate the dense coarse factorization (pattern-sized storage;

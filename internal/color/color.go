@@ -259,20 +259,3 @@ func Check(g *graph.CSR, colors []int32) error {
 	}
 	return nil
 }
-
-// CheckDistance2 verifies a distance-2 coloring.
-func CheckDistance2(g *graph.CSR, colors []int32) error {
-	if err := Check(g, colors); err != nil {
-		return err
-	}
-	for v := int32(0); int(v) < g.N; v++ {
-		for _, w := range g.Neighbors(v) {
-			for _, x := range g.Neighbors(w) {
-				if x != v && colors[v] == colors[x] {
-					return fmt.Errorf("color: distance-2 vertices %d and %d share color %d", v, x, colors[v])
-				}
-			}
-		}
-	}
-	return nil
-}

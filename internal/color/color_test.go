@@ -1,6 +1,7 @@
 package color
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -182,4 +183,21 @@ func TestEmptyAndSingletonGraphs(t *testing.T) {
 	if nc := NumColors(Greedy(iso)); nc != 1 {
 		t.Fatalf("isolated vertices need 1 color, got %d", nc)
 	}
+}
+
+// CheckDistance2 verifies a distance-2 coloring.
+func CheckDistance2(g *graph.CSR, colors []int32) error {
+	if err := Check(g, colors); err != nil {
+		return err
+	}
+	for v := int32(0); int(v) < g.N; v++ {
+		for _, w := range g.Neighbors(v) {
+			for _, x := range g.Neighbors(w) {
+				if x != v && colors[v] == colors[x] {
+					return fmt.Errorf("color: distance-2 vertices %d and %d share color %d", v, x, colors[v])
+				}
+			}
+		}
+	}
+	return nil
 }

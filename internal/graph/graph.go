@@ -265,34 +265,3 @@ func (g *CSR) DistanceLeq2(u, v int32) bool {
 	}
 	return false
 }
-
-// ConnectedComponents returns a component label per vertex and the number
-// of components, via iterative BFS.
-func (g *CSR) ConnectedComponents() ([]int32, int) {
-	label := make([]int32, g.N)
-	for i := range label {
-		label[i] = -1
-	}
-	next := 0
-	queue := make([]int32, 0, 1024)
-	for s := 0; s < g.N; s++ {
-		if label[s] >= 0 {
-			continue
-		}
-		id := int32(next)
-		next++
-		label[s] = id
-		queue = append(queue[:0], int32(s))
-		for len(queue) > 0 {
-			v := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Neighbors(v) {
-				if label[w] < 0 {
-					label[w] = id
-					queue = append(queue, w)
-				}
-			}
-		}
-	}
-	return label, next
-}

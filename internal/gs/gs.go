@@ -222,40 +222,3 @@ func (m *Multicolor) Precondition(r, z []float64) {
 	}
 	m.Apply(r, z, 1, true)
 }
-
-// Sequential runs classical Gauss-Seidel sweeps on A x = b in natural row
-// order, updating x in place. The reference method the multicolor
-// variants approximate.
-func Sequential(a *sparse.Matrix, b, x []float64, sweeps int, symmetric bool) error {
-	if a.Rows != a.Cols {
-		return errors.New("gs: matrix must be square")
-	}
-	d := a.Diagonal()
-	for i, v := range d {
-		if v == 0 {
-			return fmt.Errorf("gs: zero diagonal at row %d", i)
-		}
-		d[i] = 1 / v
-	}
-	relax := func(i int32) {
-		s := b[i]
-		for q := a.RowPtr[i]; q < a.RowPtr[i+1]; q++ {
-			j := a.Col[q]
-			if j != i {
-				s -= a.Val[q] * x[j]
-			}
-		}
-		x[i] = s * d[i]
-	}
-	for sw := 0; sw < sweeps; sw++ {
-		for i := int32(0); int(i) < a.Rows; i++ {
-			relax(i)
-		}
-		if symmetric {
-			for i := int32(a.Rows) - 1; i >= 0; i-- {
-				relax(i)
-			}
-		}
-	}
-	return nil
-}

@@ -77,9 +77,6 @@ func (k Kind) Priority(iter uint64, v uint64) uint64 {
 	}
 }
 
-// Rehashes reports whether the kind assigns new priorities each iteration.
-func (k Kind) Rehashes() bool { return k != Fixed }
-
 // fpSalt seeds the fingerprint chain (the 64-bit golden ratio, the
 // usual sequence-breaking constant); fpMul is the odd xorshift*
 // multiplier, reused as an FNV-style diffusion step.

@@ -134,3 +134,6 @@ func TestPriorityDistinctAcrossVertices(t *testing.T) {
 		seen[p] = v
 	}
 }
+
+// Rehashes reports whether the kind assigns new priorities each iteration.
+func (k Kind) Rehashes() bool { return k != Fixed }

@@ -40,10 +40,10 @@ func Identity() Preconditioner { return identityPrec{} }
 
 // Jacobi returns the diagonal (Jacobi) preconditioner for a, the simplest
 // baseline between no preconditioning and the structured methods.
-// It returns an error if any diagonal entry is zero.
-func Jacobi(a sparse.Operator) (Preconditioner, error) {
-	rows, _ := a.Dims()
-	dinv := make([]float64, rows)
+// The diagonal is a setup-side read of the CSR matrix. It returns an
+// error if any diagonal entry is zero.
+func Jacobi(a *sparse.Matrix) (Preconditioner, error) {
+	dinv := make([]float64, a.Rows)
 	a.DiagonalInto(par.Default(), dinv)
 	for i, v := range dinv {
 		if v == 0 {

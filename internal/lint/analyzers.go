@@ -1,9 +1,10 @@
 package lint
 
 // All returns every amglint analyzer in stable order: the five
-// repo-contract analyzers plus the two general passes (lockcopy,
-// nilderef) that stand in for x/tools' copylocks/nilness in the
-// offline build.
+// repo-contract analyzers plus nilderef, the general pass that stands in
+// for x/tools' nilness in the offline build. Copied locks need no pass
+// here: go vet's own copylocks check runs beside amglint in make check
+// and CI.
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotAlloc,
@@ -11,7 +12,6 @@ func All() []*Analyzer {
 		CtxPoll,
 		SentinelIs,
 		AtomicField,
-		LockCopy,
 		NilDeref,
 	}
 }

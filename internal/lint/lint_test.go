@@ -31,19 +31,15 @@ func TestAtomicFieldFixtures(t *testing.T) {
 	linttest.Run(t, lint.AtomicField, "atomicfield")
 }
 
-func TestLockCopyFixtures(t *testing.T) {
-	linttest.Run(t, lint.LockCopy, "lockcopy")
-}
-
 func TestNilDerefFixtures(t *testing.T) {
 	linttest.Run(t, lint.NilDeref, "nilderef")
 }
 
 // TestAnalyzerRegistry pins the advertised analyzer set: the Makefile
-// and DESIGN.md document five repo-contract analyzers plus the two
-// x/tools stand-ins.
+// and DESIGN.md document five repo-contract analyzers plus the nilness
+// stand-in.
 func TestAnalyzerRegistry(t *testing.T) {
-	want := []string{"hotalloc", "detorder", "ctxpoll", "sentinelis", "atomicfield", "lockcopy", "nilderef"}
+	want := []string{"hotalloc", "detorder", "ctxpoll", "sentinelis", "atomicfield", "nilderef"}
 	got := lint.All()
 	if len(got) != len(want) {
 		t.Fatalf("registry has %d analyzers, want %d", len(got), len(want))

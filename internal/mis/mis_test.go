@@ -1,6 +1,7 @@
 package mis
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -403,4 +404,38 @@ func TestNoSIMDMatchesSIMD(t *testing.T) {
 	if !setsEqual(a.InSet, b.InSet) || a.Iterations != b.Iterations {
 		t.Fatal("SIMD and scalar paths disagree")
 	}
+}
+
+// CheckMIS1 verifies that set is a valid distance-1 maximal independent set.
+func CheckMIS1(g *graph.CSR, set []int32) error {
+	in := make([]bool, g.N)
+	for _, v := range set {
+		if v < 0 || int(v) >= g.N {
+			return fmt.Errorf("mis: set member %d out of range", v)
+		}
+		in[v] = true
+	}
+	for _, v := range set {
+		for _, w := range g.Neighbors(v) {
+			if in[w] {
+				return fmt.Errorf("mis: members %d and %d are adjacent", v, w)
+			}
+		}
+	}
+	for v := int32(0); int(v) < g.N; v++ {
+		if in[v] {
+			continue
+		}
+		free := true
+		for _, w := range g.Neighbors(v) {
+			if in[w] {
+				free = false
+				break
+			}
+		}
+		if free {
+			return fmt.Errorf("mis: vertex %d could be added (not maximal)", v)
+		}
+	}
+	return nil
 }

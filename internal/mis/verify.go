@@ -144,37 +144,3 @@ func bfsNoMemberWithin(g *graph.CSR, s int32, in []bool, k int) error {
 	}
 	return nil
 }
-
-// CheckMIS1 verifies that set is a valid distance-1 maximal independent set.
-func CheckMIS1(g *graph.CSR, set []int32) error {
-	in := make([]bool, g.N)
-	for _, v := range set {
-		if v < 0 || int(v) >= g.N {
-			return fmt.Errorf("mis: set member %d out of range", v)
-		}
-		in[v] = true
-	}
-	for _, v := range set {
-		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				return fmt.Errorf("mis: members %d and %d are adjacent", v, w)
-			}
-		}
-	}
-	for v := int32(0); int(v) < g.N; v++ {
-		if in[v] {
-			continue
-		}
-		free := true
-		for _, w := range g.Neighbors(v) {
-			if in[w] {
-				free = false
-				break
-			}
-		}
-		if free {
-			return fmt.Errorf("mis: vertex %d could be added (not maximal)", v)
-		}
-	}
-	return nil
-}

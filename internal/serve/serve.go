@@ -240,8 +240,8 @@ type RequestStats struct {
 	// error wrapping krylov.ErrNotConverged).
 	Converged bool
 	// RelResidual is the worst (largest) final relative residual across
-	// the requested columns (0 when the request failed before any
-	// column was solved).
+	// the requested columns: NaN if any column's is NaN, 0 when the
+	// request failed before any column was solved.
 	RelResidual float64
 	// Escalations names the escalation-ladder rungs attempted for this
 	// request, in order (nil when the first solve was healthy). When the
@@ -251,7 +251,8 @@ type RequestStats struct {
 }
 
 // finalize derives the request-level convergence summary from the
-// per-column stats.
+// per-column stats. A NaN column residual counts as the worst: it is
+// never hidden behind a finite one, before or after it.
 func (st *RequestStats) finalize() {
 	st.Converged = len(st.Columns) > 0
 	st.RelResidual = 0
@@ -259,7 +260,7 @@ func (st *RequestStats) finalize() {
 		if !cs.Converged {
 			st.Converged = false
 		}
-		if cs.RelResidual > st.RelResidual {
+		if cs.RelResidual > st.RelResidual || math.IsNaN(cs.RelResidual) {
 			st.RelResidual = cs.RelResidual
 		}
 	}

@@ -752,3 +752,38 @@ func TestServeSELLOuterOperatorBitwise(t *testing.T) {
 		t.Fatalf("outer operator is %T, want *sparse.SELL", e.h.FineOperator())
 	}
 }
+
+// TestServeNaNResidualIsWorst: a column whose final residual is NaN
+// makes the request-level residual NaN, never a finite (or perfect 0)
+// value. End to end, every b entry at 1e308 overflows the residual norm
+// of a Laplace2D 8x8 solve; directly, finalize keeps NaN wherever it
+// sits among finite columns.
+func TestServeNaNResidualIsWorst(t *testing.T) {
+	s := New(testConfig())
+	a := gen.Laplacian(gen.Laplace2D(8, 8), 1e-2)
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = 1e308
+	}
+	_, st, err := s.Solve(context.Background(), a, b)
+	if err == nil {
+		t.Fatal("solve with an overflowing right-hand side succeeded")
+	}
+	if len(st.Columns) != 1 || !math.IsNaN(st.Columns[0].RelResidual) {
+		t.Fatalf("column stats %+v, want one column with relres NaN", st.Columns)
+	}
+	if !math.IsNaN(st.RelResidual) || st.Converged {
+		t.Fatalf("request relres %g converged %v, want NaN and false", st.RelResidual, st.Converged)
+	}
+	nan := math.NaN()
+	for _, cols := range [][]float64{{nan, 0.5}, {0.5, nan}, {0.5, nan, 2}} {
+		rs := RequestStats{}
+		for _, r := range cols {
+			rs.Columns = append(rs.Columns, krylov.Stats{RelResidual: r, Converged: true})
+		}
+		rs.finalize()
+		if !math.IsNaN(rs.RelResidual) {
+			t.Fatalf("columns %v: request relres %g, want NaN", cols, rs.RelResidual)
+		}
+	}
+}

@@ -14,143 +14,82 @@ type csrOf struct {
 	val        []float64
 }
 
-// Dims returns the operator shape, implementing Operator.
-func (c csrOf) Dims() (rows, cols int) { return c.rows, c.cols }
+// epilogue names what a product kernel does with row i's product
+// s = (A x)_i. Every format runs one traversal for all four: CSR picks
+// the epilogue's row loop once per call, SELL applies it per row through
+// one inlined switch (epilogueArgs.put).
+type epilogue uint8
 
-// NNZ returns the number of stored entries.
-func (c csrOf) NNZ() int { return len(c.col) }
+const (
+	epSet      epilogue = iota // y[i] = s
+	epResidual                 // y[i] = b[i] - s
+	epAdd                      // y[i] += s
+	epJacobi                   // y[i] = x[i] + omega*dinv[i]*(b[i] - s)
+)
 
-// SpMV computes y = A*x in parallel over rows. The serial fast path
-// bypasses the closure API so single-worker calls allocate nothing.
+// product runs one product kernel in parallel over rows: y's rows get
+// (A x)_i combined by the epilogue k with b, dinv and omega (operands
+// the epilogue does not read may be nil). The serial fast path bypasses
+// the closure API so single-worker calls allocate nothing.
 //
 //amg:hotpath
-func (c csrOf) SpMV(rt *par.Runtime, x, y []float64) {
+func (c csrOf) product(rt *par.Runtime, k epilogue, b, dinv []float64, omega float64, x, y []float64) {
 	if rt.Serial(c.rows) {
-		c.spmvRange(x, y, 0, c.rows)
+		c.productRange(k, b, dinv, omega, x, y, 0, c.rows)
 		return
 	}
 	rt.For(c.rows, func(lo, hi int) {
-		c.spmvRange(x, y, lo, hi)
+		c.productRange(k, b, dinv, omega, x, y, lo, hi)
 	})
 }
 
-// spmvRange is the SpMV kernel for rows [lo, hi): per-row slices for
-// bounds-check elimination and a strict left-to-right single-accumulator
-// inner loop. The summation order — term p added after term p-1, one
-// accumulator — is the canonical per-row order every operator format
-// (CSR here, SELL-C-sigma in sell.go) reproduces exactly, so switching
-// formats never changes a single bit of any result; independent rows
-// still give the out-of-order core plenty of ILP. The per-row order is a
-// function of the row alone, keeping results identical for every worker
-// count.
+// productRange is the product kernel for rows [lo, hi). The epilogue
+// switch sits outside the row loops, so each loop is a plain row sweep
+// around the inlined rowDot.
 //
 //amg:hotpath
-func (c csrOf) spmvRange(x, y []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := c.col[start:end]
-		vals := c.val[start:end]
-		var s float64
-		for k, j := range cols {
-			s += vals[k] * x[j]
+func (c csrOf) productRange(k epilogue, b, dinv []float64, omega float64, x, y []float64, lo, hi int) {
+	switch k {
+	case epSet:
+		for i := lo; i < hi; i++ {
+			y[i] = c.rowDot(x, i)
 		}
-		y[i] = s
-	}
-}
-
-// SpMVResidual computes r = b - A*x in one traversal of A, fusing the
-// elementwise subtraction into the product pass (the V-cycle's residual
-// step without the second full-vector sweep). r must not alias x.
-//
-//amg:hotpath
-func (c csrOf) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
-	if rt.Serial(c.rows) {
-		c.spmvResidualRange(b, x, r, 0, c.rows)
-		return
-	}
-	rt.For(c.rows, func(lo, hi int) {
-		c.spmvResidualRange(b, x, r, lo, hi)
-	})
-}
-
-//amg:hotpath
-func (c csrOf) spmvResidualRange(b, x, r []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := c.col[start:end]
-		vals := c.val[start:end]
-		var s float64
-		for k, j := range cols {
-			s += vals[k] * x[j]
+	case epResidual:
+		for i := lo; i < hi; i++ {
+			y[i] = b[i] - c.rowDot(x, i)
 		}
-		r[i] = b[i] - s
-	}
-}
-
-// SpMVAdd computes y += A*x in one traversal of A, fusing the correction
-// add into the product pass (the V-cycle's prolongate-and-correct step
-// without a scratch vector or second sweep). y must not alias x.
-//
-//amg:hotpath
-func (c csrOf) SpMVAdd(rt *par.Runtime, x, y []float64) {
-	if rt.Serial(c.rows) {
-		c.spmvAddRange(x, y, 0, c.rows)
-		return
-	}
-	rt.For(c.rows, func(lo, hi int) {
-		c.spmvAddRange(x, y, lo, hi)
-	})
-}
-
-//amg:hotpath
-func (c csrOf) spmvAddRange(x, y []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := c.col[start:end]
-		vals := c.val[start:end]
-		var s float64
-		for k, j := range cols {
-			s += vals[k] * x[j]
+	case epAdd:
+		for i := lo; i < hi; i++ {
+			y[i] += c.rowDot(x, i)
 		}
-		y[i] += s
-	}
-}
-
-// JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
-// in one traversal of A — the fused damped-Jacobi sweep of the AMG
-// V-cycle. src and dst must not alias (the sweep needs the full old
-// iterate; the V-cycle ping-pongs two buffers).
-//
-//amg:hotpath
-func (c csrOf) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
-	if rt.Serial(c.rows) {
-		c.jacobiSweepRange(b, dinv, omega, src, dst, 0, c.rows)
-		return
-	}
-	rt.For(c.rows, func(lo, hi int) {
-		c.jacobiSweepRange(b, dinv, omega, src, dst, lo, hi)
-	})
-}
-
-// jacobiSweepRange is the fused Jacobi kernel for rows [lo, hi), with the
-// same canonical left-to-right product accumulation as spmvRange.
-//
-//amg:hotpath
-func (c csrOf) jacobiSweepRange(b, dinv []float64, omega float64, src, dst []float64, lo, hi int) {
-	rp := c.rowPtr
-	for i := lo; i < hi; i++ {
-		start, end := rp[i], rp[i+1]
-		cols := c.col[start:end]
-		vals := c.val[start:end]
-		var s float64
-		for k, j := range cols {
-			s += vals[k] * src[j]
+	case epJacobi:
+		for i := lo; i < hi; i++ {
+			y[i] = x[i] + omega*dinv[i]*(b[i]-c.rowDot(x, i))
 		}
-		dst[i] = src[i] + omega*dinv[i]*(b[i]-s)
 	}
+}
+
+// rowDot is row i's product with x: per-row slices for bounds-check
+// elimination and a strict left-to-right single-accumulator inner loop.
+// The summation order — term p added after term p-1, one accumulator —
+// is the canonical per-row order every operator format (CSR here,
+// SELL-C-sigma in sell.go) reproduces exactly, so switching formats
+// never changes a single bit of any result; independent rows still give
+// the out-of-order core plenty of ILP. The per-row order is a function
+// of the row alone, keeping results identical for every worker count.
+// The pointer receiver matters: a value receiver would copy the view for
+// every inlined row.
+//
+//amg:hotpath
+func (c *csrOf) rowDot(x []float64, i int) float64 {
+	start, end := c.rowPtr[i], c.rowPtr[i+1]
+	cols := c.col[start:end]
+	vals := c.val[start:end]
+	var s float64
+	for k, j := range cols {
+		s += vals[k] * x[j]
+	}
+	return s
 }
 
 // DiagonalInto fills d with the diagonal entries (zero where absent)

@@ -8,9 +8,10 @@ import (
 )
 
 // Operator is the format-independent view of a sparse operator: the
-// kernels the solver stack (Krylov iterations, AMG V-cycles, smoother
-// sweeps) needs, dispatched over the storage format. Both *Matrix (CSR)
-// and *SELL implement it.
+// product kernels the solver stack (Krylov iterations, AMG V-cycles,
+// smoother sweeps) needs, dispatched over the storage format. Both
+// *Matrix (CSR) and *SELL implement it. Setup-side reads such as the
+// diagonal stay on the CSR *Matrix.
 //
 // Every implementation accumulates each output row's terms in the same
 // canonical order — strict left-to-right over the row's stored entries
@@ -28,8 +29,6 @@ type Operator interface {
 	SpMVResidual(rt *par.Runtime, b, x, r []float64)
 	// SpMVAdd computes y += A*x in one traversal.
 	SpMVAdd(rt *par.Runtime, x, y []float64)
-	// DiagonalInto fills d with the diagonal entries (zero where absent).
-	DiagonalInto(rt *par.Runtime, d []float64)
 	// JacobiSweep performs one damped-Jacobi sweep fused into the matrix
 	// traversal: dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i]).
 	// src and dst must not alias.
@@ -46,14 +45,23 @@ func (a *Matrix) csr() csrOf {
 func (a *Matrix) Dims() (rows, cols int) { return a.Rows, a.Cols }
 
 // SpMV computes y = A*x in parallel over rows.
-func (a *Matrix) SpMV(rt *par.Runtime, x, y []float64) { a.csr().SpMV(rt, x, y) }
+func (a *Matrix) SpMV(rt *par.Runtime, x, y []float64) {
+	a.csr().product(rt, epSet, nil, nil, 0, x, y)
+}
 
-// SpMVResidual computes r = b - A*x in one traversal of A. r must not
-// alias x.
-func (a *Matrix) SpMVResidual(rt *par.Runtime, b, x, r []float64) { a.csr().SpMVResidual(rt, b, x, r) }
+// SpMVResidual computes r = b - A*x in one traversal of A, fusing the
+// elementwise subtraction into the product pass (the V-cycle's residual
+// step without a second full-vector sweep). r must not alias x.
+func (a *Matrix) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
+	a.csr().product(rt, epResidual, b, nil, 0, x, r)
+}
 
-// SpMVAdd computes y += A*x in one traversal of A. y must not alias x.
-func (a *Matrix) SpMVAdd(rt *par.Runtime, x, y []float64) { a.csr().SpMVAdd(rt, x, y) }
+// SpMVAdd computes y += A*x in one traversal of A, fusing the correction
+// add into the product pass (the V-cycle's prolongate-and-correct step
+// without a scratch vector or second sweep). y must not alias x.
+func (a *Matrix) SpMVAdd(rt *par.Runtime, x, y []float64) {
+	a.csr().product(rt, epAdd, nil, nil, 0, x, y)
+}
 
 // DiagonalInto fills d with the diagonal entries of A (zero where
 // absent) in parallel over rows.
@@ -61,22 +69,23 @@ func (a *Matrix) DiagonalInto(rt *par.Runtime, d []float64) { a.csr().DiagonalIn
 
 // JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
 // in one traversal of A — the fused damped-Jacobi sweep of the AMG
-// V-cycle. src and dst must not alias.
+// V-cycle. src and dst must not alias (the sweep needs the full old
+// iterate; the V-cycle ping-pongs two buffers).
 func (a *Matrix) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
-	a.csr().JacobiSweep(rt, b, dinv, omega, src, dst)
+	a.csr().product(rt, epJacobi, b, dinv, omega, src, dst)
 }
 
-// Format selects the storage layout of an Operator.
+// Format names the storage layout of an Operator: what ChooseFormat
+// picks and amg.Level.Format reports.
 type Format int
 
 const (
-	// FormatAuto picks per matrix: SELL-C-sigma when the row-length
-	// distribution is regular enough for the chunked kernels to win (see
-	// ChooseFormat), CSR otherwise.
+	// FormatAuto is not a layout: it survives only as the format
+	// argument NewOperatorPrec accepts.
 	FormatAuto Format = iota
-	// FormatCSR always uses the CSR matrix itself.
+	// FormatCSR is the CSR matrix itself.
 	FormatCSR
-	// FormatSELL always converts to SELL-C-sigma.
+	// FormatSELL is a SELL-C-sigma conversion.
 	FormatSELL
 )
 
@@ -93,12 +102,12 @@ func (f Format) String() string {
 	return fmt.Sprintf("Format(%d)", int(f))
 }
 
-// sellMinRows is the smallest matrix FormatAuto converts: below it the
+// sellMinRows is the smallest matrix NewOperator converts: below it the
 // whole operator fits in cache and the per-chunk bookkeeping outweighs
 // the streaming win (coarse AMG levels stay CSR).
 const sellMinRows = 2048
 
-// ChooseFormat applies the FormatAuto heuristic to a's sparsity pattern:
+// ChooseFormat is NewOperator's format policy, a function of a's sparsity pattern:
 // SELL when the matrix is large enough and the row lengths are regular —
 // relative standard deviation of the row lengths at most 1/2, so chunks
 // are near-uniform and the column-compressed kernel runs its full-width
@@ -129,36 +138,18 @@ func ChooseFormat(a *Matrix) Format {
 	return FormatCSR
 }
 
-// NewOperator returns a's kernels in the requested format. sigma is the
-// SELL sort scope (0 selects the default; ignored for CSR). A malformed
-// sigma (see CheckSigma) is an error under every format — FormatAuto
-// must not silently turn a configuration typo into a CSR fallback.
-// FormatAuto applies ChooseFormat; a SELL conversion that fails for
+// NewOperator returns a's kernels in the format ChooseFormat picks: a
+// SELL-C-sigma conversion or a itself. A SELL conversion that fails for
 // capacity reasons (an operator too large for the 32-bit entry
-// schedule) falls back to CSR under FormatAuto and is an error under
-// FormatSELL.
-func NewOperator(a *Matrix, format Format, sigma int) (Operator, error) {
-	if err := CheckSigma(sigma); err != nil {
-		return nil, err
-	}
-	switch format {
-	case FormatCSR:
-	case FormatSELL:
-		s, err := NewSELL(a, sigma)
-		if err != nil {
-			return nil, err
+// schedule) falls back to CSR; the formats are bit-identical, so the
+// choice only changes speed.
+func NewOperator(a *Matrix) Operator {
+	if ChooseFormat(a) == FormatSELL {
+		if s, err := NewSELL(a); err == nil {
+			return s
 		}
-		return s, nil
-	case FormatAuto:
-		if ChooseFormat(a) == FormatSELL {
-			if s, err := NewSELL(a, sigma); err == nil {
-				return s, nil
-			}
-		}
-	default:
-		return nil, fmt.Errorf("sparse: unknown operator format %d", int(format))
 	}
-	return a, nil
+	return a
 }
 
 // Precision names an operator's value-storage width; float64 is the
@@ -168,13 +159,14 @@ type Precision int
 // PrecisionF64 stores operator values as float64.
 const PrecisionF64 Precision = 0
 
-// NewOperatorPrec is NewOperator with a precision argument that must be
-// PrecisionF64. It remains only because cmd/amgbench, which changes only
-// together with the benchmark, compiles against it; delete it with the
-// next benchmark change.
+// NewOperatorPrec is NewOperator behind the argument list of the removed
+// format, sort-scope and precision options; it accepts only
+// (FormatAuto, 0, PrecisionF64). It remains only because cmd/amgbench,
+// which changes only together with the benchmark, compiles against it;
+// delete it with the next benchmark change.
 func NewOperatorPrec(a *Matrix, format Format, sigma int, prec Precision) (Operator, error) {
-	if prec != PrecisionF64 {
-		return nil, fmt.Errorf("sparse: unknown precision %d (only f64 operators exist)", int(prec))
+	if format != FormatAuto || sigma != 0 || prec != PrecisionF64 {
+		return nil, fmt.Errorf("sparse: operator options (%v, sigma %d, precision %d): only (auto, 0, f64) exists", format, sigma, int(prec))
 	}
-	return NewOperator(a, format, sigma)
+	return NewOperator(a), nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // fuzzOperatorMatrix decodes a fuzz input into a valid CSR matrix and a
-// SELL sort scope. Layout: data[0] and data[1] give the rows and
+// SELL sort window. Layout: data[0] and data[1] give the rows and
 // columns of a block (1..40 each), data[2] a power-of-two value scale
 // (an int8 exponent), data[3] the block count (1..64, stacked
 // block-diagonally so larger inputs cross the parallel split
@@ -24,7 +24,7 @@ func fuzzOperatorMatrix(data []byte) (*Matrix, int) {
 	br, bc := 1+int(data[0])%40, 1+int(data[1])%40
 	exp := int(int8(data[2]))
 	tiles := 1 + int(data[3])%64
-	sigma := []int{0, SellC, 2 * SellC, 64}[data[4]%4]
+	sigma := []int{sellSigma, sellC, 2 * sellC, 64}[data[4]%4]
 	val := make([]float64, br*bc)
 	set := make([]bool, br*bc)
 	for e := data[5:]; len(e) >= 4; e = e[4:] {
@@ -84,7 +84,6 @@ func requireOperatorMatchesCSR(t *testing.T, name string, ref *Matrix, op Operat
 		check("SpMVResidual", func(a Operator, y []float64) { a.SpMVResidual(rt, b, xc, rows(y)) })
 		check("SpMVAdd", func(a Operator, y []float64) { copy(y, b); a.SpMVAdd(rt, xc, rows(y)) })
 		check("JacobiSweep", func(a Operator, y []float64) { a.JacobiSweep(rt, b, dinv, 0.7, x, rows(y)) })
-		check("Diagonal", func(a Operator, y []float64) { a.DiagonalInto(rt, rows(y)) })
 	}
 }
 
@@ -100,11 +99,10 @@ func FuzzOperatorFormats(f *testing.F) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("decoded matrix is invalid: %v", err)
 		}
-		sell, err := NewSELL(a, sigma)
+		sell, err := newSELL(a, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireOperatorMatchesCSR(t, "sell", a, sell)
-
 	})
 }

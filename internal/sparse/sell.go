@@ -10,9 +10,9 @@ import (
 )
 
 // SELL-C-sigma: the sliced-ELLPACK operator format for the memory-bound
-// kernel core. Rows are grouped into chunks of C = 8; within a sort
-// scope of sigma rows, rows are stably ordered by descending length so
-// that, inside every chunk, the rows still holding an entry at column
+// kernel core. Rows are grouped into chunks of C = 8; within each sort
+// window of sigma = 4096 rows, rows are stably ordered by descending
+// length so that, inside every chunk, the rows still holding an entry at column
 // position j form a prefix of the chunk's lanes. Entries are stored
 // column-position-major per chunk — position j of all active lanes
 // contiguously — so the kernel keeps C independent accumulators (one per
@@ -29,7 +29,7 @@ import (
 //   - Position j of a lane is the j-th stored entry of that row in the
 //     source CSR matrix, and every lane accumulates strictly left to
 //     right with a single accumulator — exactly the canonical per-row
-//     order of the CSR kernels (spmvRange). A SELL operator therefore
+//     order of the CSR kernels (csrOf.rowDot). A SELL operator therefore
 //     produces bit-identical results to its CSR source, for every
 //     kernel and every worker count; the row permutation affects only
 //     where writes land, never what is summed in what order.
@@ -44,7 +44,6 @@ import (
 // must be serialized against every reader.
 type SELL struct {
 	rows, cols int
-	sigma      int
 	perm       []int32 // lane slot -> original row; length rows
 	chunkPtr   []int32 // length nchunks+1: first packed entry of chunk
 	width      []int32 // per chunk: length of its longest row
@@ -56,53 +55,33 @@ type SELL struct {
 	entry      []int32 // packed position -> CSR entry index (value replay)
 }
 
-// SellC is the SELL chunk size: the number of rows (lanes, independent
+// sellC is the SELL chunk size: the number of rows (lanes, independent
 // accumulators) each chunk kernel processes at once.
-const SellC = 8
+const sellC = 8
 
-// DefaultSellSigma is the default sort scope: windows of this many rows
-// are length-sorted. Large enough to make chunks near-uniform on meshes
+// sellSigma is the sort window: windows of this many rows are
+// length-sorted. Large enough to make chunks near-uniform on meshes
 // with mixed interior/boundary rows, small enough that the row
 // permutation stays local and the gathers from x keep their locality.
-const DefaultSellSigma = 4096
+const sellSigma = 4096
 
-// CheckSigma validates a requested SELL sort scope: 0 selects the
-// default, and any explicit sigma must be a positive multiple of the
-// chunk size SellC — a scope below one chunk cannot exist (the
-// intra-chunk descending order is what makes active lanes a prefix),
-// and a scope that is not chunk-aligned would make a chunk straddle two
-// sort windows. Malformed scopes are a descriptive error rather than a
-// silent clamp, so a typo in a configuration surfaces instead of
-// quietly benchmarking a different layout.
-func CheckSigma(sigma int) error {
-	if sigma == 0 {
-		return nil
-	}
-	if sigma < 0 || sigma%SellC != 0 {
-		return fmt.Errorf("sparse: SELL sigma %d: the sort scope must be a positive multiple of the chunk size C=%d (or 0 for the default %d)",
-			sigma, SellC, DefaultSellSigma)
-	}
-	return nil
-}
+// NewSELL converts a CSR matrix to SELL-C-sigma. The conversion is
+// deterministic: the length sort is stable, so ties keep row order.
+// Matrices whose entry count overflows the 32-bit replay schedule are
+// rejected.
+func NewSELL(a *Matrix) (*SELL, error) { return newSELL(a, sellSigma) }
 
-// NewSELL converts a CSR matrix to SELL-C-sigma. sigma is the sort scope
-// (0 selects DefaultSellSigma; any other value must be a positive
-// multiple of SellC, see CheckSigma). The conversion is deterministic:
-// the length sort is stable, so ties keep row order. Matrices whose
-// entry count overflows the 32-bit replay schedule are rejected.
-func NewSELL(a *Matrix, sigma int) (*SELL, error) {
-	if err := CheckSigma(sigma); err != nil {
-		return nil, err
-	}
+// newSELL is NewSELL with an explicit sort window sigma, a positive
+// multiple of sellC (a window below one chunk cannot keep the active
+// lanes a prefix, and an unaligned one would make a chunk straddle two
+// windows). Only tests pick a window other than sellSigma.
+func newSELL(a *Matrix, sigma int) (*SELL, error) {
 	if len(a.Col) > math.MaxInt32 || a.Rows > math.MaxInt32 {
 		return nil, fmt.Errorf("sparse: SELL conversion of %dx%d matrix with %d entries overflows the 32-bit entry schedule",
 			a.Rows, a.Cols, len(a.Col))
 	}
-	if sigma == 0 {
-		sigma = DefaultSellSigma
-	}
 	n := a.Rows
-	s := &SELL{rows: n, cols: a.Cols, sigma: sigma}
+	s := &SELL{rows: n, cols: a.Cols}
 	s.perm = make([]int32, n)
 	for i := range s.perm {
 		s.perm[i] = int32(i)
@@ -115,7 +94,7 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 		})
 	}
 
-	nchunks := (n + SellC - 1) / SellC
+	nchunks := (n + sellC - 1) / sellC
 	s.chunkPtr = make([]int32, nchunks+1)
 	s.width = make([]int32, nchunks)
 	s.full = make([]int32, nchunks)
@@ -124,14 +103,14 @@ func NewSELL(a *Matrix, sigma int) (*SELL, error) {
 	s.val = make([]float64, 0, len(a.Col))
 	s.entry = make([]int32, 0, len(a.Col))
 	for c := 0; c < nchunks; c++ {
-		lanes := s.perm[c*SellC : min(c*SellC+SellC, n)]
+		lanes := s.perm[c*sellC : min(c*sellC+sellC, n)]
 		w := 0
 		for _, r := range lanes {
 			w = max(w, rowLen(r))
 		}
 		full := 0
-		if len(lanes) == SellC {
-			full = rowLen(lanes[SellC-1]) // shortest lane: lanes are sorted
+		if len(lanes) == sellC {
+			full = rowLen(lanes[sellC-1]) // shortest lane: lanes are sorted
 		}
 		s.width[c] = int32(w)
 		s.full[c] = int32(full)
@@ -179,9 +158,6 @@ func (s *SELL) Dims() (rows, cols int) { return s.rows, s.cols }
 
 // NNZ returns the number of stored entries.
 func (s *SELL) NNZ() int { return len(s.col) }
-
-// Sigma reports the sort scope the operator was converted with.
-func (s *SELL) Sigma() int { return s.sigma }
 
 // nchunks returns the chunk count.
 func (s *SELL) nchunks() int { return len(s.width) }
@@ -237,7 +213,7 @@ func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 fl
 		base := int(s.cntPtr[c])
 		for j := f; j < w; j++ {
 			// Active lanes are a prefix; past the full positions the count
-			// is at most SellC-1 (and at least 1, or the width would end).
+			// is at most sellC-1 (and at least 1, or the width would end).
 			m := cnt[base+j]
 			a0 += val[p] * x[col[p]]
 			p++
@@ -270,218 +246,103 @@ func (s *SELL) chunkAccum(x []float64, c int) (a0, a1, a2, a3, a4, a5, a6, a7 fl
 	return
 }
 
-// chunkRange maps a row block [lo, hi) from the runtime's blocking to
-// the chunks whose first row falls inside it. Consecutive row blocks
-// tile the rows, so every chunk lands in exactly one block; blocking
-// over rows (not chunks) keeps the parallel split threshold identical
-// to the CSR kernels — a level does not need SellC times more rows
-// before it splits across workers. Each kernel keeps its own serial
-// fast path so single-worker calls build no closure and allocate
-// nothing.
-//
-//amg:hotpath
-func chunkRange(lo, hi int) (c0, c1 int) {
-	return (lo + SellC - 1) / SellC, (hi + SellC - 1) / SellC
-}
-
 // SpMV computes y = A*x, parallel over chunks. Bit-identical to the CSR
 // SpMV of the source matrix for every worker count.
-//
-//amg:hotpath
 func (s *SELL) SpMV(rt *par.Runtime, x, y []float64) {
-	if rt.Serial(s.rows) {
-		s.spmvChunks(x, y, 0, s.nchunks())
-		return
-	}
-	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvChunks(x, y, c0, c1)
-	})
-}
-
-//amg:hotpath
-func (s *SELL) spmvChunks(x, y []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
-		slot := c * SellC
-		if slot+SellC <= s.rows {
-			pm := s.perm[slot : slot+SellC : slot+SellC]
-			y[pm[0]] = a0
-			y[pm[1]] = a1
-			y[pm[2]] = a2
-			y[pm[3]] = a3
-			y[pm[4]] = a4
-			y[pm[5]] = a5
-			y[pm[6]] = a6
-			y[pm[7]] = a7
-			continue
-		}
-		acc := [SellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for l, r := range s.perm[slot:s.rows] {
-			y[r] = acc[l]
-		}
-	}
+	s.product(rt, epSet, nil, nil, 0, x, y)
 }
 
 // SpMVResidual computes r = b - A*x in one traversal. r must not alias x.
-//
-//amg:hotpath
 func (s *SELL) SpMVResidual(rt *par.Runtime, b, x, r []float64) {
-	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.spmvResidualChunks(b, x, r, c0, c1)
-		return
-	}
-	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvResidualChunks(b, x, r, c0, c1)
-	})
-}
-
-//amg:hotpath
-func (s *SELL) spmvResidualChunks(b, x, r []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
-		slot := c * SellC
-		if slot+SellC <= s.rows {
-			pm := s.perm[slot : slot+SellC : slot+SellC]
-			r[pm[0]] = b[pm[0]] - a0
-			r[pm[1]] = b[pm[1]] - a1
-			r[pm[2]] = b[pm[2]] - a2
-			r[pm[3]] = b[pm[3]] - a3
-			r[pm[4]] = b[pm[4]] - a4
-			r[pm[5]] = b[pm[5]] - a5
-			r[pm[6]] = b[pm[6]] - a6
-			r[pm[7]] = b[pm[7]] - a7
-			continue
-		}
-		acc := [SellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for l, row := range s.perm[slot:s.rows] {
-			r[row] = b[row] - acc[l]
-		}
-	}
+	s.product(rt, epResidual, b, nil, 0, x, r)
 }
 
 // SpMVAdd computes y += A*x in one traversal. y must not alias x.
-//
-//amg:hotpath
 func (s *SELL) SpMVAdd(rt *par.Runtime, x, y []float64) {
-	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.spmvAddChunks(x, y, c0, c1)
-		return
-	}
-	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.spmvAddChunks(x, y, c0, c1)
-	})
-}
-
-//amg:hotpath
-func (s *SELL) spmvAddChunks(x, y []float64, c0, c1 int) {
-	for c := c0; c < c1; c++ {
-		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
-		slot := c * SellC
-		if slot+SellC <= s.rows {
-			pm := s.perm[slot : slot+SellC : slot+SellC]
-			y[pm[0]] += a0
-			y[pm[1]] += a1
-			y[pm[2]] += a2
-			y[pm[3]] += a3
-			y[pm[4]] += a4
-			y[pm[5]] += a5
-			y[pm[6]] += a6
-			y[pm[7]] += a7
-			continue
-		}
-		acc := [SellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for l, row := range s.perm[slot:s.rows] {
-			y[row] += acc[l]
-		}
-	}
+	s.product(rt, epAdd, nil, nil, 0, x, y)
 }
 
 // JacobiSweep computes dst[i] = src[i] + omega*dinv[i]*(b[i] - (A src)[i])
 // in one traversal — the fused damped-Jacobi sweep, bit-identical to
 // Matrix.JacobiSweep. src and dst must not alias.
+func (s *SELL) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
+	s.product(rt, epJacobi, b, dinv, omega, src, dst)
+}
+
+// product runs one product kernel (see csrOf.product) over the chunks.
+// The runtime blocks over rows, not chunks, so the parallel split
+// threshold is identical to the CSR kernels — a level does not need
+// sellC times more rows before it splits across workers. A row block
+// [lo, hi) takes the chunks whose first row falls inside it;
+// consecutive blocks tile the rows, so every chunk lands in exactly one
+// block. The serial fast path builds no closure and allocates nothing.
 //
 //amg:hotpath
-func (s *SELL) JacobiSweep(rt *par.Runtime, b, dinv []float64, omega float64, src, dst []float64) {
+func (s *SELL) product(rt *par.Runtime, k epilogue, b, dinv []float64, omega float64, x, y []float64) {
 	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.jacobiChunks(b, dinv, omega, src, dst, c0, c1)
+		s.productChunks(k, b, dinv, omega, x, y, 0, s.nchunks())
 		return
 	}
 	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.jacobiChunks(b, dinv, omega, src, dst, c0, c1)
+		s.productChunks(k, b, dinv, omega, x, y, (lo+sellC-1)/sellC, (hi+sellC-1)/sellC)
 	})
 }
 
+// productChunks is the product kernel for chunks [c0, c1): chunkAccum
+// forms each chunk's eight row products, and one write stores them
+// through the permutation, unrolled for full chunks and a lane loop for
+// the partial tail chunk. Both apply the epilogue through out.put. A
+// lane loop for full chunks too, with the epilogue switch hoisted per
+// chunk, measured slower than this unrolled write on both SpMV and the
+// Jacobi sweep.
+//
 //amg:hotpath
-func (s *SELL) jacobiChunks(b, dinv []float64, omega float64, src, dst []float64, c0, c1 int) {
+func (s *SELL) productChunks(k epilogue, b, dinv []float64, omega float64, x, y []float64, c0, c1 int) {
+	out := epilogueArgs{k: k, b: b, dinv: dinv, omega: omega, x: x, y: y}
 	for c := c0; c < c1; c++ {
-		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(src, c)
-		slot := c * SellC
-		if slot+SellC <= s.rows {
-			pm := s.perm[slot : slot+SellC : slot+SellC]
-			dst[pm[0]] = src[pm[0]] + omega*dinv[pm[0]]*(b[pm[0]]-a0)
-			dst[pm[1]] = src[pm[1]] + omega*dinv[pm[1]]*(b[pm[1]]-a1)
-			dst[pm[2]] = src[pm[2]] + omega*dinv[pm[2]]*(b[pm[2]]-a2)
-			dst[pm[3]] = src[pm[3]] + omega*dinv[pm[3]]*(b[pm[3]]-a3)
-			dst[pm[4]] = src[pm[4]] + omega*dinv[pm[4]]*(b[pm[4]]-a4)
-			dst[pm[5]] = src[pm[5]] + omega*dinv[pm[5]]*(b[pm[5]]-a5)
-			dst[pm[6]] = src[pm[6]] + omega*dinv[pm[6]]*(b[pm[6]]-a6)
-			dst[pm[7]] = src[pm[7]] + omega*dinv[pm[7]]*(b[pm[7]]-a7)
+		a0, a1, a2, a3, a4, a5, a6, a7 := s.chunkAccum(x, c)
+		slot := c * sellC
+		if slot+sellC <= s.rows {
+			pm := s.perm[slot : slot+sellC : slot+sellC]
+			out.put(pm[0], a0)
+			out.put(pm[1], a1)
+			out.put(pm[2], a2)
+			out.put(pm[3], a3)
+			out.put(pm[4], a4)
+			out.put(pm[5], a5)
+			out.put(pm[6], a6)
+			out.put(pm[7], a7)
 			continue
 		}
-		acc := [SellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
-		for l, row := range s.perm[slot:s.rows] {
-			dst[row] = src[row] + omega*dinv[row]*(b[row]-acc[l])
+		acc := [sellC]float64{a0, a1, a2, a3, a4, a5, a6, a7}
+		for l, r := range s.perm[slot:s.rows] {
+			out.put(r, acc[l])
 		}
 	}
 }
 
-// DiagonalInto fills d with the diagonal entries (zero where absent),
-// parallel over chunks.
+// epilogueArgs holds one product call's epilogue and its operands.
+type epilogueArgs struct {
+	k       epilogue
+	b, dinv []float64
+	omega   float64
+	x, y    []float64
+}
+
+// put stores row r's new value given its product v. The switch inlines
+// into the chunk loop; k is the same for every row of a call, so the
+// branch always predicts.
 //
 //amg:hotpath
-func (s *SELL) DiagonalInto(rt *par.Runtime, d []float64) {
-	if rt.Serial(s.rows) {
-		c0, c1 := 0, s.nchunks()
-		s.diagonalChunks(d, c0, c1)
-		return
-	}
-	rt.For(s.rows, func(lo, hi int) {
-		c0, c1 := chunkRange(lo, hi)
-		s.diagonalChunks(d, c0, c1)
-	})
-}
-
-//amg:hotpath
-func (s *SELL) diagonalChunks(d []float64, c0, c1 int) {
-	col, val, cnt := s.col, s.val, s.cnt
-	for c := c0; c < c1; c++ {
-		slot := c * SellC
-		lanes := s.perm[slot:min(slot+SellC, s.rows)]
-		for _, row := range lanes {
-			d[row] = 0
-		}
-		p := int(s.chunkPtr[c])
-		w := int(s.width[c])
-		f := int(s.full[c])
-		base := int(s.cntPtr[c])
-		for j := 0; j < w; j++ {
-			m := SellC
-			if j >= f {
-				m = int(cnt[base+j])
-			}
-			for _, row := range lanes[:m] {
-				if col[p] == row {
-					d[row] = val[p]
-				}
-				p++
-			}
-		}
+func (o *epilogueArgs) put(r int32, v float64) {
+	switch o.k {
+	case epSet:
+		o.y[r] = v
+	case epResidual:
+		o.y[r] = o.b[r] - v
+	case epAdd:
+		o.y[r] += v
+	case epJacobi:
+		o.y[r] = o.x[r] + o.omega*o.dinv[r]*(o.b[r]-v)
 	}
 }

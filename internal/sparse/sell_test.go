@@ -10,7 +10,7 @@ import (
 
 // sellTestMatrix builds an irregular but valid CSR matrix: row i has
 // (i*7+3)%13 entries at deterministic pseudo-random columns. Exercises
-// mixed row lengths (including empty rows), edge chunks, and sigma
+// mixed row lengths (including empty rows), edge chunks, and sort
 // windows that actually reorder rows.
 func sellTestMatrix(rows, cols int) *Matrix {
 	a := &Matrix{Rows: rows, Cols: cols}
@@ -69,7 +69,7 @@ func bitsEqual(t *testing.T, name string, got, want []float64) {
 // TestSELLKernelsBitwiseMatchCSR pins the format-equivalence contract:
 // every SELL kernel reproduces the CSR kernel bit for bit, across
 // shapes (uniform, irregular, empty rows, non-multiple-of-C rows),
-// sigma scopes, and worker counts.
+// sort windows, and worker counts.
 func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 	mats := map[string]*Matrix{
 		"irregular":  sellTestMatrix(1003, 800),
@@ -81,8 +81,8 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, a := range mats {
-		for _, sigma := range []int{0, SellC, 64, 1 << 20} {
-			s, err := NewSELL(a, sigma)
+		for _, sigma := range []int{sellSigma, sellC, 64, 1 << 20} {
+			s, err := newSELL(a, sigma)
 			if err != nil {
 				t.Fatalf("%s sigma=%d: %v", name, sigma, err)
 			}
@@ -129,12 +129,6 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 					s.JacobiSweep(rt, b, dinv, 0.7, src, ySELL)
 					bitsEqual(t, name+"/JacobiSweep", ySELL, yCSR)
 				}
-
-				dCSR := make([]float64, a.Rows)
-				dSELL := make([]float64, a.Rows)
-				a.DiagonalInto(rt, dCSR)
-				s.DiagonalInto(rt, dSELL)
-				bitsEqual(t, name+"/Diagonal", dSELL, dCSR)
 			}
 		}
 	}
@@ -145,7 +139,7 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 // allocations, producing the same kernels as a fresh conversion.
 func TestSELLFillValues(t *testing.T) {
 	a := sellTestMatrix(500, 400)
-	s, err := NewSELL(a, 0)
+	s, err := NewSELL(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +155,7 @@ func TestSELLFillValues(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FillValues: %v allocs/op, want 0", allocs)
 	}
-	fresh, err := NewSELL(a2, 0)
+	fresh, err := NewSELL(a2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +181,7 @@ func TestSELLFillValues(t *testing.T) {
 func TestSELLEmptyAndZero(t *testing.T) {
 	for _, rows := range []int{0, 5} {
 		a := &Matrix{Rows: rows, Cols: 3, RowPtr: make([]int, rows+1)}
-		s, err := NewSELL(a, 0)
+		s, err := NewSELL(a)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,10 +200,11 @@ func TestSELLEmptyAndZero(t *testing.T) {
 }
 
 // TestSELLZeroAllocKernels: the apply kernels of both operator formats
-// — CSR and SELL — are allocation-free at one worker, kernel by kernel.
+// — CSR and SELL — and the CSR diagonal read are allocation-free at one
+// worker, kernel by kernel.
 func TestSELLZeroAllocKernels(t *testing.T) {
 	a := sellTestMatrix(2000, 2000)
-	s, err := NewSELL(a, 0)
+	s, err := NewSELL(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,13 +224,15 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 			"SpMVResidual": func() { op.SpMVResidual(rt, b, x, y) },
 			"SpMVAdd":      func() { op.SpMVAdd(rt, x, y) },
 			"JacobiSweep":  func() { op.JacobiSweep(rt, b, dinv, 0.7, x, y) },
-			"Diagonal":     func() { op.DiagonalInto(rt, y) },
 		}
 		for name, fn := range kernels {
 			if allocs := testing.AllocsPerRun(10, fn); allocs != 0 {
 				t.Fatalf("%s/%s: %v allocs/op, want 0", opName, name, allocs)
 			}
 		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { a.DiagonalInto(rt, y) }); allocs != 0 {
+		t.Fatalf("csr/Diagonal: %v allocs/op, want 0", allocs)
 	}
 }
 
@@ -244,15 +241,7 @@ func TestSELLZeroAllocKernels(t *testing.T) {
 func TestChooseFormat(t *testing.T) {
 	// Uniform 5-entry rows, large: SELL.
 	n := 4096
-	u := &Matrix{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
-	for i := 0; i < n; i++ {
-		for d := -2; d <= 2; d++ {
-			j := (i + d + n) % n
-			u.Col = append(u.Col, int32(j))
-			u.Val = append(u.Val, 1)
-		}
-		u.RowPtr[i+1] = len(u.Col)
-	}
+	u := bandMatrix(n)
 	if f := ChooseFormat(u); f != FormatSELL {
 		t.Fatalf("uniform: ChooseFormat = %v, want sell", f)
 	}
@@ -278,71 +267,62 @@ func TestChooseFormat(t *testing.T) {
 	}
 }
 
-// TestNewOperatorDispatch covers the three formats and the auto
-// fallback path.
+// bandMatrix returns the n x n periodic 5-point band matrix: uniform
+// 5-entry rows, which ChooseFormat puts on SELL once n >= 2048.
+func bandMatrix(n int) *Matrix {
+	u := &Matrix{Rows: n, Cols: n, RowPtr: make([]int, n+1)}
+	for i := 0; i < n; i++ {
+		for d := -2; d <= 2; d++ {
+			u.Col = append(u.Col, int32((i+d+n)%n))
+			u.Val = append(u.Val, 1)
+		}
+		u.RowPtr[i+1] = len(u.Col)
+	}
+	return u
+}
+
+// TestNewOperatorDispatch: NewOperator returns the matrix itself where
+// ChooseFormat keeps CSR and a SELL conversion where it picks SELL.
 func TestNewOperatorDispatch(t *testing.T) {
 	a := sellTestMatrix(100, 100)
-	if op, err := NewOperator(a, FormatCSR, 0); err != nil || op != Operator(a) {
-		t.Fatalf("csr: op=%T err=%v", op, err)
+	if op := NewOperator(a); op != Operator(a) {
+		t.Fatalf("small: got %T, want the CSR matrix itself", op)
 	}
-	op, err := NewOperator(a, FormatSELL, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := op.(*SELL); !ok {
-		t.Fatalf("sell: got %T", op)
-	}
-	// Auto on a small matrix falls back to CSR.
-	if op, err := NewOperator(a, FormatAuto, 0); err != nil || op != Operator(a) {
-		t.Fatalf("auto-small: op=%T err=%v", op, err)
+	if _, ok := NewOperator(bandMatrix(4096)).(*SELL); !ok {
+		t.Fatal("large regular: NewOperator kept CSR, want *SELL")
 	}
 }
 
-// TestNewOperatorPrecDispatch pins the f64-only shim: at PrecisionF64 it
-// builds what NewOperator builds for every format, and any other
-// precision value is an error.
+// TestNewOperatorPrecDispatch pins the compatibility shim: it accepts
+// only (FormatAuto, 0, PrecisionF64), where it builds what NewOperator
+// builds, and rejects every other triple.
 func TestNewOperatorPrecDispatch(t *testing.T) {
-	a := sellTestMatrix(100, 100)
-	for _, format := range []Format{FormatAuto, FormatCSR, FormatSELL} {
-		want, err := NewOperator(a, format, 0)
+	for _, a := range []*Matrix{sellTestMatrix(100, 100), bandMatrix(4096)} {
+		got, err := NewOperatorPrec(a, FormatAuto, 0, PrecisionF64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := NewOperatorPrec(a, format, 0, PrecisionF64)
-		if err != nil {
-			t.Fatalf("%v: %v", format, err)
-		}
-		if fmt.Sprintf("%T", got) != fmt.Sprintf("%T", want) {
-			t.Fatalf("%v: NewOperatorPrec gave %T, NewOperator %T", format, got, want)
+		if want := NewOperator(a); fmt.Sprintf("%T", got) != fmt.Sprintf("%T", want) {
+			t.Fatalf("%d rows: NewOperatorPrec gave %T, NewOperator %T", a.Rows, got, want)
 		}
 	}
-	if _, err := NewOperatorPrec(a, FormatAuto, 0, PrecisionF64+1); err == nil {
-		t.Fatal("NewOperatorPrec accepted a precision other than f64")
-	}
-}
-
-// TestSELLRejectsMalformedSigma: negative or non-chunk-aligned sort
-// scopes are descriptive errors (0 stays the documented default), both
-// directly and through every NewOperator format path.
-func TestSELLRejectsMalformedSigma(t *testing.T) {
-	a := sellTestMatrix(64, 64)
-	for _, sigma := range []int{-1, -8, 3, SellC + 1, SellC*2 - 1} {
-		if sigma > 0 && sigma%SellC == 0 {
-			t.Fatalf("test bug: sigma %d is valid", sigma)
-		}
-		if _, err := NewSELL(a, sigma); err == nil {
-			t.Fatalf("NewSELL accepted sigma %d", sigma)
-		}
-		for _, f := range []Format{FormatAuto, FormatSELL} {
-			if _, err := NewOperator(a, f, sigma); err == nil {
-				t.Fatalf("NewOperator(%v) accepted sigma %d", f, sigma)
-			}
-		}
-	}
-	// Valid scopes still pass.
-	for _, sigma := range []int{0, SellC, 4 * SellC} {
-		if _, err := NewSELL(a, sigma); err != nil {
-			t.Fatalf("NewSELL rejected valid sigma %d: %v", sigma, err)
+	a := sellTestMatrix(100, 100)
+	for _, bad := range []struct {
+		format Format
+		sigma  int
+		prec   Precision
+	}{
+		{FormatCSR, 0, PrecisionF64},
+		{FormatSELL, 0, PrecisionF64},
+		{Format(3), 0, PrecisionF64},
+		{FormatAuto, sellC, PrecisionF64},
+		{FormatAuto, sellSigma, PrecisionF64},
+		{FormatAuto, -1, PrecisionF64},
+		{FormatAuto, 0, PrecisionF64 + 1},
+		{FormatAuto, 0, -1},
+	} {
+		if op, err := NewOperatorPrec(a, bad.format, bad.sigma, bad.prec); err == nil || op != nil {
+			t.Fatalf("NewOperatorPrec(%v, %d, %d) = %T, %v: want an error", bad.format, bad.sigma, bad.prec, op, err)
 		}
 	}
 }

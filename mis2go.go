@@ -114,40 +114,29 @@ func CoarseGraph(g *Graph, agg Aggregation) *Graph { return coarsen.CoarseGraph(
 type Matrix = sparse.Matrix
 
 // Operator is the format-independent view of a sparse operator: the
-// kernels the solver stack needs (SpMV and its fused variants and
-// smoother sweeps), dispatched over the storage format. *Matrix (CSR)
-// and the SELL-C-sigma conversion both implement it, with bit-identical
-// results: switching formats never changes any answer, only speed.
+// product kernels the solver stack needs (SpMV, its fused variants and
+// the Jacobi sweep), dispatched over the storage format. *Matrix (CSR)
+// and the SELL-C-sigma conversion from NewOperator both implement it,
+// with bit-identical results: switching formats never changes any
+// answer, only speed.
 type Operator = sparse.Operator
 
-// OperatorFormat selects an operator storage layout for NewOperator.
-// AMG levels always use FormatAuto; see AMG.FineOperator.
+// OperatorFormat names an operator storage layout, as each AMG level's
+// Format method reports it.
 type OperatorFormat = sparse.Format
 
-// Operator formats: FormatAuto converts large regular matrices (fine
-// mesh Laplacians) to SELL-C-sigma and keeps small or irregular ones on
-// CSR; FormatCSR and FormatSELL force the choice.
+// Operator formats: FormatSELL is a SELL-C-sigma conversion, FormatCSR
+// the CSR matrix itself.
 const (
-	FormatAuto = sparse.FormatAuto
 	FormatCSR  = sparse.FormatCSR
 	FormatSELL = sparse.FormatSELL
 )
 
-// NewOperator returns a's kernels in the requested format (the default
-// SELL sort scope; see SELLOperator to tune it). Under FormatAuto an
-// oversized SELL conversion silently falls back to CSR.
-func NewOperator(a *Matrix, format OperatorFormat) (Operator, error) {
-	return sparse.NewOperator(a, format, 0)
-}
-
-// SELLOperator converts a to SELL-C-sigma with an explicit sort scope
-// sigma (0 = default): rows are stably length-sorted within windows of
-// sigma rows so the chunked kernel pads nothing and streams linearly.
-// A sigma that is negative or not a multiple of the chunk size is a
-// descriptive error, never a silent clamp.
-func SELLOperator(a *Matrix, sigma int) (Operator, error) {
-	return sparse.NewSELL(a, sigma)
-}
+// NewOperator returns a's kernels in the format AMG levels use: large
+// regular matrices (fine mesh Laplacians) are converted to SELL-C-sigma,
+// small or irregular ones stay on CSR. Both formats give bit-identical
+// results, so the choice only changes speed.
+func NewOperator(a *Matrix) Operator { return sparse.NewOperator(a) }
 
 // RCMOrder computes the reverse Cuthill-McKee ordering of a's graph: a
 // bandwidth-reducing permutation (perm[new] = old) that clusters each
@@ -379,7 +368,7 @@ func MISK(g *Graph, k, threads int) MISResult {
 func VerifyMISK(g *Graph, set []int32, k int) error { return mis.CheckMISK(g, set, k) }
 
 // JacobiPreconditioner returns the diagonal preconditioner for a.
-func JacobiPreconditioner(a Operator) (Preconditioner, error) { return krylov.Jacobi(a) }
+func JacobiPreconditioner(a *Matrix) (Preconditioner, error) { return krylov.Jacobi(a) }
 
 // PartitionOptions configures Bisect.
 type PartitionOptions = partition.Options
