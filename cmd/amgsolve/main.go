@@ -44,7 +44,6 @@ func run(args []string, stdout io.Writer) int {
 	threads := fs.Int("threads", 0, "worker count (0 = all cores)")
 	resetup := fs.Int("resetup", 0, "re-run the numeric setup N times on same-pattern perturbed values and report the re-setup ratio")
 	rcm := fs.Bool("rcm", false, "reorder the system with reverse Cuthill-McKee before solving (solution is inverse-permuted back)")
-	health := fs.Bool("health", true, "guard the CG iteration against divergence, stagnation, and non-finite residuals (classified errors instead of a burned iteration budget)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -118,12 +117,8 @@ func run(args []string, stdout io.Writer) int {
 		b = pb
 	}
 	x := make([]float64, a.Rows)
-	var hg *krylov.Health
-	if *health {
-		hg = krylov.DefaultHealth()
-	}
 	start = time.Now()
-	st, err := krylov.CGCtx(nil, par.New(*threads), h.FineOperator(), b, x, krylov.Options{Tol: *tol, MaxIter: 1000, M: h, Health: hg})
+	st, err := krylov.CGCtx(nil, par.New(*threads), h.FineOperator(), b, x, krylov.Options{Tol: *tol, MaxIter: 1000, M: h, Health: true})
 	solve := time.Since(start)
 	if err != nil {
 		// Name the failure class: a guard trip is actionable (wrong

@@ -14,8 +14,8 @@ import (
 // the inputs, a breakdown an indefinite-capable solver.
 var (
 	// ErrDiverged is wrapped when the health guard sees the relative
-	// residual exceed DivergeFactor times the best residual seen so far
-	// for DivergeWindow consecutive iterations, and by the
+	// residual exceed divergeFactor times the best residual seen so far
+	// for divergeWindow consecutive iterations, and by the
 	// false-convergence check when the recurrence residual that stopped
 	// the iteration disagrees with the recomputed true residual beyond
 	// falseConvergenceLimit (on singular systems the recurrence
@@ -23,7 +23,7 @@ var (
 	// on garbage).
 	ErrDiverged = errors.New("krylov: solve diverged")
 	// ErrStagnated is wrapped when the health guard sees no relative
-	// progress of at least StagnationRel over StagnationWindow
+	// progress of at least stagnationRel over stagnationWindow
 	// consecutive iterations.
 	ErrStagnated = errors.New("krylov: solve stagnated")
 	// ErrNonFinite is wrapped when a residual norm becomes NaN or Inf —
@@ -54,7 +54,7 @@ const falseConvergenceSlack = 100
 // where the estimate "converges" while the true residual is O(1) or
 // worse — an iterate that explains nothing of b. The check reads only
 // the final recomputed residual every solver already produces for
-// Stats, so it is always on (independent of any Health guard) and
+// Stats, so it is always on (independent of Options.Health) and
 // never perturbs the iteration. Non-positive tolerances disable it
 // (no scale to measure drift against).
 func falseConvergenceLimit(tol float64) float64 {
@@ -64,66 +64,25 @@ func falseConvergenceLimit(tol float64) float64 {
 	return falseConvergenceSlack * tol
 }
 
-// Health configures the per-iteration health guard of the *Ctx solvers.
-// The guard reads only the relative residual the iteration has already
-// computed for its convergence test — it adds no reductions and never
-// perturbs the recurrence, so a guarded solve that stays healthy is
-// bitwise identical to an unguarded one at every worker count. A nil
-// *Health disables the guard entirely. The zero value of any field
-// selects its default.
-type Health struct {
-	// DivergeFactor: the solve is declared diverged when the relative
-	// residual exceeds DivergeFactor times the best residual seen so
-	// far for DivergeWindow consecutive iterations. Default 1e4.
-	DivergeFactor float64
-	// DivergeWindow is the number of consecutive over-factor iterations
-	// required before ErrDiverged (a single spike is normal for CG on
-	// an ill-conditioned system). Default 5.
-	DivergeWindow int
-	// StagnationWindow is the number of consecutive iterations without
-	// relative progress of at least StagnationRel before ErrStagnated.
-	// The default (100) is deliberately conservative: ill-conditioned
-	// CG plateaus for long stretches before converging, and a guard
-	// that kills those is worse than no guard. Default 100.
-	StagnationWindow int
-	// StagnationRel is the minimum relative improvement over the last
-	// progress mark that counts as progress: rel <= mark*(1 -
-	// StagnationRel) resets the stagnation counter. Default 1e-3.
-	StagnationRel float64
-}
-
-// DefaultHealth returns a guard with all defaults: divergence at 1e4×
-// the best residual for 5 iterations, stagnation after 100 iterations
-// without 0.1% relative progress.
-func DefaultHealth() *Health { return &Health{} }
-
-func (h *Health) divergeFactor() float64 {
-	if h.DivergeFactor > 0 {
-		return h.DivergeFactor
-	}
-	return 1e4
-}
-
-func (h *Health) divergeWindow() int {
-	if h.DivergeWindow > 0 {
-		return h.DivergeWindow
-	}
-	return 5
-}
-
-func (h *Health) stagnationWindow() int {
-	if h.StagnationWindow > 0 {
-		return h.StagnationWindow
-	}
-	return 100
-}
-
-func (h *Health) stagnationRel() float64 {
-	if h.StagnationRel > 0 {
-		return h.StagnationRel
-	}
-	return 1e-3
-}
+// Thresholds of the health guard (Options.Health). The guard reads
+// only the relative residual the convergence test already computed —
+// it adds no reductions and never perturbs the recurrence — so a
+// guarded solve that stays healthy is bitwise identical to an
+// unguarded one at every worker count.
+const (
+	// A relative residual above divergeFactor times the best seen, for
+	// divergeWindow consecutive iterations, is ErrDiverged; a single
+	// spike is normal for CG on an ill-conditioned system.
+	divergeFactor = 1e4
+	divergeWindow = 5
+	// stagnationWindow consecutive iterations without relative progress
+	// of at least stagnationRel are ErrStagnated. The window is
+	// deliberately long: ill-conditioned CG plateaus for long stretches
+	// before converging, and a guard that kills those is worse than no
+	// guard.
+	stagnationWindow = 100
+	stagnationRel    = 1e-3
+)
 
 // guardState is the per-solve state of a health guard: the best
 // residual seen, the consecutive over-factor count, the last progress
@@ -143,24 +102,24 @@ func guardInit() guardState {
 // check advances the guard by one iteration with relative residual rel
 // and returns a classified error if the solve is unhealthy. name labels
 // the error message.
-func (h *Health) check(g *guardState, name string, iter int, rel float64) error {
+func (g *guardState) check(name string, iter int, rel float64) error {
 	if math.IsNaN(rel) || math.IsInf(rel, 0) {
 		return guardErr(ErrNonFinite, name, iter, rel)
 	}
-	if rel > h.divergeFactor()*g.best {
+	if rel > divergeFactor*g.best {
 		g.over++
-		if g.over >= h.divergeWindow() {
+		if g.over >= divergeWindow {
 			return guardErr(ErrDiverged, name, iter, rel)
 		}
 	} else {
 		g.over = 0
 	}
-	if rel <= g.mark*(1-h.stagnationRel()) {
+	if rel <= g.mark*(1-stagnationRel) {
 		g.mark = rel
 		g.stall = 0
 	} else {
 		g.stall++
-		if g.stall >= h.stagnationWindow() {
+		if g.stall >= stagnationWindow {
 			return guardErr(ErrStagnated, name, iter, rel)
 		}
 	}

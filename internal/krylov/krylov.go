@@ -9,7 +9,7 @@
 // are safe exactly when those are not shared: operators are read-only
 // (safe to share), but each concurrent solve needs its own b/x vectors,
 // its own Workspace, and a preconditioner that is either concurrency-
-// safe itself (Identity, Jacobi) or externally serialized (an AMG
+// safe itself (the identity, Jacobi) or externally serialized (an AMG
 // hierarchy). internal/serve packages this contract behind a service.
 //
 //amg:deterministic
@@ -30,13 +30,10 @@ type Preconditioner interface {
 	Precondition(r, z []float64)
 }
 
-// identityPrec is the unpreconditioned fallback.
+// identityPrec is the unpreconditioned fallback for a nil Options.M.
 type identityPrec struct{}
 
 func (identityPrec) Precondition(r, z []float64) { copy(z, r) }
-
-// Identity returns the no-op preconditioner.
-func Identity() Preconditioner { return identityPrec{} }
 
 // Jacobi returns the diagonal (Jacobi) preconditioner for a, the simplest
 // baseline between no preconditioning and the structured methods.
@@ -213,14 +210,18 @@ type Options struct {
 	// inner iterations for GMRES). MaxIter <= 0 reports the initial
 	// residual without touching x.
 	MaxIter int
-	// M is the preconditioner; nil means Identity().
+	// M is the preconditioner; nil means none (the identity).
 	M Preconditioner
 	// Work holds the solver's scratch vectors; repeated solves through
 	// one Workspace perform no allocations. nil allocates a temporary
 	// workspace.
 	Work *Workspace
-	// Health is the per-iteration health guard; nil means no guard.
-	Health *Health
+	// Health turns on the per-iteration health guard: a non-finite
+	// residual, a residual 1e4 times the best seen for 5 iterations,
+	// or 100 iterations without 0.1% relative progress abort the solve
+	// with a classified error. The thresholds are fixed. false means
+	// no guard.
+	Health bool
 }
 
 // The four fused vector passes of CGCtx below each sum with one
@@ -292,20 +293,20 @@ func cgDirection(beta float64, z, p []float64) {
 // of every iteration. On cancellation x holds the partial iterate, Stats
 // report the iteration count and the recurrence residual (+Inf before
 // the first iteration), and the error wraps ErrCanceled plus the
-// context's cause. A non-nil o.Health watches the relative recurrence
+// context's cause. The o.Health guard watches the relative recurrence
 // residual and aborts a non-finite, divergent or stagnant solve with a
 // classified error; p^T A p <= 0 aborts with ErrBreakdown. With an
 // uncanceled context and a healthy solve the result is bitwise
 // identical to a solve with a nil context and no guard. ctx may be nil
 // (treated as context.Background()).
 func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, o Options) (Stats, error) {
-	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
+	tol, maxIter, m, ws := o.Tol, o.MaxIter, o.M, o.Work
 	n, _ := a.Dims()
 	if len(b) != n || len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: CG size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
 	}
 	if m == nil {
-		m = Identity()
+		m = identityPrec{}
 	}
 	if ws == nil {
 		ws = &Workspace{}
@@ -320,12 +321,7 @@ func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float
 		if nb == 0 {
 			nb = 1
 		}
-		rel := finalResidualWith(rt, a, b, x, nb, ap)
-		st := Stats{Iterations: 0, RelResidual: rel, Converged: rel < tol}
-		if !st.Converged {
-			return st, fmt.Errorf("%w: CG after 0 iterations, relres %.3e", ErrNotConverged, rel)
-		}
-		return st, nil
+		return finish("CG", false, 0, tol, finalResidualWith(rt, a, b, x, nb, ap))
 	}
 	if bnorm == 0 {
 		clear(x)
@@ -350,8 +346,8 @@ func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float
 			met = true
 			break
 		}
-		if hg != nil {
-			if herr := hg.check(&gst, "CG", iters, rel); herr != nil {
+		if o.Health {
+			if herr := gst.check("CG", iters, rel); herr != nil {
 				return Stats{Iterations: iters, RelResidual: rel}, herr
 			}
 		}
@@ -370,16 +366,7 @@ func CGCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float
 		rz = rzNew
 	}
 
-	rel := finalResidualWith(rt, a, b, x, bnorm, ap)
-	if met && tol > 0 && rel >= falseConvergenceLimit(tol) {
-		return Stats{Iterations: iters, RelResidual: rel},
-			fmt.Errorf("%w: CG false convergence at iteration %d: residual estimate met tol %.1e but true relres is %.3e", ErrDiverged, iters, tol, rel)
-	}
-	st := Stats{Iterations: iters, RelResidual: rel, Converged: met || rel < tol}
-	if !st.Converged {
-		return st, fmt.Errorf("%w: CG after %d iterations, relres %.3e", ErrNotConverged, iters, rel)
-	}
-	return st, nil
+	return finish("CG", met, iters, tol, finalResidualWith(rt, a, b, x, bnorm, ap))
 }
 
 // CGWith is CGCtx with positional arguments and a background context.
@@ -394,7 +381,7 @@ func CGWith(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, max
 // GMRES(restart); restart <= 0 selects 50, and restart is clamped to
 // o.MaxIter. x holds the initial guess on entry and the solution on
 // exit. The context is checked at the top of every inner (Arnoldi)
-// iteration, and a non-nil o.Health watches the per-iteration
+// iteration, and the o.Health guard watches the per-iteration
 // recurrence residual estimate |s[k+1]|/||M^{-1}b||. On cancellation x
 // holds the iterate of the last *completed* restart cycle — the
 // in-progress cycle's correction is discarded, not applied half-built —
@@ -404,13 +391,13 @@ func CGWith(rt *par.Runtime, a sparse.Operator, b, x []float64, tol float64, max
 // the result is bitwise identical to a solve with a nil context and no
 // guard. ctx may be nil (treated as context.Background()).
 func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []float64, restart int, o Options) (Stats, error) {
-	tol, maxIter, m, ws, hg := o.Tol, o.MaxIter, o.M, o.Work, o.Health
+	tol, maxIter, m, ws := o.Tol, o.MaxIter, o.M, o.Work
 	n, _ := a.Dims()
 	if len(b) != n || len(x) != n {
 		return Stats{}, fmt.Errorf("krylov: GMRES size mismatch (n=%d, len(b)=%d, len(x)=%d)", n, len(b), len(x))
 	}
 	if m == nil {
-		m = Identity()
+		m = identityPrec{}
 	}
 	if ws == nil {
 		ws = &Workspace{}
@@ -426,12 +413,7 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 		if nb == 0 {
 			nb = 1
 		}
-		rel := finalResidualWith(rt, a, b, x, nb, ws.r)
-		st := Stats{Iterations: 0, RelResidual: rel, Converged: rel < tol}
-		if !st.Converged {
-			return st, fmt.Errorf("%w: GMRES after 0 iterations, relres %.3e", ErrNotConverged, rel)
-		}
-		return st, nil
+		return finish("GMRES", false, 0, tol, finalResidualWith(rt, a, b, x, nb, ws.r))
 	}
 	if restart <= 0 {
 		restart = 50
@@ -547,13 +529,13 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 				k++
 				break
 			}
-			if hg != nil {
+			if o.Health {
 				// The guard reads the recurrence estimate the stopping test
 				// above already computed. On abort the unfinished cycle is
 				// discarded, like cancellation: x keeps the iterate of the
 				// last completed restart.
 				rel := math.Abs(s[k+1]) / zbnorm
-				if herr := hg.check(&gst, "GMRES", totalIters, rel); herr != nil {
+				if herr := gst.check("GMRES", totalIters, rel); herr != nil {
 					return Stats{Iterations: totalIters, RelResidual: rel}, herr
 				}
 			}
@@ -573,14 +555,24 @@ func GMRESCtx(ctx context.Context, rt *par.Runtime, a sparse.Operator, b, x []fl
 			break // stagnation
 		}
 	}
-	rel := finalResidualWith(rt, a, b, x, bnorm, r)
+	return finish("GMRES", met, totalIters, tol, finalResidualWith(rt, a, b, x, bnorm, r))
+}
+
+// finish classifies the end of a solve named name that ran iters
+// iterations and left the recomputed true relative residual rel; met
+// reports that the iteration's own residual estimate passed tol. An
+// estimate that passed while the true residual sits at or above
+// falseConvergenceLimit(tol) is false convergence (ErrDiverged); a
+// true residual at or above tol with an estimate that never passed is
+// ErrNotConverged.
+func finish(name string, met bool, iters int, tol, rel float64) (Stats, error) {
 	if met && tol > 0 && rel >= falseConvergenceLimit(tol) {
-		return Stats{Iterations: totalIters, RelResidual: rel},
-			fmt.Errorf("%w: GMRES false convergence at iteration %d: residual estimate met tol %.1e but true relres is %.3e", ErrDiverged, totalIters, tol, rel)
+		return Stats{Iterations: iters, RelResidual: rel},
+			fmt.Errorf("%w: %s false convergence at iteration %d: residual estimate met tol %.1e but true relres is %.3e", ErrDiverged, name, iters, tol, rel)
 	}
-	st := Stats{Iterations: totalIters, RelResidual: rel, Converged: met || rel < tol}
+	st := Stats{Iterations: iters, RelResidual: rel, Converged: met || rel < tol}
 	if !st.Converged {
-		return st, fmt.Errorf("%w: GMRES after %d iterations, relres %.3e", ErrNotConverged, totalIters, rel)
+		return st, fmt.Errorf("%w: %s after %d iterations, relres %.3e", ErrNotConverged, name, iters, rel)
 	}
 	return st, nil
 }

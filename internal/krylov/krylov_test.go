@@ -198,7 +198,7 @@ func TestGMRESZeroRHS(t *testing.T) {
 func TestIdentityPreconditioner(t *testing.T) {
 	r := []float64{1, 2, 3}
 	z := make([]float64, 3)
-	Identity().Precondition(r, z)
+	identityPrec{}.Precondition(r, z)
 	for i := range r {
 		if z[i] != r[i] {
 			t.Fatal("identity preconditioner must copy")
@@ -208,7 +208,7 @@ func TestIdentityPreconditioner(t *testing.T) {
 
 // TestOptionsDefaults pins the zero-value meanings of Options: nil ctx,
 // M, Work and Health give bitwise the same solve as
-// context.Background(), Identity(), a fresh Workspace and no guard, for
+// context.Background(), identityPrec{}, a fresh Workspace and no guard, for
 // every solver at 1/2/8 workers. It also pins the CGWith shim to CGCtx.
 func TestOptionsDefaults(t *testing.T) {
 	a := gen.Laplacian(gen.Laplace3D(8, 8, 8), 1e-2)
@@ -258,7 +258,7 @@ func TestOptionsDefaults(t *testing.T) {
 				t.Fatalf("%s at %d workers, zero options: %v", s.name, w, err)
 			}
 			explicit := base
-			explicit.M, explicit.Work = Identity(), &Workspace{}
+			explicit.M, explicit.Work = identityPrec{}, &Workspace{}
 			x1, st1, err := s.run(context.Background(), rt, explicit)
 			if err != nil {
 				t.Fatalf("%s at %d workers, explicit options: %v", s.name, w, err)

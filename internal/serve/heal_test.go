@@ -107,7 +107,7 @@ func TestEscalationRecoversBySGSRung(t *testing.T) {
 	}
 	want := make([]float64, a.Rows)
 	rt := par.New(rcfg.AMG.Threads)
-	if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
+	if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: true}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {

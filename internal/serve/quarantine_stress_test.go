@@ -62,7 +62,7 @@ func TestServeStressPoisonQuarantine(t *testing.T) {
 			t.Fatal(err)
 		}
 		want := make([]float64, a.Rows)
-		if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: rcfg.Health}); err != nil {
+		if _, err := krylov.CGCtx(nil, rt, a, append([]float64(nil), b...), want, krylov.Options{Tol: rcfg.Tol, MaxIter: rcfg.MaxIter, M: h, Health: true}); err != nil {
 			t.Fatal(err)
 		}
 		return want

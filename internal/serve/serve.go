@@ -98,13 +98,6 @@ type Config struct {
 	// map it to 504). Zero (the default) imposes no service-side
 	// deadline.
 	SolveTimeout time.Duration
-	// Health configures the per-iteration solver health guard applied
-	// to every served solve: non-finite residuals, divergence, and
-	// stagnation abort the iteration with a classified error instead of
-	// burning the MaxIter budget. nil selects krylov.DefaultHealth().
-	// The guard reads only residual norms the iteration already
-	// computed, so healthy solves are bitwise unchanged.
-	Health *krylov.Health
 	// MaxEscalations caps the escalation ladder: after a classified
 	// numerical failure (diverged, stagnated, broken down, or MaxIter
 	// exhausted — not non-finite inputs, which no strategy fixes) the
@@ -155,9 +148,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.Health == nil {
-		c.Health = krylov.DefaultHealth()
 	}
 	if c.MaxEscalations == 0 {
 		c.MaxEscalations = 2
@@ -271,8 +261,11 @@ func (st *RequestStats) finalize() {
 type Service struct {
 	cfg Config
 	rt  *par.Runtime
-	// solveOpt carries Config's Tol, MaxIter and Health; each solve
-	// adds its own preconditioner and workspace.
+	// solveOpt carries Config's Tol and MaxIter and turns on the
+	// krylov health guard: non-finite residuals, divergence and
+	// stagnation abort a served solve with a classified error instead
+	// of burning the MaxIter budget, and healthy solves are bitwise
+	// unchanged. Each solve adds its own preconditioner and workspace.
 	solveOpt krylov.Options
 	// sem is the admission semaphore bounding in-flight requests.
 	sem chan struct{}
@@ -332,7 +325,7 @@ func New(cfg Config) *Service {
 	s := &Service{
 		cfg:      cfg,
 		rt:       par.New(cfg.AMG.Threads),
-		solveOpt: krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, Health: cfg.Health},
+		solveOpt: krylov.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, Health: true},
 		sem:      make(chan struct{}, cfg.MaxInFlight),
 		entries:  make(map[uint64]*entry),
 		lru:      list.New(),

@@ -227,11 +227,14 @@ type SolveStats = krylov.Stats
 // SolveOptions configures SolveCG and SolveGMRES:
 // tolerance, iteration budget, preconditioner (nil means none), a
 // caller-held SolverWorkspace (nil allocates a temporary one; reusing
-// one makes repeated solves allocation-free) and a health guard (nil
-// means none). A guard classifies divergence, stagnation and non-finite
-// residuals into the ErrSolve* sentinels; it reads only residual norms
-// the convergence test already computes, so guarded and unguarded
-// successful solves are bitwise identical.
+// one makes repeated solves allocation-free) and Health, which turns on
+// the per-iteration health guard (false means none). The guard's
+// thresholds are fixed: divergence at 1e4 times the best residual for 5
+// consecutive iterations, stagnation after 100 iterations without 0.1%
+// relative progress. It classifies divergence, stagnation and
+// non-finite residuals into the ErrSolve* sentinels; it reads only
+// residual norms the convergence test already computes, so guarded and
+// unguarded successful solves are bitwise identical.
 type SolveOptions = krylov.Options
 
 // SolveCG runs preconditioned conjugate gradient on the SPD system
@@ -257,16 +260,6 @@ type SolverWorkspace = krylov.Workspace
 
 // NewSolverWorkspace returns a workspace pre-sized for n unknowns.
 func NewSolverWorkspace(n int) *SolverWorkspace { return krylov.NewWorkspace(n) }
-
-// SolverHealth configures the per-iteration health guard of the Krylov
-// solvers: divergence (residual blow-up past a factor of the best seen),
-// stagnation (no relative progress over a window), and non-finite
-// residuals each abort the iteration early with a classified error
-// instead of burning the remaining iteration budget. The zero value,
-// &SolverHealth{}, gives the defaults: divergence at 1e4 times the best
-// residual for 5 consecutive iterations, stagnation after 100
-// iterations without 0.1% relative progress.
-type SolverHealth = krylov.Health
 
 // Classified solver failures. All satisfy errors.Is against the
 // sentinel; ErrSolveQuarantined additionally unwraps from the
