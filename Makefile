@@ -14,11 +14,12 @@
 # runs it over every package via `go vet -vettool`. Any diagnostic makes
 # the run exit non-zero.
 #
-# `make check` is the CI gate: custom analyzers, vet everything, vet
-# and test the nested cmd/amgbench module (its own go.mod, so the root
-# ./... patterns skip it), then run the determinism suite under the race
-# detector (the worker-pool synchronization and the 1/2/8-worker bitwise
-# contract in one pass).
+# `make check` is the CI gate: custom analyzers, vet everything (once
+# more with GOARCH=arm64, a target the amd64 test runs never compile),
+# vet and test the nested cmd/amgbench module (its own go.mod, so the
+# root ./... patterns skip it), then run the determinism suite under the
+# race detector (the worker-pool synchronization and the 1/2/8-worker
+# bitwise contract in one pass).
 #
 # `make examples` runs every program under examples/ with `go run` and
 # fails on the first non-zero exit (`go build ./...` only compiles them).
@@ -49,7 +50,7 @@ BENCHCOUNT ?= 3
 BENCHPROCS ?= $(shell nproc)
 FORCE ?=
 FUZZTIME ?= 10s
-BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGAMG$$|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin'
+BENCH_PATTERN := 'BenchmarkRepeatedMultiply|BenchmarkRepeatedRAP|BenchmarkCGJacobi$$|BenchmarkCGJacobiWorkspace|BenchmarkCGAMG$$|BenchmarkSpMVHot|BenchmarkSpMVSELL|BenchmarkVCycleApply|BenchmarkVCycleF64Apply|BenchmarkGSSweepApply|BenchmarkMIS2Repeated|BenchmarkAMGBuild$$|BenchmarkAMGRefresh$$|BenchmarkServeThroughput|BenchmarkSequentialSolves|BenchmarkServePrecisionF64|BenchmarkCGNoGuard|BenchmarkCGHealthGuard|BenchmarkCoarseGraph|BenchmarkMIS2Levels|BenchmarkGraphWith|BenchmarkSpGEMMGalerkin|BenchmarkNewSELL|BenchmarkSELLFillValues'
 
 .PHONY: all build test race bench check lint fuzz benchsmoke examples
 
@@ -71,6 +72,7 @@ lint:
 
 check: lint
 	go vet ./...
+	GOARCH=arm64 go vet ./...
 	go -C cmd/amgbench vet ./...
 	go -C cmd/amgbench test ./...
 	go test -race -run 'Deterministic|Determinism|TestNoSIMDMatchesSIMD|TestGoldenDigestLaplace3D64|Bitwise|TestWorkspaceReuse|TestZeroRHS|TestMaxIterZero|ServeStress|Cancel|TestRefresh|TestPartition|TestCheck|TestFingerprint|TestHealth|TestEscalation|TestQuarantine|TestSolveEndpoint|FuzzProductPlan|FuzzGraphWith|TestRAPPlanReplayAcrossWorkers' ./...

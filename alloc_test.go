@@ -178,8 +178,8 @@ func TestSELLSmootherSweepZeroAllocs(t *testing.T) {
 
 // TestRefreshSELLZeroAllocs: the values-only numeric re-setup stays
 // zero-allocation with a SELL-format finest level on a 14^3 grid
-// (FillValues is a branch-free gather through the cached entry
-// schedule).
+// (FillValues walks the chunks on the caller at one worker, with no
+// closure).
 func TestRefreshSELLZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector bypasses sync.Pool arena recycling, charging spurious allocations")

@@ -166,6 +166,49 @@ func BenchmarkSpMVSELL(b *testing.B) {
 	}
 }
 
+// coldMatrix is amg-cold's system: the Elasticity3D 14^3 x 3-dof
+// Laplacian, 8232 rows and 576,000 entries, which amg.Build converts to
+// SELL on level 0.
+func coldMatrix() *sparse.Matrix {
+	return gen.Laplacian(gen.Elasticity3D(14, 14, 14, 3), 1e-4)
+}
+
+// BenchmarkNewSELL measures one SELL-C-sigma conversion of amg-cold's
+// matrix: the per-window length sort, the chunk sizing and the parallel
+// fill of the packed columns and values (a cold build runs it once per
+// SELL level).
+func BenchmarkNewSELL(b *testing.B) {
+	a := coldMatrix()
+	b.SetBytes(int64(12 * a.NNZ()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sparse.NewSELL(a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSELLFillValues measures the values-only refill of a SELL
+// conversion of amg-cold's matrix (every numeric pass runs it once per
+// SELL level).
+func BenchmarkSELLFillValues(b *testing.B) {
+	a := coldMatrix()
+	s, err := sparse.NewSELL(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rt := par.New(0)
+	b.SetBytes(int64(8 * a.NNZ()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.FillValues(rt, a); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkCGAMG measures AMG-preconditioned CG on the 40^3 Dirichlet
 // Laplacian through a reused workspace, on the hierarchy's fine
 // operator: the solve amgsolve, the facade's SolveCG and each column

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sort"
 
 	"mis2go/internal/coarsen"
 	"mis2go/internal/graph"
@@ -130,8 +131,8 @@ type Level struct {
 	Agg  coarsen.Aggregation
 	dinv []float64
 	// op is the apply-side view of A in the format sparse.ChooseFormat
-	// picks (A itself for CSR; a SELL conversion otherwise, whose cached
-	// values the numeric phase refreshes). The setup side (plan replays,
+	// picks (A itself for CSR; a SELL conversion otherwise, whose packed
+	// values the numeric phase refills). The setup side (plan replays,
 	// graph extraction) always works on the CSR A.
 	op sparse.Operator
 	// rho is the estimated spectral radius of D^{-1}A on this level,
@@ -218,7 +219,13 @@ func BuildCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hierarchy, e
 	if err != nil {
 		return nil, err
 	}
-	if err := h.BuildNumericCtx(ctx, a); err != nil {
+	// The symbolic phase validated a (finite values included) and
+	// fingerprinted this very pattern, so of BuildNumericCtx's checks
+	// only the diagonal ones can still fail.
+	if err := h.checkDiagonal(a, false); err != nil {
+		return nil, err
+	}
+	if err := h.numeric(ctx, a); err != nil {
 		return nil, err
 	}
 	return h, nil
@@ -247,24 +254,26 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 	if a.Rows != a.Cols {
 		return nil, errors.New("amg: matrix must be square")
 	}
-	if err := a.Validate(); err != nil {
+	rt := par.New(opt.Threads)
+	if err := a.ValidateWith(rt); err != nil {
 		return nil, fmt.Errorf("amg: invalid matrix: %w", err)
 	}
-	rt := par.New(opt.Threads)
 	h := &Hierarchy{
 		opt: opt, rt: rt,
 		fing: hash.PatternFingerprint(a.Rows, a.Cols, a.RowPtr, a.Col),
 	}
 	h.diagPos = make([]int, a.Rows)
-	for i := 0; i < a.Rows; i++ {
-		h.diagPos[i] = -1
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if int(a.Col[p]) == i {
-				h.diagPos[i] = p
-				break
+	rt.For(a.Rows, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			h.diagPos[i] = -1
+			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+				if int(a.Col[p]) == i {
+					h.diagPos[i] = p
+					break
+				}
 			}
 		}
-	}
+	})
 
 	cur := a
 	for level := 0; ; level++ {
@@ -299,10 +308,10 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		// Choose the level's apply-side operator format — only now that
 		// the level is known not to be the coarsest (the coarsest level is
 		// solved densely, its op never applied, so converting it would be
-		// pure waste). The conversion is pattern-only (values land in
-		// BuildNumeric): the SELL row sort and the value-replay entry
-		// schedule are part of the symbolic state.
-		l.op = sparse.NewOperator(cur)
+		// pure waste). The SELL layout (row sort, chunk sizes and columns)
+		// is part of the symbolic state; the numeric phase refills its
+		// values.
+		l.op = sparse.NewOperatorWith(rt, cur)
 		// The smoother's color sets depend on the pattern alone; the
 		// numeric phase only refills its values.
 		if opt.Smoother == SmootherPointSGS {
@@ -320,6 +329,9 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 		}
 		lp.p0, lp.smooth = p0, sp
 		p := sp.NewMatrix()
+		if p.NNZ() > math.MaxInt32 {
+			return nil, fmt.Errorf("amg: level %d prolongator has %d entries, over the 32-bit transpose plan bound", level, p.NNZ())
+		}
 		lp.trans = sparse.PlanTranspose(rt, p)
 		r := lp.trans.NewMatrix()
 		rp, err := sparse.PlanRAP(rt, r, cur, p)
@@ -334,7 +346,7 @@ func BuildSymbolicCtx(ctx context.Context, a *sparse.Matrix, opt Options) (*Hier
 	// A one-level hierarchy converts level 0 anyway: its op is also the
 	// outer Krylov matvec (FineOperator).
 	if len(h.Levels) == 1 {
-		h.Levels[0].op = sparse.NewOperator(h.Levels[0].A)
+		h.Levels[0].op = sparse.NewOperatorWith(rt, h.Levels[0].A)
 	}
 
 	// Preallocate the dense coarse factorization (pattern-sized storage;
@@ -437,26 +449,56 @@ func (h *Hierarchy) checkSamePattern(a *sparse.Matrix) error {
 }
 
 // validateValues rejects value sets that cannot produce a usable numeric
-// state, before the replay mutates anything: non-finite entries, rows
-// whose diagonal is zero or absent (every level diagonal inversion and
-// smoother needs it), and — with checkSign, the Refresh contract —
-// fine diagonal entries whose sign flipped relative to the current
-// operator, the classic symptom of a corrupted or mis-assembled
-// re-setup matrix (an SPD operator turning indefinite). Catching all of
-// these up front is what lets a rejected Refresh leave the previous
-// operator fully usable. checkSign must only be set when the hierarchy
-// holds a valid numeric state (dinv is read as the previous diagonal's
-// sign).
+// state, before the replay mutates anything: non-finite entries (the
+// lowest entry first), then the diagonal checks (checkDiagonal). Both
+// scans run over row blocks and report the lowest failure, so the error
+// is the same at any worker count; at one worker they build no closure.
+// Catching all of these up front is what lets a rejected Refresh leave
+// the previous operator fully usable.
 func (h *Hierarchy) validateValues(a *sparse.Matrix, checkSign bool) error {
-	for p, v := range a.Val {
+	var err error
+	if n := len(a.Val); h.rt.Serial(n) {
+		err = checkFinite(a.Val, 0, n)
+	} else {
+		err = h.rt.FirstError(n, func(lo, hi int) error { return checkFinite(a.Val, lo, hi) })
+	}
+	if err != nil {
+		return err
+	}
+	return h.checkDiagonal(a, checkSign)
+}
+
+// checkFinite reports the first non-finite entry of val[lo:hi].
+func checkFinite(val []float64, lo, hi int) error {
+	for p, v := range val[lo:hi] {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("%w: non-finite value at entry %d", ErrBadValues, p)
+			return fmt.Errorf("%w: non-finite value at entry %d", ErrBadValues, lo+p)
 		}
 	}
+	return nil
+}
+
+// checkDiagonal rejects rows whose diagonal is zero or absent (every
+// level diagonal inversion and smoother needs it) and — with checkSign,
+// the Refresh contract — fine diagonal entries whose sign flipped
+// relative to the current operator, the classic symptom of a corrupted
+// or mis-assembled re-setup matrix (an SPD operator turning indefinite).
+// It reports the lowest failing row. checkSign must only be set when the
+// hierarchy holds a valid numeric state (dinv is read as the previous
+// diagonal's sign).
+func (h *Hierarchy) checkDiagonal(a *sparse.Matrix, checkSign bool) error {
+	if n := len(h.diagPos); h.rt.Serial(n) {
+		return h.checkDiagonalRows(a, checkSign, 0, n)
+	}
+	return h.rt.FirstError(len(h.diagPos), func(lo, hi int) error { return h.checkDiagonalRows(a, checkSign, lo, hi) })
+}
+
+// checkDiagonalRows runs checkDiagonal's checks on rows [lo, hi).
+func (h *Hierarchy) checkDiagonalRows(a *sparse.Matrix, checkSign bool, lo, hi int) error {
 	prev := h.Levels[0].dinv // same sign as the previous diagonal (it is its inverse)
-	for i, p := range h.diagPos {
+	for i := lo; i < hi; i++ {
 		diag := 0.0
-		if p >= 0 {
+		if p := h.diagPos[i]; p >= 0 {
 			diag = a.Val[p]
 		}
 		if diag == 0 {
@@ -491,11 +533,11 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 			}
 		}
 		cur := l.A
-		// Refresh the level's apply-side operator: a SELL level gathers
-		// the new values through its cached entry schedule; CSR levels
-		// just re-point (the fine level's A was swapped above).
+		// Refresh the level's apply-side operator: a SELL level walks the
+		// new values into its chunks; CSR levels just re-point (the fine
+		// level's A was swapped above).
 		if s, ok := l.op.(*sparse.SELL); ok {
-			if err := s.FillValues(cur); err != nil {
+			if err := s.FillValues(rt, cur); err != nil {
 				return fmt.Errorf("amg: level %d operator refresh: %w", level, err)
 			}
 		} else {
@@ -508,9 +550,11 @@ func (h *Hierarchy) numeric(ctx context.Context, a *sparse.Matrix) error {
 			}
 			l.dinv[i] = 1 / d
 		}
-		// The power iteration borrows the level's solve scratch (fully
-		// overwritten before any solve reads it).
-		l.rho = estimateSpectralRadius(rt, cur, l.dinv, 15, l.x, l.r)
+		// The power iteration runs on the just-refreshed apply-side
+		// operator (bit-identical to cur in either format) and borrows the
+		// level's solve scratch (fully overwritten before any solve reads
+		// it).
+		l.rho = estimateSpectralRadius(rt, l.op, l.dinv, 15, l.x, l.r)
 		lp := h.plans[level]
 		if l.gsOp != nil {
 			if err := l.gsOp.Refill(cur); err != nil {
@@ -566,38 +610,110 @@ func (h *Hierarchy) checkValid() {
 }
 
 // estimateSpectralRadius runs a deterministic power iteration on D^{-1}A
-// using caller-provided scratch vectors x and y (length n, fully
-// overwritten), so repeated numeric setups allocate nothing.
-func estimateSpectralRadius(rt *par.Runtime, a *sparse.Matrix, dinv []float64, iters int, x, y []float64) float64 {
-	n := a.Rows
+// for the square operator a, using caller-provided scratch vectors x and
+// y (length len(dinv), fully overwritten), so repeated numeric setups
+// allocate nothing at one worker. The vector passes run over row
+// blocks: each block keeps its own max |y_i|, and the max over the
+// blocks is the same number the serial pass finds (max is exact), so the
+// estimate has the same bits at any worker count.
+func estimateSpectralRadius(rt *par.Runtime, a sparse.Operator, dinv []float64, iters int, x, y []float64) float64 {
+	n := len(dinv)
 	x = x[:n]
 	y = y[:n]
 	for i := range x {
 		// Deterministic pseudo-random start vector.
 		x[i] = 0.5 + float64((i*2654435761)%1024)/2048.0
 	}
+	// The parallel passes; nil on the serial path, which builds no
+	// closure.
+	var scaleMax func() float64
+	var rescale func(s float64)
+	if !rt.Serial(n) {
+		scaleMax, rescale = powerPasses(rt, x, y, dinv)
+	}
 	lambda := 0.0
 	for it := 0; it < iters; it++ {
 		a.SpMV(rt, x, y)
-		norm := 0.0
-		for i := range y {
-			y[i] *= dinv[i]
-			if v := y[i]; v > norm {
-				norm = v
-			} else if -v > norm {
-				norm = -v
-			}
+		var norm float64
+		if scaleMax == nil {
+			norm = scaleMaxAbs(y, dinv, 0, n)
+		} else {
+			norm = scaleMax()
 		}
 		if norm == 0 {
 			return 0
 		}
 		lambda = norm
 		inv := 1 / norm
-		for i := range y {
-			x[i] = y[i] * inv
+		if rescale == nil {
+			scaleInto(x, y, inv, 0, n)
+		} else {
+			rescale(inv)
 		}
 	}
 	return lambda
+}
+
+// powerPasses returns the power iteration's two vector passes over
+// rt's row blocks: scaleMax scales y by dinv and returns max |y_i| (the
+// max of the blocks' maxima), and rescale sets x = y*s. The closures
+// are built once per estimate, and each pass hands rt.For a prebuilt
+// one; a block finds its slot of peak from its first row, since For's
+// blocks are the ones rt.Blocks lists.
+func powerPasses(rt *par.Runtime, x, y, dinv []float64) (scaleMax func() float64, rescale func(s float64)) {
+	n := len(y)
+	blocks := rt.Blocks(n)
+	peak := make([]float64, len(blocks)-1)
+	var inv float64
+	scaleRange := func(lo, hi int) { peak[sort.SearchInts(blocks, lo)] = scaleMaxAbs(y, dinv, lo, hi) }
+	rescaleRange := func(lo, hi int) { scaleInto(x, y, inv, lo, hi) }
+	scaleMax = func() float64 {
+		rt.For(n, scaleRange)
+		return maxAbs(peak)
+	}
+	rescale = func(s float64) {
+		inv = s
+		rt.For(n, rescaleRange)
+	}
+	return scaleMax, rescale
+}
+
+// scaleMaxAbs scales y[lo:hi] by dinv in place and returns the largest
+// |y_i| of the range, starting from 0 (NaNs never compare larger).
+func scaleMaxAbs(y, dinv []float64, lo, hi int) float64 {
+	y, dinv = y[lo:hi], dinv[lo:hi]
+	dinv = dinv[:len(y)]
+	norm := 0.0
+	for i := range y {
+		v := y[i] * dinv[i]
+		y[i] = v
+		if v > norm {
+			norm = v
+		} else if -v > norm {
+			norm = -v
+		}
+	}
+	return norm
+}
+
+// maxAbs returns the largest of the blocks' maxima (each at least +0).
+func maxAbs(peak []float64) float64 {
+	norm := 0.0
+	for _, v := range peak {
+		if v > norm {
+			norm = v
+		}
+	}
+	return norm
+}
+
+// scaleInto sets x[i] = y[i]*s for i in [lo, hi).
+func scaleInto(x, y []float64, s float64, lo, hi int) {
+	x, y = x[lo:hi], y[lo:hi]
+	x = x[:len(y)]
+	for i, v := range y {
+		x[i] = v * s
+	}
 }
 
 // Valid reports whether the hierarchy holds a usable numeric state:

@@ -5,6 +5,8 @@
 package amg
 
 import (
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -402,5 +404,69 @@ func TestBuildNumericIsHistoryIndependent(t *testing.T) {
 	// Refresh keeps its stricter same-operator contract.
 	if err := h.Refresh(a); err == nil {
 		t.Fatal("Refresh accepted a sign flip relative to the current operator")
+	}
+}
+
+// TestValueRejectionBitwiseAcrossWorkers plants several value defects
+// in different row blocks and requires the same rejection text from
+// Refresh and Build at 1, 2 and 8 workers: the lowest non-finite entry
+// before any diagonal check, then the lowest failing diagonal row.
+func TestValueRejectionBitwiseAcrossWorkers(t *testing.T) {
+	a := gen.Laplacian(gen.Laplace3D(12, 12, 12), 0.05)
+	diagAt := func(m *sparse.Matrix, i int) *float64 {
+		for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+			if int(m.Col[p]) == i {
+				return &m.Val[p]
+			}
+		}
+		t.Fatalf("row %d stores no diagonal", i)
+		return nil
+	}
+	nonFinite := a.Clone()
+	nonFinite.Val[9000] = math.NaN()
+	nonFinite.Val[2000] = math.Inf(1)
+	*diagAt(nonFinite, 100) = 0
+	diagonal := a.Clone()
+	*diagAt(diagonal, 1500) = 0
+	*diagAt(diagonal, 900) *= -1
+	*diagAt(diagonal, 1200) *= -1
+	zeros := a.Clone()
+	*diagAt(zeros, 1200) = 0
+	*diagAt(zeros, 600) = 0
+	for _, tc := range []struct {
+		name    string
+		m       *sparse.Matrix
+		refresh string // Refresh's rejection
+		build   string // Build's rejection
+	}{
+		{"non-finite", nonFinite, "non-finite value at entry 2000", "non-finite value at row"},
+		{"diagonal", diagonal, "sign flip at row 900", "zero diagonal at row 1500"},
+		{"zeros", zeros, "zero diagonal at row 600", "zero diagonal at row 600"},
+	} {
+		var refreshText, buildText string
+		for _, workers := range refreshWorkerCounts {
+			h, err := Build(a, Options{Threads: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rerr := h.Refresh(tc.m)
+			_, berr := Build(tc.m, Options{Threads: workers})
+			if rerr == nil || berr == nil {
+				t.Fatalf("%s, %d workers: Refresh %v, Build %v: want both rejected", tc.name, workers, rerr, berr)
+			}
+			if !strings.Contains(rerr.Error(), tc.refresh) || !strings.Contains(berr.Error(), tc.build) {
+				t.Fatalf("%s, %d workers: Refresh %q, Build %q; want %q and %q", tc.name, workers, rerr, berr, tc.refresh, tc.build)
+			}
+			// Build's non-finite rejection is Validate's; every other one is
+			// a pre-mutation value rejection.
+			if !errors.Is(rerr, ErrBadValues) || (tc.name != "non-finite" && !errors.Is(berr, ErrBadValues)) {
+				t.Fatalf("%s, %d workers: Refresh %v, Build %v: want ErrBadValues", tc.name, workers, rerr, berr)
+			}
+			if workers == refreshWorkerCounts[0] {
+				refreshText, buildText = rerr.Error(), berr.Error()
+			} else if rerr.Error() != refreshText || berr.Error() != buildText {
+				t.Fatalf("%s, %d workers: %q / %q differ from 1 worker's %q / %q", tc.name, workers, rerr, berr, refreshText, buildText)
+			}
+		}
 	}
 }

@@ -236,27 +236,3 @@ func WriteMatrix(w io.Writer, m *sparse.Matrix) error {
 	}
 	return bw.Flush()
 }
-
-// WriteGraph writes g in coordinate pattern symmetric format (each
-// undirected edge once, lower triangle).
-func WriteGraph(w io.Writer, g *graph.CSR) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "%%MatrixMarket matrix coordinate pattern symmetric")
-	edges := 0
-	for v := int32(0); int(v) < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u < v {
-				edges++
-			}
-		}
-	}
-	fmt.Fprintf(bw, "%d %d %d\n", g.N, g.N, edges)
-	for v := int32(0); int(v) < g.N; v++ {
-		for _, u := range g.Neighbors(v) {
-			if u < v {
-				fmt.Fprintf(bw, "%d %d\n", v+1, u+1)
-			}
-		}
-	}
-	return bw.Flush()
-}

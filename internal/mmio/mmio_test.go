@@ -1,12 +1,16 @@
 package mmio
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
 	"strings"
 	"testing"
 
 	"mis2go/internal/gen"
+	"mis2go/internal/graph"
 	"mis2go/internal/mis"
 )
 
@@ -275,4 +279,29 @@ func TestWriteGraphEmpty(t *testing.T) {
 	if h.N != 1 || h.NumEdges() != 0 {
 		t.Fatal("empty graph round trip wrong")
 	}
+}
+
+// WriteGraph writes g in coordinate pattern symmetric format (each
+// undirected edge once, lower triangle): the round-trip partner of
+// ReadGraph in these tests.
+func WriteGraph(w io.Writer, g *graph.CSR) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "%%MatrixMarket matrix coordinate pattern symmetric")
+	edges := 0
+	for v := int32(0); int(v) < g.N; v++ {
+		for _, u := range g.Neighbors(v) {
+			if u < v {
+				edges++
+			}
+		}
+	}
+	fmt.Fprintf(bw, "%d %d %d\n", g.N, g.N, edges)
+	for v := int32(0); int(v) < g.N; v++ {
+		for _, u := range g.Neighbors(v) {
+			if u < v {
+				fmt.Fprintf(bw, "%d %d\n", v+1, u+1)
+			}
+		}
+	}
+	return bw.Flush()
 }

@@ -155,6 +155,26 @@ func (r *Runtime) ForBlocks(nb int, body func(b int)) {
 	})
 }
 
+// FirstError runs body over the blocks For would use for [0, n),
+// possibly concurrently, and returns the error of the lowest block that
+// failed, or nil. When body returns the first failure of its own range,
+// the result is the failure with the lowest index, the same at any
+// worker count. A single block runs inline on the caller.
+func (r *Runtime) FirstError(n int, body func(lo, hi int) error) error {
+	if r.Serial(n) {
+		return body(0, n)
+	}
+	blocks := r.Blocks(n)
+	errs := make([]error, len(blocks)-1)
+	r.ForBlocks(len(errs), func(b int) { errs[b] = body(blocks[b], blocks[b+1]) })
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Integer is the constraint for scan/reduce element types.
 type Integer interface {
 	~int | ~int32 | ~int64 | ~uint32 | ~uint64

@@ -1,6 +1,7 @@
 package par
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -283,5 +284,48 @@ func TestFilterLargePreservesOrder(t *testing.T) {
 	}
 	if len(got) != (n+16)/17 {
 		t.Fatalf("kept %d, want %d", len(got), (n+16)/17)
+	}
+}
+
+// TestFirstErrorReportsLowestFailure: with bodies that return the first
+// failing index of their range, FirstError returns the lowest failing
+// index at every worker count, covers [0, n) exactly once when nothing
+// fails, and returns nil then.
+func TestFirstErrorReportsLowestFailure(t *testing.T) {
+	for _, w := range workerCounts() {
+		rt := New(w)
+		for _, n := range []int{0, 1, 511, 512, 513, 10000} {
+			hits := make([]int32, n)
+			err := rt.FirstError(n, func(lo, hi int) error {
+				for i := lo; i < hi; i++ {
+					atomic.AddInt32(&hits[i], 1)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("workers=%d n=%d: %v", w, n, err)
+			}
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", w, n, i, h)
+				}
+			}
+			for _, bad := range [][]int{{n - 1}, {n / 3, n - 1}, {0, n / 2, n - 1}} {
+				if n == 0 {
+					break
+				}
+				err := rt.FirstError(n, func(lo, hi int) error {
+					for i := lo; i < hi; i++ {
+						if slices.Contains(bad, i) {
+							return fmt.Errorf("index %d", i)
+						}
+					}
+					return nil
+				})
+				if want := fmt.Sprintf("index %d", bad[0]); err == nil || err.Error() != want {
+					t.Fatalf("workers=%d n=%d bad=%v: %v, want %s", w, n, bad, err, want)
+				}
+			}
+		}
 	}
 }

@@ -714,7 +714,7 @@ func TestServeRejectsOversizedRequest(t *testing.T) {
 // enough (13^3 = 2197 rows) that sparse.ChooseFormat puts the finest
 // level — and hence the outer CG operator, the hierarchy's
 // FineOperator — on SELL. Build, reuse, and refresh (the hierarchy
-// refills the SELL values through its entry schedule) must serve
+// refills the SELL values chunk by chunk) must serve
 // results bitwise identical to the sequential reference, whose outer
 // operator is the CSR matrix itself.
 func TestServeSELLOuterOperatorBitwise(t *testing.T) {

@@ -140,12 +140,17 @@ func ChooseFormat(a *Matrix) Format {
 
 // NewOperator returns a's kernels in the format ChooseFormat picks: a
 // SELL-C-sigma conversion or a itself. A SELL conversion that fails for
-// capacity reasons (an operator too large for the 32-bit entry
-// schedule) falls back to CSR; the formats are bit-identical, so the
-// choice only changes speed.
-func NewOperator(a *Matrix) Operator {
+// capacity reasons (an operator too large for the 32-bit chunk offsets)
+// falls back to CSR; the formats are bit-identical, so the choice only
+// changes speed. It converts on the default runtime; NewOperatorWith
+// takes one.
+func NewOperator(a *Matrix) Operator { return NewOperatorWith(par.Default(), a) }
+
+// NewOperatorWith is NewOperator with an explicit runtime for the SELL
+// conversion. The operator is the same at any worker count.
+func NewOperatorWith(rt *par.Runtime, a *Matrix) Operator {
 	if ChooseFormat(a) == FormatSELL {
-		if s, err := NewSELL(a); err == nil {
+		if s, err := newSELL(rt, a, sellSigma); err == nil {
 			return s
 		}
 	}

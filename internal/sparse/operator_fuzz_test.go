@@ -13,8 +13,10 @@ import (
 // columns of a block (1..40 each), data[2] a power-of-two value scale
 // (an int8 exponent), data[3] the block count (1..64, stacked
 // block-diagonally so larger inputs cross the parallel split
-// threshold), data[4] the sigma choice, then 4-byte entries (row, col,
-// int16 value code). A value is code/3 scaled, and the most negative
+// threshold), data[4] the sigma choice (its low two bits) and a block
+// count multiplier (1..8, its next three bits, so even two-row blocks
+// can cross the split), then 4-byte entries (row, col, int16 value
+// code). A value is code/3 scaled, and the most negative
 // code stands for -0. A repeated (row, col) keeps its last value. Returns
 // nil for inputs shorter than the header.
 func fuzzOperatorMatrix(data []byte) (*Matrix, int) {
@@ -23,7 +25,7 @@ func fuzzOperatorMatrix(data []byte) (*Matrix, int) {
 	}
 	br, bc := 1+int(data[0])%40, 1+int(data[1])%40
 	exp := int(int8(data[2]))
-	tiles := 1 + int(data[3])%64
+	tiles := (1 + int(data[3])%64) * (1 + int(data[4]>>2)%8)
 	sigma := []int{sellSigma, sellC, 2 * sellC, 64}[data[4]%4]
 	val := make([]float64, br*bc)
 	set := make([]bool, br*bc)
@@ -88,7 +90,9 @@ func requireOperatorMatchesCSR(t *testing.T, name string, ref *Matrix, op Operat
 }
 
 // FuzzOperatorFormats is the differential oracle of the operator
-// formats: on fuzzed valid matrices SELL must match CSR bit for bit,
+// formats: on fuzzed valid matrices the SELL conversion must equal the
+// serial reference field by field at 1, 2 and 8 workers, and so must
+// FillValues after a value change, and SELL must match CSR bit for bit
 // for every kernel at 1, 2 and 8 workers.
 func FuzzOperatorFormats(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -99,7 +103,22 @@ func FuzzOperatorFormats(f *testing.F) {
 		if err := a.Validate(); err != nil {
 			t.Fatalf("decoded matrix is invalid: %v", err)
 		}
-		sell, err := newSELL(a, sigma)
+		want := refSELL(a, sigma)
+		scaled := scaledCopy(a, -1.5)
+		wantScaled := refSELL(scaled, sigma)
+		for _, workers := range []int{1, 2, 8} {
+			rt := par.New(workers)
+			sell, err := newSELL(rt, a, sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSELLEqual(t, "conversion", sell, want)
+			if err := sell.FillValues(rt, scaled); err != nil {
+				t.Fatal(err)
+			}
+			requireSELLEqual(t, "FillValues", sell, wantScaled)
+		}
+		sell, err := newSELL(par.New(2), a, sigma)
 		if err != nil {
 			t.Fatal(err)
 		}

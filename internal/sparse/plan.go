@@ -267,13 +267,19 @@ type TransposePlan struct {
 	ptr        []int
 	col        []int32
 	// perm[p] is the output position of input entry p.
-	perm []int
+	perm []int32
 }
 
 // PlanTranspose computes the pattern of A^T and the entry permutation.
+// The permutation is 32-bit: A must hold at most math.MaxInt32 entries
+// (amg checks its prolongators before planning), and a larger A is a
+// caller bug that panics here, at plan time.
 func PlanTranspose(rt *par.Runtime, a *Matrix) *TransposePlan {
+	if len(a.Col) > math.MaxInt32 {
+		panic(fmt.Sprintf("sparse: transpose plan of a matrix with %d entries overflows its 32-bit permutation", len(a.Col)))
+	}
 	pl := &TransposePlan{rows: a.Rows, cols: a.Cols}
-	pl.perm = make([]int, len(a.Col))
+	pl.perm = make([]int32, len(a.Col))
 	pl.ptr, pl.col, _ = a.transposeBlocked(rt, a.Cols, false, pl.perm)
 	return pl
 }

@@ -146,7 +146,7 @@ func TestTransposePlanMatchesTranspose(t *testing.T) {
 
 // refTranspose is the serial counting sort: entries land in column
 // buckets in row-major input order. perm[p] is entry p's output position.
-func refTranspose(a *Matrix) (t *Matrix, perm []int) {
+func refTranspose(a *Matrix) (t *Matrix, perm []int32) {
 	t = &Matrix{Rows: a.Cols, Cols: a.Rows, RowPtr: make([]int, a.Cols+1)}
 	for _, j := range a.Col {
 		t.RowPtr[j+1]++
@@ -157,11 +157,11 @@ func refTranspose(a *Matrix) (t *Matrix, perm []int) {
 	fill := append([]int(nil), t.RowPtr[:a.Cols]...)
 	t.Col = make([]int32, len(a.Col))
 	t.Val = make([]float64, len(a.Col))
-	perm = make([]int, len(a.Col))
+	perm = make([]int32, len(a.Col))
 	for i := 0; i < a.Rows; i++ {
 		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
 			j := a.Col[p]
-			perm[p] = fill[j]
+			perm[p] = int32(fill[j])
 			t.Col[fill[j]] = int32(i)
 			t.Val[fill[j]] = a.Val[p]
 			fill[j]++

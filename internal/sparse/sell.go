@@ -1,10 +1,8 @@
 package sparse
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 
 	"mis2go/internal/par"
 )
@@ -34,10 +32,13 @@ import (
 //     kernel and every worker count; the row permutation affects only
 //     where writes land, never what is summed in what order.
 //
-// The packed layout also records, per stored entry, the index of the
-// CSR entry it came from. Refreshing values for a same-pattern matrix
-// (the AMG numeric/Refresh path) is then a branch-free gather —
-// FillValues — with zero allocations.
+// A conversion is a count pass and a copy: a stable counting sort on
+// row length orders each sort window, the lane lengths size every chunk
+// and its count run, and a prefix sum over the chunks places them, so
+// the chunks fill in parallel, each written by index. Refreshing values
+// for a same-pattern matrix (the AMG numeric/Refresh path) walks the
+// chunks the same way — FillValues — with zero allocations at one
+// worker and no per-entry index stored.
 //
 // Concurrency: like *Matrix, all kernels are read-only on the operator
 // and safe for concurrent use; FillValues mutates the packed values and
@@ -52,7 +53,6 @@ type SELL struct {
 	cnt        []uint8 // per (chunk, position): active lane count
 	col        []int32 // packed column indices
 	val        []float64
-	entry      []int32 // packed position -> CSR entry index (value replay)
 }
 
 // sellC is the SELL chunk size: the number of rows (lanes, independent
@@ -65,92 +65,181 @@ const sellC = 8
 // permutation stays local and the gathers from x keep their locality.
 const sellSigma = 4096
 
-// NewSELL converts a CSR matrix to SELL-C-sigma. The conversion is
-// deterministic: the length sort is stable, so ties keep row order.
-// Matrices whose entry count overflows the 32-bit replay schedule are
+// NewSELL converts a CSR matrix to SELL-C-sigma on the default runtime.
+// The conversion is deterministic: the length sort is stable, so ties
+// keep row order, and the layout is the same at any worker count.
+// Matrices whose entry count overflows the 32-bit chunk offsets are
 // rejected.
-func NewSELL(a *Matrix) (*SELL, error) { return newSELL(a, sellSigma) }
+func NewSELL(a *Matrix) (*SELL, error) { return newSELL(par.Default(), a, sellSigma) }
 
-// newSELL is NewSELL with an explicit sort window sigma, a positive
-// multiple of sellC (a window below one chunk cannot keep the active
-// lanes a prefix, and an unaligned one would make a chunk straddle two
-// windows). Only tests pick a window other than sellSigma.
-func newSELL(a *Matrix, sigma int) (*SELL, error) {
+// newSELL is NewSELL with an explicit runtime and sort window sigma, a
+// positive multiple of sellC (a window below one chunk cannot keep the
+// active lanes a prefix, and an unaligned one would make a chunk
+// straddle two windows). Only tests pick a window other than sellSigma.
+func newSELL(rt *par.Runtime, a *Matrix, sigma int) (*SELL, error) {
 	if len(a.Col) > math.MaxInt32 || a.Rows > math.MaxInt32 {
-		return nil, fmt.Errorf("sparse: SELL conversion of %dx%d matrix with %d entries overflows the 32-bit entry schedule",
+		return nil, fmt.Errorf("sparse: SELL conversion of %dx%d matrix with %d entries overflows the 32-bit chunk offsets",
 			a.Rows, a.Cols, len(a.Col))
 	}
 	n := a.Rows
-	s := &SELL{rows: n, cols: a.Cols}
-	s.perm = make([]int32, n)
-	for i := range s.perm {
-		s.perm[i] = int32(i)
-	}
-	rowLen := func(r int32) int { return a.RowPtr[r+1] - a.RowPtr[r] }
-	for lo := 0; lo < n; lo += sigma {
-		hi := min(lo+sigma, n)
-		slices.SortStableFunc(s.perm[lo:hi], func(p, q int32) int {
-			return cmp.Compare(rowLen(q), rowLen(p)) // descending
-		})
-	}
-
 	nchunks := (n + sellC - 1) / sellC
-	s.chunkPtr = make([]int32, nchunks+1)
-	s.width = make([]int32, nchunks)
-	s.full = make([]int32, nchunks)
-	s.cntPtr = make([]int32, nchunks+1)
-	s.col = make([]int32, 0, len(a.Col))
-	s.val = make([]float64, 0, len(a.Col))
-	s.entry = make([]int32, 0, len(a.Col))
-	for c := 0; c < nchunks; c++ {
-		lanes := s.perm[c*sellC : min(c*sellC+sellC, n)]
-		w := 0
-		for _, r := range lanes {
-			w = max(w, rowLen(r))
-		}
-		full := 0
-		if len(lanes) == sellC {
-			full = rowLen(lanes[sellC-1]) // shortest lane: lanes are sorted
-		}
-		s.width[c] = int32(w)
-		s.full[c] = int32(full)
-		s.chunkPtr[c] = int32(len(s.col))
-		s.cntPtr[c] = int32(len(s.cnt))
-		for j := 0; j < w; j++ {
-			m := 0
-			for _, r := range lanes {
-				if rowLen(r) <= j {
-					break // descending lengths: the rest are shorter too
-				}
-				p := a.RowPtr[r] + j
-				s.col = append(s.col, a.Col[p])
-				s.val = append(s.val, a.Val[p])
-				s.entry = append(s.entry, int32(p))
-				m++
-			}
-			s.cnt = append(s.cnt, uint8(m))
-		}
+	s := &SELL{
+		rows: n, cols: a.Cols,
+		perm:     make([]int32, n),
+		chunkPtr: make([]int32, nchunks+1),
+		width:    make([]int32, nchunks),
+		full:     make([]int32, nchunks),
+		cntPtr:   make([]int32, nchunks+1),
 	}
-	s.chunkPtr[nchunks] = int32(len(s.col))
-	s.cntPtr[nchunks] = int32(len(s.cnt))
+	// Sort each window and size its chunks: chunkPtr[c+1] and
+	// cntPtr[c+1] first hold chunk c's entry and position counts.
+	rt.ForBlocks((n+sigma-1)/sigma, func(w int) {
+		lo, hi := w*sigma, min(w*sigma+sigma, n)
+		s.sortWindow(a.RowPtr, lo, hi)
+		for c := lo / sellC; c < (hi+sellC-1)/sellC; c++ {
+			s.sizeChunk(a.RowPtr, c)
+		}
+	})
+	for c := 0; c < nchunks; c++ {
+		s.chunkPtr[c+1] += s.chunkPtr[c]
+		s.cntPtr[c+1] += s.cntPtr[c]
+	}
+	s.col = make([]int32, len(a.Col))
+	s.val = make([]float64, len(a.Val))
+	s.cnt = make([]uint8, s.cntPtr[nchunks])
+	rt.For(n, func(lo, hi int) {
+		for c := (lo + sellC - 1) / sellC; c < (hi+sellC-1)/sellC; c++ {
+			s.countChunk(a.RowPtr, c)
+			gatherChunk(s, a.RowPtr, a.Col, s.col, c)
+			gatherChunk(s, a.RowPtr, a.Val, s.val, c)
+		}
+	})
 	return s, nil
 }
 
-// FillValues refreshes the packed values from a same-pattern CSR matrix
-// — a branch-free gather through the cached entry schedule, zero
-// allocations. Only the shape and entry count are checked here;
-// pattern identity is the caller's contract (the AMG hierarchy
-// fingerprints it).
-func (s *SELL) FillValues(a *Matrix) error {
+// sortWindow orders rows [lo, hi) into perm[lo:hi] by descending
+// length with a stable counting sort: ties keep row order, exactly as a
+// stable comparison sort would leave them.
+func (s *SELL) sortWindow(rowPtr []int, lo, hi int) {
+	longest := 0
+	for i := lo; i < hi; i++ {
+		longest = max(longest, rowPtr[i+1]-rowPtr[i])
+	}
+	ar := par.AcquireArena()
+	// at[k] counts the rows of length k, then becomes the next slot of
+	// that length: the rows of every greater length come first.
+	at := par.GetZeroed[int](ar, longest+1)
+	for i := lo; i < hi; i++ {
+		at[rowPtr[i+1]-rowPtr[i]]++
+	}
+	run := lo
+	for k := longest; k >= 0; k-- {
+		at[k], run = run, run+at[k]
+	}
+	for i := lo; i < hi; i++ {
+		k := rowPtr[i+1] - rowPtr[i]
+		s.perm[at[k]] = int32(i)
+		at[k]++
+	}
+	par.Put(ar, at)
+	par.ReleaseArena(ar)
+}
+
+// sizeChunk records chunk c's width and full-lane prefix from its sorted
+// lanes, and its entry and position counts in chunkPtr[c+1] and
+// cntPtr[c+1] for the prefix sum.
+func (s *SELL) sizeChunk(rowPtr []int, c int) {
+	lanes := s.perm[c*sellC : min(c*sellC+sellC, s.rows)]
+	nnz := 0
+	for _, r := range lanes {
+		nnz += rowPtr[r+1] - rowPtr[r]
+	}
+	w := rowPtr[lanes[0]+1] - rowPtr[lanes[0]] // lanes descend in length
+	full := 0
+	if len(lanes) == sellC {
+		full = rowPtr[lanes[sellC-1]+1] - rowPtr[lanes[sellC-1]]
+	}
+	s.width[c], s.full[c] = int32(w), int32(full)
+	s.chunkPtr[c+1], s.cntPtr[c+1] = int32(nnz), int32(w)
+}
+
+// countChunk writes chunk c's active-lane count for each of its
+// positions: the lanes longer than position j, a prefix of the chunk.
+func (s *SELL) countChunk(rowPtr []int, c int) {
+	lanes := s.perm[c*sellC : min(c*sellC+sellC, s.rows)]
+	cnt := s.cnt[s.cntPtr[c]:s.cntPtr[c+1]]
+	m := len(lanes)
+	for j := range cnt {
+		for m > 0 && rowPtr[lanes[m-1]+1]-rowPtr[lanes[m-1]] <= j {
+			m--
+		}
+		cnt[j] = uint8(m)
+	}
+}
+
+// gatherChunk copies chunk c's entries from src, a CSR entry array (Col
+// or Val) with row pointers rowPtr, into dst in packed order: position j
+// of each active lane, lane by lane, position by position — the order
+// chunkAccum reads them in. The full-lane prefix copies all C lanes per
+// position; the trailing positions walk the lane counts.
+//
+//amg:hotpath
+func gatherChunk[T int32 | float64](s *SELL, rowPtr []int, src, dst []T, c int) {
+	slot := c * sellC
+	var at [sellC]int // first CSR entry of each lane's row
+	for l, r := range s.perm[slot:min(slot+sellC, s.rows)] {
+		at[l] = rowPtr[r]
+	}
+	p := int(s.chunkPtr[c])
+	f := int(s.full[c])
+	for j := 0; j < f; j++ {
+		d := dst[p : p+sellC : p+sellC]
+		d[0] = src[at[0]+j]
+		d[1] = src[at[1]+j]
+		d[2] = src[at[2]+j]
+		d[3] = src[at[3]+j]
+		d[4] = src[at[4]+j]
+		d[5] = src[at[5]+j]
+		d[6] = src[at[6]+j]
+		d[7] = src[at[7]+j]
+		p += sellC
+	}
+	cnt := s.cnt[s.cntPtr[c]:s.cntPtr[c+1]]
+	for j := f; j < len(cnt); j++ {
+		for l := range int(cnt[j]) {
+			dst[p] = src[at[l]+j]
+			p++
+		}
+	}
+}
+
+// FillValues refreshes the packed values from a same-pattern CSR matrix,
+// walking the chunks as the kernels do (gatherChunk), in parallel over
+// the same row blocks; the serial path builds no closure and allocates
+// nothing. Only the shape and entry count are checked here; pattern
+// identity is the caller's contract (the AMG hierarchy fingerprints it).
+func (s *SELL) FillValues(rt *par.Runtime, a *Matrix) error {
 	if a.Rows != s.rows || a.Cols != s.cols || len(a.Val) != len(s.val) {
 		return fmt.Errorf("sparse: SELL refresh from %dx%d/%d entries, converted from %dx%d/%d",
 			a.Rows, a.Cols, len(a.Val), s.rows, s.cols, len(s.val))
 	}
-	av := a.Val
-	for p, e := range s.entry {
-		s.val[p] = av[e]
+	if rt.Serial(s.rows) {
+		s.fillChunks(a, 0, s.nchunks())
+		return nil
 	}
+	rt.For(s.rows, func(lo, hi int) {
+		s.fillChunks(a, (lo+sellC-1)/sellC, (hi+sellC-1)/sellC)
+	})
 	return nil
+}
+
+// fillChunks refills the values of chunks [c0, c1) from a.
+//
+//amg:hotpath
+func (s *SELL) fillChunks(a *Matrix, c0, c1 int) {
+	for c := c0; c < c1; c++ {
+		gatherChunk(s, a.RowPtr, a.Val, s.val, c)
+	}
 }
 
 // Dims returns the operator shape, implementing Operator.

@@ -1,8 +1,10 @@
 package sparse
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"mis2go/internal/par"
@@ -82,7 +84,7 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 	}
 	for name, a := range mats {
 		for _, sigma := range []int{sellSigma, sellC, 64, 1 << 20} {
-			s, err := newSELL(a, sigma)
+			s, err := newSELL(par.New(2), a, sigma)
 			if err != nil {
 				t.Fatalf("%s sigma=%d: %v", name, sigma, err)
 			}
@@ -134,9 +136,174 @@ func TestSELLKernelsBitwiseMatchCSR(t *testing.T) {
 	}
 }
 
+// refSELL is the serial reference conversion: each sort window ordered
+// by a stable comparison sort on descending row length, then every chunk
+// appended position by position, lane by lane. newSELL must reproduce
+// every field at any worker count.
+func refSELL(a *Matrix, sigma int) *SELL {
+	n := a.Rows
+	s := &SELL{rows: n, cols: a.Cols}
+	s.perm = make([]int32, n)
+	for i := range s.perm {
+		s.perm[i] = int32(i)
+	}
+	rowLen := func(r int32) int { return a.RowPtr[r+1] - a.RowPtr[r] }
+	for lo := 0; lo < n; lo += sigma {
+		hi := min(lo+sigma, n)
+		slices.SortStableFunc(s.perm[lo:hi], func(p, q int32) int {
+			return cmp.Compare(rowLen(q), rowLen(p)) // descending
+		})
+	}
+
+	nchunks := (n + sellC - 1) / sellC
+	s.chunkPtr = make([]int32, nchunks+1)
+	s.width = make([]int32, nchunks)
+	s.full = make([]int32, nchunks)
+	s.cntPtr = make([]int32, nchunks+1)
+	s.col = make([]int32, 0, len(a.Col))
+	s.val = make([]float64, 0, len(a.Col))
+	for c := 0; c < nchunks; c++ {
+		lanes := s.perm[c*sellC : min(c*sellC+sellC, n)]
+		w := 0
+		for _, r := range lanes {
+			w = max(w, rowLen(r))
+		}
+		full := 0
+		if len(lanes) == sellC {
+			full = rowLen(lanes[sellC-1]) // shortest lane: lanes are sorted
+		}
+		s.width[c] = int32(w)
+		s.full[c] = int32(full)
+		s.chunkPtr[c] = int32(len(s.col))
+		s.cntPtr[c] = int32(len(s.cnt))
+		for j := 0; j < w; j++ {
+			m := 0
+			for _, r := range lanes {
+				if rowLen(r) <= j {
+					break // descending lengths: the rest are shorter too
+				}
+				p := a.RowPtr[r] + j
+				s.col = append(s.col, a.Col[p])
+				s.val = append(s.val, a.Val[p])
+				m++
+			}
+			s.cnt = append(s.cnt, uint8(m))
+		}
+	}
+	s.chunkPtr[nchunks] = int32(len(s.col))
+	s.cntPtr[nchunks] = int32(len(s.cnt))
+	return s
+}
+
+// requireSELLEqual fails unless got and want hold the same layout, field
+// by field, values compared bit for bit.
+func requireSELLEqual(t *testing.T, name string, got, want *SELL) {
+	t.Helper()
+	if got.rows != want.rows || got.cols != want.cols {
+		t.Fatalf("%s: %dx%d, want %dx%d", name, got.rows, got.cols, want.rows, want.cols)
+	}
+	for _, f := range []struct {
+		field     string
+		got, want []int32
+	}{
+		{"perm", got.perm, want.perm},
+		{"chunkPtr", got.chunkPtr, want.chunkPtr},
+		{"width", got.width, want.width},
+		{"full", got.full, want.full},
+		{"cntPtr", got.cntPtr, want.cntPtr},
+		{"col", got.col, want.col},
+	} {
+		if !slices.Equal(f.got, f.want) {
+			t.Fatalf("%s: %s differs from the serial reference", name, f.field)
+		}
+	}
+	if !slices.Equal(got.cnt, want.cnt) {
+		t.Fatalf("%s: cnt differs from the serial reference", name)
+	}
+	bitsEqual(t, name+"/val", got.val, want.val)
+}
+
+// sellLayoutMatrices are the conversion witness's inputs: mixed row
+// lengths with empty rows, edge chunks, one long row among short ones,
+// and enough rows for several 4096-row windows and the parallel split.
+func sellLayoutMatrices() map[string]*Matrix {
+	skewed := sellTestMatrix(700, 600)
+	long := &Matrix{Rows: 1, Cols: 600, RowPtr: []int{0, 600}}
+	for j := range 600 {
+		long.Col = append(long.Col, int32(j))
+		long.Val = append(long.Val, float64(j%9)-4)
+	}
+	skewed = stackRows(stackRows(skewed, long), sellTestMatrix(300, 600))
+	return map[string]*Matrix{
+		"irregular":  sellTestMatrix(1003, 800),
+		"small":      sellTestMatrix(13, 9),
+		"singlerow":  sellTestMatrix(1, 5),
+		"widechunks": sellTestMatrix(64, 4000),
+		"windows":    sellTestMatrix(9000, 700),
+		"skewed":     skewed,
+		"empty":      {Rows: 17, Cols: 4, RowPtr: make([]int, 18)},
+	}
+}
+
+// stackRows returns a with b's rows appended (same column count).
+func stackRows(a, b *Matrix) *Matrix {
+	c := &Matrix{Rows: a.Rows + b.Rows, Cols: a.Cols, RowPtr: slices.Clone(a.RowPtr)}
+	c.Col = append(slices.Clone(a.Col), b.Col...)
+	c.Val = append(slices.Clone(a.Val), b.Val...)
+	for _, p := range b.RowPtr[1:] {
+		c.RowPtr = append(c.RowPtr, a.NNZ()+p)
+	}
+	return c
+}
+
+// TestSELLConversionBitwise pins the conversion to its serial reference:
+// every field of newSELL, at 1, 2 and 8 workers and for every sort
+// window, equals refSELL's.
+func TestSELLConversionBitwise(t *testing.T) {
+	for name, a := range sellLayoutMatrices() {
+		if err := a.Validate(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, sigma := range []int{sellSigma, sellC, 64, 1 << 20} {
+			want := refSELL(a, sigma)
+			for _, workers := range []int{1, 2, 8} {
+				got, err := newSELL(par.New(workers), a, sigma)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSELLEqual(t, fmt.Sprintf("%s sigma=%d workers=%d", name, sigma, workers), got, want)
+			}
+		}
+	}
+}
+
+// TestSELLFillValuesBitwise: after a value change, FillValues at 1, 2
+// and 8 workers leaves exactly the layout a fresh reference conversion
+// of the new values has.
+func TestSELLFillValuesBitwise(t *testing.T) {
+	for name, a := range sellLayoutMatrices() {
+		a2 := a.Clone()
+		for p := range a2.Val {
+			a2.Val[p] = a2.Val[p]*1.5 + 0.25
+		}
+		want := refSELL(a2, sellSigma)
+		for _, workers := range []int{1, 2, 8} {
+			rt := par.New(workers)
+			s, err := newSELL(rt, a, sellSigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.FillValues(rt, a2); err != nil {
+				t.Fatal(err)
+			}
+			requireSELLEqual(t, fmt.Sprintf("%s workers=%d", name, workers), s, want)
+		}
+	}
+}
+
 // TestSELLFillValues pins the values-only refresh path: new same-pattern
-// values gathered through the cached entry schedule, with zero
-// allocations, producing the same kernels as a fresh conversion.
+// values walked into the chunks with zero allocations at one worker,
+// producing the same kernels as a fresh conversion.
 func TestSELLFillValues(t *testing.T) {
 	a := sellTestMatrix(500, 400)
 	s, err := NewSELL(a)
@@ -147,8 +314,9 @@ func TestSELLFillValues(t *testing.T) {
 	for p := range a2.Val {
 		a2.Val[p] = a2.Val[p]*1.5 + 0.25
 	}
+	rt := par.New(1)
 	allocs := testing.AllocsPerRun(10, func() {
-		if err := s.FillValues(a2); err != nil {
+		if err := s.FillValues(rt, a2); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -159,7 +327,6 @@ func TestSELLFillValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt := par.New(1)
 	x := make([]float64, a.Cols)
 	for i := range x {
 		x[i] = float64(i%13) - 6
@@ -171,7 +338,7 @@ func TestSELLFillValues(t *testing.T) {
 	bitsEqual(t, "refreshed SpMV", y1, y2)
 
 	// Shape mismatches are clean errors.
-	if err := s.FillValues(sellTestMatrix(499, 400)); err == nil {
+	if err := s.FillValues(rt, sellTestMatrix(499, 400)); err == nil {
 		t.Fatal("FillValues accepted a different shape")
 	}
 }

@@ -35,8 +35,16 @@ type Matrix struct {
 // NNZ returns the number of stored entries.
 func (a *Matrix) NNZ() int { return len(a.Col) }
 
-// Validate checks structural invariants.
-func (a *Matrix) Validate() error {
+// Validate checks structural invariants on the default runtime; see
+// ValidateWith.
+func (a *Matrix) Validate() error { return a.ValidateWith(par.Default()) }
+
+// ValidateWith checks structural invariants in parallel over row blocks
+// and reports the lowest failing row, so the error is the same at any
+// worker count: first the lengths, then RowPtr monotonicity over every
+// row, then for each row its columns (in range, strictly ascending)
+// before its values (finite).
+func (a *Matrix) ValidateWith(rt *par.Runtime) error {
 	if a.Rows < 0 || a.Cols < 0 {
 		return errors.New("sparse: negative dimension")
 	}
@@ -51,22 +59,39 @@ func (a *Matrix) Validate() error {
 	// len(Col) even though the final pointer checks out (e.g.
 	// RowPtr = [0, 3, 2] over 2 entries), so scanning as we check would
 	// panic on exactly the malformed input Validate exists to reject.
-	for i := 0; i < a.Rows; i++ {
+	if err := rt.FirstError(a.Rows, a.checkRowPtr); err != nil {
+		return err
+	}
+	return rt.FirstError(a.Rows, a.checkRows)
+}
+
+// checkRowPtr reports the first row in [lo, hi) whose RowPtr decreases.
+func (a *Matrix) checkRowPtr(lo, hi int) error {
+	for i := lo; i < hi; i++ {
 		if a.RowPtr[i] > a.RowPtr[i+1] {
 			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
 		}
 	}
-	for i := 0; i < a.Rows; i++ {
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if a.Col[p] < 0 || int(a.Col[p]) >= a.Cols {
-				return fmt.Errorf("sparse: row %d has out-of-range column %d", i, a.Col[p])
+	return nil
+}
+
+// checkRows reports the first row in [lo, hi) with an out-of-range,
+// unsorted or duplicate column, or a non-finite value. RowPtr must be
+// monotone.
+func (a *Matrix) checkRows(lo, hi int) error {
+	for i := lo; i < hi; i++ {
+		prev := int32(-1) // below every valid column
+		for _, c := range a.Col[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if c < 0 || int(c) >= a.Cols {
+				return fmt.Errorf("sparse: row %d has out-of-range column %d", i, c)
 			}
-			if p > a.RowPtr[i] && a.Col[p-1] >= a.Col[p] {
+			if c <= prev {
 				return fmt.Errorf("sparse: row %d not sorted/duplicate-free", i)
 			}
+			prev = c
 		}
-		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-			if math.IsNaN(a.Val[p]) || math.IsInf(a.Val[p], 0) {
+		for _, v := range a.Val[a.RowPtr[i]:a.RowPtr[i+1]] {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return fmt.Errorf("sparse: non-finite value at row %d", i)
 			}
 		}
@@ -132,7 +157,7 @@ func (a *Matrix) TransposeWith(rt *par.Runtime) *Matrix {
 // When perm is non-nil (length NNZ) the scatter also records the
 // destination of every input entry — perm[p] is the output position of
 // entry p — which is the values-only replay schedule TransposePlan caches.
-func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, perm []int) (ptr []int, col []int32, val []float64) {
+func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, perm []int32) (ptr []int, col []int32, val []float64) {
 	ptr = make([]int, ncols+1)
 	col = make([]int32, len(a.Col))
 	if withVals {
@@ -177,7 +202,7 @@ func (a *Matrix) transposeBlocked(rt *par.Runtime, ncols int, withVals bool, per
 					val[fill[j]] = a.Val[p]
 				}
 				if perm != nil {
-					perm[p] = fill[j]
+					perm[p] = int32(fill[j])
 				}
 				fill[j]++
 			}
@@ -280,11 +305,12 @@ func (d *Dense) Factorize() error {
 	} else {
 		d.piv = make([]int, n)
 	}
+	a := d.Data[:n*n]
 	for k := 0; k < n; k++ {
 		// Pivot selection.
-		pk, pmax := k, math.Abs(d.Data[k*n+k])
+		pk, pmax := k, math.Abs(a[k*n+k])
 		for i := k + 1; i < n; i++ {
-			if v := math.Abs(d.Data[i*n+k]); v > pmax {
+			if v := math.Abs(a[i*n+k]); v > pmax {
 				pk, pmax = i, v
 			}
 		}
@@ -292,20 +318,29 @@ func (d *Dense) Factorize() error {
 			return fmt.Errorf("sparse: singular dense matrix at pivot %d", k)
 		}
 		d.piv[k] = pk
+		// Row slices with a known length let the compiler drop the
+		// bounds checks of the swap and elimination loops; every element
+		// sees the same operations in the same order as indexed code.
+		rowK := a[k*n : k*n+n : k*n+n]
 		if pk != k {
-			for j := 0; j < n; j++ {
-				d.Data[k*n+j], d.Data[pk*n+j] = d.Data[pk*n+j], d.Data[k*n+j]
+			rowP := a[pk*n : pk*n+n : pk*n+n]
+			for j, v := range rowP {
+				rowK[j], rowP[j] = v, rowK[j]
 			}
 		}
-		inv := 1 / d.Data[k*n+k]
+		inv := 1 / rowK[k]
+		upper := rowK[k+1:]
 		for i := k + 1; i < n; i++ {
-			l := d.Data[i*n+k] * inv
-			d.Data[i*n+k] = l
+			rowI := a[i*n+k : i*n+n : i*n+n]
+			l := rowI[0] * inv
+			rowI[0] = l
 			if l == 0 {
 				continue
 			}
-			for j := k + 1; j < n; j++ {
-				d.Data[i*n+j] -= l * d.Data[k*n+j]
+			rest := rowI[1:]
+			rest = rest[:len(upper)]
+			for j, u := range upper {
+				rest[j] -= l * u
 			}
 		}
 	}
@@ -316,20 +351,27 @@ func (d *Dense) Factorize() error {
 // Factorize must have been called.
 func (d *Dense) Solve(b, x []float64) {
 	n := d.N
+	a := d.Data[:n*n]
+	x = x[:n]
 	copy(x, b)
 	for k := 0; k < n; k++ {
 		if p := d.piv[k]; p != k {
 			x[k], x[p] = x[p], x[k]
 		}
-		for i := k + 1; i < n; i++ {
-			x[i] -= d.Data[i*n+k] * x[k]
+		xk := x[k]
+		below := x[k+1:]
+		for i := range below {
+			below[i] -= a[(k+1+i)*n+k] * xk
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
+		upper := a[i*n+i+1 : i*n+n]
+		rest := x[i+1:]
+		rest = rest[:len(upper)]
 		s := x[i]
-		for j := i + 1; j < n; j++ {
-			s -= d.Data[i*n+j] * x[j]
+		for j, u := range upper {
+			s -= u * rest[j]
 		}
-		x[i] = s / d.Data[i*n+i]
+		x[i] = s / a[i*n+i]
 	}
 }

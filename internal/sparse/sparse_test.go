@@ -1,9 +1,11 @@
 package sparse
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -421,5 +423,113 @@ func TestFillFromRequiresSquare(t *testing.T) {
 	}
 	if err := d.FillFrom(a); err == nil {
 		t.Fatal("non-square FillFrom not rejected")
+	}
+}
+
+// refValidate is the serial reference of Validate: the header checks,
+// then RowPtr monotonicity over every row, then row by row its columns
+// before its values. ValidateWith must return the same error text at
+// any worker count.
+func refValidate(a *Matrix) error {
+	if a.Rows < 0 || a.Cols < 0 {
+		return errors.New("sparse: negative dimension")
+	}
+	if len(a.RowPtr) != a.Rows+1 {
+		return fmt.Errorf("sparse: RowPtr length %d, want %d", len(a.RowPtr), a.Rows+1)
+	}
+	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows] != len(a.Col) || len(a.Col) != len(a.Val) {
+		return errors.New("sparse: inconsistent RowPtr/Col/Val lengths")
+	}
+	for i := 0; i < a.Rows; i++ {
+		if a.RowPtr[i] > a.RowPtr[i+1] {
+			return fmt.Errorf("sparse: RowPtr not monotone at row %d", i)
+		}
+	}
+	for i := 0; i < a.Rows; i++ {
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if a.Col[p] < 0 || int(a.Col[p]) >= a.Cols {
+				return fmt.Errorf("sparse: row %d has out-of-range column %d", i, a.Col[p])
+			}
+			if p > a.RowPtr[i] && a.Col[p-1] >= a.Col[p] {
+				return fmt.Errorf("sparse: row %d not sorted/duplicate-free", i)
+			}
+		}
+		for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
+			if math.IsNaN(a.Val[p]) || math.IsInf(a.Val[p], 0) {
+				return fmt.Errorf("sparse: non-finite value at row %d", i)
+			}
+		}
+	}
+	return nil
+}
+
+// plantDefect damages row i of a by kind: 0 an out-of-range column, 1
+// a duplicate column, 2 a column order swap, 3 a NaN, 4 an Inf, 5 a
+// decreasing RowPtr. Rows too short for a kind are left alone.
+func plantDefect(a *Matrix, i, kind int) {
+	lo, hi := a.RowPtr[i], a.RowPtr[i+1]
+	switch {
+	case kind == 0 && hi > lo:
+		a.Col[hi-1] = int32(a.Cols)
+	case kind == 1 && hi-lo >= 2:
+		a.Col[hi-1] = a.Col[hi-2]
+	case kind == 2 && hi-lo >= 2:
+		a.Col[lo], a.Col[lo+1] = a.Col[lo+1], a.Col[lo]
+	case kind == 3 && hi > lo:
+		a.Val[lo] = math.NaN()
+	case kind == 4 && hi > lo:
+		a.Val[hi-1] = math.Inf(-1)
+	case kind == 5 && i > 0:
+		a.RowPtr[i] = a.RowPtr[i+1] + 1
+	}
+}
+
+// TestValidateBitwiseMatchesReference plants several defects in
+// different row blocks of a 5000-row matrix and requires ValidateWith's
+// error text at 1, 2 and 8 workers to equal the serial reference's:
+// the lowest failing row, RowPtr monotonicity before any entry, and
+// within a row its columns before its values.
+func TestValidateBitwiseMatchesReference(t *testing.T) {
+	base := randomMatrix(5000, 40, 0.1, 46)
+	rng := rand.New(rand.NewSource(46))
+	cases := map[string]*Matrix{"clean": base}
+	// Fixed plantings: a later RowPtr defect outranks an earlier column
+	// defect, and in one row a column defect outranks a value defect.
+	mono := base.Clone()
+	plantDefect(mono, 300, 0)
+	plantDefect(mono, 4100, 5)
+	plantDefect(mono, 2700, 5)
+	cases["monotone-first"] = mono
+	sameRow := base.Clone()
+	plantDefect(sameRow, 3500, 3)
+	plantDefect(sameRow, 3500, 2)
+	plantDefect(sameRow, 4800, 0)
+	cases["columns-before-values"] = sameRow
+	for name, msg := range map[string]string{
+		"monotone-first":        "RowPtr not monotone at row 2700",
+		"columns-before-values": "row 3500 not sorted",
+	} {
+		if err := refValidate(cases[name]); err == nil || !strings.Contains(err.Error(), msg) {
+			t.Fatalf("%s: reference gives %v, want %q", name, err, msg)
+		}
+	}
+	for c := 0; c < 40; c++ {
+		a := base.Clone()
+		for range 1 + rng.Intn(4) {
+			plantDefect(a, rng.Intn(a.Rows), rng.Intn(6))
+		}
+		cases[fmt.Sprintf("random%d", c)] = a
+	}
+	for name, a := range cases {
+		want := refValidate(a)
+		if name != "clean" && want == nil {
+			continue // every planted row was too short for its kind
+		}
+		for _, workers := range []int{1, 2, 8} {
+			got := a.ValidateWith(par.New(workers))
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s, %d workers: %v, want %v", name, workers, got, want)
+			}
+		}
 	}
 }
